@@ -27,7 +27,6 @@ each carries the stabilization its problem class needs:
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,7 +34,8 @@ import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
 from .numerics import as_matrix, as_vector
-from .problem import MinimaxProblem, recover_multiplier, residuals
+# residuals is not called in this module; perfbench/tracing.py wraps it under this name
+from .problem import MinimaxProblem, recover_multiplier, residuals  # noqa: F401
 from .prox import (
     ConeSpec,
     L1_NORM,
@@ -50,7 +50,15 @@ from .prox import (
     prox_zero,
 )
 from .rng import gaussian_matrix, make_rng, standard_normal
-from .solver import IterateState, SolveResult, SolverConfig, TraceRecord, project_feasible
+from .solver import (
+    IterateState,
+    SolveResult,
+    SolverConfig,
+    certify_residuals,
+    check_settings,
+    iterate,
+    project_feasible,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -233,14 +241,14 @@ class GaveConfig:
     record_trace: bool = True
 
     def __post_init__(self):
-        if self.alpha_x <= 0 or self.alpha_y <= 0:
-            raise ConfigurationError("step sizes must be positive")
         if self.alpha_z is None:
             self.alpha_z = self.alpha_y
-        if self.alpha_z <= 0:
-            raise ConfigurationError("alpha_z must be positive")
-        if self.penalty < 0:
-            raise ConfigurationError("penalty must be >= 0")
+        check_settings(
+            vars(self),
+            steps=("alpha_x", "alpha_y", "alpha_z"),
+            counts=("inner_steps", "outer_cap"),
+            nonnegative=("penalty", "eps"),
+        )
 
 
 @dataclass
@@ -262,7 +270,7 @@ class GaveResult:
 def _init_or_zero(given, dim, name):
     if given is None:
         return np.zeros(dim)
-    arr = np.asarray(given, dtype=np.float64).copy()
+    arr = as_vector(given, name).copy()
     if arr.shape != (dim,):
         raise ConfigurationError(f"{name} must have length {dim}, got shape {arr.shape}")
     return arr
@@ -278,97 +286,87 @@ def run_gave(G: GaveInstance, config: GaveConfig) -> GaveResult:
     using the new x+. The reported solution is the better of x+ -/+ lambda
     under the equation-error metric; the sign carrying the multiplier
     estimate of the negative part wins at the saddle.
+
+    The loop state is an IterateState of the gave_to_minimax variables:
+    x = x+, y = (y, z) stacked, lambda. A DivergenceError carries the last
+    finite one.
     """
     A, B, b = G.A, G.B, G.b
     mrows, n = A.shape
-    x = _init_or_zero(config.x0, n, "x0")
-    y = _init_or_zero(config.y0, mrows, "y0")
-    z = _init_or_zero(config.z0, n, "z0")
-    lam = _init_or_zero(config.lambda0, n, "lambda0")
     AB = A + B
     BmA = B - A
     rho = config.penalty
     ax, ay, az = config.alpha_x, config.alpha_y, config.alpha_z
 
-    trace = []
-    start = time.perf_counter()
-
-    def pick(x, lam):
+    def certify(s):
+        x, y, z, lam = s.x, s.y[:mrows], s.y[mrows:], s.lam
         minus = x - lam
         plus = x + lam
         e_minus = G.error(minus)
         e_plus = G.error(plus)
-        if e_plus < e_minus:
-            return plus, e_plus, +1
-        return minus, e_minus, -1
-
-    def record(t, err):
-        if not config.record_trace:
-            return
-        gap = x - BmA.T @ y - z
-        step_x = np.maximum(x + ax * (AB.T @ y + lam - rho * gap), 0.0)
-        step_z = np.maximum(z + az * (lam + rho * gap), 0.0)
-        res_x = float(np.linalg.norm(x - step_x) / ax)
-        res_y = float(
-            np.hypot(
+        pick = (plus, e_plus, +1) if e_plus < e_minus else (minus, e_minus, -1)
+        err = pick[1]
+        row = None
+        if config.record_trace:
+            gap = x - BmA.T @ y - z
+            step_x = np.maximum(x + ax * (AB.T @ y + lam - rho * gap), 0.0)
+            step_z = np.maximum(z + az * (lam + rho * gap), 0.0)
+            res_y = np.hypot(
                 np.linalg.norm(b - AB @ x + BmA @ lam + rho * (BmA @ gap)),
                 np.linalg.norm(z - step_z) / az,
             )
-        )
-        trace.append(
-            TraceRecord(
-                t=t,
-                elapsed=time.perf_counter() - start,
-                res_x=res_x,
-                res_y=res_y,
-                res_feas=float(np.linalg.norm(gap)),
-                objective_metric=err,
+            row = (
+                float(np.linalg.norm(x - step_x) / ax),
+                float(res_y),
+                float(np.linalg.norm(gap)),
+                err,
             )
-        )
+        return err <= config.eps, row, pick
 
-    recovered, err, sign = pick(x, lam)
-    record(0, err)
-    converged = err <= config.eps
-    t_done = 0
-    if not converged:
-        for t in range(config.outer_cap):
-            for _ in range(config.inner_steps):
-                gap = x - BmA.T @ y - z
-                y = y + ay * (b - AB @ x + BmA @ lam + rho * (BmA @ gap))
-                z = np.maximum(z + az * (lam + rho * gap), 0.0)
+    def step(s, pick, t):
+        x, y, z, lam = s.x, s.y[:mrows], s.y[mrows:], s.lam
+        for _ in range(config.inner_steps):
             gap = x - BmA.T @ y - z
-            x_new = np.maximum(x + ax * (AB.T @ y + lam - rho * gap), 0.0)
-            lam = lam + ax * (x_new - BmA.T @ y - z)
-            x = x_new
-            if not (
-                np.all(np.isfinite(x))
-                and np.all(np.isfinite(y))
-                and np.all(np.isfinite(z))
-                and np.all(np.isfinite(lam))
-            ):
-                raise DivergenceError(
-                    f"split iterate became nonfinite at iteration {t} "
-                    f"(alpha_x={ax}, alpha_y={ay}, alpha_z={az}, penalty={rho})",
-                    trace=trace,
-                )
-            t_done = t + 1
-            recovered, err, sign = pick(x, lam)
-            record(t_done, err)
-            if err <= config.eps:
-                converged = True
-                break
+            y = y + ay * (b - AB @ x + BmA @ lam + rho * (BmA @ gap))
+            z = np.maximum(z + az * (lam + rho * gap), 0.0)
+        gap = x - BmA.T @ y - z
+        x_new = np.maximum(x + ax * (AB.T @ y + lam - rho * gap), 0.0)
+        lam = lam + ax * (x_new - BmA.T @ y - z)
+        x = x_new
+        if not (
+            np.all(np.isfinite(x))
+            and np.all(np.isfinite(y))
+            and np.all(np.isfinite(z))
+            and np.all(np.isfinite(lam))
+        ):
+            raise DivergenceError(
+                f"split iterate became nonfinite at iteration {t} "
+                f"(alpha_x={ax}, alpha_y={ay}, alpha_z={az}, penalty={rho})"
+            )
+        return IterateState(x=x, y=np.concatenate([y, z]), lam=lam, t=t + 1)
+
+    start = IterateState(
+        x=_init_or_zero(config.x0, n, "x0"),
+        y=np.concatenate(
+            [_init_or_zero(config.y0, mrows, "y0"), _init_or_zero(config.z0, n, "z0")]
+        ),
+        lam=_init_or_zero(config.lambda0, n, "lambda0"),
+        t=0,
+    )
+    run = iterate(start, step, certify, config.outer_cap, config.record_trace)
+    s, (recovered, err, sign) = run.state, run.cert
     if sign > 0:
         logger.info("recovery x = x_plus + lambda scored %.3e", err)
     return GaveResult(
         x=recovered,
         error=err,
-        trace=trace,
-        x_plus=x,
-        y=y,
-        z=z,
-        lam=lam,
-        iterations=t_done,
-        converged=converged,
+        trace=run.trace,
+        x_plus=s.x,
+        y=s.y[:mrows],
+        z=s.y[mrows:],
+        lam=s.lam,
+        iterations=run.t,
+        converged=run.converged,
         recovery_sign=sign,
     )
 
@@ -385,9 +383,17 @@ class GlpeConfig:
     alpha: Optional[float] = None
     inner_steps: int = 5
     outer_cap: int = 500000
-    eps: float = 1e-14
+    eps: float = 1e-13
     x0: Optional[np.ndarray] = None
     record_trace: bool = True
+
+    def __post_init__(self):
+        check_settings(
+            vars(self),
+            steps=() if self.alpha is None else ("alpha",),
+            counts=("inner_steps", "outer_cap"),
+            nonnegative=("eps",),
+        )
 
 
 @dataclass
@@ -424,8 +430,10 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
     the correction. The returned split x = P_K(x) + (x - P_K(x)) satisfies
     cone membership and complementarity exactly.
 
-    Trace columns: res_x is the correction norm, res_y the inner solve
-    residual, res_feas and the metric both the equation error.
+    Trace row t: res_feas and app_error are the equation error at iterate
+    t; res_x is the norm of the correction that produced iterate t and
+    res_y the residual of its inner solve (both 0 in row 0). The loop state
+    is the iterate x; a DivergenceError carries the last finite one.
     """
     if config is None:
         config = GlpeConfig()
@@ -433,40 +441,18 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
     A, B, b = G.A, G.B, G.b
     cone = G.cone
     n = A.shape[1]
-    x = _init_or_zero(config.x0, n, "x0")
+    last_step = (0.0, 0.0)  # correction norm and inner residual behind the iterate
 
-    trace = []
-    start = time.perf_counter()
-    converged = False
-    t_done = 0
-    err = np.inf
-    for t in range(config.outer_cap + 1):
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(
-                f"projection-equation iterate became nonfinite at iteration {t} "
-                f"(alpha={alpha})",
-                trace=trace,
-            )
+    def certify(x):
         with np.errstate(over="ignore", invalid="ignore"):
             xk = project_cone(cone, x)
             r = A @ x + B @ xk - b
             err = float(np.linalg.norm(r))
-        if err <= config.eps:
-            converged = True
-            if config.record_trace:
-                trace.append(
-                    TraceRecord(
-                        t=t,
-                        elapsed=time.perf_counter() - start,
-                        res_x=0.0,
-                        res_y=0.0,
-                        res_feas=err,
-                        objective_metric=err,
-                    )
-                )
-            break
-        if t == config.outer_cap:
-            break
+        return err <= config.eps, (*last_step, err, err), (xk, r, err)
+
+    def step(x, cert, t):
+        nonlocal last_step
+        r = cert[1]
         with np.errstate(over="ignore", invalid="ignore"):
             J = A + B @ projection_jacobian(cone, x)
             JtJ = J.T @ J
@@ -475,26 +461,25 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
             for _ in range(config.inner_steps):
                 w = w + alpha * (Jtr - JtJ @ w)
             x = x - w
-        t_done = t + 1
-        if config.record_trace:
-            trace.append(
-                TraceRecord(
-                    t=t_done,
-                    elapsed=time.perf_counter() - start,
-                    res_x=float(np.linalg.norm(w)),
-                    res_y=float(np.linalg.norm(r - J @ w)),
-                    res_feas=err,
-                    objective_metric=err,
-                )
+        if not np.all(np.isfinite(x)):
+            raise DivergenceError(
+                f"projection-equation iterate became nonfinite at iteration {t + 1} "
+                f"(alpha={alpha})"
             )
-    xk = project_cone(cone, x)
+        if config.record_trace:
+            last_step = (float(np.linalg.norm(w)), float(np.linalg.norm(r - J @ w)))
+        return x
+
+    x0 = _init_or_zero(config.x0, n, "x0")
+    run = iterate(x0, step, certify, config.outer_cap, config.record_trace)
+    xk, _, err = run.cert
     return GlpeResult(
-        x=x,
+        x=run.state,
         x_cone=xk,
-        error=float(np.linalg.norm(A @ x + B @ xk - b)),
-        trace=trace,
-        iterations=t_done,
-        converged=converged,
+        error=err,
+        trace=run.trace,
+        iterations=run.t,
+        converged=run.converged,
     )
 
 
@@ -511,6 +496,7 @@ def make_linreg(n, m, p, seed, lambda_reg=None):
     gain LINREG_COUPLING_GAIN, and the constraint rows are normalized.
     Same seed, same instance, bit for bit.
     """
+    check_settings({"n": n, "m": m, "p": p, "seed": seed}, counts=("n", "m", "p", "seed"))
     if n != m:
         raise ConfigurationError("regression instances use n == m")
     if p > n:
@@ -566,9 +552,9 @@ def run_linreg(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
     the constraint set: each outer iteration runs the inner ascent, takes
     the descent step, and projects the pair back onto C. The multiplier is
     not iterated; it is recovered by least squares from the gradients at
-    every recorded iterate, which is what certifies stationarity. This is
-    the stable route for instances whose reduced objective in (x, lambda)
-    is indefinite, where the multiplier iteration diverges.
+    every iterate, which is what certifies stationarity. This is the stable
+    route for instances whose reduced objective in (x, lambda) is
+    indefinite, where the multiplier iteration diverges.
     """
     from .prox import PROX_ZERO
 
@@ -576,63 +562,36 @@ def run_linreg(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
         raise ConfigurationError("run_linreg handles smooth instances (phi = psi = 0)")
     rng = make_rng(config.seed)
     if config.x0 is not None:
-        x = np.asarray(config.x0, dtype=np.float64).copy()
+        x = as_vector(config.x0, "x0").copy()
     else:
         # weight the draw by the coupling so the low-curvature tail starts small
         x = P.K @ standard_normal(rng, P.m)
     if config.y0 is not None:
-        y = np.asarray(config.y0, dtype=np.float64).copy()
+        y = as_vector(config.y0, "y0").copy()
     else:
         y = P.K.T @ standard_normal(rng, P.n)
     x, y = project_feasible(P, x, y)
-    L1 = 1.0 / config.alpha_x
-    L2 = 1.0 / config.alpha_y
 
-    trace = []
-    start = time.perf_counter()
-
-    def certified(x, y):
-        lam = recover_multiplier(P, x, y)
-        return lam, residuals(P, x, y, lam, L1, L2)
-
-    lam, res = certified(x, y)
-
-    def record(t):
-        if config.record_trace:
-            trace.append(
-                TraceRecord(
-                    t=t,
-                    elapsed=time.perf_counter() - start,
-                    res_x=res.res_x,
-                    res_y=res.res_y,
-                    res_feas=res.res_feas,
-                )
+    def step(s, res, t):
+        drive = P.K.T @ s.x
+        y = s.y
+        for _ in range(config.inner_steps):
+            y = y + config.alpha_y * (drive - P.h.gradient(y))
+        x = s.x - config.alpha_x * (P.g.gradient(s.x) + P.K @ y)
+        x, y = project_feasible(P, x, y)
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise DivergenceError(
+                f"projected iterate became nonfinite at iteration {t} "
+                f"(alpha_x={config.alpha_x})"
             )
+        return IterateState(x=x, y=y, lam=recover_multiplier(P, x, y), t=t + 1)
 
-    record(0)
-    converged = res.within(config.eps)
-    t_done = 0
-    if not converged:
-        for t in range(config.outer_cap):
-            drive = P.K.T @ x
-            for _ in range(config.inner_steps):
-                y = y + config.alpha_y * (drive - P.h.gradient(y))
-            x = x - config.alpha_x * (P.g.gradient(x) + P.K @ y)
-            x, y = project_feasible(P, x, y)
-            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-                raise DivergenceError(
-                    f"projected iterate became nonfinite at iteration {t} "
-                    f"(alpha_x={config.alpha_x})",
-                    trace=trace,
-                )
-            lam, res = certified(x, y)
-            t_done = t + 1
-            record(t_done)
-            if res.within(config.eps):
-                converged = True
-                break
-    state = IterateState(x=x, y=y, lam=lam, t=t_done)
-    return SolveResult(state=state, trace=trace, residuals=res, converged=converged)
+    certify = certify_residuals(P, 1.0 / config.alpha_x, 1.0 / config.alpha_y, config.eps)
+    start = IterateState(x=x, y=y, lam=recover_multiplier(P, x, y), t=0)
+    run = iterate(start, step, certify, config.outer_cap, config.record_trace)
+    return SolveResult(
+        state=run.state, trace=run.trace, residuals=run.cert, converged=run.converged
+    )
 
 
 # named instances with exact embedded data

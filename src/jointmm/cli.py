@@ -10,22 +10,22 @@ was exhausted before the target, 1 on configuration or data errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-
-import numpy as np
+from typing import Callable, NamedTuple
 
 from . import apps
-from .errors import JointmmError
+from .errors import ConfigurationError, JointmmError
 from .problem import compute_budget_constants, compute_constants, load_problem_manifest
 from .solver import (
     SolverConfig,
+    check_settings,
     plan_budget,
     run_pgmsad,
-    state_to_json,
     write_state_json,
     write_trace_csv,
 )
@@ -39,256 +39,202 @@ def _load_manifest(path):
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise ConfigurationError(f"run manifest {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"run manifest {path} must hold a JSON object")
+    return data
 
 
-def _setting(args, manifest, key, default=None):
-    """Flag value if given, else manifest entry, else default."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    return manifest.get(key, default)
+def command_spec(args):
+    """The run spec of a command: its manifest entries, overridden by the flags given."""
+    spec = _load_manifest(args.config)
+    spec.update((key, val) for key, val in vars(args).items() if val is not None)
+    return spec
 
 
-def _out_dir(args, manifest):
-    out = _setting(args, manifest, "out", ".")
-    os.makedirs(out, exist_ok=True)
-    return out
+# stock settings of each run kind, shared by its command and by bench
+STOCK = {
+    "solve": lambda spec: SolverConfig(
+        alpha_x=0.1, alpha_y=0.1, inner_steps=5, outer_cap=1000, eps=1e-8
+    ),
+    "linreg": lambda spec: SolverConfig(
+        alpha_x=0.3, alpha_y=1.0, inner_steps=3, outer_cap=200000, eps=1e-8
+    ),
+    "gave": lambda spec: apps.builtin_gave_config(spec.get("builtin", "gave-a")),
+    "glpe": lambda spec: apps.GlpeConfig(),
+}
+
+# run-spec key (the flag name; x0, y0, z0, lambda0 from manifests) -> config field
+SPEC_FIELDS = {
+    "alpha_x": "alpha_x",
+    "alpha_y": "alpha_y",
+    "alpha_z": "alpha_z",
+    "penalty": "penalty",
+    "inner_n": "inner_steps",
+    "outer_t": "outer_cap",
+    "eps": "eps",
+    "seed": "seed",
+    "project_each_outer": "project_each_outer",
+    "trace": "record_trace",
+    "x0": "x0",
+    "y0": "y0",
+    "z0": "z0",
+    "lambda0": "lambda0",
+}
 
 
-def _write_outputs(out, trace, state, res, wall, write_trace=True):
-    if write_trace:
-        write_trace_csv(trace, os.path.join(out, "trace.csv"))
-    write_state_json(state, res, wall, os.path.join(out, "state.json"))
+class RunPlan(NamedTuple):
+    config: object
+    solve: Callable  # () -> the driver's result
+    report: Callable  # result -> (summary, state.json payload or None for write_state_json)
 
 
-def _solver_config(args, manifest, defaults):
-    merged = dict(defaults)
-    for key, field in [
-        ("alpha_x", "alpha_x"),
-        ("alpha_y", "alpha_y"),
-        ("inner_n", "inner_steps"),
-        ("outer_t", "outer_cap"),
-        ("eps", "eps"),
-        ("seed", "seed"),
-    ]:
-        val = _setting(args, manifest, key)
-        if val is not None:
-            merged[field] = val
-    if _setting(args, manifest, "project_each_outer"):
-        merged["project_each_outer"] = True
-    trace_flag = _setting(args, manifest, "trace", True)
-    merged["record_trace"] = bool(trace_flag)
-    for key in ("x0", "y0", "lambda0"):
-        if key in manifest:
-            merged[key] = np.asarray(manifest[key], dtype=float)
-    return SolverConfig(**merged)
+def _minimax_report(P):
+    def report(r):
+        res = r.residuals
+        summary = {"n": P.n, "m": P.m, "q": P.q, "iterations": r.state.t}
+        summary.update(res_x=res.res_x, res_y=res.res_y, res_feas=res.res_feas)
+        return summary, None
+
+    return report
 
 
-def _run_builtin_gave(name, args, manifest, out):
-    G = apps.builtin_gave(name)
-    cfg = apps.builtin_gave_config(name)
-    for key, attr in [
-        ("alpha_x", "alpha_x"),
-        ("alpha_y", "alpha_y"),
-        ("alpha_z", "alpha_z"),
-        ("inner_n", "inner_steps"),
-        ("outer_t", "outer_cap"),
-        ("eps", "eps"),
-        ("penalty", "penalty"),
-    ]:
-        val = _setting(args, manifest, key)
-        if val is not None:
-            setattr(cfg, attr, val)
-    start = time.perf_counter()
-    result = apps.run_gave(G, cfg)
-    wall = time.perf_counter() - start
-    if _setting(args, manifest, "trace", True):
-        write_trace_csv(result.trace, os.path.join(out, "trace.csv"))
-    report = {
-        "instance": name,
-        "x": [float(v) for v in result.x],
-        "app_error": result.error,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "recovery_sign": result.recovery_sign,
-        "wall_time_s": wall,
-    }
-    with open(os.path.join(out, "state.json"), "w", encoding="ascii") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    print(json.dumps({"instance": name, "app_error": result.error, "iterations": result.iterations}))
-    return EXIT_OK if result.converged else EXIT_CAP
+def _app_report(name, G, r, **extra):
+    """Summary and state.json payload of a gave or glpe run; the residual
+    columns are the last trace row."""
+    rows, cols = G.A.shape
+    summary = {"instance": name, "n": cols, "m": rows, "q": cols, "iterations": r.iterations}
+    if r.trace:
+        last = r.trace[-1]
+        summary.update(res_x=last.res_x, res_y=last.res_y, res_feas=last.res_feas)
+    summary["app_error"] = r.error
+    state = {"instance": name, "x": [float(v) for v in r.x], **extra, "app_error": r.error}
+    state.update(iterations=r.iterations, converged=r.converged)
+    return summary, state
 
 
-def _run_builtin_glpe(args, manifest, out):
-    cone = _setting(args, manifest, "cone", "nonneg_orthant")
-    G = apps.builtin_glpe(cone)
-    cfg = apps.GlpeConfig()
-    for key, attr in [
-        ("alpha_x", "alpha"),
-        ("inner_n", "inner_steps"),
-        ("outer_t", "outer_cap"),
-        ("eps", "eps"),
-    ]:
-        val = _setting(args, manifest, key)
-        if val is not None:
-            setattr(cfg, attr, val)
-    cfg.record_trace = bool(_setting(args, manifest, "trace", True))
-    start = time.perf_counter()
-    result = apps.run_glpe(G, cfg)
-    wall = time.perf_counter() - start
-    if cfg.record_trace:
-        write_trace_csv(result.trace, os.path.join(out, "trace.csv"))
-    report = {
-        "instance": f"glpe-paper/{cone}",
-        "x": [float(v) for v in result.x],
-        "x_cone": [float(v) for v in result.x_cone],
-        "app_error": result.error,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "wall_time_s": wall,
-    }
-    with open(os.path.join(out, "state.json"), "w", encoding="ascii") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    print(json.dumps({"instance": report["instance"], "app_error": result.error, "iterations": result.iterations}))
-    return EXIT_OK if result.converged else EXIT_CAP
+def _linreg_problem(spec, seed):
+    n = spec.get("n", 10)
+    check_settings({"n": n}, counts=("n",))
+    _, P = apps.make_linreg(n, spec.get("m", n), spec.get("p", max(1, n // 5)), seed)
+    return P
 
 
-def cmd_solve(args):
-    manifest = _load_manifest(args.config)
-    out = _out_dir(args, manifest)
-    builtin = _setting(args, manifest, "builtin")
-    if builtin is not None:
-        if builtin in apps.GAVE_BUILTINS:
-            return _run_builtin_gave(builtin, args, manifest, out)
-        if builtin == "glpe-paper":
-            return _run_builtin_glpe(args, manifest, out)
-        raise JointmmError(f"unknown builtin {builtin!r}; choose from {apps.BUILTIN_NAMES}")
-    problem_path = _setting(args, manifest, "problem")
-    if problem_path is None:
-        raise JointmmError("solve needs --builtin or a problem manifest path")
-    P = load_problem_manifest(problem_path)
-    config = _solver_config(
-        args,
-        manifest,
-        {"alpha_x": 0.1, "alpha_y": 0.1, "inner_steps": 5, "outer_cap": 1000, "eps": 1e-8},
-    )
-    start = time.perf_counter()
-    result = run_pgmsad(P, config)
-    wall = time.perf_counter() - start
-    _write_outputs(out, result.trace, result.state, result.residuals, wall, config.record_trace)
-    print(json.dumps(state_to_json(result.state, result.residuals, wall)["residuals"]))
-    return EXIT_OK if result.converged else EXIT_CAP
+def resolve(kind, spec) -> RunPlan:
+    """Map a run spec to its config, its solve and its report.
 
-
-def cmd_gave(args):
-    manifest = _load_manifest(args.config)
-    out = _out_dir(args, manifest)
-    builtin = _setting(args, manifest, "builtin", "gave-a")
-    return _run_builtin_gave(builtin, args, manifest, out)
-
-
-def cmd_glpe(args):
-    manifest = _load_manifest(args.config)
-    out = _out_dir(args, manifest)
-    return _run_builtin_glpe(args, manifest, out)
-
-
-def cmd_linreg(args):
-    manifest = _load_manifest(args.config)
-    out = _out_dir(args, manifest)
-    n = int(_setting(args, manifest, "n", 10))
-    m = int(_setting(args, manifest, "m", n))
-    p = int(_setting(args, manifest, "p", max(1, n // 5)))
-    seed = int(_setting(args, manifest, "seed", 0))
-    inst, P = apps.make_linreg(n, m, p, seed)
-    config = _solver_config(
-        args,
-        manifest,
-        {
-            "alpha_x": 0.3,
-            "alpha_y": 1.0,
-            "inner_steps": 3,
-            "outer_cap": 200000,
-            "eps": 1e-8,
-            "seed": seed,
+    The config is the kind's STOCK config with the spec's settings applied
+    by dataclasses.replace, so the config's own checks run on the result.
+    """
+    if kind not in STOCK:
+        raise ConfigurationError(f"unknown run kind {kind!r}; choose from {sorted(STOCK)}")
+    fields = dict(SPEC_FIELDS, alpha_x="alpha") if kind == "glpe" else SPEC_FIELDS
+    stock = STOCK[kind](spec)
+    names = {f.name for f in dataclasses.fields(stock)}
+    config = dataclasses.replace(
+        stock,
+        **{
+            fields[key]: val
+            for key, val in spec.items()
+            if key in fields and fields[key] in names and val is not None
         },
     )
-    start = time.perf_counter()
-    result = apps.run_linreg(P, config)
-    wall = time.perf_counter() - start
-    _write_outputs(out, result.trace, result.state, result.residuals, wall, config.record_trace)
-    print(
-        json.dumps(
-            {
-                "n": n,
-                "m": m,
-                "p": p,
-                "iterations": result.state.t,
-                "res_x": result.residuals.res_x,
-                "res_y": result.residuals.res_y,
-                "res_feas": result.residuals.res_feas,
-            }
+    if kind == "solve":
+        if spec.get("problem") is None:
+            raise JointmmError("solve needs --builtin or a problem manifest path")
+        P = load_problem_manifest(spec["problem"])
+        return RunPlan(config, lambda: run_pgmsad(P, config), _minimax_report(P))
+    if kind == "linreg":
+        P = _linreg_problem(spec, config.seed)
+        return RunPlan(config, lambda: apps.run_linreg(P, config), _minimax_report(P))
+    if kind == "gave":
+        name = spec.get("builtin", "gave-a")
+        G = apps.builtin_gave(name)
+        return RunPlan(
+            config,
+            lambda: apps.run_gave(G, config),
+            lambda r: _app_report(name, G, r, recovery_sign=r.recovery_sign),
         )
+    cone = spec.get("cone", "nonneg_orthant")
+    G = apps.builtin_glpe(cone)
+    return RunPlan(
+        config,
+        lambda: apps.run_glpe(G, config),
+        lambda r: _app_report(f"glpe-paper/{cone}", G, r, x_cone=[float(v) for v in r.x_cone]),
     )
+
+
+def run(kind, spec):
+    """Resolve and solve one run spec; write trace.csv and state.json to its
+    out directory, print its summary line, and return the exit code."""
+    out = spec.get("out", ".")
+    os.makedirs(out, exist_ok=True)
+    plan = resolve(kind, spec)
+    start = time.perf_counter()
+    result = plan.solve()
+    wall = time.perf_counter() - start
+    summary, state = plan.report(result)
+    if plan.config.record_trace:
+        write_trace_csv(result.trace, os.path.join(out, "trace.csv"))
+    path = os.path.join(out, "state.json")
+    if state is None:
+        write_state_json(result.state, result.residuals, wall, path)
+    else:
+        with open(path, "w", encoding="ascii") as fh:
+            json.dump(dict(state, wall_time_s=wall), fh, indent=2)
+            fh.write("\n")
+    print(json.dumps(summary))
     return EXIT_OK if result.converged else EXIT_CAP
+
+
+def cmd_run(args):
+    spec = command_spec(args)
+    kind = args.command
+    builtin = spec.get("builtin")
+    if kind == "solve" and builtin is not None:
+        if builtin in apps.GAVE_BUILTINS:
+            kind = "gave"
+        elif builtin == "glpe-paper":
+            kind = "glpe"
+        else:
+            raise JointmmError(f"unknown builtin {builtin!r}; choose from {apps.BUILTIN_NAMES}")
+    return run(kind, spec)
 
 
 def cmd_budget(args):
-    manifest = _load_manifest(args.config)
-    problem_path = _setting(args, manifest, "problem")
-    if problem_path is None and _setting(args, manifest, "n") is None:
+    spec = command_spec(args)
+    if spec.get("problem") is None and spec.get("n") is None:
         raise JointmmError("budget needs a problem manifest or regression sizes (--n)")
-    if problem_path is not None:
-        P = load_problem_manifest(problem_path)
+    if spec.get("problem") is not None:
+        P = load_problem_manifest(spec["problem"])
     else:
-        n = int(_setting(args, manifest, "n", 10))
-        m = int(_setting(args, manifest, "m", n))
-        p = int(_setting(args, manifest, "p", max(1, n // 5)))
-        _, P = apps.make_linreg(n, m, p, int(_setting(args, manifest, "seed", 0)))
+        P = _linreg_problem(spec, spec.get("seed", 0))
     if P.mu <= 0:
         print("relaxed mode (mu = 0): no smoothness constant, no budget", file=sys.stderr)
         return EXIT_ERROR
     C = compute_constants(P)
-    alpha_x = _setting(args, manifest, "alpha_x")
-    alpha_y = _setting(args, manifest, "alpha_y")
+    alpha_x = spec.get("alpha_x")
+    alpha_y = spec.get("alpha_y")
     if alpha_x is None:
         alpha_x = 0.9 / C.L_theta
     if alpha_y is None:
         alpha_y = 0.9 / C.L_h if C.L_h > 0 else 1.0
     B = compute_budget_constants(P, C, alpha_x, alpha_y)
     B = B.with_bounds(
-        beta1=_setting(args, manifest, "beta1"),
-        omega1=_setting(args, manifest, "omega1"),
-        theta_gap=_setting(args, manifest, "theta_gap"),
+        beta1=spec.get("beta1"),
+        omega1=spec.get("omega1"),
+        theta_gap=spec.get("theta_gap"),
     )
-    eps = float(_setting(args, manifest, "eps", 1e-2))
+    eps = float(spec.get("eps", 1e-2))
     N, T = plan_budget(C, B, alpha_x, alpha_y, P.mu, eps)
     print(
         json.dumps(
             {
-                "constants": {
-                    "norm_K": C.norm_K,
-                    "norm_A": C.norm_A,
-                    "norm_B": C.norm_B,
-                    "L_g": C.L_g,
-                    "L_h": C.L_h,
-                    "gamma": C.gamma,
-                    "L_theta": C.L_theta,
-                },
-                "budget_constants": {
-                    "chi0": B.chi0,
-                    "chi1": B.chi1,
-                    "omega_x": B.omega_x,
-                    "omega_y": B.omega_y,
-                    "gamma1": B.gamma1,
-                    "gamma2": B.gamma2,
-                    "beta1": B.beta1,
-                    "omega1": B.omega1,
-                    "theta_gap": B.theta_gap,
-                },
+                "constants": dataclasses.asdict(C),
+                "budget_constants": dataclasses.asdict(B),
                 "alpha_x": alpha_x,
                 "alpha_y": alpha_y,
                 "eps": eps,
@@ -306,107 +252,40 @@ BENCH_HEADER = "name,n,m,q,N,T_used,wall_time_s,res_x,res_y,res_feas,app_error,s
 
 def _bench_one(spec):
     name = spec.get("name", spec.get("kind", "run"))
-    kind = spec.get("kind")
     start = time.perf_counter()
     try:
-        if kind == "gave":
-            G = apps.builtin_gave(spec["builtin"])
-            cfg = apps.builtin_gave_config(spec["builtin"])
-            for key in ("alpha_x", "alpha_y", "alpha_z", "penalty", "eps"):
-                if key in spec:
-                    setattr(cfg, key, spec[key])
-            if "inner_n" in spec:
-                cfg.inner_steps = spec["inner_n"]
-            if "outer_t" in spec:
-                cfg.outer_cap = spec["outer_t"]
-            r = apps.run_gave(G, cfg)
-            wall = time.perf_counter() - start
-            last = r.trace[-1] if r.trace else None
-            return (
-                name,
-                G.cols,
-                G.rows,
-                G.cols,
-                cfg.inner_steps,
-                r.iterations,
-                wall,
-                last.res_x if last else "",
-                last.res_y if last else "",
-                last.res_feas if last else "",
-                r.error,
-                "ok" if r.converged else "cap",
-            )
-        if kind == "glpe":
-            G = apps.builtin_glpe(spec.get("cone", "nonneg_orthant"))
-            cfg = apps.GlpeConfig(
-                alpha=spec.get("alpha"),
-                inner_steps=spec.get("inner_n", 5),
-                outer_cap=spec.get("outer_t", 500000),
-                eps=spec.get("eps", 1e-13),
-            )
-            r = apps.run_glpe(G, cfg)
-            wall = time.perf_counter() - start
-            return (
-                name,
-                G.A.shape[1],
-                G.A.shape[0],
-                G.A.shape[1],
-                cfg.inner_steps,
-                r.iterations,
-                wall,
-                "",
-                "",
-                r.error,
-                r.error,
-                "ok" if r.converged else "cap",
-            )
-        if kind == "linreg":
-            n = spec["n"]
-            m = spec.get("m", n)
-            p = spec.get("p", max(1, n // 5))
-            inst, P = apps.make_linreg(n, m, p, spec.get("seed", 0))
-            cfg = SolverConfig(
-                alpha_x=spec.get("alpha_x", 0.3),
-                alpha_y=spec.get("alpha_y", 1.0),
-                inner_steps=spec.get("inner_n", 3),
-                outer_cap=spec.get("outer_t", 200000),
-                eps=spec.get("eps", 1e-8),
-                seed=spec.get("seed", 0),
-            )
-            r = apps.run_linreg(P, cfg)
-            wall = time.perf_counter() - start
-            res = r.residuals
-            return (
-                name,
-                n,
-                m,
-                p,
-                cfg.inner_steps,
-                r.state.t,
-                wall,
-                res.res_x,
-                res.res_y,
-                res.res_feas,
-                "",
-                "ok" if r.converged else "cap",
-            )
-        raise JointmmError(f"unknown bench run kind {kind!r}")
+        plan = resolve(spec.get("kind"), spec)
+        result = plan.solve()
+        wall = time.perf_counter() - start
+        summary, _ = plan.report(result)
+        return (
+            name,
+            summary["n"],
+            summary["m"],
+            summary["q"],
+            plan.config.inner_steps,
+            summary["iterations"],
+            wall,
+            *(summary.get(key, "") for key in ("res_x", "res_y", "res_feas", "app_error")),
+            "ok" if result.converged else "cap",
+        )
     except Exception as exc:  # noqa: BLE001 - a failed run is a row, not a crash
         wall = time.perf_counter() - start
         return (name, "", "", "", "", "", wall, "", "", "", "", f"failed: {exc}")
 
 
 def cmd_bench(args):
-    manifest = _load_manifest(args.config)
-    runs = manifest.get("runs", [])
-    out = _out_dir(args, manifest)
+    spec = command_spec(args)
+    runs = spec.get("runs", [])
+    out = spec.get("out", ".")
+    os.makedirs(out, exist_ok=True)
     workers = int(os.environ.get("JOINTMM_THREADS", "1"))
     if workers > 1 and len(runs) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_bench_one, runs))
     else:
         rows = [_bench_one(spec) for spec in runs]
-    path = os.path.join(out, manifest.get("report", "bench.csv"))
+    path = os.path.join(out, spec.get("report", "bench.csv"))
     with open(path, "w", encoding="ascii") as fh:
         fh.write(BENCH_HEADER + "\n")
         for row in rows:
@@ -423,10 +302,10 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in [
-        ("solve", cmd_solve),
-        ("gave", cmd_gave),
-        ("glpe", cmd_glpe),
-        ("linreg", cmd_linreg),
+        ("solve", cmd_run),
+        ("gave", cmd_run),
+        ("glpe", cmd_run),
+        ("linreg", cmd_run),
         ("budget", cmd_budget),
         ("bench", cmd_bench),
     ]:

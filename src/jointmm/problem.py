@@ -369,7 +369,10 @@ def load_problem_manifest(path) -> MinimaxProblem:
     terms from the ProxOperator kinds.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise ConfigurationError(f"problem manifest {path} is not valid JSON: {exc}") from exc
     base_dir = os.path.dirname(os.path.abspath(path))
     try:
         K = _load_matrix_field(data["K"], base_dir)

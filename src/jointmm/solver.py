@@ -15,11 +15,13 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, FrameworkError, NumericalError
+from .numerics import as_vector
 from .problem import (
     BudgetConstants,
     MinimaxProblem,
@@ -58,14 +60,34 @@ class IterateState:
     t: int
 
 
+def check_settings(values, steps=(), counts=(), nonnegative=()):
+    """Raise ConfigurationError unless the named entries of the dict values are valid.
+
+    steps must be positive and finite, counts nonnegative integers, and
+    nonnegative fields numbers >= 0. The comparisons are written so that NaN
+    fails them.
+    """
+    for name in steps:
+        value = values[name]
+        if not (isinstance(value, Real) and 0 < value < math.inf):
+            raise ConfigurationError(f"step size {name} must be positive and finite, got {value!r}")
+    for name in counts:
+        value = values[name]
+        if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
+            raise ConfigurationError(f"{name} must be a nonnegative integer, got {value!r}")
+    for name in nonnegative:
+        value = values[name]
+        if not (isinstance(value, Real) and value >= 0):
+            raise ConfigurationError(f"{name} must be >= 0, got {value!r}")
+
+
 @dataclass
 class SolverConfig:
     """Step sizes, loop counts, and termination settings for run_pgmsad.
 
-    alpha_y_schedule and inner_schedule optionally override alpha_y / N per
-    outer iteration; the default is the constant choice. project_final
-    applies the feasibility projection once to the returned point (after at
-    least one iteration ran); project_each_outer applies it every iteration.
+    project_final applies the feasibility projection once to the returned
+    point (after at least one iteration ran); project_each_outer applies it
+    every iteration.
     """
 
     alpha_x: float
@@ -80,14 +102,14 @@ class SolverConfig:
     x0: Optional[np.ndarray] = None
     y0: Optional[np.ndarray] = None
     lambda0: Optional[np.ndarray] = None
-    alpha_y_schedule: Optional[Callable[[int], float]] = None
-    inner_schedule: Optional[Callable[[int], int]] = None
 
     def __post_init__(self):
-        if self.alpha_x <= 0 or self.alpha_y <= 0:
-            raise ConfigurationError("step sizes alpha_x, alpha_y must be positive")
-        if self.inner_steps < 0 or self.outer_cap < 0:
-            raise ConfigurationError("inner_steps and outer_cap must be nonnegative")
+        check_settings(
+            vars(self),
+            steps=("alpha_x", "alpha_y"),
+            counts=("inner_steps", "outer_cap", "seed"),
+            nonnegative=("eps",),
+        )
 
 
 class SolveResult(NamedTuple):
@@ -172,17 +194,17 @@ def project_feasible(P: MinimaxProblem, x, y):
 def _init_points(P: MinimaxProblem, config: SolverConfig):
     rng = np.random.Generator(np.random.PCG64(config.seed))
     x = (
-        np.asarray(config.x0, dtype=np.float64).copy()
+        as_vector(config.x0, "x0").copy()
         if config.x0 is not None
         else standard_normal(rng, P.n)
     )
     y = (
-        np.asarray(config.y0, dtype=np.float64).copy()
+        as_vector(config.y0, "y0").copy()
         if config.y0 is not None
         else standard_normal(rng, P.m)
     )
     lam = (
-        np.asarray(config.lambda0, dtype=np.float64).copy()
+        as_vector(config.lambda0, "lambda0").copy()
         if config.lambda0 is not None
         else np.zeros(P.q)
     )
@@ -191,73 +213,95 @@ def _init_points(P: MinimaxProblem, config: SolverConfig):
     return x, y, lam
 
 
-def run_pgmsad(P: MinimaxProblem, config: SolverConfig, app_metric=None) -> SolveResult:
+class LoopResult(NamedTuple):
+    state: object
+    cert: object
+    t: int
+    converged: bool
+    trace: list
+
+
+def iterate(state, step, certify, outer_cap, record_trace) -> LoopResult:
+    """The outer loop every driver shares: certify iterate t, stop or step.
+
+    certify(state) returns (done, row, cert): done is the stopping test of
+    the iterate, row its trace values (res_x, res_y, res_feas, app_error)
+    and cert whatever the driver needs back (residuals, the recovered
+    point, ...). step(state, cert, t) returns iterate t + 1. Iterate t is
+    recorded as trace row t, so a run of T steps has rows 0..T.
+
+    The loop stops when done is true or after outer_cap steps. A
+    DivergenceError raised by step, or a NumericalError turned into one,
+    carries the last certified state and the trace so far. Returns the last
+    state with its cert, the number of steps t, whether done held, and the
+    trace.
+    """
+    trace = []
+    start = time.perf_counter()
+    t = 0
+    while True:
+        done, row, cert = certify(state)
+        if record_trace:
+            trace.append(TraceRecord(t, time.perf_counter() - start, *row))
+        if done or t == outer_cap:
+            return LoopResult(state, cert, t, done, trace)
+        try:
+            state = step(state, cert, t)
+        except DivergenceError as exc:
+            exc.state, exc.trace = state, trace
+            raise
+        except NumericalError as exc:
+            raise DivergenceError(
+                f"iteration {t} produced a nonfinite value: {exc}", state=state, trace=trace
+            ) from exc
+        t += 1
+
+
+def certify_residuals(P: MinimaxProblem, L1, L2, eps):
+    """certify for iterate: the three residuals of an IterateState at
+    scalings (L1, L2); done when all are <= eps."""
+
+    def certify(s):
+        res = residuals(P, s.x, s.y, s.lam, L1, L2)
+        return res.within(eps), (res.res_x, res.res_y, res.res_feas, None), res
+
+    return certify
+
+
+def run_pgmsad(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
     """Run the multi-step ascent-descent loop until eps-stationarity or the cap.
 
     Stops early once all three residuals at scalings (1/alpha_x, 1/alpha_y)
-    are <= config.eps. app_metric, if given, is called as
-    app_metric(x, y, lam) and recorded in the trace's last column.
+    are <= config.eps. converged describes the returned point: after the
+    final projection it is decided again on the projected iterate.
 
     Returns (state, trace, residuals, converged). Deterministic for a fixed
     config and initial point (trace timestamps aside).
     """
-    x, y, lam = _init_points(P, config)
     L1 = 1.0 / config.alpha_x
     L2 = 1.0 / config.alpha_y
-    trace = []
-    start = time.perf_counter()
 
-    def record(t, res):
-        if config.record_trace:
-            trace.append(
-                TraceRecord(
-                    t=t,
-                    elapsed=time.perf_counter() - start,
-                    res_x=res.res_x,
-                    res_y=res.res_y,
-                    res_feas=res.res_feas,
-                    objective_metric=(
-                        float(app_metric(x, y, lam)) if app_metric is not None else None
-                    ),
-                )
-            )
+    def step(s, res, t):
+        y = inner_ascent(P, s.x, s.lam, s.y, config.inner_steps, config.alpha_y)
+        x, lam = outer_step(P, s.x, s.lam, y, config.alpha_x)
+        if config.project_each_outer:
+            x, y = project_feasible(P, x, y)
+        return IterateState(x=x, y=y, lam=lam, t=t + 1)
 
-    res = residuals(P, x, y, lam, L1, L2)
-    record(0, res)
-    converged = res.within(config.eps)
-    t_done = 0
-    if not converged:
-        for t in range(config.outer_cap):
-            alpha_y_t = (
-                config.alpha_y_schedule(t) if config.alpha_y_schedule else config.alpha_y
-            )
-            n_t = config.inner_schedule(t) if config.inner_schedule else config.inner_steps
-            try:
-                y = inner_ascent(P, x, lam, y, n_t, alpha_y_t)
-                x, lam = outer_step(P, x, lam, y, config.alpha_x)
-            except DivergenceError as exc:
-                exc.state = IterateState(x=x, y=y, lam=lam, t=t)
-                exc.trace = trace
-                raise
-            except NumericalError as exc:
-                raise DivergenceError(
-                    f"iteration {t} produced a nonfinite value: {exc}",
-                    state=IterateState(x=x, y=y, lam=lam, t=t),
-                    trace=trace,
-                ) from exc
-            if config.project_each_outer:
-                x, y = project_feasible(P, x, y)
-            t_done = t + 1
-            res = residuals(P, x, y, lam, L1, L2)
-            record(t_done, res)
-            if res.within(config.eps):
-                converged = True
-                break
-    if t_done > 0 and config.project_final and not config.project_each_outer:
-        x, y = project_feasible(P, x, y)
-        res = residuals(P, x, y, lam, L1, L2)
-    state = IterateState(x=x, y=y, lam=lam, t=t_done)
-    return SolveResult(state=state, trace=trace, residuals=res, converged=converged)
+    run = iterate(
+        IterateState(*_init_points(P, config), t=0),
+        step,
+        certify_residuals(P, L1, L2, config.eps),
+        config.outer_cap,
+        config.record_trace,
+    )
+    state, res, converged = run.state, run.cert, run.converged
+    if state.t > 0 and config.project_final and not config.project_each_outer:
+        x, y = project_feasible(P, state.x, state.y)
+        state = IterateState(x=x, y=y, lam=state.lam, t=state.t)
+        res = residuals(P, x, y, state.lam, L1, L2)
+        converged = res.within(config.eps)
+    return SolveResult(state=state, trace=run.trace, residuals=res, converged=converged)
 
 
 def run_framework(
@@ -279,10 +323,19 @@ def run_framework(
     check_atol for exact maximizers supplied with eps_t = 0), and should not
     move y away from y_*(x, lambda). eps_schedule is a callable t -> eps_t
     or a sequence; square-summable schedules are what the convergence theory
-    asks for, so a constant schedule only triggers a warning.
+    asks for, so a constant schedule only triggers a warning. Runs exactly T
+    outer steps; the trace has rows 0..T.
     """
-    if T < 0:
-        raise ConfigurationError("run_framework needs T >= 0")
+    config = SolverConfig(
+        alpha_x=alpha_x,
+        alpha_y=1.0,
+        inner_steps=0,
+        outer_cap=T,
+        seed=seed,
+        x0=x0,
+        y0=y0,
+        lambda0=lambda0,
+    )
     if callable(eps_schedule):
         eps_fn = eps_schedule
     else:
@@ -296,46 +349,26 @@ def run_framework(
                 stacklevel=2,
             )
         eps_fn = lambda t: sched[t]
-
-    config = SolverConfig(
-        alpha_x=alpha_x,
-        alpha_y=1.0,
-        inner_steps=0,
-        outer_cap=0,
-        seed=seed,
-        x0=x0,
-        y0=y0,
-        lambda0=lambda0,
-    )
-    x, y, lam = _init_points(P, config)
-    trace = []
     eps_used = []
-    start = time.perf_counter()
-    for t in range(T):
+
+    def step(s, res, t):
         eps_t = float(eps_fn(t))
-        y = np.asarray(inner(x, lam, y, eps_t), dtype=np.float64)
-        achieved = inner_residual(P, x, y, lam, L=1.0)
+        y = np.asarray(inner(s.x, s.lam, s.y, eps_t), dtype=np.float64)
+        achieved = inner_residual(P, s.x, y, s.lam, L=1.0)
         if achieved > eps_t + check_atol:
             raise FrameworkError(
                 f"inner solver missed its target at iteration {t}: "
                 f"residual {achieved:.3e} > eps_t {eps_t:.3e}",
                 iteration=t,
             )
-        x, lam = outer_step(P, x, lam, y, alpha_x)
+        x, lam = outer_step(P, s.x, s.lam, y, alpha_x)
         eps_used.append(eps_t)
-        res = residuals(P, x, y, lam, 1.0 / alpha_x, 1.0)
-        trace.append(
-            TraceRecord(
-                t=t + 1,
-                elapsed=time.perf_counter() - start,
-                res_x=res.res_x,
-                res_y=res.res_y,
-                res_feas=res.res_feas,
-            )
-        )
-    return FrameworkResult(
-        state=IterateState(x=x, y=y, lam=lam, t=T), trace=trace, eps_used=eps_used
-    )
+        return IterateState(x=x, y=y, lam=lam, t=t + 1)
+
+    # a fixed budget of T steps: eps -1 never stops the loop early
+    certify = certify_residuals(P, 1.0 / alpha_x, 1.0, -1.0)
+    run = iterate(IterateState(*_init_points(P, config), t=0), step, certify, T, True)
+    return FrameworkResult(state=run.state, trace=run.trace, eps_used=eps_used)
 
 
 def plan_budget(

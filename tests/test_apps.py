@@ -243,3 +243,65 @@ def test_builtin_names():
         G = builtin_gave(name)
         cfg = builtin_gave_config(name)
         assert cfg.alpha_x > 0 and G.rows >= G.cols
+
+
+def _assert_finite_state(state):
+    assert all(np.all(np.isfinite(v)) for v in (state.x, state.y, state.lam))
+
+
+def test_gave_divergence_carries_state_and_trace():
+    from jointmm.errors import DivergenceError
+
+    cfg = builtin_gave_config("gave-a")
+    cfg = GaveConfig(alpha_x=50.0, alpha_y=50.0, alpha_z=50.0, inner_steps=cfg.inner_steps,
+                     outer_cap=cfg.outer_cap, penalty=cfg.penalty, eps=cfg.eps)
+    with pytest.raises(DivergenceError) as err:
+        run_gave(builtin_gave("gave-a"), cfg)
+    _assert_finite_state(err.value.state)
+    assert [rec.t for rec in err.value.trace] == list(range(err.value.state.t + 1))
+
+
+def test_glpe_divergence_carries_state_and_trace():
+    from jointmm.errors import DivergenceError
+
+    with pytest.raises(DivergenceError) as err:
+        run_glpe(builtin_glpe(NONNEG_ORTHANT), GlpeConfig(alpha=5.0))
+    assert err.value.state.shape == (5,) and np.all(np.isfinite(err.value.state))
+    assert err.value.trace and err.value.trace[0].t == 0
+
+
+def test_linreg_divergence_carries_state_and_trace():
+    from jointmm.errors import DivergenceError
+
+    _, P = make_linreg(10, 10, 2, seed=3)
+    cfg = SolverConfig(alpha_x=50.0, alpha_y=1.0, inner_steps=3, outer_cap=200000, eps=1e-8)
+    with pytest.raises(DivergenceError) as err:
+        run_linreg(P, cfg)
+    _assert_finite_state(err.value.state)
+    assert [rec.t for rec in err.value.trace] == list(range(err.value.state.t + 1))
+
+
+@pytest.mark.parametrize("cone_kind", [NONNEG_ORTHANT, SECOND_ORDER])
+def test_glpe_trace_rows_each_iterate_once(cone_kind):
+    G = builtin_glpe(cone_kind)
+    r = run_glpe(G, GlpeConfig(outer_cap=40))
+    assert [rec.t for rec in r.trace] == list(range(r.iterations + 1))
+    # row t: equation error at iterate t; correction and inner residual of step t
+    assert r.trace[0].res_x == 0.0 and r.trace[0].res_y == 0.0
+    assert r.trace[-1].res_feas == r.error == r.trace[-1].objective_metric
+    assert all(rec.res_x > 0.0 for rec in r.trace[1:])
+
+
+def test_config_checks_reject_nan_and_fractional_counts():
+    with pytest.raises(ConfigurationError, match="alpha_x"):
+        GaveConfig(alpha_x=float("nan"), alpha_y=0.1, inner_steps=1, outer_cap=1)
+    with pytest.raises(ConfigurationError, match="penalty"):
+        GaveConfig(alpha_x=0.1, alpha_y=0.1, inner_steps=1, outer_cap=1, penalty=float("nan"))
+    with pytest.raises(ConfigurationError, match="inner_steps"):
+        GlpeConfig(inner_steps=2.5)
+    with pytest.raises(ConfigurationError, match="alpha"):
+        GlpeConfig(alpha=0.0)
+    with pytest.raises(ConfigurationError, match="seed"):
+        SolverConfig(alpha_x=0.1, alpha_y=0.1, inner_steps=1, outer_cap=1, seed=1.5)
+    with pytest.raises(ConfigurationError, match="outer_cap"):
+        SolverConfig(alpha_x=0.1, alpha_y=0.1, inner_steps=1, outer_cap=-1)

@@ -3,7 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from jointmm.cli import BENCH_HEADER, EXIT_CAP, EXIT_ERROR, EXIT_OK, main
+from jointmm.cli import (
+    BENCH_HEADER,
+    EXIT_CAP,
+    EXIT_ERROR,
+    EXIT_OK,
+    build_parser,
+    command_spec,
+    main,
+    resolve,
+)
 from jointmm.matio import write_matrix_csv
 
 
@@ -189,3 +198,101 @@ def test_bench_parallel_workers(tmp_path, monkeypatch):
     assert main(["bench", "--config", str(cfg)]) == EXIT_OK
     lines = (tmp_path / "bench.csv").read_text().splitlines()
     assert len(lines) == 3
+
+
+def test_solve_exits_cap_when_final_projection_leaves_tolerance(tmp_path):
+    # the loop meets eps 1e-8 after 176 steps, but the feasibility projection
+    # of the returned point moves res_y to 1.6e-8: converged must say no
+    from jointmm import MinimaxProblem, compute_constants
+    from jointmm.prox import ConeSpec, prox_indicator, prox_zero, smooth_scaled_sq_norm
+
+    rng = np.random.default_rng(23)
+    a, b = 1 + rng.random(), 1 + rng.random()
+    K = 0.3 * rng.standard_normal((2, 3))
+    A = 0.3 * rng.standard_normal((2, 2))
+    B = rng.standard_normal((2, 3))
+    c = 0.4 * rng.standard_normal(2)
+    orthant = {"kind": "nonneg_orthant", "dim": 3}
+    problem = {
+        "K": K.tolist(), "A": A.tolist(), "B": B.tolist(), "c": c.tolist(), "mu": b,
+        "g": {"kind": "scaled_sq_norm", "c": a}, "h": {"kind": "scaled_sq_norm", "c": b},
+        "phi": {"kind": "zero_function"}, "psi": {"kind": "indicator", "cone": orthant},
+    }
+    C = compute_constants(MinimaxProblem(
+        g=smooth_scaled_sq_norm(a), phi=prox_zero(), h=smooth_scaled_sq_norm(b),
+        psi=prox_indicator(ConeSpec(kind="nonneg_orthant", dim=3)),
+        K=K, A=A, B=B, c=c, mu=b,
+    ))
+    run = {"alpha_x": 0.9 / C.L_theta, "alpha_y": 0.9 / C.L_h, "inner_n": 5,
+           "outer_t": 5000, "eps": 1e-8, "x0": [1.0, 1.0], "y0": [1.0, 1.0, 1.0]}
+    (tmp_path / "problem.json").write_text(json.dumps(problem))
+    (tmp_path / "run.json").write_text(json.dumps(run))
+    out = tmp_path / "r"
+    code = main(["solve", "--problem", str(tmp_path / "problem.json"),
+                 "--config", str(tmp_path / "run.json"), "--out", str(out)])
+    state = read_json(out / "state.json")
+    assert state["iterations"] == 176
+    assert state["residuals"]["res_y"] > 1e-8
+    assert code == EXIT_CAP
+
+
+def test_gave_invalid_overrides_exit_error(tmp_path, capsys):
+    code = main(["gave", "--alpha-x", "0", "--penalty", "-1", "--out", str(tmp_path)])
+    assert code == EXIT_ERROR
+    assert "alpha_x" in capsys.readouterr().err
+    assert not (tmp_path / "state.json").exists()
+
+
+def test_nan_step_size_exits_error(tmp_path, capsys):
+    code = main(["solve", "--builtin", "gave-a", "--alpha-y", "nan", "--out", str(tmp_path)])
+    assert code == EXIT_ERROR
+    assert "step size alpha_y" in capsys.readouterr().err
+
+
+def test_glpe_fractional_inner_n_exits_error(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"inner_n": 2.5}))
+    code = main(["glpe", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == EXIT_ERROR
+    assert "inner_steps" in capsys.readouterr().err
+
+
+def test_malformed_run_manifest_exits_error(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"eps": 1e-8,')
+    code = main(["gave", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == EXIT_ERROR
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_malformed_problem_manifest_exits_error(tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text("{'K': [[1.0]]}")
+    code = main(["solve", "--problem", str(path), "--out", str(tmp_path)])
+    assert code == EXIT_ERROR
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_glpe_command_and_bench_spec_share_stock_settings():
+    args = build_parser().parse_args(["glpe"])
+    from_command = resolve("glpe", command_spec(args)).config
+    from_bench = resolve("glpe", {"kind": "glpe"}).config
+    assert from_command == from_bench
+    assert from_command.eps == 1e-13
+
+
+def test_bench_glpe_step_key_is_the_flag_name():
+    assert resolve("glpe", {"kind": "glpe", "alpha_x": 0.02}).config.alpha == 0.02
+    assert resolve("glpe", {"kind": "glpe", "alpha": 0.02}).config.alpha is None
+
+
+@pytest.mark.parametrize(
+    "command, manifest, named",
+    [("linreg", {"n": "10"}, "n must be"), ("gave", {"x0": "abc"}, "x0 is not numeric"),
+     ("linreg", {"y0": [1.0, "a"]}, "y0 is not numeric")],
+)
+def test_non_numeric_manifest_values_exit_error(tmp_path, capsys, command, manifest, named):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(manifest))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_ERROR
+    assert named in capsys.readouterr().err

@@ -395,20 +395,6 @@ def test_plan_budget_validation():
         plan_budget(C, B.with_bounds(beta1=1.0, theta_gap=1.0), 0.1, 0.5, 0.0, 0.1)
 
 
-def test_constant_schedules_match_constant_settings(rng):
-    P, a, b = quadratic_problem(rng)
-    base = SolverConfig(alpha_x=0.03, alpha_y=0.2, inner_steps=4, outer_cap=25,
-                        eps=0.0, seed=8)
-    scheduled = SolverConfig(
-        alpha_x=0.03, alpha_y=0.2, inner_steps=4, outer_cap=25, eps=0.0, seed=8,
-        alpha_y_schedule=lambda t: 0.2, inner_schedule=lambda t: 4,
-    )
-    r1 = run_pgmsad(P, base)
-    r2 = run_pgmsad(P, scheduled)
-    assert np.array_equal(r1.state.x, r2.state.x)
-    assert np.array_equal(r1.state.y, r2.state.y)
-
-
 def test_trace_csv_golden_header(tmp_path, rng):
     P, a, b = quadratic_problem(rng)
     cfg = SolverConfig(alpha_x=0.02, alpha_y=0.2, inner_steps=3, outer_cap=3,
@@ -434,3 +420,39 @@ def test_state_json_fields(tmp_path, rng):
     data = json.loads(path.read_text())
     assert set(data) == {"x", "y", "lambda", "residuals", "iterations", "wall_time_s"}
     assert set(data["residuals"]) == {"res_x", "res_y", "res_feas", "L1", "L2"}
+
+
+def test_run_framework_trace_rows_each_iterate_once(rng):
+    P, a, b = quadratic_problem(rng)
+
+    def inner(x, lam, y_start, eps_t):
+        return approx_y_star(P, x, lam, alpha_y=0.9 / b, tol=1e-14)
+
+    T = 6
+    fr = run_framework(P, inner, lambda t: 1.0 / (t + 1.0) ** 2, 0.02, T,
+                       x0=np.ones(2), y0=np.ones(2))
+    assert [rec.t for rec in fr.trace] == list(range(T + 1))
+    assert fr.state.t == T
+
+
+def test_run_pgmsad_trace_rows_and_converged_describe_returned_point(rng):
+    P, a, b = quadratic_problem(rng)
+    C = compute_constants(P)
+    cfg = SolverConfig(alpha_x=0.5 / C.L_theta, alpha_y=0.5 / C.L_h,
+                       inner_steps=5, outer_cap=2000, eps=1e-9, seed=5)
+    res = run_pgmsad(P, cfg)
+    assert [rec.t for rec in res.trace] == list(range(res.state.t + 1))
+    assert res.converged == res.residuals.within(cfg.eps)
+
+
+def test_iterate_stops_at_cap_and_on_done():
+    from jointmm.solver import iterate
+
+    def certify(s):
+        return s >= 3, (float(s), 0.0, 0.0, None), -s
+
+    run = iterate(0, lambda s, cert, t: s + 1, certify, 10, True)
+    assert (run.state, run.cert, run.t, run.converged) == (3, -3, 3, True)
+    assert [rec.t for rec in run.trace] == [0, 1, 2, 3]
+    run = iterate(0, lambda s, cert, t: s + 1, certify, 2, False)
+    assert (run.state, run.t, run.converged, run.trace) == (2, 2, False, [])
