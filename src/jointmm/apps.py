@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError
 from .numerics import as_matrix, as_vector
 # residuals is not called in this module; perfbench/tracing.py wraps it under this name
 from .problem import MinimaxProblem, recover_multiplier, residuals  # noqa: F401
@@ -306,21 +306,20 @@ def run_gave(G: GaveInstance, config: GaveConfig) -> GaveResult:
         e_plus = G.error(plus)
         pick = (plus, e_plus, +1) if e_plus < e_minus else (minus, e_minus, -1)
         err = pick[1]
-        row = None
-        if config.record_trace:
-            gap = x - BmA.T @ y - z
-            step_x = np.maximum(x + ax * (AB.T @ y + lam - rho * gap), 0.0)
-            step_z = np.maximum(z + az * (lam + rho * gap), 0.0)
-            res_y = np.hypot(
-                np.linalg.norm(b - AB @ x + BmA @ lam + rho * (BmA @ gap)),
-                np.linalg.norm(z - step_z) / az,
-            )
-            row = (
-                float(np.linalg.norm(x - step_x) / ax),
-                float(res_y),
-                float(np.linalg.norm(gap)),
-                err,
-            )
+        # built even without a trace: the row covers y, z and lambda for iterate
+        gap = x - BmA.T @ y - z
+        step_x = np.maximum(x + ax * (AB.T @ y + lam - rho * gap), 0.0)
+        step_z = np.maximum(z + az * (lam + rho * gap), 0.0)
+        res_y = np.hypot(
+            np.linalg.norm(b - AB @ x + BmA @ lam + rho * (BmA @ gap)),
+            np.linalg.norm(z - step_z) / az,
+        )
+        row = (
+            float(np.linalg.norm(x - step_x) / ax),
+            float(res_y),
+            float(np.linalg.norm(gap)),
+            err,
+        )
         return err <= config.eps, row, pick
 
     def step(s, pick, t):
@@ -332,18 +331,7 @@ def run_gave(G: GaveInstance, config: GaveConfig) -> GaveResult:
         gap = x - BmA.T @ y - z
         x_new = np.maximum(x + ax * (AB.T @ y + lam - rho * gap), 0.0)
         lam = lam + ax * (x_new - BmA.T @ y - z)
-        x = x_new
-        if not (
-            np.all(np.isfinite(x))
-            and np.all(np.isfinite(y))
-            and np.all(np.isfinite(z))
-            and np.all(np.isfinite(lam))
-        ):
-            raise DivergenceError(
-                f"split iterate became nonfinite at iteration {t} "
-                f"(alpha_x={ax}, alpha_y={ay}, alpha_z={az}, penalty={rho})"
-            )
-        return IterateState(x=x, y=np.concatenate([y, z]), lam=lam, t=t + 1)
+        return IterateState(x=x_new, y=np.concatenate([y, z]), lam=lam, t=t + 1)
 
     start = IterateState(
         x=_init_or_zero(config.x0, n, "x0"),
@@ -444,28 +432,21 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
     last_step = (0.0, 0.0)  # correction norm and inner residual behind the iterate
 
     def certify(x):
-        with np.errstate(over="ignore", invalid="ignore"):
-            xk = project_cone(cone, x)
-            r = A @ x + B @ xk - b
-            err = float(np.linalg.norm(r))
+        xk = project_cone(cone, x)
+        r = A @ x + B @ xk - b
+        err = float(np.linalg.norm(r))
         return err <= config.eps, (*last_step, err, err), (xk, r, err)
 
     def step(x, cert, t):
         nonlocal last_step
         r = cert[1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            J = A + B @ projection_jacobian(cone, x)
-            JtJ = J.T @ J
-            Jtr = J.T @ r
-            w = np.zeros(n)
-            for _ in range(config.inner_steps):
-                w = w + alpha * (Jtr - JtJ @ w)
-            x = x - w
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(
-                f"projection-equation iterate became nonfinite at iteration {t + 1} "
-                f"(alpha={alpha})"
-            )
+        J = A + B @ projection_jacobian(cone, x)
+        JtJ = J.T @ J
+        Jtr = J.T @ r
+        w = np.zeros(n)
+        for _ in range(config.inner_steps):
+            w = w + alpha * (Jtr - JtJ @ w)
+        x = x - w
         if config.record_trace:
             last_step = (float(np.linalg.norm(w)), float(np.linalg.norm(r - J @ w)))
         return x
@@ -579,11 +560,6 @@ def run_linreg(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
             y = y + config.alpha_y * (drive - P.h.gradient(y))
         x = s.x - config.alpha_x * (P.g.gradient(s.x) + P.K @ y)
         x, y = project_feasible(P, x, y)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise DivergenceError(
-                f"projected iterate became nonfinite at iteration {t} "
-                f"(alpha_x={config.alpha_x})"
-            )
         return IterateState(x=x, y=y, lam=recover_multiplier(P, x, y), t=t + 1)
 
     certify = certify_residuals(P, 1.0 / config.alpha_x, 1.0 / config.alpha_y, config.eps)

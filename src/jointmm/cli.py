@@ -279,7 +279,12 @@ def cmd_bench(args):
     runs = spec.get("runs", [])
     out = spec.get("out", ".")
     os.makedirs(out, exist_ok=True)
-    workers = int(os.environ.get("JOINTMM_THREADS", "1"))
+    workers = os.environ.get("JOINTMM_THREADS", "1")
+    try:
+        workers = int(workers)
+    except ValueError:
+        pass  # check_settings names the bad value
+    check_settings({"JOINTMM_THREADS": workers}, counts=("JOINTMM_THREADS",))
     if workers > 1 and len(runs) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_bench_one, runs))

@@ -31,9 +31,10 @@ class NumericalError(JointmmError):
 
 
 class DivergenceError(JointmmError):
-    """A solver iterate became nonfinite.
+    """A solver iterate became nonfinite; raised only by solver.iterate.
 
-    Carries the last finite state and the trace recorded up to that point.
+    Carries the last certified state (None when the start already fails)
+    and the trace recorded up to that point.
     """
 
     def __init__(self, message, state=None, trace=None):

@@ -45,7 +45,10 @@ def write_matrix_csv(M, path):
 
 
 def read_matrix_mm(path):
-    """Read a MatrixMarket file (coordinate or array, real/integer, general)."""
+    """Read a MatrixMarket file (coordinate or array, real/integer, general).
+
+    Coordinate indices must lie in 1..rows and 1..cols.
+    """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline()
         if not header.startswith("%%MatrixMarket"):
@@ -64,6 +67,8 @@ def read_matrix_mm(path):
         while line.startswith("%"):
             line = fh.readline()
         size = line.split()
+        if len(size) < (3 if layout == "coordinate" else 2):
+            raise ConfigurationError(f"MatrixMarket file {path} has a short size line: {line!r}")
         if layout == "coordinate":
             rows, cols, nnz = int(size[0]), int(size[1]), int(size[2])
             M = np.zeros((rows, cols))
@@ -73,7 +78,13 @@ def read_matrix_mm(path):
                 if not line or line.startswith("%"):
                     continue
                 i, j, v = line.split()
-                M[int(i) - 1, int(j) - 1] = float(v)
+                i, j = int(i), int(j)
+                if not (1 <= i <= rows and 1 <= j <= cols):
+                    raise ConfigurationError(
+                        f"MatrixMarket file {path} has entry ({i}, {j}) "
+                        f"outside its {rows}x{cols} size"
+                    )
+                M[i - 1, j - 1] = float(v)
                 count += 1
             if count != nnz:
                 raise ConfigurationError(
@@ -118,9 +129,15 @@ def write_matrix_mm(M, path, layout="coordinate"):
 
 
 def read_matrix(path):
-    """Read a matrix, dispatching on extension (.mtx -> MatrixMarket, else CSV)."""
+    """Read a matrix, dispatching on extension (.mtx -> MatrixMarket, else CSV).
+
+    A malformed file, such as one with a non-numeric token, raises
+    ConfigurationError naming the path.
+    """
     if not os.path.exists(path):
         raise ConfigurationError(f"matrix file not found: {path}")
-    if os.path.splitext(path)[1].lower() in (".mtx", ".mm"):
-        return read_matrix_mm(path)
-    return read_matrix_csv(path)
+    mm = os.path.splitext(path)[1].lower() in (".mtx", ".mm")
+    try:
+        return read_matrix_mm(path) if mm else read_matrix_csv(path)
+    except ValueError as exc:  # a non-numeric token, a short entry line, a non-ASCII byte
+        raise ConfigurationError(f"malformed matrix file {path}: {exc}") from exc

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import matio
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError
 from .numerics import as_matrix, as_vector, operator_norm, spd_factor, spd_solve_factored
 from .prox import (
     ProxOperator,
@@ -106,19 +106,13 @@ class MinimaxProblem:
 
 
 def grad_x(P: MinimaxProblem, x, y, lam):
-    """Gradient of the smooth coupling in x: grad g(x) + K y + A^T lambda."""
-    out = P.g.gradient(x) + P.K @ y + P.A.T @ lam
-    if not np.all(np.isfinite(out)):
-        raise NumericalError("grad_x produced a nonfinite value")
-    return out
+    """Gradient of the smooth coupling in x: grad g(x) + K y + A^T lambda (IEEE, no raise)."""
+    return P.g.gradient(x) + P.K @ y + P.A.T @ lam
 
 
 def grad_y(P: MinimaxProblem, x, y, lam):
-    """Gradient of the smooth coupling in y: K^T x + B^T lambda - grad h(y)."""
-    out = P.K.T @ x + P.B.T @ lam - P.h.gradient(y)
-    if not np.all(np.isfinite(out)):
-        raise NumericalError("grad_y produced a nonfinite value")
-    return out
+    """Gradient of the smooth coupling in y: K^T x + B^T lambda - grad h(y) (IEEE, no raise)."""
+    return P.K.T @ x + P.B.T @ lam - P.h.gradient(y)
 
 
 def feas(P: MinimaxProblem, x, y):
@@ -158,7 +152,8 @@ def residuals(P: MinimaxProblem, x, y, lam, L1, L2) -> Residuals:
 
     res_x = ||L1 (x - prox_{phi/L1}(x - grad_x/L1))||, res_y the same on the
     ascent side (note the + sign: y + grad_y/L2), res_feas = ||Ax + By + c||.
-    All three vanish exactly at a stationary triple.
+    All three vanish exactly at a stationary triple. Nonfinite input gives
+    nonfinite residuals, not an error: solver.iterate decides divergence.
     """
     if L1 <= 0 or L2 <= 0:
         raise ConfigurationError("residual scalings L1, L2 must be positive")

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError, FrameworkError, NumericalError
+from .errors import ConfigurationError, DivergenceError, FrameworkError
 from .numerics import as_vector
 from .problem import (
     BudgetConstants,
@@ -36,6 +36,7 @@ from .prox import prox_eval
 from .rng import standard_normal
 
 TRACE_HEADER = "t,elapsed_s,res_x,res_y,res_feas,app_error"
+TRACE_COLUMNS = TRACE_HEADER.split(",")[2:]  # the row a certify returns
 
 
 @dataclass(frozen=True)
@@ -125,30 +126,20 @@ class FrameworkResult(NamedTuple):
     eps_used: list
 
 
-def _check_finite(vec, what, alpha=None):
-    if not np.all(np.isfinite(vec)):
-        detail = f" (step size {alpha})" if alpha is not None else ""
-        raise DivergenceError(f"{what} became nonfinite{detail}")
-
-
 def inner_ascent(P: MinimaxProblem, x, lam, y0, n_steps, alpha_y):
     """Run n_steps proximal gradient-ascent steps on y for fixed (x, lambda).
 
     y <- prox_{alpha_y psi}[y + alpha_y (-grad h(y) + K^T x + B^T lambda)].
     For mu-strongly concave inner problems and alpha_y < 1/L_h each step
     contracts the squared distance to y_*(x, lambda) by (1 - mu alpha_y).
+    Overflow gives inf or NaN, not an error: iterate decides divergence.
     """
     if n_steps < 0:
         raise ConfigurationError("inner_ascent needs n_steps >= 0")
     drive = P.K.T @ x + P.B.T @ lam
     y = np.asarray(y0, dtype=np.float64).copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n_steps):
-            y = prox_eval(P.psi, alpha_y, y + alpha_y * (drive - P.h.gradient(y)))
-            if not np.all(np.isfinite(y)):
-                raise DivergenceError(
-                    f"inner ascent iterate became nonfinite (step size alpha_y={alpha_y})"
-                )
+    for _ in range(n_steps):
+        y = prox_eval(P.psi, alpha_y, y + alpha_y * (drive - P.h.gradient(y)))
     return y
 
 
@@ -169,16 +160,12 @@ def outer_step(P: MinimaxProblem, x, lam, y_next, alpha_x):
 
     x+ = prox_{alpha_x phi}[x - alpha_x (grad g(x) + K y+ + A^T lambda)],
     lambda+ = lambda - alpha_x [A x + B y+ + c]  (old x, by definition).
+    Overflow gives inf or NaN, as in inner_ascent.
     """
     if alpha_x <= 0:
         raise ConfigurationError("outer_step needs alpha_x > 0")
-    with np.errstate(over="ignore", invalid="ignore"):
-        gx = grad_x(P, x, y_next, lam)
-        x_next = prox_eval(P.phi, alpha_x, x - alpha_x * gx)
-        lam_next = lam - alpha_x * feas(P, x, y_next)
-    _check_finite(x_next, "outer x iterate", alpha_x)
-    _check_finite(lam_next, "outer lambda iterate", alpha_x)
-    return x_next, lam_next
+    x_next = prox_eval(P.phi, alpha_x, x - alpha_x * grad_x(P, x, y_next, lam))
+    return x_next, lam - alpha_x * feas(P, x, y_next)
 
 
 def project_feasible(P: MinimaxProblem, x, y):
@@ -230,31 +217,32 @@ def iterate(state, step, certify, outer_cap, record_trace) -> LoopResult:
     point, ...). step(state, cert, t) returns iterate t + 1. Iterate t is
     recorded as trace row t, so a run of T steps has rows 0..T.
 
-    The loop stops when done is true or after outer_cap steps. A
-    DivergenceError raised by step, or a NumericalError turned into one,
-    carries the last certified state and the trace so far. Returns the last
-    state with its cert, the number of steps t, whether done held, and the
-    trace.
+    The loop stops when done is true or after outer_cap steps, and returns
+    the last state with its cert, the number of steps t, whether done held,
+    and the trace. It alone decides divergence: steps and certify run under
+    one np.errstate that lets overflow give inf and NaN, and a row with a
+    nonfinite value (the row must cover every variable of the state) raises
+    DivergenceError with the last certified state (None at iterate 0) and
+    the trace so far; the message names the iterate and the columns.
     """
     trace = []
     start = time.perf_counter()
     t = 0
-    while True:
-        done, row, cert = certify(state)
-        if record_trace:
-            trace.append(TraceRecord(t, time.perf_counter() - start, *row))
-        if done or t == outer_cap:
-            return LoopResult(state, cert, t, done, trace)
-        try:
+    last = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            done, row, cert = certify(state)
+            bad = [c for c, v in zip(TRACE_COLUMNS, row) if v is not None and not math.isfinite(v)]
+            if bad:
+                msg = f"diverged at iterate {t}: nonfinite {', '.join(bad)}"
+                raise DivergenceError(msg, state=last, trace=trace)
+            if record_trace:
+                trace.append(TraceRecord(t, time.perf_counter() - start, *row))
+            if done or t == outer_cap:
+                return LoopResult(state, cert, t, done, trace)
+            last = state
             state = step(state, cert, t)
-        except DivergenceError as exc:
-            exc.state, exc.trace = state, trace
-            raise
-        except NumericalError as exc:
-            raise DivergenceError(
-                f"iteration {t} produced a nonfinite value: {exc}", state=state, trace=trace
-            ) from exc
-        t += 1
+            t += 1
 
 
 def certify_residuals(P: MinimaxProblem, L1, L2, eps):

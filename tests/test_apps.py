@@ -249,18 +249,35 @@ def _assert_finite_state(state):
     assert all(np.all(np.isfinite(v)) for v in (state.x, state.y, state.lam))
 
 
+def _diverging_gave_config(record_trace):
+    cfg = builtin_gave_config("gave-a")
+    return GaveConfig(alpha_x=50.0, alpha_y=50.0, alpha_z=50.0, inner_steps=cfg.inner_steps,
+                      outer_cap=cfg.outer_cap, penalty=cfg.penalty, eps=cfg.eps,
+                      record_trace=record_trace)
+
+
+@pytest.mark.filterwarnings("error")
 def test_gave_divergence_carries_state_and_trace():
     from jointmm.errors import DivergenceError
 
-    cfg = builtin_gave_config("gave-a")
-    cfg = GaveConfig(alpha_x=50.0, alpha_y=50.0, alpha_z=50.0, inner_steps=cfg.inner_steps,
-                     outer_cap=cfg.outer_cap, penalty=cfg.penalty, eps=cfg.eps)
     with pytest.raises(DivergenceError) as err:
-        run_gave(builtin_gave("gave-a"), cfg)
+        run_gave(builtin_gave("gave-a"), _diverging_gave_config(True))
     _assert_finite_state(err.value.state)
     assert [rec.t for rec in err.value.trace] == list(range(err.value.state.t + 1))
 
 
+@pytest.mark.filterwarnings("error")
+def test_gave_divergence_without_trace_carries_state():
+    # the certificate row is built without a trace too, so y, z and lambda are covered
+    from jointmm.errors import DivergenceError
+
+    with pytest.raises(DivergenceError, match="res_y, res_feas") as err:
+        run_gave(builtin_gave("gave-a"), _diverging_gave_config(False))
+    _assert_finite_state(err.value.state)
+    assert err.value.state.t > 0 and err.value.trace == []
+
+
+@pytest.mark.filterwarnings("error")
 def test_glpe_divergence_carries_state_and_trace():
     from jointmm.errors import DivergenceError
 
@@ -268,8 +285,10 @@ def test_glpe_divergence_carries_state_and_trace():
         run_glpe(builtin_glpe(NONNEG_ORTHANT), GlpeConfig(alpha=5.0))
     assert err.value.state.shape == (5,) and np.all(np.isfinite(err.value.state))
     assert err.value.trace and err.value.trace[0].t == 0
+    assert [rec.t for rec in err.value.trace] == list(range(len(err.value.trace)))
 
 
+@pytest.mark.filterwarnings("error")
 def test_linreg_divergence_carries_state_and_trace():
     from jointmm.errors import DivergenceError
 

@@ -257,6 +257,35 @@ def test_glpe_fractional_inner_n_exits_error(tmp_path, capsys):
     assert "inner_steps" in capsys.readouterr().err
 
 
+def test_bench_non_integer_thread_count_exits_error(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"runs": [], "out": str(tmp_path)}))
+    for bad in ("two", "-1", "1.5"):
+        monkeypatch.setenv("JOINTMM_THREADS", bad)
+        assert main(["bench", "--config", str(cfg)]) == EXIT_ERROR
+        assert "JOINTMM_THREADS must be a nonnegative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [("K.mtx", "%%MatrixMarket matrix coordinate real general\n1 1 1\n0 1 0.2\n"),
+     ("K.mtx", "%%MatrixMarket matrix coordinate real general\n1 1\n1 1 0.2\n"),
+     ("K.csv", "0.2x\n")],
+)
+def test_solve_malformed_matrix_file_exits_error(tmp_path, capsys, name, text):
+    (tmp_path / name).write_text(text)
+    problem = {
+        "K": name, "A": [[0.1]], "B": [[0.3]], "c": [0.0], "mu": 1.0,
+        "g": {"kind": "zero"}, "h": {"kind": "scaled_sq_norm", "c": 1.0},
+        "phi": {"kind": "zero_function"}, "psi": {"kind": "zero_function"},
+    }
+    (tmp_path / "problem.json").write_text(json.dumps(problem))
+    code = main(["solve", "--problem", str(tmp_path / "problem.json"), "--out", str(tmp_path)])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+
+
 def test_malformed_run_manifest_exits_error(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text('{"eps": 1e-8,')

@@ -67,3 +67,31 @@ def test_mm_nnz_mismatch_rejected(tmp_path):
     path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 3.5\n")
     with pytest.raises(ConfigurationError, match="declares"):
         read_matrix_mm(path)
+
+
+@pytest.mark.parametrize("index", ["0 1", "3 1", "1 0", "1 3"])
+def test_mm_coordinate_index_outside_size_rejected(tmp_path, index):
+    path = tmp_path / "bad.mtx"
+    path.write_text(f"%%MatrixMarket matrix coordinate real general\n2 2 1\n{index} 3.5\n")
+    with pytest.raises(ConfigurationError, match="outside its 2x2 size"):
+        read_matrix_mm(path)
+
+
+def test_mm_short_size_line_rejected(tmp_path):
+    path = tmp_path / "bad.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n2 2\n1 1 3.5\n")
+    with pytest.raises(ConfigurationError, match="short size line"):
+        read_matrix_mm(path)
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [("bad.csv", "1,2\n3,x\n"),
+     ("bad.mtx", "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 abc\n"),
+     ("bad.mm", "%%MatrixMarket matrix array real general\n1 1\nabc\n")],
+)
+def test_non_numeric_token_names_the_file(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ConfigurationError, match=f"malformed matrix file .*{name}"):
+        read_matrix(path)

@@ -182,14 +182,36 @@ def test_run_pgmsad_deterministic_trace(rng):
     assert np.array_equal(r1.state.lam, r2.state.lam)
 
 
+def _assert_divergence_carries_state(err):
+    state = err.value.state
+    assert all(np.all(np.isfinite(v)) for v in (state.x, state.y, state.lam))
+    assert [rec.t for rec in err.value.trace] == list(range(state.t + 1))
+
+
+@pytest.mark.filterwarnings("error")
 def test_run_pgmsad_divergence_carries_state(rng):
+    # the iterate overflows in the middle of the inner loop
     P, a, b = quadratic_problem(rng)
     cfg = SolverConfig(alpha_x=1e12, alpha_y=1e12, inner_steps=60,
                        outer_cap=500, eps=0.0, x0=np.ones(2), y0=np.ones(2))
     with pytest.raises(DivergenceError) as err:
         run_pgmsad(P, cfg)
-    assert err.value.state is not None
-    assert np.all(np.isfinite(err.value.state.x))
+    _assert_divergence_carries_state(err)
+
+
+@pytest.mark.filterwarnings("error")
+def test_run_framework_divergence_carries_state(rng):
+    P, a, b = quadratic_problem(rng)
+
+    def exact_inner(x, lam, y_start, eps_t):
+        return (P.K.T @ x + P.B.T @ lam) / b
+
+    # no accuracy target: only the outer step's size makes the run diverge
+    with pytest.raises(DivergenceError, match="nonfinite") as err:
+        run_framework(P, exact_inner, lambda t: np.inf, 1e6, 500,
+                      x0=np.ones(2), y0=np.ones(2))
+    _assert_divergence_carries_state(err)
+    assert 0 < err.value.state.t < 500
 
 
 def test_run_pgmsad_projected_iterates_feasible(rng):
@@ -456,3 +478,18 @@ def test_iterate_stops_at_cap_and_on_done():
     assert [rec.t for rec in run.trace] == [0, 1, 2, 3]
     run = iterate(0, lambda s, cert, t: s + 1, certify, 2, False)
     assert (run.state, run.t, run.converged, run.trace) == (2, 2, False, [])
+
+
+def test_iterate_raises_on_a_nonfinite_row_with_the_last_certified_state():
+    from jointmm.solver import iterate
+
+    def certify(s):
+        return False, (float(s), np.nan if s == 3 else 0.0, 0.0, np.inf if s == 3 else None), s
+
+    with pytest.raises(DivergenceError, match="iterate 3: nonfinite res_y, app_error") as err:
+        iterate(0, lambda s, cert, t: s + 1, certify, 10, True)
+    assert err.value.state == 2
+    assert [rec.t for rec in err.value.trace] == [0, 1, 2]
+    with pytest.raises(DivergenceError, match="iterate 0") as err:
+        iterate(3, lambda s, cert, t: s + 1, certify, 10, False)
+    assert err.value.state is None and err.value.trace == []
