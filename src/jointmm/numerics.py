@@ -62,31 +62,35 @@ def matvec_t(M, v):
 
 
 def spd_factor(S):
-    """Cholesky factor of a symmetric positive definite matrix.
+    """Inverse of a symmetric positive definite matrix, for repeated solves.
 
-    Returns the lower-triangular L with S = L @ L.T. A non-positive pivot
-    means [A B] is rank deficient (the Gram matrix A A^T + B B^T of a
+    Returns S^{-1}, so a solve against S is one matvec (spd_solve_factored).
+    The Cholesky factorization only checks positive definiteness: a pivot
+    that is non-positive, or at roundoff level against the largest diagonal
+    entry, means [A B] is rank deficient (the Gram matrix A A^T + B B^T of a
     full-row-rank stacked constraint matrix is always positive definite).
     """
     if S.shape[0] != S.shape[1]:
         raise ConfigurationError(f"spd_factor needs a square matrix, got {S.shape}")
     try:
-        return np.linalg.cholesky(S)
-    except np.linalg.LinAlgError as exc:
+        pivots = np.diag(np.linalg.cholesky(S)) ** 2
+    except np.linalg.LinAlgError:
+        pivots = np.zeros(1)  # Cholesky met a non-positive pivot
+    if pivots.size and pivots.min() <= S.shape[0] * np.finfo(float).eps * np.diag(S).max():
         raise SingularConstraintError(
             "constraint Gram matrix is not positive definite; "
             "the stacked constraint matrix [A B] must have full row rank"
-        ) from exc
+        )
+    return np.linalg.inv(S)
 
 
-def spd_solve_factored(L, r):
-    """Solve (L L^T) zeta = r given a cached Cholesky factor L."""
-    y = np.linalg.solve(L, r)
-    return np.linalg.solve(L.T, y)
+def spd_solve_factored(F, r):
+    """Solve S zeta = r given the cached inverse F = S^{-1} from spd_factor: one matvec."""
+    return F @ r
 
 
 def spd_solve(S, r):
-    """Solve S zeta = r for symmetric positive definite S by direct factorization."""
+    """Solve S zeta = r for symmetric positive definite S (inverts S; for one-off solves)."""
     if S.shape[0] != r.shape[0]:
         raise ConfigurationError(
             f"spd_solve dimension mismatch: matrix is {S.shape[0]}x{S.shape[1]}, "

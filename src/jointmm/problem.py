@@ -83,7 +83,7 @@ class MinimaxProblem:
             )
         if self.mu < 0:
             raise ConfigurationError("mu must be >= 0")
-        self._gram_factor = None
+        self._gram_inv = None
 
     @property
     def n(self):
@@ -97,12 +97,19 @@ class MinimaxProblem:
     def q(self):
         return self.c.shape[0]
 
+    def gram_inverse(self):
+        """The inverse of the constraint Gram matrix S = A A^T + B B^T.
+
+        Built by spd_factor on first use and cached on the problem; raises
+        SingularConstraintError when [A B] is rank deficient.
+        """
+        if self._gram_inv is None:
+            self._gram_inv = spd_factor(self.A @ self.A.T + self.B @ self.B.T)
+        return self._gram_inv
+
     def gram_solve(self, r):
-        """Solve (A A^T + B B^T) zeta = r, factoring once and caching."""
-        if self._gram_factor is None:
-            S = self.A @ self.A.T + self.B @ self.B.T
-            self._gram_factor = spd_factor(S)
-        return spd_solve_factored(self._gram_factor, r)
+        """Solve (A A^T + B B^T) zeta = r: one matvec with the cached inverse."""
+        return spd_solve_factored(self.gram_inverse(), r)
 
 
 def grad_x(P: MinimaxProblem, x, y, lam):
@@ -175,7 +182,7 @@ def recover_multiplier(P: MinimaxProblem, x, y):
 
     Minimizes ||grad_x f||^2 + ||grad_y f||^2 over lambda; the normal
     equations share the constraint Gram matrix A A^T + B B^T, so the cached
-    factorization is reused. At an exact constrained saddle this returns the
+    inverse is reused. At an exact constrained saddle this returns the
     multiplier that zeroes both gradients.
     """
     gx0 = P.g.gradient(x) + P.K @ y
@@ -288,8 +295,7 @@ def compute_budget_constants(
     chi0 = 1.0 / (alpha_x * shrink)
     chi1 = (C.norm_K**2 + C.norm_B**2) / shrink**2
 
-    S = P.A @ P.A.T + P.B @ P.B.T
-    S_inv = np.linalg.inv(S)
+    S_inv = P.gram_inverse()
     norm_At_Sinv = operator_norm(P.A.T @ S_inv)
     norm_Bt_Sinv = operator_norm(P.B.T @ S_inv)
     omega_y = (Lg + 2.0 / alpha_y) * norm_At_Sinv + C.norm_K * norm_Bt_Sinv

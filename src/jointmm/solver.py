@@ -172,7 +172,7 @@ def project_feasible(P: MinimaxProblem, x, y):
     """Euclidean projection of (x, y) onto {(x, y): A x + B y + c = 0}.
 
     zeta = (A A^T + B B^T)^{-1} (A x + B y + c), then subtract
-    (A^T zeta, B^T zeta). The Gram factorization is cached on the problem.
+    (A^T zeta, B^T zeta). The Gram inverse is cached on the problem.
     """
     zeta = P.gram_solve(feas(P, x, y))
     return x - P.A.T @ zeta, y - P.B.T @ zeta

@@ -325,3 +325,31 @@ def test_non_numeric_manifest_values_exit_error(tmp_path, capsys, command, manif
     cfg.write_text(json.dumps(manifest))
     assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_ERROR
     assert named in capsys.readouterr().err
+
+
+def test_budget_rank_deficient_constraints_exit_error(tmp_path, capsys):
+    # the second rows of A and B are twice the first: [A B] has rank 1
+    problem = {
+        "K": [[1.0, 0.0], [0.0, 1.0]], "A": [[1, 0], [2, 0]], "B": [[0, 1], [0, 2]],
+        "c": [0.0, 0.0], "mu": 1.0,
+        "g": {"kind": "scaled_sq_norm", "c": 1.0}, "h": {"kind": "scaled_sq_norm", "c": 1.0},
+        "phi": {"kind": "zero_function"}, "psi": {"kind": "zero_function"},
+    }
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    code = main(["budget", "--problem", str(path), "--theta-gap", "1", "--beta1", "1"])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "full row rank" in err and "Traceback" not in err
+
+
+def test_config_that_is_a_directory_exits_error(tmp_path, capsys):
+    assert main(["solve", "--config", str(tmp_path)]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_out_that_is_an_existing_file_exits_error(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["gave", "--out", str(out)]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: ")

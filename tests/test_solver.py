@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from jointmm.errors import ConfigurationError, DivergenceError, FrameworkError
+import jointmm.problem
+from jointmm.errors import (
+    ConfigurationError,
+    DivergenceError,
+    FrameworkError,
+    SingularConstraintError,
+)
 from jointmm.problem import (
     BudgetConstants,
     MinimaxProblem,
@@ -9,6 +15,7 @@ from jointmm.problem import (
     compute_constants,
     feas,
     grad_x,
+    recover_multiplier,
     residuals,
 )
 from jointmm.prox import (
@@ -362,6 +369,58 @@ def test_project_feasible_orthogonal_correction(rng):
     null_basis = vt[np.linalg.matrix_rank(stacked):]
     for v in null_basis:
         assert abs(float(correction @ v)) <= 1e-9
+
+
+def test_gram_inverse_built_once_per_problem(rng, monkeypatch):
+    calls = []
+    spd_factor = jointmm.problem.spd_factor
+
+    def counting_spd_factor(S):
+        calls.append(S.shape)
+        return spd_factor(S)
+
+    monkeypatch.setattr(jointmm.problem, "spd_factor", counting_spd_factor)
+    P, a, b = quadratic_problem(rng)
+    for _ in range(20):
+        x, y = project_feasible(P, rng.standard_normal(2), rng.standard_normal(2))
+        recover_multiplier(P, x, y)
+    assert calls == [(2, 2)]
+
+
+def test_gram_solve_backward_error_on_ill_conditioned_gram(rng):
+    # S = A A^T + B B^T with eigenvalues spread over 1 .. 1e-8
+    q = 6
+    Q, _ = np.linalg.qr(rng.standard_normal((q, q)))
+    R, _ = np.linalg.qr(rng.standard_normal((q, q)))
+    half = Q * np.sqrt(np.logspace(0, -8, q) / 2)
+    P = MinimaxProblem(
+        g=smooth_zero(), phi=prox_zero(), h=smooth_zero(), psi=prox_zero(),
+        K=np.zeros((q, q)), A=half, B=half @ R, c=np.zeros(q),
+    )
+    S = P.A @ P.A.T + P.B @ P.B.T
+    cond = np.linalg.cond(S)
+    assert 1e7 <= cond <= 1e9
+    for _ in range(10):
+        r = rng.standard_normal(q)
+        zeta, zeta_ref = P.gram_solve(r), np.linalg.solve(S, r)
+        for z in (zeta, zeta_ref):
+            assert np.linalg.norm(S @ z - r) / np.linalg.norm(r) <= 1e-10 * cond
+        assert np.linalg.norm(zeta - zeta_ref) <= 1e-10 * cond * np.linalg.norm(zeta_ref)
+
+
+@pytest.mark.parametrize(
+    "A, B",
+    # a zero row (Cholesky fails) and a doubled row (pivot at roundoff level)
+    [([[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]),
+     ([[1.0, 0.0], [2.0, 0.0]], [[0.0, 1.0], [0.0, 2.0]])],
+)
+def test_project_feasible_rank_deficient_constraints_raise(A, B):
+    P = MinimaxProblem(
+        g=smooth_zero(), phi=prox_zero(), h=smooth_zero(), psi=prox_zero(),
+        K=np.zeros((2, 2)), A=np.array(A), B=np.array(B), c=np.ones(2),
+    )
+    with pytest.raises(SingularConstraintError, match="full row rank"):
+        project_feasible(P, np.zeros(2), np.zeros(2))
 
 
 def test_plan_budget_toy_example():
