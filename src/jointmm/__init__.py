@@ -9,7 +9,7 @@ from .errors import (
     NumericalError,
     SingularConstraintError,
 )
-from .numerics import matvec, matvec_t, operator_norm, spd_solve
+from .numerics import operator_norm
 from .problem import (
     BudgetConstants,
     MinimaxProblem,

@@ -48,6 +48,7 @@ from .prox import (
     prox_indicator,
     prox_polar_indicator,
     prox_zero,
+    smooth_zero,
 )
 from .rng import gaussian_matrix, make_rng, standard_normal
 from .solver import (
@@ -148,74 +149,48 @@ class LinRegInstance:
     seed: int
 
 
-def _linear_negative_oracle(b, total_dim, head_dim):
-    """Smooth oracle for h(v) = -b^T v_head on a stacked variable."""
-    b = np.asarray(b, dtype=np.float64)
+def _split_to_minimax(G, cone, z_term, head) -> MinimaxProblem:
+    """The minimax encoding shared by the two cone splits of A x + B P(x) = b.
 
-    def value(v):
-        return -float(b @ v[:head_dim])
-
-    def gradient(v):
-        out = np.zeros(total_dim)
-        out[:head_dim] = -b
-        return out
-
-    return SmoothOracle(value=value, gradient=gradient, lipschitz=0.0)
+    The min variable is the cone part (indicator of cone); the max variable
+    is the pair (y, z) with the prox term z_term on z. They couple
+    through (b - (A+B) x)^T y under the joint constraint
+    x - head^T y - z = 0. Both smooth terms are linear, so the instance
+    lives in relaxed mode (mu = 0).
+    """
+    mrows, n = G.A.shape
+    K = np.zeros((n, mrows + n))
+    K[:, :mrows] = -(G.A + G.B).T
+    return MinimaxProblem(
+        g=smooth_zero(),
+        phi=prox_indicator(cone),
+        h=SmoothOracle(0.0, b=np.concatenate([-G.b, np.zeros(n)])),
+        psi=prox_blocks([(prox_zero(), mrows), (z_term, n)]),
+        K=K,
+        A=np.eye(n),
+        B=np.hstack([-head.T, -np.eye(n)]),
+        c=np.zeros(n),
+        mu=0.0,
+    )
 
 
 def gave_to_minimax(G: GaveInstance) -> MinimaxProblem:
     """Encode the absolute-value equation as a constrained minimax template.
 
-    The min variable is the nonnegative part x+ (orthant indicator); the max
-    variable is the pair (y, z) with z in the nonnegative orthant. They
-    couple through (b - (A+B) x+)^T y under the joint constraint
-    x+ - (B-A)^T y - z = 0. Both smooth terms are linear, so the instance
-    lives in relaxed mode (mu = 0).
+    x+ is the nonnegative part (orthant indicator), z lies in the
+    nonnegative orthant, and the constraint is x+ - (B-A)^T y - z = 0.
     """
-    mrows, n = G.A.shape
-    yz = mrows + n
-    K = np.zeros((n, yz))
-    K[:, :mrows] = -(G.A + G.B).T
-    return MinimaxProblem(
-        g=SmoothOracle(value=lambda v: 0.0, gradient=np.zeros_like, lipschitz=0.0),
-        phi=prox_indicator(ConeSpec(kind=NONNEG_ORTHANT, dim=n)),
-        h=_linear_negative_oracle(G.b, yz, mrows),
-        psi=prox_blocks(
-            [
-                (prox_zero(), mrows),
-                (prox_indicator(ConeSpec(kind=NONNEG_ORTHANT, dim=n)), n),
-            ]
-        ),
-        K=K,
-        A=np.eye(n),
-        B=np.hstack([-(G.B - G.A).T, -np.eye(n)]),
-        c=np.zeros(n),
-        mu=0.0,
-    )
+    orthant = ConeSpec(kind=NONNEG_ORTHANT, dim=G.cols)
+    return _split_to_minimax(G, orthant, prox_indicator(orthant), G.B - G.A)
 
 
 def glpe_to_minimax(G: GlpeInstance) -> MinimaxProblem:
     """Encode the projection equation as a constrained minimax template.
 
-    The min variable is the cone part x_K (indicator of K); the max pair is
-    (y, z) with z carrying the indicator of the polar cone; the joint
-    constraint is x_K - A^T y - z = 0. Relaxed mode (mu = 0).
+    x_K lies in K, z carries the indicator of the polar cone, and the
+    constraint is x_K - A^T y - z = 0.
     """
-    mrows, n = G.A.shape
-    yz = mrows + n
-    K = np.zeros((n, yz))
-    K[:, :mrows] = -(G.A + G.B).T
-    return MinimaxProblem(
-        g=SmoothOracle(value=lambda v: 0.0, gradient=np.zeros_like, lipschitz=0.0),
-        phi=prox_indicator(G.cone),
-        h=_linear_negative_oracle(G.b, yz, mrows),
-        psi=prox_blocks([(prox_zero(), mrows), (prox_polar_indicator(G.cone), n)]),
-        K=K,
-        A=np.eye(n),
-        B=np.hstack([-G.A.T, -np.eye(n)]),
-        c=np.zeros(n),
-        mu=0.0,
-    )
+    return _split_to_minimax(G, G.cone, prox_polar_indicator(G.cone), G.A)
 
 
 @dataclass
@@ -502,20 +477,10 @@ def make_linreg(n, m, p, seed, lambda_reg=None):
     L_g = gain**2 * m * inst.lambda_reg / sqmn**2
     b_enc = gain * b / sqmn
 
-    def h_value(y):
-        return 0.5 * float(y @ y) + float(b_enc @ y)
-
-    def h_gradient(y):
-        return y + b_enc
-
     P = MinimaxProblem(
-        g=SmoothOracle(
-            value=lambda x: 0.5 * L_g * float(x @ x),
-            gradient=lambda x: L_g * x,
-            lipschitz=L_g,
-        ),
+        g=SmoothOracle(L_g),
         phi=prox_zero(),
-        h=SmoothOracle(value=h_value, gradient=h_gradient, lipschitz=1.0),
+        h=SmoothOracle(1.0, b=b_enc),
         psi=prox_zero(),
         K=gain * K.T / sqmn,
         A=gain * A / (sqmn * sqmp),

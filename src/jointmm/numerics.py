@@ -1,4 +1,4 @@
-"""Dense vector/matrix kernels: matvecs, SPD solves, operator-norm estimation.
+"""Dense vector/matrix kernels: input checks, SPD solves, operator-norm estimation.
 
 Everything here works on float64 numpy arrays. Vectors are 1-d arrays,
 matrices 2-d row-major arrays. All functions are pure; nothing is mutated.
@@ -41,26 +41,6 @@ def as_matrix(m, name="matrix"):
     return arr
 
 
-def matvec(M, v):
-    """Return M @ v, checking M.cols == len(v)."""
-    if M.shape[1] != v.shape[0]:
-        raise ConfigurationError(
-            f"matvec dimension mismatch: matrix is {M.shape[0]}x{M.shape[1]}, "
-            f"vector has length {v.shape[0]}"
-        )
-    return M @ v
-
-
-def matvec_t(M, v):
-    """Return M.T @ v, checking M.rows == len(v)."""
-    if M.shape[0] != v.shape[0]:
-        raise ConfigurationError(
-            f"matvec_t dimension mismatch: matrix is {M.shape[0]}x{M.shape[1]}, "
-            f"vector has length {v.shape[0]}"
-        )
-    return M.T @ v
-
-
 def spd_factor(S):
     """Inverse of a symmetric positive definite matrix, for repeated solves.
 
@@ -87,16 +67,6 @@ def spd_factor(S):
 def spd_solve_factored(F, r):
     """Solve S zeta = r given the cached inverse F = S^{-1} from spd_factor: one matvec."""
     return F @ r
-
-
-def spd_solve(S, r):
-    """Solve S zeta = r for symmetric positive definite S (inverts S; for one-off solves)."""
-    if S.shape[0] != r.shape[0]:
-        raise ConfigurationError(
-            f"spd_solve dimension mismatch: matrix is {S.shape[0]}x{S.shape[1]}, "
-            f"right-hand side has length {r.shape[0]}"
-        )
-    return spd_solve_factored(spd_factor(S), r)
 
 
 def _power_iteration(M, tol, max_iter):

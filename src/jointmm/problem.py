@@ -81,6 +81,12 @@ class MinimaxProblem:
             raise ConfigurationError(
                 f"B must be {q}x{m} to match K and c, got {self.B.shape}"
             )
+        for name, term, dim in (("g", self.g, n), ("h", self.h, m)):
+            for part, v in (("d", term.d), ("b", term.b)):
+                if np.ndim(v) == 1 and v.shape[0] != dim:
+                    raise ConfigurationError(
+                        f"smooth term {name}: {part} must have length {dim}, got {v.shape[0]}"
+                    )
         if self.mu < 0:
             raise ConfigurationError("mu must be >= 0")
         self._gram_inv = None
@@ -127,16 +133,6 @@ def feas(P: MinimaxProblem, x, y):
     return P.A @ x + P.B @ y + P.c
 
 
-def smooth_coupling(P: MinimaxProblem, x, y, lam):
-    """Value of f(x, y, lambda) = g(x) + x^T K y - h(y) + <lambda, Ax + By + c>."""
-    return (
-        P.g.value(x)
-        + float(x @ (P.K @ y))
-        - P.h.value(y)
-        + float(lam @ feas(P, x, y))
-    )
-
-
 @dataclass(frozen=True)
 class Residuals:
     """The three stationarity residuals at scalings (L1, L2)."""
@@ -149,9 +145,6 @@ class Residuals:
 
     def within(self, eps):
         return self.res_x <= eps and self.res_y <= eps and self.res_feas <= eps
-
-    def total(self):
-        return self.res_x + self.res_y + self.res_feas
 
 
 def residuals(P: MinimaxProblem, x, y, lam, L1, L2) -> Residuals:
@@ -374,6 +367,8 @@ def load_problem_manifest(path) -> MinimaxProblem:
             data = json.load(fh)
         except ValueError as exc:
             raise ConfigurationError(f"problem manifest {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"problem manifest {path} must hold a JSON object")
     base_dir = os.path.dirname(os.path.abspath(path))
     try:
         K = _load_matrix_field(data["K"], base_dir)
@@ -395,4 +390,7 @@ def load_problem_manifest(path) -> MinimaxProblem:
             mu=float(data.get("mu", 0.0)),
         )
     except KeyError as exc:
-        raise ConfigurationError(f"problem manifest missing field {exc.args[0]!r}") from exc
+        field = exc.args[0]
+        raise ConfigurationError(f"problem manifest {path} is missing field {field!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"problem manifest {path} has a malformed entry: {exc}") from exc

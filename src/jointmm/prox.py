@@ -2,8 +2,9 @@
 
 The central objects are ConeSpec (a named cone or box with a closed-form
 Euclidean projection), ProxOperator (a nonsmooth convex term accessed only
-through its proximal mapping), and SmoothOracle (a smooth term carrying its
-own gradient and Lipschitz constant). On top of those sit the
+through its proximal mapping), and SmoothOracle (the smooth term
+(1/2) z^T diag(d) z + b^T z, held as its data d >= 0 and b). All three are
+plain data, so problems built from them pickle. On top of those sit the
 forward-backward point T_L and the gradient mapping G_L that every solver
 loop and every stationarity residual is built from.
 """
@@ -11,11 +12,12 @@ loop and every stationarity residual is built from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional, Union
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
+from .numerics import as_vector
 
 # cone kinds
 FREE = "free"
@@ -354,50 +356,54 @@ def prox_eval(op: ProxOperator, t: float, z):
 
 @dataclass(frozen=True)
 class SmoothOracle:
-    """A smooth convex term: value, gradient, and its Lipschitz constant."""
+    """The smooth convex term (1/2) z^T diag(d) z + b^T z.
 
-    value: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
-    lipschitz: float
+    d is a scalar or a vector, finite and >= 0 (so the term is convex);
+    b is None (no linear part) or a finite vector. The gradient is d * z,
+    plus b when b is given, and its Lipschitz constant is max d.
+    """
+
+    d: Union[float, np.ndarray]
+    b: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if not np.isfinite(self.lipschitz) or self.lipschitz < 0:
-            raise ConfigurationError("smooth oracle needs a finite lipschitz >= 0")
+        d = as_vector(np.atleast_1d(self.d), "smooth term d")
+        if np.any(d < 0):
+            raise ConfigurationError("smooth term d must be >= 0 entrywise")
+        object.__setattr__(self, "d", float(d[0]) if np.ndim(self.d) == 0 else d)
+        if self.b is not None:
+            object.__setattr__(self, "b", as_vector(self.b, "smooth term b"))
+
+    @property
+    def lipschitz(self):
+        return float(np.max(self.d, initial=0.0))
+
+    def value(self, z):
+        v = 0.5 * float(z @ (self.d * z))
+        return v if self.b is None else v + float(self.b @ z)
+
+    def gradient(self, z):
+        if self.b is None:
+            return self.d * z
+        return self.d * z + self.b
 
 
 def smooth_zero() -> SmoothOracle:
-    return SmoothOracle(value=lambda z: 0.0, gradient=np.zeros_like, lipschitz=0.0)
+    return SmoothOracle(0.0)
 
 
 def smooth_scaled_sq_norm(coeff: float) -> SmoothOracle:
     """(coeff/2) ||z||^2."""
-    c = float(coeff)
-    return SmoothOracle(
-        value=lambda z: 0.5 * c * float(z @ z),
-        gradient=lambda z: c * z,
-        lipschitz=abs(c),
-    )
+    return SmoothOracle(coeff)
 
 
 def smooth_linear(b) -> SmoothOracle:
-    b = np.asarray(b, dtype=np.float64)
-    return SmoothOracle(
-        value=lambda z: float(b @ z),
-        gradient=lambda z: b.copy(),
-        lipschitz=0.0,
-    )
+    return SmoothOracle(0.0, b)
 
 
 def smooth_quadratic_diag(d) -> SmoothOracle:
     """(1/2) z^T diag(d) z with d >= 0 entrywise."""
-    d = np.asarray(d, dtype=np.float64)
-    if np.any(d < 0):
-        raise ConfigurationError("quadratic_diag needs nonnegative diagonal")
-    return SmoothOracle(
-        value=lambda z: 0.5 * float(z @ (d * z)),
-        gradient=lambda z: d * z,
-        lipschitz=float(d.max(initial=0.0)),
-    )
+    return SmoothOracle(d)
 
 
 def forward_backward(h: SmoothOracle, sigma: ProxOperator, L: float, z):

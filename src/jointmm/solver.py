@@ -143,18 +143,6 @@ def inner_ascent(P: MinimaxProblem, x, lam, y0, n_steps, alpha_y):
     return y
 
 
-def approx_y_star(P: MinimaxProblem, x, lam, alpha_y, tol=1e-12, max_iter=200000):
-    """Approximate y_*(x, lambda) by running the inner ascent until the
-    y-block gradient mapping at scaling 1/alpha_y drops below tol."""
-    y = np.zeros(P.m)
-    for _ in range(max_iter):
-        y_next = inner_ascent(P, x, lam, y, 1, alpha_y)
-        if np.linalg.norm(y_next - y) / alpha_y <= tol:
-            return y_next
-        y = y_next
-    return y
-
-
 def outer_step(P: MinimaxProblem, x, lam, y_next, alpha_x):
     """One proximal-descent step in (x, lambda) given the updated y.
 

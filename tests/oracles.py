@@ -1,9 +1,11 @@
 """Independent reference implementations used to check the package.
 
-Everything here deliberately avoids the code paths under test: matvecs are
-triple loops, the largest singular value comes from a Jacobi eigenvalue
-sweep, prox values from dense grids, and cone projections from a
-constrained least-squares solver with slack reformulations.
+Everything here deliberately avoids the code paths under test: the largest
+singular value comes from a Jacobi eigenvalue sweep, prox values from dense
+grids, and cone projections from a constrained least-squares solver with
+slack reformulations. The last two helpers (smooth_coupling, approx_y_star)
+are reference quantities built on the package's own kernels, which the
+tests check elsewhere.
 """
 
 import math
@@ -11,16 +13,8 @@ import math
 import numpy as np
 from scipy.optimize import minimize
 
-
-def matvec_triple_loop(M, v):
-    rows, cols = M.shape
-    out = np.zeros(rows)
-    for i in range(rows):
-        acc = 0.0
-        for j in range(cols):
-            acc += M[i, j] * v[j]
-        out[i] = acc
-    return out
+from jointmm.problem import feas
+from jointmm.solver import inner_ascent
 
 
 def jacobi_sigma_max(M, sweeps=60, tol=1e-14):
@@ -201,3 +195,20 @@ def quadratic_saddle_kkt(a, b, K, A, B, c):
     rhs = np.concatenate([np.zeros(n + m), -c])
     sol = np.linalg.solve(M, rhs)
     return sol[:n], sol[n : n + m], sol[n + m :]
+
+
+def smooth_coupling(P, x, y, lam):
+    """Value of f(x, y, lambda) = g(x) + x^T K y - h(y) + <lambda, Ax + By + c>."""
+    return P.g.value(x) + float(x @ (P.K @ y)) - P.h.value(y) + float(lam @ feas(P, x, y))
+
+
+def approx_y_star(P, x, lam, alpha_y, tol=1e-12, max_iter=200000):
+    """Approximate y_*(x, lambda) by running the inner ascent until the
+    y-block gradient mapping at scaling 1/alpha_y drops below tol."""
+    y = np.zeros(P.m)
+    for _ in range(max_iter):
+        y_next = inner_ascent(P, x, lam, y, 1, alpha_y)
+        if np.linalg.norm(y_next - y) / alpha_y <= tol:
+            return y_next
+        y = y_next
+    return y

@@ -42,6 +42,7 @@ from jointmm.prox import (
     prox_eval,
     prox_indicator,
     prox_zero,
+    smooth_quadratic_diag,
     smooth_scaled_sq_norm,
 )
 from jointmm.solver import (
@@ -167,11 +168,7 @@ def test_criterion_06_inner_contraction():
         P = MinimaxProblem(
             g=smooth_scaled_sq_norm(1.0),
             phi=prox_zero(),
-            h=SmoothOracle(
-                value=lambda y, d=d: 0.5 * float(y @ (d * y)),
-                gradient=lambda y, d=d: d * y,
-                lipschitz=float(d.max()),
-            ),
+            h=smooth_quadratic_diag(d),
             psi=prox_indicator(ConeSpec(kind=NONNEG_ORTHANT, dim=m))
             if use_orthant
             else prox_zero(),
@@ -247,11 +244,8 @@ def test_criterion_08_prox_lemma_suite():
         d = rng.uniform(0.4, 2.5, dim)
         L_h = float(d.max())
         center = rng.standard_normal(dim)
-        h = SmoothOracle(
-            value=lambda z, d=d, c=center: 0.5 * float((z - c) @ (d * (z - c))),
-            gradient=lambda z, d=d, c=center: d * (z - c),
-            lipschitz=L_h,
-        )
+        # (1/2) (z - center)^T diag(d) (z - center) up to a constant
+        h = SmoothOracle(d, b=-d * center)
         cone = ConeSpec(kind=NONNEG_ORTHANT, dim=dim)
         sigma = prox_indicator(cone)
 

@@ -302,6 +302,42 @@ def test_malformed_problem_manifest_exits_error(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def _manifest_2x2(**changes):
+    problem = {
+        "K": [[1.0, 0.0], [0.0, 1.0]], "A": [[1.0, 0.0]], "B": [[0.0, 1.0]], "c": [0.0],
+        "mu": 1.0, "g": {"kind": "scaled_sq_norm", "c": 1.0},
+        "h": {"kind": "scaled_sq_norm", "c": 1.0},
+        "phi": {"kind": "zero_function"}, "psi": {"kind": "zero_function"},
+    }
+    problem.update(changes)
+    return problem
+
+
+@pytest.mark.parametrize(
+    "problem, named",
+    [
+        (_manifest_2x2(g={"kind": "linear", "b": [1.0]}), "b must have length 2, got 1"),
+        (_manifest_2x2(h={"kind": "quadratic_diag", "d": [2.0]}), "d must have length 2, got 1"),
+        (_manifest_2x2(g={"kind": "linear", "b": [1.0, 2.0, 3.0]}), "must have length 2, got 3"),
+        (_manifest_2x2(g={"kind": "linear", "b": [1.0, float("nan")]}), "b contains nonfinite"),
+        (_manifest_2x2(g={"kind": "scaled_sq_norm", "c": -1}), "d must be >= 0"),
+        (_manifest_2x2(g={"kind": "scaled_sq_norm", "c": "abc"}), "malformed entry"),
+        (_manifest_2x2(phi={"kind": "scaled_sq_norm", "c": "abc"}), "malformed entry"),
+        (_manifest_2x2(h={"kind": "quadratic_diag", "d": ["x", 1]}), "malformed entry"),
+        (_manifest_2x2(phi={"kind": "indicator", "cone": {"kind": "free", "dim": "x"}}),
+         "malformed entry"),
+        (_manifest_2x2(g=3), "malformed entry"),
+        ([_manifest_2x2()], "must hold a JSON object"),
+    ],
+)
+def test_bad_problem_manifest_terms_exit_error(tmp_path, capsys, problem, named):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    assert main(["solve", "--problem", str(path), "--out", str(tmp_path / "run")]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+
 def test_glpe_command_and_bench_spec_share_stock_settings():
     args = build_parser().parse_args(["glpe"])
     from_command = resolve("glpe", command_spec(args)).config

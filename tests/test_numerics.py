@@ -5,77 +5,23 @@ from jointmm.errors import ConfigurationError, EstimationError, SingularConstrai
 from jointmm.numerics import (
     as_matrix,
     as_vector,
-    matvec,
-    matvec_t,
     operator_norm,
     spd_factor,
-    spd_solve,
     spd_solve_factored,
     _power_iteration,
 )
 
-from oracles import jacobi_sigma_max, matvec_triple_loop
-
-
-def test_matvec_identity():
-    v = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(matvec(np.eye(3), v), v)
-
-
-def test_matvec_permutation():
-    M = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert np.array_equal(matvec(M, np.array([5.0, 7.0])), np.array([7.0, 5.0]))
-
-
-def test_matvec_matches_triple_loop_oracle(rng):
-    M = rng.standard_normal((3, 3))
-    v = rng.standard_normal(3)
-    assert np.abs(matvec(M, v) - matvec_triple_loop(M, v)).max() <= 1e-14
-
-
-def test_matvec_dimension_mismatch():
-    with pytest.raises(ConfigurationError, match="dimension mismatch"):
-        matvec(np.eye(3), np.ones(2))
-
-
-def test_matvec_is_linear(rng):
-    M = rng.standard_normal((4, 5))
-    v, w = rng.standard_normal(5), rng.standard_normal(5)
-    a, b = 0.7, -2.3
-    lhs = matvec(M, a * v + b * w)
-    rhs = a * matvec(M, v) + b * matvec(M, w)
-    assert np.abs(lhs - rhs).max() <= 1e-12
-
-
-def test_matvec_t_identity():
-    v = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(matvec_t(np.eye(3), v), v)
-
-
-def test_matvec_t_hand_example():
-    M = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(matvec_t(M, np.ones(2)), np.array([4.0, 6.0]))
-
-
-def test_matvec_t_equals_transpose_matvec(rng):
-    M = rng.standard_normal((4, 6))
-    v = rng.standard_normal(4)
-    # accumulation order differs between the two BLAS paths
-    assert np.abs(matvec_t(M, v) - matvec(M.T.copy(), v)).max() <= 1e-12
-
-
-def test_matvec_t_dimension_mismatch():
-    with pytest.raises(ConfigurationError):
-        matvec_t(np.eye(3), np.ones(4))
+from oracles import jacobi_sigma_max
 
 
 def test_spd_solve_identity():
-    assert np.allclose(spd_solve(np.eye(2), np.array([3.0, 4.0])), [3.0, 4.0])
+    zeta = spd_solve_factored(spd_factor(np.eye(2)), np.array([3.0, 4.0]))
+    assert np.allclose(zeta, [3.0, 4.0])
 
 
 def test_spd_solve_diagonal():
     S = np.diag([2.0, 4.0])
-    assert np.allclose(spd_solve(S, np.array([2.0, 4.0])), [1.0, 1.0])
+    assert np.allclose(spd_solve_factored(spd_factor(S), np.array([2.0, 4.0])), [1.0, 1.0])
 
 
 def test_spd_solve_random_gram_residual(rng):
@@ -83,7 +29,7 @@ def test_spd_solve_random_gram_residual(rng):
     B = rng.standard_normal((4, 9))
     S = A @ A.T + B @ B.T
     r = rng.standard_normal(4)
-    zeta = spd_solve(S, r)
+    zeta = spd_solve_factored(spd_factor(S), r)
     assert np.linalg.norm(S @ zeta - r) <= 1e-10 * (1.0 + np.linalg.norm(r))
 
 
@@ -94,14 +40,14 @@ def test_spd_solve_conditioned_roundtrip(rng):
         d = np.exp(rng.uniform(0, np.log(1e6), 6))
         S = (Q * d) @ Q.T
         r = rng.standard_normal(6)
-        zeta = spd_solve(S, r)
+        zeta = spd_solve_factored(spd_factor(S), r)
         assert np.linalg.norm(S @ zeta - r) <= 1e-10 * np.linalg.norm(r) * 10
 
 
 def test_spd_solve_rejects_indefinite():
     S = np.array([[1.0, 0.0], [0.0, -1.0]])
     with pytest.raises(SingularConstraintError, match="full row rank"):
-        spd_solve(S, np.ones(2))
+        spd_solve_factored(spd_factor(S), np.ones(2))
 
 
 def test_spd_factor_cache_path(rng):

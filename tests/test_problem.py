@@ -1,8 +1,17 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
 
+from jointmm.apps import (
+    builtin_gave,
+    builtin_glpe,
+    gave_to_minimax,
+    glpe_to_minimax,
+    make_linreg,
+    run_linreg,
+)
 from jointmm.errors import ConfigurationError
 from jointmm.matio import write_matrix_csv, write_matrix_mm
 from jointmm.problem import (
@@ -16,17 +25,18 @@ from jointmm.problem import (
     load_problem_manifest,
     recover_multiplier,
     residuals,
-    smooth_coupling,
 )
 from jointmm.prox import (
+    L1_NORM,
     NONNEG_ORTHANT,
+    SECOND_ORDER,
     prox_zero,
     smooth_scaled_sq_norm,
     smooth_zero,
 )
-from jointmm.solver import approx_y_star
+from jointmm.solver import SolverConfig, run_pgmsad
 
-from oracles import central_difference
+from oracles import approx_y_star, central_difference, smooth_coupling
 
 
 def make_problem(rng, n=3, m=3, q=2, a=1.0, b=1.0, scale=0.5, mu=None):
@@ -267,7 +277,8 @@ def test_problem_dimension_validation():
         )
 
 
-def test_manifest_loading(tmp_path, rng):
+def write_manifest(tmp_path, rng):
+    """A 2 x 3 manifest with file-backed K and A; returns its path and (K, A, B)."""
     K = rng.standard_normal((2, 3))
     A = rng.standard_normal((1, 2))
     B = rng.standard_normal((1, 3))
@@ -279,7 +290,7 @@ def test_manifest_loading(tmp_path, rng):
         "B": B.tolist(),
         "c": [0.5],
         "mu": 0.25,
-        "g": {"kind": "scaled_sq_norm", "c": 1.0},
+        "g": {"kind": "linear", "b": [0.5, -1.0]},
         "h": {"kind": "quadratic_diag", "d": [0.25, 0.25, 0.25]},
         "phi": {"kind": "indicator", "cone": {"kind": "nonneg_orthant", "dim": 2}},
         "psi": {
@@ -292,6 +303,11 @@ def test_manifest_loading(tmp_path, rng):
     }
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(manifest))
+    return path, (K, A, B)
+
+
+def test_manifest_loading(tmp_path, rng):
+    path, (K, A, B) = write_manifest(tmp_path, rng)
     P = load_problem_manifest(path)
     assert np.array_equal(P.K, K)
     assert np.array_equal(P.A, A)
@@ -299,6 +315,7 @@ def test_manifest_loading(tmp_path, rng):
     assert P.mu == 0.25
     assert P.phi.cone.kind == NONNEG_ORTHANT
     assert P.n == 2 and P.m == 3 and P.q == 1
+    assert np.array_equal(P.g.b, [0.5, -1.0]) and P.h.lipschitz == 0.25
 
 
 def test_manifest_missing_field(tmp_path):
@@ -306,3 +323,21 @@ def test_manifest_missing_field(tmp_path):
     path.write_text(json.dumps({"K": [[1.0]]}))
     with pytest.raises(ConfigurationError, match="missing field"):
         load_problem_manifest(path)
+
+
+def test_problems_pickle_and_solve_identically(tmp_path, rng):
+    path, _ = write_manifest(tmp_path, rng)
+    step = SolverConfig(alpha_x=0.05, alpha_y=0.05, inner_steps=5, outer_cap=50)
+    runs = [
+        (make_linreg(10, 10, 2, 3)[1], run_linreg,
+         SolverConfig(alpha_x=0.3, alpha_y=1.0, inner_steps=3, outer_cap=50)),
+        (gave_to_minimax(builtin_gave("gave-a")), run_pgmsad, step),
+        (load_problem_manifest(path), run_pgmsad, step),
+    ] + [(glpe_to_minimax(builtin_glpe(kind)), run_pgmsad, step)
+         for kind in (NONNEG_ORTHANT, SECOND_ORDER, L1_NORM)]
+    for P, run, config in runs:
+        copy = pickle.loads(pickle.dumps(P))
+        first, second = run(P, config).state, run(copy, config).state
+        assert first.t == second.t == 50
+        for name in ("x", "y", "lam"):
+            assert np.array_equal(getattr(first, name), getattr(second, name))

@@ -196,6 +196,17 @@ def test_cone_json_roundtrip():
     assert np.array_equal(back.lower, box.lower) and np.array_equal(back.upper, box.upper)
 
 
+def test_smooth_oracle_is_the_diagonal_quadratic(rng):
+    d, b, z = rng.uniform(0.0, 2.0, 3), rng.standard_normal(3), rng.standard_normal(3)
+    h = SmoothOracle(d, b)
+    assert h.value(z) == pytest.approx(0.5 * z @ (d * z) + b @ z, rel=1e-14)
+    assert np.array_equal(h.gradient(z), d * z + b)
+    assert h.lipschitz == d.max() and smooth_scaled_sq_norm(2.5).lipschitz == 2.5
+    for bad in (dict(d=-1.0), dict(d=[1.0, np.inf]), dict(d=np.eye(2)), dict(d=1.0, b=[np.nan])):
+        with pytest.raises(ConfigurationError):
+            SmoothOracle(**bad)
+
+
 def test_forward_backward_identity_when_trivial():
     z = np.array([1.0, -4.0])
     got = forward_backward(smooth_zero(), prox_zero(), 2.0, z)
@@ -228,11 +239,7 @@ def test_forward_backward_matches_grid_oracle(rng):
 def test_gradient_mapping_zero_at_stationary_point():
     # F = sigma + h with sigma the orthant indicator and h = 0.5||z - z*||^2
     zstar = np.array([2.0, 0.0])
-    h = SmoothOracle(
-        value=lambda z: 0.5 * float((z - zstar) @ (z - zstar)),
-        gradient=lambda z: z - zstar,
-        lipschitz=1.0,
-    )
+    h = SmoothOracle(1.0, -zstar)
     sigma = prox_indicator(ConeSpec(kind=NONNEG_ORTHANT, dim=2))
     g = gradient_mapping(h, sigma, 2.0, zstar)
     assert np.linalg.norm(g) <= 1e-12
@@ -252,13 +259,10 @@ def test_gradient_mapping_equals_gradient_when_smooth(rng):
 
 
 def test_forward_backward_nonfinite_gradient_names_index():
-    bad = SmoothOracle(
-        value=lambda z: 0.0,
-        gradient=lambda z: np.array([0.0, np.nan]),
-        lipschitz=1.0,
-    )
-    with pytest.raises(NumericalError, match="index 1"):
-        forward_backward(bad, prox_zero(), 1.0, np.zeros(2))
+    # the gradient d * z overflows to inf at index 1
+    bad = SmoothOracle(np.array([1.0, 1e300]))
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="index 1"):
+        forward_backward(bad, prox_zero(), 1.0, np.array([0.0, 1e300]))
 
 
 def test_projection_jacobian_matches_finite_differences(rng):

@@ -30,7 +30,6 @@ from jointmm.prox import (
 from jointmm.solver import (
     SolverConfig,
     TRACE_HEADER,
-    approx_y_star,
     inner_ascent,
     outer_step,
     plan_budget,
@@ -41,7 +40,7 @@ from jointmm.solver import (
     write_trace_csv,
 )
 
-from oracles import quadratic_saddle_kkt
+from oracles import approx_y_star, quadratic_saddle_kkt
 
 
 def quadratic_problem(rng, n=2, m=2, q=2, a=1.2, b=1.5, scale=0.3, cscale=0.4):
