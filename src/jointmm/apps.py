@@ -40,6 +40,7 @@ from .prox import (
     ConeSpec,
     L1_NORM,
     NONNEG_ORTHANT,
+    PROX_ZERO,
     SECOND_ORDER,
     SmoothOracle,
     project_cone,
@@ -55,6 +56,7 @@ from .solver import (
     IterateState,
     SolveResult,
     SolverConfig,
+    ascend,
     certify_residuals,
     check_settings,
     iterate,
@@ -502,8 +504,6 @@ def run_linreg(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
     route for instances whose reduced objective in (x, lambda) is
     indefinite, where the multiplier iteration diverges.
     """
-    from .prox import PROX_ZERO
-
     if P.phi.kind != PROX_ZERO or P.psi.kind != PROX_ZERO:
         raise ConfigurationError("run_linreg handles smooth instances (phi = psi = 0)")
     rng = make_rng(config.seed)
@@ -519,10 +519,7 @@ def run_linreg(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
     x, y = project_feasible(P, x, y)
 
     def step(s, res, t):
-        drive = P.K.T @ s.x
-        y = s.y
-        for _ in range(config.inner_steps):
-            y = y + config.alpha_y * (drive - P.h.gradient(y))
+        y = ascend(P, P.K.T @ s.x, s.y, config.inner_steps, config.alpha_y)
         x = s.x - config.alpha_x * (P.g.gradient(s.x) + P.K @ y)
         x, y = project_feasible(P, x, y)
         return IterateState(x=x, y=y, lam=recover_multiplier(P, x, y), t=t + 1)

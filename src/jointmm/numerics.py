@@ -1,4 +1,5 @@
-"""Dense vector/matrix kernels: input checks, SPD solves, operator-norm estimation.
+"""Dense vector/matrix kernels: input checks, SPD solves, operator-norm estimation,
+and the closed form of the diagonal ascent recurrence.
 
 Everything here works on float64 numpy arrays. Vectors are 1-d arrays,
 matrices 2-d row-major arrays. All functions are pure; nothing is mutated.
@@ -67,6 +68,27 @@ def spd_factor(S):
 def spd_solve_factored(F, r):
     """Solve S zeta = r given the cached inverse F = S^{-1} from spd_factor: one matvec."""
     return F @ r
+
+
+def ascent_coefficients(d, n_steps, alpha):
+    """Coefficients (p, w) of n_steps steps of y <- r y + alpha u, r = 1 - alpha d.
+
+    Entrywise y_N = p y_0 + w u with p = r^N and w = alpha (1 + r + ... +
+    r^(N-1)) = (1 - r^N) / d, which is N alpha where alpha d = 0. Where
+    alpha d < 1, 1 - r^N is taken as -expm1(N log1p(-alpha d)), so a small
+    alpha d keeps its digits; elsewhere r <= 0 and r^N is the plain power,
+    which overflows to inf for |r| > 1 and large N rather than raising. A
+    scalar d gives Python floats, a vector d arrays.
+    """
+    dv = np.atleast_1d(np.asarray(d, dtype=np.float64))
+    ad = alpha * dv
+    stable = ad < 1.0
+    p = np.power(1.0 - ad, n_steps)
+    gain = np.where(stable, -np.expm1(n_steps * np.log1p(-np.where(stable, ad, 0.0))), 1.0 - p)
+    w = np.divide(gain, dv, out=np.full_like(dv, n_steps * alpha), where=ad > 0)
+    if np.ndim(d) == 0:
+        return float(p[0]), float(w[0])
+    return p, w
 
 
 def _power_iteration(M, tol, max_iter):

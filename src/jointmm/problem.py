@@ -28,8 +28,19 @@ import numpy as np
 
 from . import matio
 from .errors import ConfigurationError
-from .numerics import as_matrix, as_vector, operator_norm, spd_factor, spd_solve_factored
+from .numerics import (
+    as_matrix,
+    as_vector,
+    ascent_coefficients,
+    operator_norm,
+    spd_factor,
+    spd_solve_factored,
+)
 from .prox import (
+    PROX_BLOCKS,
+    PROX_INDICATOR,
+    PROX_LINEAR_SHIFT,
+    PROX_POLAR_INDICATOR,
     ProxOperator,
     SmoothOracle,
     cone_from_json,
@@ -87,9 +98,12 @@ class MinimaxProblem:
                     raise ConfigurationError(
                         f"smooth term {name}: {part} must have length {dim}, got {v.shape[0]}"
                     )
+        _check_prox_dim("phi", self.phi, n)
+        _check_prox_dim("psi", self.psi, m)
         if self.mu < 0:
             raise ConfigurationError("mu must be >= 0")
         self._gram_inv = None
+        self._ascent_maps = {}
 
     @property
     def n(self):
@@ -116,6 +130,35 @@ class MinimaxProblem:
     def gram_solve(self, r):
         """Solve (A A^T + B B^T) zeta = r: one matvec with the cached inverse."""
         return spd_solve_factored(self.gram_inverse(), r)
+
+    def ascent_map(self, n_steps, alpha_y):
+        """Coefficients (p, w) of n_steps plain ascent steps on h at step alpha_y.
+
+        With psi = 0, n_steps steps y <- y + alpha_y (drive - grad h(y)) end
+        at y_N = p y_0 + w (drive - b) (see ascent_coefficients). Built on
+        first use for each (n_steps, alpha_y) and cached on the problem.
+        """
+        key = (n_steps, alpha_y)
+        coeffs = self._ascent_maps.get(key)
+        if coeffs is None:
+            coeffs = self._ascent_maps[key] = ascent_coefficients(self.h.d, n_steps, alpha_y)
+        return coeffs
+
+
+def _check_prox_dim(name, op: ProxOperator, dim):
+    """Raise ConfigurationError unless the prox term op acts on vectors of length dim."""
+    if op.kind == PROX_LINEAR_SHIFT:
+        what, size = "shift length", op.shift.shape[0]
+    elif op.kind in (PROX_INDICATOR, PROX_POLAR_INDICATOR):
+        what, size = "cone dim", op.cone.dim
+    elif op.kind == PROX_BLOCKS:
+        what, size = "block dims sum", sum(op.block_dims())
+    else:
+        return
+    if size != dim:
+        raise ConfigurationError(f"prox term {name}: {what} must be {dim}, got {size}")
+    for sub, sub_dim in op.blocks:
+        _check_prox_dim(name, sub, sub_dim)
 
 
 def grad_x(P: MinimaxProblem, x, y, lam):

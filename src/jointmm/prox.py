@@ -302,13 +302,13 @@ def prox_polar_indicator(cone: ConeSpec) -> ProxOperator:
 
 
 def prox_scaled_sq_norm(coeff: float) -> ProxOperator:
-    if coeff < 0:
+    if not coeff >= 0:  # NaN fails this too
         raise ConfigurationError("scaled_sq_norm coefficient must be >= 0")
     return ProxOperator(kind=PROX_SCALED_SQ_NORM, coeff=float(coeff))
 
 
 def prox_linear_shift(shift) -> ProxOperator:
-    return ProxOperator(kind=PROX_LINEAR_SHIFT, shift=np.asarray(shift, dtype=np.float64))
+    return ProxOperator(kind=PROX_LINEAR_SHIFT, shift=as_vector(shift, "linear_shift"))
 
 
 def prox_blocks(blocks) -> ProxOperator:

@@ -32,7 +32,7 @@ from .problem import (
     inner_residual,
     residuals,
 )
-from .prox import prox_eval
+from .prox import PROX_ZERO, prox_eval
 from .rng import standard_normal
 
 TRACE_HEADER = "t,elapsed_s,res_x,res_y,res_feas,app_error"
@@ -132,12 +132,29 @@ def inner_ascent(P: MinimaxProblem, x, lam, y0, n_steps, alpha_y):
     y <- prox_{alpha_y psi}[y + alpha_y (-grad h(y) + K^T x + B^T lambda)].
     For mu-strongly concave inner problems and alpha_y < 1/L_h each step
     contracts the squared distance to y_*(x, lambda) by (1 - mu alpha_y).
-    Overflow gives inf or NaN, not an error: iterate decides divergence.
+    With psi = 0 the steps are the entrywise affine recurrence
+    y <- r y + alpha_y (drive - b), r = 1 - alpha_y d, and the N steps are
+    taken at once in closed form with the problem's cached coefficients:
+    the work does not grow with n_steps. Any other psi runs the N-step
+    loop. Overflow gives inf or NaN, not an error: iterate decides
+    divergence.
+    """
+    return ascend(P, P.K.T @ x + P.B.T @ lam, y0, n_steps, alpha_y)
+
+
+def ascend(P: MinimaxProblem, drive, y0, n_steps, alpha_y):
+    """n_steps steps y <- prox_{alpha_y psi}[y + alpha_y (drive - grad h(y))].
+
+    The inner ascent for a given drive (K^T x + B^T lambda, or K^T x where
+    the multiplier is not iterated): closed form when psi = 0, else a loop.
     """
     if n_steps < 0:
         raise ConfigurationError("inner_ascent needs n_steps >= 0")
-    drive = P.K.T @ x + P.B.T @ lam
-    y = np.asarray(y0, dtype=np.float64).copy()
+    y = np.asarray(y0, dtype=np.float64)
+    if P.psi.kind == PROX_ZERO:
+        p, w = P.ascent_map(n_steps, alpha_y)
+        return p * y + w * (drive if P.h.b is None else drive - P.h.b)
+    y = y.copy()
     for _ in range(n_steps):
         y = prox_eval(P.psi, alpha_y, y + alpha_y * (drive - P.h.gradient(y)))
     return y

@@ -197,6 +197,17 @@ def quadratic_saddle_kkt(a, b, K, A, B, c):
     return sol[:n], sol[n : n + m], sol[n + m :]
 
 
+def ascent_loop(P, x, lam, y0, n_steps, alpha_y):
+    """The psi = 0 inner ascent as a plain loop over its n_steps steps
+    y <- y + alpha_y (K^T x + B^T lambda - d y - b), from the problem's data."""
+    drive = P.K.T @ x + P.B.T @ lam
+    b = 0.0 if P.h.b is None else P.h.b
+    y = np.asarray(y0, dtype=np.float64)
+    for _ in range(n_steps):
+        y = y + alpha_y * (drive - (P.h.d * y + b))
+    return y
+
+
 def smooth_coupling(P, x, y, lam):
     """Value of f(x, y, lambda) = g(x) + x^T K y - h(y) + <lambda, Ax + By + c>."""
     return P.g.value(x) + float(x @ (P.K @ y)) - P.h.value(y) + float(lam @ feas(P, x, y))

@@ -328,6 +328,23 @@ def _manifest_2x2(**changes):
          "malformed entry"),
         (_manifest_2x2(g=3), "malformed entry"),
         ([_manifest_2x2()], "must hold a JSON object"),
+        (_manifest_2x2(phi={"kind": "scaled_sq_norm", "c": float("nan")}),
+         "coefficient must be >= 0"),
+        (_manifest_2x2(psi={"kind": "linear_shift", "v": [1.0, 2.0, 3.0]}),
+         "prox term psi: shift length must be 2, got 3"),
+        (_manifest_2x2(phi={"kind": "indicator", "cone": {"kind": "free", "dim": 3}}),
+         "prox term phi: cone dim must be 2, got 3"),
+        (_manifest_2x2(psi={"kind": "polar_indicator",
+                            "cone": {"kind": "nonneg_orthant", "dim": 1}}),
+         "prox term psi: cone dim must be 2, got 1"),
+        (_manifest_2x2(psi={"kind": "blocks", "blocks": [
+            {"op": {"kind": "zero_function"}, "dim": 1},
+            {"op": {"kind": "zero_function"}, "dim": 2}]}),
+         "prox term psi: block dims sum must be 2, got 3"),
+        (_manifest_2x2(phi={"kind": "blocks", "blocks": [
+            {"op": {"kind": "linear_shift", "v": [1.0, 2.0]}, "dim": 1},
+            {"op": {"kind": "zero_function"}, "dim": 1}]}),
+         "prox term phi: shift length must be 1, got 2"),
     ],
 )
 def test_bad_problem_manifest_terms_exit_error(tmp_path, capsys, problem, named):

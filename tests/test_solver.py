@@ -196,13 +196,31 @@ def _assert_divergence_carries_state(err):
 
 @pytest.mark.filterwarnings("error")
 def test_run_pgmsad_divergence_carries_state(rng):
-    # the iterate overflows in the middle of the inner loop
+    # psi = 0: the closed-form power (1 - alpha_y b)^60 overflows at the first step
     P, a, b = quadratic_problem(rng)
     cfg = SolverConfig(alpha_x=1e12, alpha_y=1e12, inner_steps=60,
                        outer_cap=500, eps=0.0, x0=np.ones(2), y0=np.ones(2))
     with pytest.raises(DivergenceError) as err:
         run_pgmsad(P, cfg)
     _assert_divergence_carries_state(err)
+
+
+@pytest.mark.filterwarnings("error")
+def test_run_pgmsad_divergence_in_the_inner_loop_carries_state(rng):
+    # orthant psi: the inner loop runs, the drive grows with x each outer
+    # iteration, and alpha_y times it overflows in the middle of the loop
+    P, a, b = quadratic_problem(rng)
+    P = MinimaxProblem(
+        g=P.g, phi=P.phi, h=P.h,
+        psi=prox_indicator(ConeSpec(kind=NONNEG_ORTHANT, dim=2)),
+        K=P.K, A=P.A, B=P.B, c=P.c, mu=P.mu,
+    )
+    cfg = SolverConfig(alpha_x=1e12, alpha_y=1e100, inner_steps=60,
+                       outer_cap=500, eps=0.0, x0=np.ones(2), y0=np.ones(2))
+    with pytest.raises(DivergenceError) as err:
+        run_pgmsad(P, cfg)
+    _assert_divergence_carries_state(err)
+    assert err.value.state.t > 0
 
 
 @pytest.mark.filterwarnings("error")
@@ -384,6 +402,23 @@ def test_gram_inverse_built_once_per_problem(rng, monkeypatch):
         x, y = project_feasible(P, rng.standard_normal(2), rng.standard_normal(2))
         recover_multiplier(P, x, y)
     assert calls == [(2, 2)]
+
+
+def test_ascent_map_built_once_per_run(rng, monkeypatch):
+    calls = []
+    ascent_coefficients = jointmm.problem.ascent_coefficients
+
+    def counting_ascent_coefficients(d, n_steps, alpha):
+        calls.append((n_steps, alpha))
+        return ascent_coefficients(d, n_steps, alpha)
+
+    monkeypatch.setattr(jointmm.problem, "ascent_coefficients", counting_ascent_coefficients)
+    P, a, b = quadratic_problem(rng)
+    C = compute_constants(P)
+    cfg = SolverConfig(alpha_x=0.5 / C.L_theta, alpha_y=0.5 / C.L_h, inner_steps=60,
+                       outer_cap=50, eps=0.0, x0=np.ones(2), y0=np.ones(2))
+    assert run_pgmsad(P, cfg).state.t == 50
+    assert calls == [(60, cfg.alpha_y)]
 
 
 def test_gram_solve_backward_error_on_ill_conditioned_gram(rng):
