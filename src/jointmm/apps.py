@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .numerics import as_matrix, as_vector
+from .numerics import as_matrix, as_vector, norm2
 # residuals is not called in this module; perfbench/tracing.py wraps it under this name
 from .problem import MinimaxProblem, recover_multiplier, residuals  # noqa: F401
 from .prox import (
@@ -45,6 +45,7 @@ from .prox import (
     SmoothOracle,
     project_cone,
     projection_jacobian,
+    projection_pattern,
     prox_blocks,
     prox_indicator,
     prox_polar_indicator,
@@ -363,7 +364,13 @@ class GlpeConfig:
 
 @dataclass
 class GlpeResult:
-    """Outcome of a projection-equation run; x = x_cone + polar part exactly."""
+    """Outcome of a projection-equation run; x = x_cone + polar part exactly.
+
+    rate is the spectral radius of I - W J, the Jacobian of the outer step
+    at the returned x: the asymptotic error ratio per outer iteration.
+    patterns counts the linearizations built: one per active pattern met
+    for the polyhedral cones, one per step for the second-order cone.
+    """
 
     x: np.ndarray
     x_cone: np.ndarray
@@ -371,6 +378,8 @@ class GlpeResult:
     trace: list
     iterations: int
     converged: bool
+    rate: float
+    patterns: int
 
 
 def glpe_paper_step_size(G: GlpeInstance) -> float:
@@ -386,14 +395,33 @@ def glpe_paper_step_size(G: GlpeInstance) -> float:
     return 1.0 / abs(det)
 
 
+def richardson_operator(J, alpha, sweeps):
+    """The matrix W with W r = the result of sweeps Richardson steps
+    w <- w + alpha (J^T r - J^T J w) from w = 0, that is
+    W = alpha sum_{k < sweeps} (I - alpha J^T J)^k J^T, built by running the
+    same recurrence on the matrix J^T."""
+    JtJ = J.T @ J
+    W = np.zeros((J.shape[1], J.shape[0]))
+    for _ in range(sweeps):
+        W = W + alpha * (J.T - JtJ @ W)
+    return W
+
+
 def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult:
     """Solve A x + B P_K(x) = b by an outer fixed point with inner Richardson sweeps.
 
     Each outer iteration linearizes the equation at the current x through
-    the projection derivative, runs inner_steps Richardson iterations at
-    step alpha on the normal equations of that linearization, and applies
-    the correction. The returned split x = P_K(x) + (x - P_K(x)) satisfies
-    cone membership and complementarity exactly.
+    the projection derivative, J = A + B D_K(x), runs inner_steps Richardson
+    iterations at step alpha on the normal equations of that linearization,
+    and applies the correction. The returned split x = P_K(x) + (x - P_K(x))
+    satisfies cone membership and complementarity exactly.
+
+    For the polyhedral cones (orthant, 1-norm) D_K is constant on each
+    active pattern (prox.projection_pattern), so the sweeps are one fixed
+    linear map r -> W r (richardson_operator). The driver keeps J and W of
+    the last pattern and rebuilds them only when the pattern changes; a
+    step is then one matvec. The second-order cone's Jacobian moves within
+    its boundary piece, so there each step builds J and runs the sweeps.
 
     Trace row t: res_feas and app_error are the equation error at iterate
     t; res_x is the norm of the correction that produced iterate t and
@@ -407,30 +435,43 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
     cone = G.cone
     n = A.shape[1]
     last_step = (0.0, 0.0)  # correction norm and inner residual behind the iterate
+    linearization = (None, None, None)  # pattern key, J and W (None off the polyhedral cones)
+    patterns = 0
 
     def certify(x):
         xk = project_cone(cone, x)
         r = A @ x + B @ xk - b
-        err = float(np.linalg.norm(r))
+        err = norm2(r)
         return err <= config.eps, (*last_step, err, err), (xk, r, err)
 
     def step(x, cert, t):
-        nonlocal last_step
-        r = cert[1]
-        J = A + B @ projection_jacobian(cone, x)
-        JtJ = J.T @ J
-        Jtr = J.T @ r
-        w = np.zeros(n)
-        for _ in range(config.inner_steps):
-            w = w + alpha * (Jtr - JtJ @ w)
+        nonlocal last_step, linearization, patterns
+        xk, r, _ = cert
+        key = projection_pattern(cone, x, xk)
+        if key is None or key != linearization[0]:
+            J = A + B @ projection_jacobian(cone, x)
+            W = None if key is None else richardson_operator(J, alpha, config.inner_steps)
+            linearization = (key, J, W)
+            patterns += 1
+        _, J, W = linearization
+        if W is None:
+            JtJ = J.T @ J
+            Jtr = J.T @ r
+            w = np.zeros(n)
+            for _ in range(config.inner_steps):
+                w = w + alpha * (Jtr - JtJ @ w)
+        else:
+            w = W @ r
         x = x - w
         if config.record_trace:
-            last_step = (float(np.linalg.norm(w)), float(np.linalg.norm(r - J @ w)))
+            last_step = (norm2(w), norm2(r - J @ w))
         return x
 
     x0 = _init_or_zero(config.x0, n, "x0")
     run = iterate(x0, step, certify, config.outer_cap, config.record_trace)
     xk, _, err = run.cert
+    J = A + B @ projection_jacobian(cone, run.state)
+    step_jacobian = np.eye(n) - richardson_operator(J, alpha, config.inner_steps) @ J
     return GlpeResult(
         x=run.state,
         x_cone=xk,
@@ -438,6 +479,8 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
         trace=run.trace,
         iterations=run.t,
         converged=run.converged,
+        rate=float(np.abs(np.linalg.eigvals(step_jacobian)).max()),
+        patterns=patterns,
     )
 
 

@@ -163,7 +163,10 @@ def resolve(kind, spec) -> RunPlan:
     return RunPlan(
         config,
         lambda: apps.run_glpe(G, config),
-        lambda r: _app_report(f"glpe-paper/{cone}", G, r, x_cone=[float(v) for v in r.x_cone]),
+        lambda r: _app_report(
+            f"glpe-paper/{cone}", G, r,
+            x_cone=[float(v) for v in r.x_cone], rate=r.rate, patterns=r.patterns,
+        ),
     )
 
 

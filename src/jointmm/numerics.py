@@ -1,11 +1,13 @@
-"""Dense vector/matrix kernels: input checks, SPD solves, operator-norm estimation,
-and the closed form of the diagonal ascent recurrence.
+"""Dense vector/matrix kernels: input checks, the Euclidean norm, SPD solves,
+operator-norm estimation, and the closed form of the diagonal ascent recurrence.
 
 Everything here works on float64 numpy arrays. Vectors are 1-d arrays,
 matrices 2-d row-major arrays. All functions are pure; nothing is mutated.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -40,6 +42,17 @@ def as_matrix(m, name="matrix"):
     if not np.all(np.isfinite(arr)):
         raise ConfigurationError(f"{name} contains nonfinite entries")
     return arr
+
+
+def norm2(v):
+    """Euclidean norm of a C-contiguous 1-d float64 vector, as a Python float.
+
+    Bit-identical to float(np.linalg.norm(v)), which for such a vector is
+    sqrt(v . v), without np.linalg.norm's dispatch. Overflow gives inf and
+    NaN propagates. A strided view may differ in the last bits: its dot
+    product sums in another order than the contiguous copy norm makes.
+    """
+    return math.sqrt(v @ v)
 
 
 def spd_factor(S):

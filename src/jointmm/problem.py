@@ -32,6 +32,7 @@ from .numerics import (
     as_matrix,
     as_vector,
     ascent_coefficients,
+    norm2,
     operator_norm,
     spd_factor,
     spd_solve_factored,
@@ -205,9 +206,9 @@ def residuals(P: MinimaxProblem, x, y, lam, L1, L2) -> Residuals:
     rx = L1 * (x - prox_eval(P.phi, 1.0 / L1, x - gx / L1))
     ry = L2 * (y - prox_eval(P.psi, 1.0 / L2, y + gy / L2))
     return Residuals(
-        res_x=float(np.linalg.norm(rx)),
-        res_y=float(np.linalg.norm(ry)),
-        res_feas=float(np.linalg.norm(feas(P, x, y))),
+        res_x=norm2(rx),
+        res_y=norm2(ry),
+        res_feas=norm2(feas(P, x, y)),
         L1=float(L1),
         L2=float(L2),
     )

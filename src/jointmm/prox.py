@@ -258,6 +258,33 @@ def projection_jacobian(cone: ConeSpec, z):
     raise ConfigurationError(f"unknown cone kind {cone.kind!r}")
 
 
+def projection_pattern(cone: ConeSpec, z, pz=None):
+    """Key of the active pattern of z, on which projection_jacobian is constant.
+
+    Equal keys of one cone mean equal projection_jacobian(cone, z) bytes, so
+    a caller may reuse whatever it built from the Jacobian while the key
+    stays put. Orthant: the mask z > 0. 1-norm cone: the branch of
+    projection_jacobian (polar, inside, boundary) and, on the boundary, the
+    signs of the tail of pz = P_K(z), which are 0 exactly off the active set
+    and the signs of z on it; pz is computed when not given. The key costs
+    less than the Jacobian it stands for. None for the other kinds: the
+    second-order cone's Jacobian varies within its boundary piece, and the
+    remaining kinds have no key yet.
+    """
+    if cone.kind == NONNEG_ORTHANT:
+        return (z > 0).tobytes()
+    if cone.kind == L1_NORM:
+        mags = np.abs(z[1:])
+        if mags.max() <= -z[0]:  # the branch order of projection_jacobian
+            return b"polar"
+        if mags.sum() <= z[0]:
+            return b"inside"
+        if pz is None:
+            pz = project_l1cone(z)
+        return b"boundary" + np.sign(pz[1:]).tobytes()
+    return None
+
+
 # prox operator kinds
 PROX_ZERO = "zero_function"
 PROX_INDICATOR = "indicator"

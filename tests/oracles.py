@@ -3,9 +3,9 @@
 Everything here deliberately avoids the code paths under test: the largest
 singular value comes from a Jacobi eigenvalue sweep, prox values from dense
 grids, and cone projections from a constrained least-squares solver with
-slack reformulations. The last two helpers (smooth_coupling, approx_y_star)
-are reference quantities built on the package's own kernels, which the
-tests check elsewhere.
+slack reformulations. The last three helpers (smooth_coupling,
+approx_y_star, glpe_sweep_step) are reference quantities built on the
+package's own kernels, which the tests check elsewhere.
 """
 
 import math
@@ -14,6 +14,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from jointmm.problem import feas
+from jointmm.prox import project_cone, projection_jacobian
 from jointmm.solver import inner_ascent
 
 
@@ -223,3 +224,18 @@ def approx_y_star(P, x, lam, alpha_y, tol=1e-12, max_iter=200000):
             return y_next
         y = y_next
     return y
+
+
+def glpe_sweep_step(G, alpha, inner_steps, x):
+    """One outer GLPE step as the plain sweep loop: linearize at x through the
+    projection Jacobian, J = A + B D_K(x), run inner_steps Richardson sweeps
+    w <- w + alpha (J^T r - J^T J w) from w = 0 on the equation residual r,
+    and return x - w."""
+    J = G.A + G.B @ projection_jacobian(G.cone, x)
+    r = G.A @ x + G.B @ project_cone(G.cone, x) - G.b
+    JtJ = J.T @ J
+    Jtr = J.T @ r
+    w = np.zeros(x.shape[0])
+    for _ in range(inner_steps):
+        w = w + alpha * (Jtr - JtJ @ w)
+    return x - w

@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,7 @@ from jointmm.errors import ConfigurationError
 from jointmm.problem import feas, residuals
 from jointmm.prox import (
     ConeSpec,
+    L1_NORM,
     NONNEG_ORTHANT,
     SECOND_ORDER,
     in_cone,
@@ -142,9 +146,48 @@ def test_glpe_singular_preset_rejected():
         glpe_paper_step_size(G)
 
 
-def test_glpe_orthant_paper_instance():
+# the stock glpe-paper runs at eps 1e-13: outer iterations and the sha256 of
+# r.x.tobytes(), the same with the sweep loop on every step and with the
+# per-pattern operator of the polyhedral cones
+GLPE_PINS = {
+    NONNEG_ORTHANT: (115328, "3bac75f3682ddab1979d06c8e01cd3b980b3ce509c5165df3e50cb957df422af"),
+    SECOND_ORDER: (1946, "ad0672dc938bc0bae2c02a08709cf2e0c0141d3300bea7dd884a09a3c4eefded"),
+    L1_NORM: (8467, "024be1f3f14fa7900ba49e961368ea240661e2d080f7031c94c7b07ec0b4b254"),
+}
+
+
+@pytest.fixture(scope="module")
+def stock_glpe():
+    return {kind: run_glpe(builtin_glpe(kind), GlpeConfig(eps=1e-13)) for kind in GLPE_PINS}
+
+
+@pytest.mark.parametrize("cone_kind", list(GLPE_PINS))
+def test_glpe_stock_runs_are_pinned(stock_glpe, cone_kind):
+    r = stock_glpe[cone_kind]
+    assert r.converged
+    assert (r.iterations, hashlib.sha256(r.x.tobytes()).hexdigest()) == GLPE_PINS[cone_kind]
+
+
+def test_glpe_patterns_count_the_linearizations(stock_glpe):
+    # the orthant and 1-norm patterns settle within the first steps; the
+    # second-order cone builds its linearization on every step
+    assert stock_glpe[NONNEG_ORTHANT].patterns == 3
+    assert stock_glpe[L1_NORM].patterns == 4
+    assert stock_glpe[SECOND_ORDER].patterns == stock_glpe[SECOND_ORDER].iterations
+
+
+def test_glpe_rate_explains_the_orthant_step_count(stock_glpe):
+    r = stock_glpe[NONNEG_ORTHANT]
+    assert r.rate == pytest.approx(0.9997670, abs=1e-6)
     G = builtin_glpe(NONNEG_ORTHANT)
-    r = run_glpe(G, GlpeConfig(eps=1e-13))
+    predicted = math.log(1e-13 / np.linalg.norm(G.b)) / math.log(r.rate)
+    assert r.iterations / 1.5 <= predicted <= 1.5 * r.iterations
+    assert all(0.0 < res.rate < 1.0 for res in stock_glpe.values())
+
+
+def test_glpe_orthant_paper_instance(stock_glpe):
+    G = builtin_glpe(NONNEG_ORTHANT)
+    r = stock_glpe[NONNEG_ORTHANT]
     assert r.converged
     assert r.error <= 1e-12
     assert in_cone(G.cone, r.x_cone, tol=1e-10)

@@ -112,7 +112,9 @@ def test_glpe_command(tmp_path):
     out = tmp_path / "gl"
     code = main(["glpe", "--cone", "second_order", "--out", str(out), "--eps", "1e-12"])
     assert code == EXIT_OK
-    assert read_json(out / "state.json")["app_error"] <= 1e-12
+    state = read_json(out / "state.json")
+    assert state["app_error"] <= 1e-12
+    assert 0.0 < state["rate"] < 1.0 and state["patterns"] == state["iterations"]
 
 
 def test_budget_command_linreg(capsys):

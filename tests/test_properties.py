@@ -1,14 +1,29 @@
 """Property tests (hypothesis) of the feasibility projection, the multiplier
-recovery and the closed-form inner ascent."""
+recovery, the closed-form inner ascent, the norm kernel, the projection
+pattern keys and the GLPE step on a cached operator."""
+
+import struct
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from jointmm.apps import GlpeConfig, GlpeInstance, run_glpe
+from jointmm.numerics import norm2
 from jointmm.problem import MinimaxProblem, recover_multiplier
-from jointmm.prox import SmoothOracle, prox_zero, smooth_scaled_sq_norm
+from jointmm.prox import (
+    ConeSpec,
+    L1_NORM,
+    NONNEG_ORTHANT,
+    SmoothOracle,
+    project_cone,
+    projection_jacobian,
+    projection_pattern,
+    prox_zero,
+    smooth_scaled_sq_norm,
+)
 from jointmm.solver import inner_ascent, project_feasible
 
-from oracles import ascent_loop
+from oracles import ascent_loop, glpe_sweep_step
 
 # cond([A B]) <= 100, so cond(A A^T + B B^T) <= 1e4; measured errors stay below 1e-12
 TOL = 1e-10
@@ -101,3 +116,84 @@ def test_closed_form_inner_ascent_matches_the_loop(case):
     scale = np.abs(y0).max() + n_steps * alpha * np.abs(u).max()
     assert got.shape == ref.shape
     assert np.abs(got - ref).max() <= CLOSED_FORM_TOL * scale
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.floats(width=64), max_size=12) | st.lists(
+    st.sampled_from([0.0, -0.0, 1e200, -1e200, 1e-300, np.inf, -np.inf, np.nan]), max_size=6))
+def test_norm2_is_bit_equal_to_numpy_norm(entries):
+    v = np.array(entries, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, ref = norm2(v), float(np.linalg.norm(v))
+    assert type(got) is float
+    assert struct.pack("<d", got) == struct.pack("<d", ref)
+
+
+POLYHEDRAL = (NONNEG_ORTHANT, L1_NORM)
+
+
+@st.composite
+def cone_points(draw):
+    """A polyhedral cone of dim 2-6, a point z on it and a direction v. For
+    the 1-norm cone the head is a drawn multiple of the tail's 1-norm, so
+    the polar, inside and boundary branches all come up."""
+    kind = draw(st.sampled_from(POLYHEDRAL))
+    d = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.standard_normal(d)
+    if kind == L1_NORM:
+        z[0] = draw(st.floats(-2.0, 2.0)) * np.abs(z[1:]).sum()
+    return ConeSpec(kind=kind, dim=d), z, rng.standard_normal(d)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(cone_points())
+def test_equal_pattern_keys_mean_equal_jacobians(case):
+    cone, z, v = case
+    key = projection_pattern(cone, z)
+    D = projection_jacobian(cone, z).tobytes()
+    assert key == projection_pattern(cone, z, project_cone(cone, z))
+    for t in 10.0 ** np.arange(-12, 1):
+        zt = z + t * v
+        if projection_pattern(cone, zt) == key:
+            assert projection_jacobian(cone, zt).tobytes() == D
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(cone_points())
+def test_projection_is_linear_on_a_pattern(case):
+    cone, z, v = case
+    D = projection_jacobian(cone, z)
+    for t in (1e-3, 1e-6, 1e-9):
+        zt = z + t * v
+        if projection_pattern(cone, zt) == projection_pattern(cone, z):
+            step = project_cone(cone, zt) - project_cone(cone, z)
+            assert np.abs(step - t * D @ v).max() <= 1e-12 * (1.0 + np.abs(z).max())
+
+
+@st.composite
+def glpe_starts(draw):
+    """A random polyhedral GLPE instance, a step size inside the stable range
+    of its first linearization, and a start x0."""
+    kind = draw(st.sampled_from(POLYHEDRAL))
+    d = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    G = GlpeInstance(A=rng.standard_normal((d, d)) + 3.0 * np.eye(d),
+                     B=rng.standard_normal((d, d)), b=rng.standard_normal(d),
+                     cone=ConeSpec(kind=kind, dim=d))
+    x0 = rng.standard_normal(d)
+    J = G.A + G.B @ projection_jacobian(G.cone, x0)
+    alpha = draw(st.floats(0.05, 1.0)) / np.linalg.norm(J, 2) ** 2
+    return G, alpha, draw(st.sampled_from([1, 2, 5])), x0, draw(st.integers(1, 8))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(glpe_starts())
+def test_cached_glpe_steps_match_the_sweep_loop(case):
+    G, alpha, sweeps, x0, steps = case
+    cfg = GlpeConfig(alpha=alpha, inner_steps=sweeps, outer_cap=steps, eps=0.0, x0=x0)
+    got = run_glpe(G, cfg).x
+    ref = x0
+    for _ in range(steps):
+        ref = glpe_sweep_step(G, alpha, sweeps, ref)
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()

@@ -20,6 +20,7 @@ from jointmm.prox import (
     project_polar,
     project_soc,
     projection_jacobian,
+    projection_pattern,
     prox_blocks,
     prox_eval,
     prox_indicator,
@@ -279,6 +280,61 @@ def test_projection_jacobian_matches_finite_differences(rng):
                 e[j] = h
                 fd = (project_cone(cone, z + e) - project_cone(cone, z - e)) / (2 * h)
                 assert np.abs(fd - D[:, j]).max() <= 1e-6
+
+
+@pytest.mark.parametrize("z, branch", [
+    ([3.0, 1.0, -1.0], "inside"),     # ||tail||_1 <= head: P = z, D = I
+    ([-3.0, 1.0, -1.0], "polar"),     # ||tail||_inf <= -head: P = 0, D = 0
+    ([0.0, 0.0, 0.0], "polar"),       # the apex takes the Jacobian's polar branch
+    ([0.0, 1.0, -1.0], "boundary"),   # every tail entry active
+    ([0.0, 3.0, -0.5], "boundary"),   # the second tail entry inactive
+])
+def test_l1_pattern_branches(z, branch):
+    cone = ConeSpec(kind=L1_NORM, dim=3)
+    z = np.array(z)
+    key = projection_pattern(cone, z)
+    assert key.startswith(branch.encode())
+    assert key == projection_pattern(cone, z, project_cone(cone, z))
+    D = projection_jacobian(cone, z)
+    if branch == "inside":
+        assert np.array_equal(D, np.eye(3))
+    if branch == "polar":
+        assert np.array_equal(D, np.zeros((3, 3)))
+
+
+def test_l1_pattern_tells_inside_from_fully_active_boundary():
+    # both points have tail signs (+, -) and a nonzero projected tail, but
+    # only the inside point has D = I
+    cone = ConeSpec(kind=L1_NORM, dim=3)
+    inside, boundary = np.array([3.0, 1.0, -1.0]), np.array([0.0, 1.0, -1.0])
+    assert np.array_equal(np.sign(project_cone(cone, inside)[1:]),
+                          np.sign(project_cone(cone, boundary)[1:]))
+    assert projection_pattern(cone, inside) != projection_pattern(cone, boundary)
+    assert not np.array_equal(projection_jacobian(cone, inside),
+                              projection_jacobian(cone, boundary))
+
+
+def test_l1_boundary_pattern_tracks_active_set_and_signs():
+    cone = ConeSpec(kind=L1_NORM, dim=4)
+    base = projection_pattern(cone, np.array([0.0, 3.0, -0.5, 0.2]))
+    assert projection_pattern(cone, np.array([0.0, 2.9, -0.4, 0.1])) == base
+    assert projection_pattern(cone, np.array([0.0, 3.0, 0.5, 0.2])) == base  # inactive sign
+    assert projection_pattern(cone, np.array([0.0, -3.0, -0.5, 0.2])) != base
+    assert projection_pattern(cone, np.array([0.0, 3.0, -2.9, 0.2])) != base
+
+
+def test_orthant_pattern_is_the_positive_mask():
+    cone = ConeSpec(kind=NONNEG_ORTHANT, dim=3)
+    assert projection_pattern(cone, np.array([1.0, -2.0, 0.0])) == np.array(
+        [True, False, False]).tobytes()
+    assert projection_pattern(cone, np.array([5.0, -1.0, -0.0])) == projection_pattern(
+        cone, np.array([1.0, -2.0, 0.0]))
+
+
+def test_second_order_pattern_is_none():
+    cone = ConeSpec(kind=SECOND_ORDER, dim=3)
+    for z in ([2.0, 1.0, 0.0], [-2.0, 1.0, 0.0], [0.0, 1.0, 1.0]):
+        assert projection_pattern(cone, np.array(z)) is None
 
 
 def test_polar_indicator_prox():
