@@ -34,8 +34,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .numerics import as_matrix, as_vector, norm2
-# residuals is not called in this module; perfbench/tracing.py wraps it under this name
-from .problem import MinimaxProblem, recover_multiplier, residuals  # noqa: F401
+from .problem import MinimaxProblem, recover_multiplier, residuals
 from .prox import (
     ConeSpec,
     L1_NORM,
@@ -58,7 +57,6 @@ from .solver import (
     SolveResult,
     SolverConfig,
     ascend,
-    certify_residuals,
     check_settings,
     iterate,
     project_feasible,
@@ -546,6 +544,12 @@ def run_linreg(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
     every iterate, which is what certifies stationarity. This is the stable
     route for instances whose reduced objective in (x, lambda) is
     indefinite, where the multiplier iteration diverges.
+
+    Each iterate is evaluated once: certify forms K^T x and K y, recovers
+    the multiplier from them into the state (a step returns it empty), takes
+    the three residuals from them too, and hands K^T x to the step as the
+    next ascent's drive. With K y+ of the ascended y, an outer iteration
+    takes three products with K.
     """
     if P.phi.kind != PROX_ZERO or P.psi.kind != PROX_ZERO:
         raise ConfigurationError("run_linreg handles smooth instances (phi = psi = 0)")
@@ -560,18 +564,24 @@ def run_linreg(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
     else:
         y = P.K.T @ standard_normal(rng, P.n)
     x, y = project_feasible(P, x, y)
+    L1, L2 = 1.0 / config.alpha_x, 1.0 / config.alpha_y
 
-    def step(s, res, t):
-        y = ascend(P, P.K.T @ s.x, s.y, config.inner_steps, config.alpha_y)
+    def certify(s):
+        Ky, Ktx = P.K @ s.y, P.K.T @ s.x
+        s.lam = recover_multiplier(P, s.x, s.y, Ky, Ktx)
+        res = residuals(P, s.x, s.y, s.lam, L1, L2, Ky, Ktx + P.B.T @ s.lam)
+        return res.within(config.eps), (res.res_x, res.res_y, res.res_feas, None), (res, Ktx)
+
+    def step(s, cert, t):
+        y = ascend(P, cert[1], s.y, config.inner_steps, config.alpha_y)
         x = s.x - config.alpha_x * (P.g.gradient(s.x) + P.K @ y)
         x, y = project_feasible(P, x, y)
-        return IterateState(x=x, y=y, lam=recover_multiplier(P, x, y), t=t + 1)
+        return IterateState(x=x, y=y, lam=None, t=t + 1)
 
-    certify = certify_residuals(P, 1.0 / config.alpha_x, 1.0 / config.alpha_y, config.eps)
-    start = IterateState(x=x, y=y, lam=recover_multiplier(P, x, y), t=0)
+    start = IterateState(x=x, y=y, lam=None, t=0)
     run = iterate(start, step, certify, config.outer_cap, config.record_trace)
     return SolveResult(
-        state=run.state, trace=run.trace, residuals=run.cert, converged=run.converged
+        state=run.state, trace=run.trace, residuals=run.cert[0], converged=run.converged
     )
 
 

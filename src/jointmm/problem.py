@@ -162,14 +162,23 @@ def _check_prox_dim(name, op: ProxOperator, dim):
         _check_prox_dim(name, sub, sub_dim)
 
 
-def grad_x(P: MinimaxProblem, x, y, lam):
-    """Gradient of the smooth coupling in x: grad g(x) + K y + A^T lambda (IEEE, no raise)."""
-    return P.g.gradient(x) + P.K @ y + P.A.T @ lam
+def grad_x(P: MinimaxProblem, x, y, lam, Ky=None):
+    """Gradient of the smooth coupling in x: grad g(x) + K y + A^T lambda (IEEE, no raise).
+
+    Ky, when given, is K y of this y, and the product is not formed again.
+    """
+    return P.g.gradient(x) + (P.K @ y if Ky is None else Ky) + P.A.T @ lam
 
 
-def grad_y(P: MinimaxProblem, x, y, lam):
-    """Gradient of the smooth coupling in y: K^T x + B^T lambda - grad h(y) (IEEE, no raise)."""
-    return P.K.T @ x + P.B.T @ lam - P.h.gradient(y)
+def grad_y(P: MinimaxProblem, x, y, lam, drive=None):
+    """Gradient of the smooth coupling in y: K^T x + B^T lambda - grad h(y) (IEEE, no raise).
+
+    drive, when given, is K^T x + B^T lambda of this (x, lambda), the
+    inner ascent's drive, and is not formed again.
+    """
+    if drive is None:
+        drive = P.K.T @ x + P.B.T @ lam
+    return drive - P.h.gradient(y)
 
 
 def feas(P: MinimaxProblem, x, y):
@@ -191,18 +200,21 @@ class Residuals:
         return self.res_x <= eps and self.res_y <= eps and self.res_feas <= eps
 
 
-def residuals(P: MinimaxProblem, x, y, lam, L1, L2) -> Residuals:
+def residuals(P: MinimaxProblem, x, y, lam, L1, L2, Ky=None, drive=None) -> Residuals:
     """Gradient-mapping residuals certifying (eps-)stationarity.
 
     res_x = ||L1 (x - prox_{phi/L1}(x - grad_x/L1))||, res_y the same on the
     ascent side (note the + sign: y + grad_y/L2), res_feas = ||Ax + By + c||.
     All three vanish exactly at a stationary triple. Nonfinite input gives
     nonfinite residuals, not an error: solver.iterate decides divergence.
+    A loop that already holds K y or the drive K^T x + B^T lambda of the
+    iterate passes them as Ky and drive (see grad_x, grad_y); the residuals
+    are the same bits either way.
     """
     if L1 <= 0 or L2 <= 0:
         raise ConfigurationError("residual scalings L1, L2 must be positive")
-    gx = grad_x(P, x, y, lam)
-    gy = grad_y(P, x, y, lam)
+    gx = grad_x(P, x, y, lam, Ky)
+    gy = grad_y(P, x, y, lam, drive)
     rx = L1 * (x - prox_eval(P.phi, 1.0 / L1, x - gx / L1))
     ry = L2 * (y - prox_eval(P.psi, 1.0 / L2, y + gy / L2))
     return Residuals(
@@ -214,16 +226,17 @@ def residuals(P: MinimaxProblem, x, y, lam, L1, L2) -> Residuals:
     )
 
 
-def recover_multiplier(P: MinimaxProblem, x, y):
+def recover_multiplier(P: MinimaxProblem, x, y, Ky=None, Ktx=None):
     """Least-squares multiplier for a (near-)feasible primal pair.
 
     Minimizes ||grad_x f||^2 + ||grad_y f||^2 over lambda; the normal
     equations share the constraint Gram matrix A A^T + B B^T, so the cached
     inverse is reused. At an exact constrained saddle this returns the
-    multiplier that zeroes both gradients.
+    multiplier that zeroes both gradients. Ky and Ktx, when given, are K y
+    and K^T x of this pair, and the products are not formed again.
     """
-    gx0 = P.g.gradient(x) + P.K @ y
-    gy0 = P.K.T @ x - P.h.gradient(y)
+    gx0 = P.g.gradient(x) + (P.K @ y if Ky is None else Ky)
+    gy0 = (P.K.T @ x if Ktx is None else Ktx) - P.h.gradient(y)
     return -P.gram_solve(P.A @ gx0 + P.B @ gy0)
 
 

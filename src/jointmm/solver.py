@@ -126,7 +126,7 @@ class FrameworkResult(NamedTuple):
     eps_used: list
 
 
-def inner_ascent(P: MinimaxProblem, x, lam, y0, n_steps, alpha_y):
+def inner_ascent(P: MinimaxProblem, x, lam, y0, n_steps, alpha_y, drive=None):
     """Run n_steps proximal gradient-ascent steps on y for fixed (x, lambda).
 
     y <- prox_{alpha_y psi}[y + alpha_y (-grad h(y) + K^T x + B^T lambda)].
@@ -137,9 +137,12 @@ def inner_ascent(P: MinimaxProblem, x, lam, y0, n_steps, alpha_y):
     taken at once in closed form with the problem's cached coefficients:
     the work does not grow with n_steps. Any other psi runs the N-step
     loop. Overflow gives inf or NaN, not an error: iterate decides
-    divergence.
+    divergence. drive, when given, is K^T x + B^T lambda of (x, lambda),
+    as certify_residuals hands it on, and is not formed again.
     """
-    return ascend(P, P.K.T @ x + P.B.T @ lam, y0, n_steps, alpha_y)
+    if drive is None:
+        drive = P.K.T @ x + P.B.T @ lam
+    return ascend(P, drive, y0, n_steps, alpha_y)
 
 
 def ascend(P: MinimaxProblem, drive, y0, n_steps, alpha_y):
@@ -218,8 +221,9 @@ def iterate(state, step, certify, outer_cap, record_trace) -> LoopResult:
 
     certify(state) returns (done, row, cert): done is the stopping test of
     the iterate, row its trace values (res_x, res_y, res_feas, app_error)
-    and cert whatever the driver needs back (residuals, the recovered
-    point, ...). step(state, cert, t) returns iterate t + 1. Iterate t is
+    and cert whatever the driver needs back or the step reuses (residuals,
+    the recovered point, the iterate's products with K, ...).
+    step(state, cert, t) returns iterate t + 1. Iterate t is
     recorded as trace row t, so a run of T steps has rows 0..T.
 
     The loop stops when done is true or after outer_cap steps, and returns
@@ -237,10 +241,13 @@ def iterate(state, step, certify, outer_cap, record_trace) -> LoopResult:
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             done, row, cert = certify(state)
-            bad = [c for c, v in zip(TRACE_COLUMNS, row) if v is not None and not math.isfinite(v)]
-            if bad:
-                msg = f"diverged at iterate {t}: nonfinite {', '.join(bad)}"
-                raise DivergenceError(msg, state=last, trace=trace)
+            # the row's sum (None and 0.0 left out) is nonfinite whenever an
+            # entry is; it can also overflow, so the columns are then checked
+            if not math.isfinite(sum(filter(None, row))):
+                bad = [c for c, v in zip(TRACE_COLUMNS, row) if v is not None and not math.isfinite(v)]
+                if bad:
+                    msg = f"diverged at iterate {t}: nonfinite {', '.join(bad)}"
+                    raise DivergenceError(msg, state=last, trace=trace)
             if record_trace:
                 trace.append(TraceRecord(t, time.perf_counter() - start, *row))
             if done or t == outer_cap:
@@ -252,11 +259,16 @@ def iterate(state, step, certify, outer_cap, record_trace) -> LoopResult:
 
 def certify_residuals(P: MinimaxProblem, L1, L2, eps):
     """certify for iterate: the three residuals of an IterateState at
-    scalings (L1, L2); done when all are <= eps."""
+    scalings (L1, L2); done when all are <= eps.
+
+    The cert is (residuals, drive): the iterate's K^T x + B^T lambda, formed
+    once here for the y-residual and handed to the step's inner ascent.
+    """
 
     def certify(s):
-        res = residuals(P, s.x, s.y, s.lam, L1, L2)
-        return res.within(eps), (res.res_x, res.res_y, res.res_feas, None), res
+        drive = P.K.T @ s.x + P.B.T @ s.lam
+        res = residuals(P, s.x, s.y, s.lam, L1, L2, drive=drive)
+        return res.within(eps), (res.res_x, res.res_y, res.res_feas, None), (res, drive)
 
     return certify
 
@@ -274,8 +286,8 @@ def run_pgmsad(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
     L1 = 1.0 / config.alpha_x
     L2 = 1.0 / config.alpha_y
 
-    def step(s, res, t):
-        y = inner_ascent(P, s.x, s.lam, s.y, config.inner_steps, config.alpha_y)
+    def step(s, cert, t):
+        y = inner_ascent(P, s.x, s.lam, s.y, config.inner_steps, config.alpha_y, cert[1])
         x, lam = outer_step(P, s.x, s.lam, y, config.alpha_x)
         if config.project_each_outer:
             x, y = project_feasible(P, x, y)
@@ -288,7 +300,7 @@ def run_pgmsad(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
         config.outer_cap,
         config.record_trace,
     )
-    state, res, converged = run.state, run.cert, run.converged
+    state, (res, _), converged = run.state, run.cert, run.converged
     if state.t > 0 and config.project_final and not config.project_each_outer:
         x, y = project_feasible(P, state.x, state.y)
         state = IterateState(x=x, y=y, lam=state.lam, t=state.t)
@@ -344,7 +356,7 @@ def run_framework(
         eps_fn = lambda t: sched[t]
     eps_used = []
 
-    def step(s, res, t):
+    def step(s, cert, t):
         eps_t = float(eps_fn(t))
         y = np.asarray(inner(s.x, s.lam, s.y, eps_t), dtype=np.float64)
         achieved = inner_residual(P, s.x, y, s.lam, L=1.0)

@@ -3,9 +3,10 @@
 Everything here deliberately avoids the code paths under test: the largest
 singular value comes from a Jacobi eigenvalue sweep, prox values from dense
 grids, and cone projections from a constrained least-squares solver with
-slack reformulations. The last three helpers (smooth_coupling,
-approx_y_star, glpe_sweep_step) are reference quantities built on the
-package's own kernels, which the tests check elsewhere.
+slack reformulations. The helpers smooth_coupling, approx_y_star and
+glpe_sweep_step are reference quantities built on the package's own
+kernels, which the tests check elsewhere, and CountingMatrix is a stand-in
+for a problem's coupling matrix that counts the products a loop takes.
 """
 
 import math
@@ -69,11 +70,29 @@ def grid_min_2d(objective, lo, hi, steps=401, refinements=6):
     return best
 
 
+def onto_norm_cone(u, norm):
+    """u moved onto the cone norm(tail) <= head: a negative head is raised
+    to 0 and a tail that sticks out is scaled down to the head's length.
+
+    SLSQP stops within its tolerance of the constraint, and a point slightly
+    outside the cone can score below the true projection; scoring only
+    points on the cone rules that out. This is a retraction, not the
+    projection: it moves the tail only.
+    """
+    u = np.array(u, dtype=float)
+    u[0] = max(u[0], 0.0)
+    length = norm(u[1:])
+    if length > u[0]:
+        u[1:] *= u[0] / length
+    return u
+
+
 def slsqp_cone_projection(kind, z, tol=1e-12):
     """Euclidean projection onto a norm cone via SLSQP on a slack form.
 
     kind 'second_order': ||tail|| <= head. kind 'l1_norm': ||tail||_1 <= head,
-    reformulated with slack bounds so every constraint is smooth.
+    reformulated with slack bounds so every constraint is smooth. Every
+    candidate is put onto the cone (onto_norm_cone) before it is scored.
     """
     z = np.asarray(z, dtype=float)
     d = z.shape[0]
@@ -127,7 +146,7 @@ def slsqp_cone_projection(kind, z, tol=1e-12):
                 lo, hi = max(0.0, ss[j] - 2 * span), ss[j] + 2 * span
             s_best = 0.5 * (lo + hi)
             candidates.append(np.concatenate([[s_best * r], s_best * z[1:]]))
-        return min(candidates, key=obj)
+        return min((onto_norm_cone(u, np.linalg.norm) for u in candidates), key=obj)
 
     if kind == "l1_norm":
         # variables (u, s) with |u_i| <= s_i for the tail and sum(s) <= u_0
@@ -166,7 +185,8 @@ def slsqp_cone_projection(kind, z, tol=1e-12):
                            options={"maxiter": 800, "ftol": tol})
             if feasible(res.x[:d]):
                 candidates.append(np.asarray(res.x[:d]))
-        return min(candidates, key=dist)
+        l1 = lambda v: float(np.abs(v).sum())
+        return min((onto_norm_cone(u, l1) for u in candidates), key=dist)
 
     raise ValueError(kind)
 
@@ -239,3 +259,27 @@ def glpe_sweep_step(G, alpha, inner_steps, x):
     for _ in range(inner_steps):
         w = w + alpha * (Jtr - JtJ @ w)
     return x - w
+
+
+class CountingMatrix:
+    """Stand-in for a problem's K that counts the products taken with K
+    (K @ v) and with its transpose (K.T @ v) in counts["K"] and
+    counts["K.T"]. The products are formed with the wrapped array, so a
+    loop run on the stand-in gives the same bits."""
+
+    def __init__(self, M, counts=None, key="K"):
+        self.M = M
+        self.counts = {"K": 0, "K.T": 0} if counts is None else counts
+        self.key = key
+
+    @property
+    def shape(self):
+        return self.M.shape
+
+    @property
+    def T(self):
+        return CountingMatrix(self.M.T, self.counts, "K.T" if self.key == "K" else "K")
+
+    def __matmul__(self, v):
+        self.counts[self.key] += 1
+        return self.M @ v

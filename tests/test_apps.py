@@ -34,6 +34,8 @@ from jointmm.prox import (
 )
 from jointmm.solver import SolverConfig
 
+from oracles import CountingMatrix
+
 
 def test_gave_to_minimax_shapes(rng):
     mrows, n = 5, 3
@@ -269,6 +271,37 @@ def test_run_linreg_converges_small():
     # iterates stay on the constraint set
     for rec in r.trace:
         assert rec.res_feas <= 1e-10
+
+
+def _stock_linreg_config(**overrides):
+    return SolverConfig(**{"alpha_x": 0.3, "alpha_y": 1.0, "inner_steps": 3,
+                           "outer_cap": 200000, "eps": 1e-8, **overrides})
+
+
+# run_linreg on make_linreg(40, 40, 8, seed 3) at the stock settings: outer
+# iterations and the sha256 of the bytes of x, y and lambda in that order,
+# the same whether each iterate's K products are formed once or three times
+LINREG_PIN = (1241, "1d7fb2c5419d0acf8e6c5196c2f07a53602d9310f68929044da3fd7be1ca54d9")
+
+
+def test_run_linreg_stock_run_is_pinned():
+    _, P = make_linreg(40, 40, 8, seed=3)
+    r = run_linreg(P, _stock_linreg_config())
+    assert r.converged
+    digest = hashlib.sha256(b"".join(v.tobytes() for v in (r.state.x, r.state.y, r.state.lam)))
+    assert (r.state.t, digest.hexdigest()) == LINREG_PIN
+
+
+def test_run_linreg_takes_three_products_with_K_per_outer_iteration():
+    # per iterate: K^T x and K y, shared by the multiplier, the residuals and
+    # the next drive; per step: K y+ of the ascended y. The start point's two
+    # draws are the other two products: 3 T + 4 in all.
+    for T in (4, 5):
+        _, P = make_linreg(10, 10, 2, seed=3)
+        P.K = CountingMatrix(P.K)
+        r = run_linreg(P, _stock_linreg_config(outer_cap=T, eps=0.0))
+        assert r.state.t == T
+        assert P.K.counts == {"K": 2 * T + 2, "K.T": T + 2}
 
 
 def test_run_linreg_rejects_nonsmooth():

@@ -40,7 +40,7 @@ from jointmm.solver import (
     write_trace_csv,
 )
 
-from oracles import approx_y_star, quadratic_saddle_kkt
+from oracles import CountingMatrix, approx_y_star, quadratic_saddle_kkt
 
 
 def quadratic_problem(rng, n=2, m=2, q=2, a=1.2, b=1.5, scale=0.3, cscale=0.4):
@@ -186,6 +186,20 @@ def test_run_pgmsad_deterministic_trace(rng):
         )
     assert np.array_equal(r1.state.x, r2.state.x)
     assert np.array_equal(r1.state.lam, r2.state.lam)
+
+
+def test_run_pgmsad_takes_one_product_with_K_transpose_per_outer_iteration(rng):
+    # per iterate: K y for the x-residual and the drive K^T x + B^T lambda,
+    # which the y-residual and the next inner ascent share; per step: K y+
+    # of the ascended y in the descent step
+    P, a, b = quadratic_problem(rng)
+    K = P.K
+    for T in (4, 5):
+        P.K = CountingMatrix(K)
+        cfg = SolverConfig(alpha_x=0.1, alpha_y=0.1, inner_steps=5, outer_cap=T,
+                           eps=0.0, x0=np.ones(2), y0=np.ones(2), project_final=False)
+        assert run_pgmsad(P, cfg).state.t == T
+        assert P.K.counts == {"K": 2 * T + 1, "K.T": T + 1}
 
 
 def _assert_divergence_carries_state(err):
@@ -586,3 +600,13 @@ def test_iterate_raises_on_a_nonfinite_row_with_the_last_certified_state():
     with pytest.raises(DivergenceError, match="iterate 0") as err:
         iterate(3, lambda s, cert, t: s + 1, certify, 10, False)
     assert err.value.state is None and err.value.trace == []
+
+
+def test_iterate_accepts_a_finite_row_whose_sum_overflows():
+    from jointmm.solver import iterate
+
+    def certify(s):
+        return s >= 2, (1e308, 1e308, 0.0, None), s
+
+    run = iterate(0, lambda s, cert, t: s + 1, certify, 10, True)
+    assert (run.state, run.converged, len(run.trace)) == (2, True, 3)
