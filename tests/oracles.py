@@ -6,7 +6,9 @@ grids, and cone projections from a constrained least-squares solver with
 slack reformulations. The helpers smooth_coupling, approx_y_star and
 glpe_sweep_step are reference quantities built on the package's own
 kernels, which the tests check elsewhere, and CountingMatrix is a stand-in
-for a problem's coupling matrix that counts the products a loop takes.
+for a problem's coupling matrix that counts the products a loop takes. The
+matrix-file readers and writers at the end parse and format one line at a
+time with float(), int() and repr(), the reference for matio's bulk paths.
 """
 
 import math
@@ -14,6 +16,7 @@ import math
 import numpy as np
 from scipy.optimize import minimize
 
+from jointmm.errors import ConfigurationError
 from jointmm.problem import feas
 from jointmm.prox import project_cone, projection_jacobian
 from jointmm.solver import inner_ascent
@@ -283,3 +286,107 @@ class CountingMatrix:
     def __matmul__(self, v):
         self.counts[self.key] += 1
         return self.M @ v
+
+
+def read_matrix_csv_lines(path):
+    """CSV matrix reader, one float() per token."""
+    rows = []
+    with open(path, "r", encoding="ascii") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            rows.append([float(tok) for tok in line.split(",")])
+    if not rows:
+        raise ConfigurationError(f"empty CSV matrix file: {path}")
+    width = len(rows[0])
+    if any(len(r) != width for r in rows):
+        raise ConfigurationError(f"ragged CSV matrix file: {path}")
+    return np.array(rows, dtype=np.float64)
+
+
+def read_matrix_mm_lines(path):
+    """MatrixMarket reader (coordinate or array, real/integer, general) that
+    parses each entry line with split(), int() and float()."""
+    with open(path, "r", encoding="ascii") as fh:
+        header = fh.readline()
+        if not header.startswith("%%MatrixMarket"):
+            raise ConfigurationError(f"not a MatrixMarket file: {path}")
+        parts = header.split()
+        if len(parts) < 5 or parts[1] != "matrix":
+            raise ConfigurationError(f"unsupported MatrixMarket header in {path}: {header!r}")
+        layout, field, symmetry = parts[2], parts[3], parts[4]
+        if layout not in ("coordinate", "array"):
+            raise ConfigurationError(f"unsupported MatrixMarket layout {layout!r} in {path}")
+        if field not in ("real", "integer"):
+            raise ConfigurationError(f"unsupported MatrixMarket field {field!r} in {path}")
+        if symmetry != "general":
+            raise ConfigurationError(f"unsupported MatrixMarket symmetry {symmetry!r} in {path}")
+        line = fh.readline()
+        while line.startswith("%"):
+            line = fh.readline()
+        size = line.split()
+        if len(size) < (3 if layout == "coordinate" else 2):
+            raise ConfigurationError(f"MatrixMarket file {path} has a short size line: {line!r}")
+        if layout == "coordinate":
+            rows, cols, nnz = int(size[0]), int(size[1]), int(size[2])
+            M = np.zeros((rows, cols))
+            count = 0
+            for line in fh:
+                line = line.strip()
+                if not line or line.startswith("%"):
+                    continue
+                i, j, v = line.split()
+                i, j = int(i), int(j)
+                if not (1 <= i <= rows and 1 <= j <= cols):
+                    raise ConfigurationError(
+                        f"MatrixMarket file {path} has entry ({i}, {j}) "
+                        f"outside its {rows}x{cols} size"
+                    )
+                M[i - 1, j - 1] = float(v)
+                count += 1
+            if count != nnz:
+                raise ConfigurationError(
+                    f"MatrixMarket file {path} declares {nnz} entries but has {count}"
+                )
+            return M
+        rows, cols = int(size[0]), int(size[1])
+        values = []
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("%"):
+                continue
+            values.append(float(line))
+        if len(values) != rows * cols:
+            raise ConfigurationError(
+                f"MatrixMarket array file {path} has {len(values)} values, "
+                f"expected {rows * cols}"
+            )
+        return np.array(values).reshape((cols, rows)).T
+
+
+def write_matrix_csv_lines(M, path):
+    """CSV matrix writer, one repr(float(x)) per entry."""
+    with open(path, "w", encoding="ascii") as fh:
+        for row in M:
+            fh.write(",".join(repr(float(x)) for x in row))
+            fh.write("\n")
+
+
+def write_matrix_mm_lines(M, path, layout="coordinate"):
+    """MatrixMarket writer, one f-string per entry. The coordinate layout
+    lists the entries np.nonzero finds, so it drops -0.0."""
+    rows, cols = M.shape
+    with open(path, "w", encoding="ascii") as fh:
+        if layout == "coordinate":
+            fh.write("%%MatrixMarket matrix coordinate real general\n")
+            nz = np.nonzero(M)
+            fh.write(f"{rows} {cols} {len(nz[0])}\n")
+            for i, j in zip(*nz):
+                fh.write(f"{i + 1} {j + 1} {float(M[i, j])!r}\n")
+        else:
+            fh.write("%%MatrixMarket matrix array real general\n")
+            fh.write(f"{rows} {cols}\n")
+            for j in range(cols):
+                for i in range(rows):
+                    fh.write(repr(float(M[i, j])) + "\n")

@@ -72,6 +72,25 @@ def test_solve_missing_matrix_file_names_path(tmp_path, capsys):
     assert "missing_matrix.csv" in capsys.readouterr().err
 
 
+def test_solve_huge_declared_matrix_size_exits_error(tmp_path, capsys):
+    # a 10^9 x 10^9 size line asks for 8 EB, which no machine can allocate
+    (tmp_path / "K.mtx").write_text(
+        "%%MatrixMarket matrix coordinate real general\n1000000000 1000000000 1\n1 1 0.5\n"
+    )
+    problem = {
+        "K": "K.mtx", "A": [[1.0]], "B": [[1.0]], "c": [0.0],
+        "g": {"kind": "zero"}, "h": {"kind": "zero"},
+        "phi": {"kind": "zero_function"}, "psi": {"kind": "zero_function"},
+    }
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    code = main(["solve", "--problem", str(path), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert err.startswith("error:") and "K.mtx" in err and "1000000000x1000000000" in err
+    assert "Traceback" not in err
+
+
 def test_solve_cap_exhausted_exits_two(tmp_path):
     write_matrix_csv(np.array([[0.2]]), tmp_path / "K.csv")
     problem = {
