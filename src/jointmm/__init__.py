@@ -6,7 +6,6 @@ from .errors import (
     EstimationError,
     FrameworkError,
     JointmmError,
-    NumericalError,
     SingularConstraintError,
 )
 from .numerics import operator_norm
@@ -27,14 +26,13 @@ from .prox import (
     ConeSpec,
     ProxOperator,
     SmoothOracle,
-    forward_backward,
-    gradient_mapping,
     project_l1cone,
     project_polar,
     project_soc,
     prox_eval,
 )
 from .solver import (
+    FrameworkResult,
     IterateState,
     SolveResult,
     SolverConfig,

@@ -60,6 +60,7 @@ from .solver import (
     check_settings,
     iterate,
     project_feasible,
+    start_vector,
 )
 
 logger = logging.getLogger(__name__)
@@ -73,8 +74,9 @@ LINREG_COUPLING_GAIN = 2.2
 
 
 @dataclass
-class GaveInstance:
-    """Data (A, B, b) of the equation A x + B |x| = b."""
+class _EquationData:
+    """Data (A, B, b) of an equation A x + B F(x) = b, checked on construction:
+    A and B finite matrices of one shape, b a finite vector, one entry per row."""
 
     A: np.ndarray
     B: np.ndarray
@@ -88,6 +90,10 @@ class GaveInstance:
             raise ConfigurationError("A and B must have the same shape")
         if self.b.shape[0] != self.A.shape[0]:
             raise ConfigurationError("b length must match the row count of A")
+
+
+class GaveInstance(_EquationData):
+    """Data (A, B, b) of the equation A x + B |x| = b."""
 
     @property
     def rows(self):
@@ -104,22 +110,13 @@ class GaveInstance:
 
 
 @dataclass
-class GlpeInstance:
+class GlpeInstance(_EquationData):
     """Data (A, B, b, cone) of the equation A x + B P_K(x) = b."""
 
-    A: np.ndarray
-    B: np.ndarray
-    b: np.ndarray
     cone: ConeSpec
 
     def __post_init__(self):
-        self.A = as_matrix(self.A, "A")
-        self.B = as_matrix(self.B, "B")
-        self.b = as_vector(self.b, "b")
-        if self.A.shape != self.B.shape:
-            raise ConfigurationError("A and B must have the same shape")
-        if self.b.shape[0] != self.A.shape[0]:
-            raise ConfigurationError("b length must match the row count of A")
+        super().__post_init__()
         if self.cone.kind not in _GLPE_CONES:
             raise ConfigurationError(
                 f"unsupported cone {self.cone.kind!r}; choose one of {_GLPE_CONES}"
@@ -243,15 +240,6 @@ class GaveResult:
     recovery_sign: int
 
 
-def _init_or_zero(given, dim, name):
-    if given is None:
-        return np.zeros(dim)
-    arr = as_vector(given, name).copy()
-    if arr.shape != (dim,):
-        raise ConfigurationError(f"{name} must have length {dim}, got shape {arr.shape}")
-    return arr
-
-
 def run_gave(G: GaveInstance, config: GaveConfig) -> GaveResult:
     """Solve A x + B |x| = b by the augmented multi-step split loop.
 
@@ -310,11 +298,14 @@ def run_gave(G: GaveInstance, config: GaveConfig) -> GaveResult:
         return IterateState(x=x_new, y=np.concatenate([y, z]), lam=lam, t=t + 1)
 
     start = IterateState(
-        x=_init_or_zero(config.x0, n, "x0"),
+        x=start_vector(config.x0, n, "x0", lambda: np.zeros(n)),
         y=np.concatenate(
-            [_init_or_zero(config.y0, mrows, "y0"), _init_or_zero(config.z0, n, "z0")]
+            [
+                start_vector(config.y0, mrows, "y0", lambda: np.zeros(mrows)),
+                start_vector(config.z0, n, "z0", lambda: np.zeros(n)),
+            ]
         ),
-        lam=_init_or_zero(config.lambda0, n, "lambda0"),
+        lam=start_vector(config.lambda0, n, "lambda0", lambda: np.zeros(n)),
         t=0,
     )
     run = iterate(start, step, certify, config.outer_cap, config.record_trace)
@@ -465,7 +456,7 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
             last_step = (norm2(w), norm2(r - J @ w))
         return x
 
-    x0 = _init_or_zero(config.x0, n, "x0")
+    x0 = start_vector(config.x0, n, "x0", lambda: np.zeros(n))
     run = iterate(x0, step, certify, config.outer_cap, config.record_trace)
     xk, _, err = run.cert
     J = A + B @ projection_jacobian(cone, run.state)
@@ -554,15 +545,9 @@ def run_linreg(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
     if P.phi.kind != PROX_ZERO or P.psi.kind != PROX_ZERO:
         raise ConfigurationError("run_linreg handles smooth instances (phi = psi = 0)")
     rng = make_rng(config.seed)
-    if config.x0 is not None:
-        x = as_vector(config.x0, "x0").copy()
-    else:
-        # weight the draw by the coupling so the low-curvature tail starts small
-        x = P.K @ standard_normal(rng, P.m)
-    if config.y0 is not None:
-        y = as_vector(config.y0, "y0").copy()
-    else:
-        y = P.K.T @ standard_normal(rng, P.n)
+    # weight the draws by the coupling so the low-curvature tail starts small
+    x = start_vector(config.x0, P.n, "x0", lambda: P.K @ standard_normal(rng, P.m))
+    y = start_vector(config.y0, P.m, "y0", lambda: P.K.T @ standard_normal(rng, P.n))
     x, y = project_feasible(P, x, y)
     L1, L2 = 1.0 / config.alpha_x, 1.0 / config.alpha_y
 
@@ -654,52 +639,40 @@ def _glpe_paper(cone_kind=NONNEG_ORTHANT):
 GAVE_BUILTINS = {"gave-a": _gave_a, "gave-b": _gave_b, "gave-c": _gave_c}
 BUILTIN_NAMES = ("gave-a", "gave-b", "gave-c", "glpe-paper")
 
+# stock settings of each named instance: (alpha_x = alpha_y = alpha_z,
+# inner_steps, outer_cap, penalty, eps, start point)
+_GAVE_STOCK = {
+    "gave-a": (0.05, 5, 200, 1.5, 1e-3, GAVE_SMALL_START),
+    "gave-b": (0.01, 40, 100, 1.0, 2.5e-2, GAVE_SMALL_START),
+    "gave-c": (0.01, 5, 10, 0.0, 1e-8, {}),
+}
+
+
+def _gave_entry(table, name):
+    if name not in table:
+        raise ConfigurationError(f"unknown built-in instance {name!r}; choose from {sorted(table)}")
+    return table[name]
+
 
 def builtin_gave(name: str) -> GaveInstance:
-    if name not in GAVE_BUILTINS:
-        raise ConfigurationError(
-            f"unknown built-in instance {name!r}; choose from {sorted(GAVE_BUILTINS)}"
-        )
-    return GAVE_BUILTINS[name]()
+    return _gave_entry(GAVE_BUILTINS, name)()
 
 
 def builtin_gave_config(name: str) -> GaveConfig:
     """Stock settings for each named instance. Step sizes and loop counts
     are fixed per instance; penalty and stopping threshold are this
     implementation's tuning."""
-    if name == "gave-a":
-        return GaveConfig(
-            alpha_x=0.05,
-            alpha_y=0.05,
-            alpha_z=0.05,
-            inner_steps=5,
-            outer_cap=200,
-            penalty=1.5,
-            eps=1e-3,
-            **GAVE_SMALL_START,
-        )
-    if name == "gave-b":
-        return GaveConfig(
-            alpha_x=0.01,
-            alpha_y=0.01,
-            alpha_z=0.01,
-            inner_steps=40,
-            outer_cap=100,
-            penalty=1.0,
-            eps=2.5e-2,
-            **GAVE_SMALL_START,
-        )
-    if name == "gave-c":
-        return GaveConfig(
-            alpha_x=0.01,
-            alpha_y=0.01,
-            alpha_z=0.01,
-            inner_steps=5,
-            outer_cap=10,
-            penalty=0.0,
-            eps=1e-8,
-        )
-    raise ConfigurationError(f"unknown built-in instance {name!r}")
+    alpha, inner_steps, outer_cap, penalty, eps, start = _gave_entry(_GAVE_STOCK, name)
+    return GaveConfig(
+        alpha_x=alpha,
+        alpha_y=alpha,
+        alpha_z=alpha,
+        inner_steps=inner_steps,
+        outer_cap=outer_cap,
+        penalty=penalty,
+        eps=eps,
+        **start,
+    )
 
 
 def builtin_glpe(cone_kind=NONNEG_ORTHANT) -> GlpeInstance:

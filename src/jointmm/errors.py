@@ -26,10 +26,6 @@ class EstimationError(JointmmError):
         self.last_estimate = last_estimate
 
 
-class NumericalError(JointmmError):
-    """A computation produced a nonfinite value."""
-
-
 class DivergenceError(JointmmError):
     """A solver iterate became nonfinite; raised only by solver.iterate.
 

@@ -17,31 +17,26 @@ DEFAULT_NORM_TOL = 1e-8
 DEFAULT_NORM_MAX_ITER = 5000
 
 
-def _as_float_array(v, name):
+def _as_finite_array(v, name, ndim):
     try:
-        return np.asarray(v, dtype=np.float64)
+        arr = np.asarray(v, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"{name} is not numeric: {exc}") from exc
+    if arr.ndim != ndim:
+        raise ConfigurationError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigurationError(f"{name} contains nonfinite entries")
+    return arr
 
 
 def as_vector(v, name="vector"):
     """Validate and convert to a finite 1-d float64 array."""
-    arr = _as_float_array(v, name)
-    if arr.ndim != 1:
-        raise ConfigurationError(f"{name} must be 1-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigurationError(f"{name} contains nonfinite entries")
-    return arr
+    return _as_finite_array(v, name, 1)
 
 
 def as_matrix(m, name="matrix"):
     """Validate and convert to a finite 2-d float64 array."""
-    arr = _as_float_array(m, name)
-    if arr.ndim != 2:
-        raise ConfigurationError(f"{name} must be 2-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigurationError(f"{name} contains nonfinite entries")
-    return arr
+    return _as_finite_array(m, name, 2)
 
 
 def norm2(v):

@@ -85,14 +85,10 @@ class MinimaxProblem:
         self.c = as_vector(self.c, "c")
         n, m = self.K.shape
         q = self.c.shape[0]
-        if self.A.shape != (q, n):
-            raise ConfigurationError(
-                f"A must be {q}x{n} to match K and c, got {self.A.shape}"
-            )
-        if self.B.shape != (q, m):
-            raise ConfigurationError(
-                f"B must be {q}x{m} to match K and c, got {self.B.shape}"
-            )
+        for name, M, cols in (("A", self.A, n), ("B", self.B, m)):
+            if M.shape != (q, cols):
+                msg = f"{name} must be {q}x{cols} to match K and c, got {M.shape}"
+                raise ConfigurationError(msg)
         for name, term, dim in (("g", self.g, n), ("h", self.h, m)):
             for part, v in (("d", term.d), ("b", term.b)):
                 if np.ndim(v) == 1 and v.shape[0] != dim:
@@ -315,6 +311,20 @@ class BudgetConstants:
         return replace(self, beta1=beta1, omega1=omega1, theta_gap=theta_gap)
 
 
+def check_budget_steps(C: ProblemConstants, alpha_x: float, alpha_y: float):
+    """Raise ConfigurationError unless 0 < alpha_x < 1/L_theta (when mu > 0
+    defines L_theta) and 0 < alpha_y < 1/L_h (when L_h > 0): the step-size
+    ranges the budget formulas assume."""
+    if C.L_theta is not None and not (0 < alpha_x < 1.0 / C.L_theta):
+        raise ConfigurationError(
+            f"alpha_x must lie in (0, 1/L_theta) = (0, {1.0 / C.L_theta:.6g}), got {alpha_x}"
+        )
+    if C.L_h > 0 and not (0 < alpha_y < 1.0 / C.L_h):
+        raise ConfigurationError(
+            f"alpha_y must lie in (0, 1/L_h) = (0, {1.0 / C.L_h:.6g}), got {alpha_y}"
+        )
+
+
 def compute_budget_constants(
     P: MinimaxProblem, C: ProblemConstants, alpha_x: float, alpha_y: float
 ) -> BudgetConstants:
@@ -326,14 +336,7 @@ def compute_budget_constants(
     """
     if C.L_theta is None:
         raise ConfigurationError("budget constants need mu > 0 (L_theta undefined in relaxed mode)")
-    if not (0 < alpha_x < 1.0 / C.L_theta):
-        raise ConfigurationError(
-            f"alpha_x must lie in (0, 1/L_theta) = (0, {1.0 / C.L_theta:.6g}), got {alpha_x}"
-        )
-    if C.L_h > 0 and not (0 < alpha_y < 1.0 / C.L_h):
-        raise ConfigurationError(
-            f"alpha_y must lie in (0, 1/L_h) = (0, {1.0 / C.L_h:.6g}), got {alpha_y}"
-        )
+    check_budget_steps(C, alpha_x, alpha_y)
     if alpha_y <= 0:
         raise ConfigurationError("alpha_y must be positive")
     if C.norm_B == 0:
@@ -410,6 +413,18 @@ def _load_matrix_field(value, base_dir):
     return np.asarray(value, dtype=float)
 
 
+def load_json_object(path, what):
+    """The JSON object held by the file at path; what names the file in errors."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise ConfigurationError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{what} {path} must hold a JSON object")
+    return data
+
+
 def load_problem_manifest(path) -> MinimaxProblem:
     """Build a MinimaxProblem from a JSON manifest.
 
@@ -419,13 +434,7 @@ def load_problem_manifest(path) -> MinimaxProblem:
     {zero, scaled_sq_norm, linear, quadratic_diag} registry and nonsmooth
     terms from the ProxOperator kinds.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:
-            raise ConfigurationError(f"problem manifest {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"problem manifest {path} must hold a JSON object")
+    data = load_json_object(path, "problem manifest")
     base_dir = os.path.dirname(os.path.abspath(path))
     try:
         K = _load_matrix_field(data["K"], base_dir)

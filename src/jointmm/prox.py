@@ -4,9 +4,9 @@ The central objects are ConeSpec (a named cone or box with a closed-form
 Euclidean projection), ProxOperator (a nonsmooth convex term accessed only
 through its proximal mapping), and SmoothOracle (the smooth term
 (1/2) z^T diag(d) z + b^T z, held as its data d >= 0 and b). All three are
-plain data, so problems built from them pickle. On top of those sit the
-forward-backward point T_L and the gradient mapping G_L that every solver
-loop and every stationarity residual is built from.
+plain data, so problems built from them pickle. The solver loops and the
+stationarity residuals reach the nonsmooth terms through prox_eval and the
+cones through project_cone and its Jacobian and pattern helpers.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError
 from .numerics import as_vector
 
 # cone kinds
@@ -180,11 +180,6 @@ def project_polar(cone: ConeSpec, z):
         raise ConfigurationError("boxes have no polar cone; project_polar needs a cone kind")
     z = np.asarray(z, dtype=np.float64)
     return z - project_cone(cone, z)
-
-
-def in_cone(cone: ConeSpec, z, tol=1e-10):
-    """Membership test: distance from z to the cone is at most tol."""
-    return bool(np.linalg.norm(np.asarray(z, dtype=float) - project_cone(cone, z)) <= tol)
 
 
 def _soc_jacobian(z):
@@ -431,21 +426,3 @@ def smooth_linear(b) -> SmoothOracle:
 def smooth_quadratic_diag(d) -> SmoothOracle:
     """(1/2) z^T diag(d) z with d >= 0 entrywise."""
     return SmoothOracle(d)
-
-
-def forward_backward(h: SmoothOracle, sigma: ProxOperator, L: float, z):
-    """One forward-backward step T_L(z) = prox_{sigma/L}(z - grad h(z)/L)."""
-    if L <= 0:
-        raise ConfigurationError("forward_backward needs L > 0")
-    z = np.asarray(z, dtype=np.float64)
-    g = np.asarray(h.gradient(z), dtype=np.float64)
-    if not np.all(np.isfinite(g)):
-        bad = int(np.flatnonzero(~np.isfinite(g))[0])
-        raise NumericalError(f"nonfinite gradient at index {bad}")
-    return prox_eval(sigma, 1.0 / L, z - g / L)
-
-
-def gradient_mapping(h: SmoothOracle, sigma: ProxOperator, L: float, z):
-    """Gradient mapping G_L(z) = L (z - T_L(z)); zero exactly at stationary points."""
-    z = np.asarray(z, dtype=np.float64)
-    return L * (z - forward_backward(h, sigma, L, z))

@@ -27,13 +27,14 @@ from .problem import (
     MinimaxProblem,
     ProblemConstants,
     Residuals,
+    check_budget_steps,
     feas,
     grad_x,
     inner_residual,
     residuals,
 )
 from .prox import PROX_ZERO, prox_eval
-from .rng import standard_normal
+from .rng import make_rng, standard_normal
 
 TRACE_HEADER = "t,elapsed_s,res_x,res_y,res_feas,app_error"
 TRACE_COLUMNS = TRACE_HEADER.split(",")[2:]  # the row a certify returns
@@ -186,26 +187,28 @@ def project_feasible(P: MinimaxProblem, x, y):
     return x - P.A.T @ zeta, y - P.B.T @ zeta
 
 
-def _init_points(P: MinimaxProblem, config: SolverConfig):
-    rng = np.random.Generator(np.random.PCG64(config.seed))
-    x = (
-        as_vector(config.x0, "x0").copy()
-        if config.x0 is not None
-        else standard_normal(rng, P.n)
+def start_vector(given, dim, name, draw):
+    """A driver's start point: given as a checked float64 copy of length dim
+    (a ConfigurationError names the field otherwise), or draw() when given
+    is None. Draws are made only for the points not given, in call order."""
+    if given is None:
+        return draw()
+    arr = as_vector(given, name).copy()
+    if arr.shape != (dim,):
+        raise ConfigurationError(f"{name} must have length {dim}, got shape {arr.shape}")
+    return arr
+
+
+def _gaussian_start(P: MinimaxProblem, seed, x0, y0, lambda0) -> IterateState:
+    """Iterate 0 of run_pgmsad and run_framework: the points given, else x
+    and then y drawn N(0, 1) from the seed, and lambda = 0."""
+    rng = make_rng(seed)
+    return IterateState(
+        x=start_vector(x0, P.n, "x0", lambda: standard_normal(rng, P.n)),
+        y=start_vector(y0, P.m, "y0", lambda: standard_normal(rng, P.m)),
+        lam=start_vector(lambda0, P.q, "lambda0", lambda: np.zeros(P.q)),
+        t=0,
     )
-    y = (
-        as_vector(config.y0, "y0").copy()
-        if config.y0 is not None
-        else standard_normal(rng, P.m)
-    )
-    lam = (
-        as_vector(config.lambda0, "lambda0").copy()
-        if config.lambda0 is not None
-        else np.zeros(P.q)
-    )
-    if x.shape != (P.n,) or y.shape != (P.m,) or lam.shape != (P.q,):
-        raise ConfigurationError("initial point dimensions do not match the problem")
-    return x, y, lam
 
 
 class LoopResult(NamedTuple):
@@ -294,7 +297,7 @@ def run_pgmsad(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
         return IterateState(x=x, y=y, lam=lam, t=t + 1)
 
     run = iterate(
-        IterateState(*_init_points(P, config), t=0),
+        _gaussian_start(P, config.seed, config.x0, config.y0, config.lambda0),
         step,
         certify_residuals(P, L1, L2, config.eps),
         config.outer_cap,
@@ -331,15 +334,8 @@ def run_framework(
     asks for, so a constant schedule only triggers a warning. Runs exactly T
     outer steps; the trace has rows 0..T.
     """
-    config = SolverConfig(
-        alpha_x=alpha_x,
-        alpha_y=1.0,
-        inner_steps=0,
-        outer_cap=T,
-        seed=seed,
-        x0=x0,
-        y0=y0,
-        lambda0=lambda0,
+    check_settings(
+        {"alpha_x": alpha_x, "T": T, "seed": seed}, steps=("alpha_x",), counts=("T", "seed")
     )
     if callable(eps_schedule):
         eps_fn = eps_schedule
@@ -372,7 +368,7 @@ def run_framework(
 
     # a fixed budget of T steps: eps -1 never stops the loop early
     certify = certify_residuals(P, 1.0 / alpha_x, 1.0, -1.0)
-    run = iterate(IterateState(*_init_points(P, config), t=0), step, certify, T, True)
+    run = iterate(_gaussian_start(P, seed, x0, y0, lambda0), step, certify, T, True)
     return FrameworkResult(state=run.state, trace=run.trace, eps_used=eps_used)
 
 
@@ -397,14 +393,7 @@ def plan_budget(
         raise ConfigurationError("plan_budget needs mu > 0")
     if eps <= 0:
         raise ConfigurationError("plan_budget needs eps > 0")
-    if C.L_theta is not None and not (0 < alpha_x < 1.0 / C.L_theta):
-        raise ConfigurationError(
-            f"alpha_x must lie in (0, 1/L_theta) = (0, {1.0 / C.L_theta:.6g}), got {alpha_x}"
-        )
-    if C.L_h > 0 and not (0 < alpha_y < 1.0 / C.L_h):
-        raise ConfigurationError(
-            f"alpha_y must lie in (0, 1/L_h) = (0, {1.0 / C.L_h:.6g}), got {alpha_y}"
-        )
+    check_budget_steps(C, alpha_x, alpha_y)
     if not (0 < mu * alpha_y < 1):
         raise ConfigurationError("plan_budget needs mu * alpha_y in (0, 1)")
     if B.theta_gap is None:

@@ -3,12 +3,16 @@
 Everything here deliberately avoids the code paths under test: the largest
 singular value comes from a Jacobi eigenvalue sweep, prox values from dense
 grids, and cone projections from a constrained least-squares solver with
-slack reformulations. The helpers smooth_coupling, approx_y_star and
-glpe_sweep_step are reference quantities built on the package's own
-kernels, which the tests check elsewhere, and CountingMatrix is a stand-in
-for a problem's coupling matrix that counts the products a loop takes. The
-matrix-file readers and writers at the end parse and format one line at a
-time with float(), int() and repr(), the reference for matio's bulk paths.
+slack reformulations. in_cone, forward_backward and gradient_mapping are
+the cone membership test, the forward-backward point T_L and the gradient
+mapping G_L, written from their definitions on project_cone and prox_eval;
+criterion 8's lemma suite uses them. The helpers smooth_coupling,
+approx_y_star and glpe_sweep_step are reference quantities built on the
+package's own kernels, which the tests check elsewhere, and CountingMatrix
+is a stand-in for a problem's coupling matrix that counts the products a
+loop takes. The matrix-file readers and writers at the end parse and
+format one line at a time with float(), int() and repr(), the reference for
+matio's bulk paths.
 """
 
 import math
@@ -18,7 +22,7 @@ from scipy.optimize import minimize
 
 from jointmm.errors import ConfigurationError
 from jointmm.problem import feas
-from jointmm.prox import project_cone, projection_jacobian
+from jointmm.prox import project_cone, projection_jacobian, prox_eval
 from jointmm.solver import inner_ascent
 
 
@@ -192,6 +196,29 @@ def slsqp_cone_projection(kind, z, tol=1e-12):
         return min((onto_norm_cone(u, l1) for u in candidates), key=dist)
 
     raise ValueError(kind)
+
+
+def in_cone(cone, z, tol=1e-10):
+    """Membership test: distance from z to the cone is at most tol."""
+    return bool(np.linalg.norm(np.asarray(z, dtype=float) - project_cone(cone, z)) <= tol)
+
+
+def forward_backward(h, sigma, L, z):
+    """One forward-backward step T_L(z) = prox_{sigma/L}(z - grad h(z)/L)."""
+    if L <= 0:
+        raise ConfigurationError("forward_backward needs L > 0")
+    z = np.asarray(z, dtype=np.float64)
+    g = np.asarray(h.gradient(z), dtype=np.float64)
+    if not np.all(np.isfinite(g)):
+        bad = int(np.flatnonzero(~np.isfinite(g))[0])
+        raise FloatingPointError(f"nonfinite gradient at index {bad}")
+    return prox_eval(sigma, 1.0 / L, z - g / L)
+
+
+def gradient_mapping(h, sigma, L, z):
+    """Gradient mapping G_L(z) = L (z - T_L(z)); zero exactly at stationary points."""
+    z = np.asarray(z, dtype=np.float64)
+    return L * (z - forward_backward(h, sigma, L, z))
 
 
 def central_difference(f, x, h=1e-6):

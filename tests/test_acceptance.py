@@ -33,9 +33,6 @@ from jointmm.prox import (
     NONNEG_ORTHANT,
     SECOND_ORDER,
     SmoothOracle,
-    forward_backward,
-    gradient_mapping,
-    in_cone,
     project_cone,
     project_l1cone,
     project_polar,
@@ -54,7 +51,13 @@ from jointmm.solver import (
     run_pgmsad,
 )
 
-from oracles import quadratic_saddle_kkt, slsqp_cone_projection
+from oracles import (
+    forward_backward,
+    gradient_mapping,
+    in_cone,
+    quadratic_saddle_kkt,
+    slsqp_cone_projection,
+)
 
 LINREG_SEED = 3
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -28,13 +29,12 @@ from jointmm.prox import (
     L1_NORM,
     NONNEG_ORTHANT,
     SECOND_ORDER,
-    in_cone,
     project_cone,
     project_polar,
 )
-from jointmm.solver import SolverConfig
+from jointmm.solver import SolverConfig, run_framework, run_pgmsad
 
-from oracles import CountingMatrix
+from oracles import CountingMatrix, in_cone
 
 
 def test_gave_to_minimax_shapes(rng):
@@ -315,6 +315,8 @@ def test_run_linreg_rejects_nonsmooth():
 def test_builtin_names():
     with pytest.raises(ConfigurationError, match="unknown built-in"):
         builtin_gave("gave-z")
+    with pytest.raises(ConfigurationError, match="unknown built-in instance 'gave-z'; choose from"):
+        builtin_gave_config("gave-z")
     for name in ("gave-a", "gave-b", "gave-c"):
         G = builtin_gave(name)
         cfg = builtin_gave_config(name)
@@ -400,3 +402,47 @@ def test_config_checks_reject_nan_and_fractional_counts():
         SolverConfig(alpha_x=0.1, alpha_y=0.1, inner_steps=1, outer_cap=1, seed=1.5)
     with pytest.raises(ConfigurationError, match="outer_cap"):
         SolverConfig(alpha_x=0.1, alpha_y=0.1, inner_steps=1, outer_cap=-1)
+
+
+def _linreg_start(field):
+    # the regression problem has n = m = 10 and q = 2
+    config = SolverConfig(alpha_x=0.3, alpha_y=1.0, inner_steps=3, outer_cap=5, **{field: [1.0]})
+    return make_linreg(10, 10, 2, seed=0)[1], config
+
+
+# each driver with a start of length 1, the wrong length for every field
+START_DRIVERS = {
+    "run_pgmsad": lambda field: run_pgmsad(*_linreg_start(field)),
+    "run_framework": lambda field: run_framework(
+        make_linreg(10, 10, 2, seed=0)[1], None, lambda t: 0.0, 0.3, 5, **{field: [1.0]}
+    ),
+    "run_gave": lambda field: run_gave(
+        builtin_gave("gave-a"),
+        dataclasses.replace(builtin_gave_config("gave-a"), **{field: [1.0]}),
+    ),
+    "run_glpe": lambda field: run_glpe(builtin_glpe(), GlpeConfig(**{field: [1.0]})),
+    "run_linreg": lambda field: run_linreg(*_linreg_start(field)),
+}
+
+
+@pytest.mark.parametrize(
+    "driver, field",
+    [
+        ("run_pgmsad", "x0"),
+        ("run_pgmsad", "y0"),
+        ("run_pgmsad", "lambda0"),
+        ("run_framework", "x0"),
+        ("run_framework", "y0"),
+        ("run_framework", "lambda0"),
+        ("run_gave", "x0"),
+        ("run_gave", "y0"),
+        ("run_gave", "z0"),
+        ("run_gave", "lambda0"),
+        ("run_glpe", "x0"),
+        ("run_linreg", "x0"),
+        ("run_linreg", "y0"),
+    ],
+)
+def test_wrong_length_start_names_the_field(driver, field):
+    with pytest.raises(ConfigurationError, match=f"^{field} must have length"):
+        START_DRIVERS[driver](field)

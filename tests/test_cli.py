@@ -216,9 +216,27 @@ def test_bench_parallel_workers(tmp_path, monkeypatch):
             }
         )
     )
+    # the rows do not depend on JOINTMM_THREADS, apart from wall_time_s
     assert main(["bench", "--config", str(cfg)]) == EXIT_OK
-    lines = (tmp_path / "bench.csv").read_text().splitlines()
-    assert len(lines) == 3
+    pooled = (tmp_path / "bench.csv").read_text().splitlines()
+    monkeypatch.setenv("JOINTMM_THREADS", "1")
+    assert main(["bench", "--config", str(cfg)]) == EXIT_OK
+    serial = (tmp_path / "bench.csv").read_text().splitlines()
+    assert len(pooled) == 3
+
+    def without_wall_time(lines):
+        wall = BENCH_HEADER.split(",").index("wall_time_s")
+        return [[v for i, v in enumerate(line.split(",")) if i != wall] for line in lines]
+
+    assert without_wall_time(pooled) == without_wall_time(serial)
+
+
+def test_linreg_wrong_length_start_exits_error(tmp_path, capsys):
+    cfg = tmp_path / "m.json"
+    cfg.write_text(json.dumps({"n": 10, "x0": [1.0, 2.0], "out": str(tmp_path)}))
+    assert main(["linreg", "--config", str(cfg)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: x0 must have length 10") and "Traceback" not in err
 
 
 def test_solve_exits_cap_when_final_projection_leaves_tolerance(tmp_path):
