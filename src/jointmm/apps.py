@@ -540,10 +540,15 @@ def run_linreg(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
     the multiplier from them into the state (a step returns it empty), takes
     the three residuals from them too, and hands K^T x to the step as the
     next ascent's drive. With K y+ of the ascended y, an outer iteration
-    takes three products with K.
+    takes three products with K. A given lambda0 is a ConfigurationError,
+    since no start multiplier is used.
     """
     if P.phi.kind != PROX_ZERO or P.psi.kind != PROX_ZERO:
         raise ConfigurationError("run_linreg handles smooth instances (phi = psi = 0)")
+    if config.lambda0 is not None:
+        raise ConfigurationError(
+            "lambda0 cannot be given to run_linreg: it recovers the multiplier at every iterate"
+        )
     rng = make_rng(config.seed)
     # weight the draws by the coupling so the low-curvature tail starts small
     x = start_vector(config.x0, P.n, "x0", lambda: P.K @ standard_normal(rng, P.m))

@@ -117,18 +117,16 @@ def _project_linf_cone(z):
     if mags.sum() <= -a0:
         return np.zeros_like(z)
     # stationarity of (t0-a0)^2 + sum((|a_i|-t0)_+^2): t0 = (a0 + sum of active mags)/(1+count)
+    # with the k largest mags active. The derivative rises with t0, so the
+    # first k whose candidate reaches d[k] holds the root, in [d[k], d[k-1]];
+    # the clamp keeps a candidate that rounding put just above d[k-1] there
     d = np.sort(mags)[::-1]
     csum = np.cumsum(d)
-    t0 = a0  # no active terms; only valid if a0 >= d[0], excluded above
     for k in range(1, d.shape[0] + 1):
         cand = (a0 + csum[k - 1]) / (1.0 + k)
-        below = d[k] if k < d.shape[0] else -np.inf
-        if below <= cand < d[k - 1]:
-            t0 = cand
+        if k == d.shape[0] or cand >= d[k]:
             break
-    else:
-        t0 = (a0 + csum[-1]) / (1.0 + d.shape[0])
-    t0 = max(t0, 0.0)
+    t0 = max(min(cand, d[k - 1]), 0.0)
     out = np.empty_like(z)
     out[0] = t0
     out[1:] = np.clip(tail, -t0, t0)

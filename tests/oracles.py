@@ -7,12 +7,12 @@ slack reformulations. in_cone, forward_backward and gradient_mapping are
 the cone membership test, the forward-backward point T_L and the gradient
 mapping G_L, written from their definitions on project_cone and prox_eval;
 criterion 8's lemma suite uses them. The helpers smooth_coupling,
-approx_y_star and glpe_sweep_step are reference quantities built on the
-package's own kernels, which the tests check elsewhere, and CountingMatrix
-is a stand-in for a problem's coupling matrix that counts the products a
-loop takes. The matrix-file readers and writers at the end parse and
-format one line at a time with float(), int() and repr(), the reference for
-matio's bulk paths.
+approx_y_star, glpe_sweep_step and pgmsad_structured are reference
+quantities and loops built on the package's own kernels, which the tests
+check elsewhere, and CountingMatrix is a stand-in for a problem's coupling
+matrix that counts the products a loop takes. The matrix-file readers and
+writers at the end parse and format one line at a time with float(), int()
+and repr(), the reference for matio's bulk paths.
 """
 
 import math
@@ -23,7 +23,14 @@ from scipy.optimize import minimize
 from jointmm.errors import ConfigurationError
 from jointmm.problem import feas
 from jointmm.prox import project_cone, projection_jacobian, prox_eval
-from jointmm.solver import inner_ascent
+from jointmm.solver import (
+    IterateState,
+    certify_residuals,
+    inner_ascent,
+    iterate,
+    outer_step,
+    project_feasible,
+)
 
 
 def jacobi_sigma_max(M, sweeps=60, tol=1e-14):
@@ -289,6 +296,25 @@ def glpe_sweep_step(G, alpha, inner_steps, x):
     for _ in range(inner_steps):
         w = w + alpha * (Jtr - JtJ @ w)
     return x - w
+
+
+def pgmsad_structured(P, config):
+    """run_pgmsad's loop on the structured steps whatever the problem:
+    inner_ascent, outer_step and, when project_each_outer is set,
+    project_feasible under iterate, certified by certify_residuals. Starts
+    from the config's x0, y0 and lambda0, which must be given, and returns
+    iterate's LoopResult (no final projection)."""
+
+    def step(s, cert, t):
+        y = inner_ascent(P, s.x, s.lam, s.y, config.inner_steps, config.alpha_y, cert[1])
+        x, lam = outer_step(P, s.x, s.lam, y, config.alpha_x)
+        if config.project_each_outer:
+            x, y = project_feasible(P, x, y)
+        return IterateState(x=x, y=y, lam=lam, t=t + 1)
+
+    start = IterateState(x=config.x0, y=config.y0, lam=config.lambda0, t=0)
+    certify = certify_residuals(P, 1.0 / config.alpha_x, 1.0 / config.alpha_y, config.eps)
+    return iterate(start, step, certify, config.outer_cap, True)
 
 
 class CountingMatrix:

@@ -239,6 +239,16 @@ def test_linreg_wrong_length_start_exits_error(tmp_path, capsys):
     assert err.startswith("error: x0 must have length 10") and "Traceback" not in err
 
 
+def test_linreg_given_lambda0_exits_error(tmp_path, capsys):
+    # linreg recovers the multiplier, so a start lambda0 (here of the wrong
+    # length too: q = 2) would be ignored
+    cfg = tmp_path / "m.json"
+    cfg.write_text(json.dumps({"n": 10, "lambda0": [1, 2, 3, 4, 5, 6, 7], "out": str(tmp_path)}))
+    assert main(["linreg", "--config", str(cfg)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: lambda0 cannot be given") and "Traceback" not in err
+
+
 def test_solve_exits_cap_when_final_projection_leaves_tolerance(tmp_path):
     # the loop meets eps 1e-8 after 176 steps, but the feasibility projection
     # of the returned point moves res_y to 1.6e-8: converged must say no

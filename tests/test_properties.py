@@ -1,6 +1,7 @@
 """Property tests (hypothesis) of the feasibility projection, the multiplier
-recovery, the closed-form inner ascent, the norm kernel, the projection
-pattern keys and the GLPE step on a cached operator."""
+recovery, the closed-form inner ascent, the affine PGmsAD path, the norm
+kernel, the cone projections and their pattern keys, and the GLPE step on a
+cached operator."""
 
 import struct
 
@@ -9,21 +10,23 @@ from hypothesis import given, settings, strategies as st
 
 from jointmm.apps import GlpeConfig, GlpeInstance, run_glpe
 from jointmm.numerics import norm2
-from jointmm.problem import MinimaxProblem, recover_multiplier
+from jointmm.problem import MinimaxProblem, compute_constants, recover_multiplier
 from jointmm.prox import (
     ConeSpec,
     L1_NORM,
     NONNEG_ORTHANT,
+    SECOND_ORDER,
     SmoothOracle,
     project_cone,
+    project_polar,
     projection_jacobian,
     projection_pattern,
     prox_zero,
     smooth_scaled_sq_norm,
 )
-from jointmm.solver import inner_ascent, project_feasible
+from jointmm.solver import SolverConfig, inner_ascent, project_feasible, run_pgmsad
 
-from oracles import ascent_loop, glpe_sweep_step
+from oracles import ascent_loop, glpe_sweep_step, pgmsad_structured
 
 # cond([A B]) <= 100, so cond(A A^T + B B^T) <= 1e4; measured errors stay below 1e-12
 TOL = 1e-10
@@ -118,6 +121,65 @@ def test_closed_form_inner_ascent_matches_the_loop(case):
     assert np.abs(got - ref).max() <= CLOSED_FORM_TOL * scale
 
 
+@st.composite
+def zero_prox_runs(draw):
+    """A phi = psi = 0 problem with g and h of scalar or vector d and with or
+    without b, and a run_pgmsad config from a given start with project_each_outer
+    on or off. The data is drawn as in criterion 11 until the reduced objective
+    in (x, lambda) is strongly convex, and the steps are fractions of 1/L_theta
+    and 1/L_h, so that runs can stop early. eps is positive: at eps = 0 a run
+    stops only on residuals that round to exactly zero, which the structured
+    form L (x - (x - grad / L)) can reach steps before the norm of R z + r."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    q = draw(st.integers(1, m))
+    vector_g, linear_g, vector_h, linear_h = (draw(st.booleans()) for _ in range(4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def smooth(dim, vector, linear):
+        d = rng.uniform(0.5, 2.0, dim) if vector else rng.uniform(0.5, 2.0)
+        return SmoothOracle(d, 0.5 * rng.standard_normal(dim) if linear else None)
+
+    while True:
+        g, h = smooth(n, vector_g, linear_g), smooth(m, vector_h, linear_h)
+        K = 0.3 * rng.standard_normal((n, m))
+        A, B = 0.15 * rng.standard_normal((q, n)), 0.5 * rng.standard_normal((q, m))
+        W = np.vstack([K, B])
+        H = (W / np.broadcast_to(h.d, m)) @ W.T
+        H[:n, :n] += np.diag(np.broadcast_to(g.d, n))
+        H[n:, :n] += A
+        H[:n, n:] += A.T
+        if np.linalg.eigvalsh(H).min() > 0.02:
+            break
+    P = MinimaxProblem(g=g, phi=prox_zero(), h=h, psi=prox_zero(), K=K, A=A, B=B,
+                       c=0.4 * rng.standard_normal(q), mu=float(np.min(h.d)))
+    C = compute_constants(P)
+    cfg = SolverConfig(
+        alpha_x=draw(st.floats(0.5, 0.9)) / C.L_theta,
+        alpha_y=draw(st.floats(0.5, 0.9)) / C.L_h,
+        inner_steps=draw(st.sampled_from([0, 1, 5, 60])),
+        outer_cap=draw(st.integers(0, 300)),
+        eps=draw(st.sampled_from([1e-3, 1e-6, 1e-9])),
+        project_each_outer=draw(st.booleans()),
+        project_final=False,
+        x0=rng.standard_normal(n), y0=rng.standard_normal(m), lambda0=rng.standard_normal(q),
+    )
+    return P, cfg
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(zero_prox_runs())
+def test_affine_pgmsad_matches_the_structured_steps(case):
+    P, cfg = case
+    got, ref = run_pgmsad(P, cfg), pgmsad_structured(P, cfg)
+    assert (got.state.t, got.converged) == (ref.t, ref.converged)
+    rows = [np.array([[r.res_x, r.res_y, r.res_feas] for r in run.trace]) for run in (got, ref)]
+    # relative to the trace's largest entry: a residual at rounding level
+    # (res_feas after a projection) has no relative digits of its own
+    assert np.abs(rows[0] - rows[1]).max() <= 1e-12 * rows[1].max()
+    z = [np.concatenate([s.x, s.y, s.lam]) for s in (got.state, ref.state)]
+    assert np.abs(z[0] - z[1]).max() <= 1e-12 * np.abs(z[1]).max()
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.lists(st.floats(width=64), max_size=12) | st.lists(
     st.sampled_from([0.0, -0.0, 1e200, -1e200, 1e-300, np.inf, -np.inf, np.nan]), max_size=6))
@@ -169,6 +231,39 @@ def test_projection_is_linear_on_a_pattern(case):
         if projection_pattern(cone, zt) == projection_pattern(cone, z):
             step = project_cone(cone, zt) - project_cone(cone, z)
             assert np.abs(step - t * D @ v).max() <= 1e-12 * (1.0 + np.abs(z).max())
+
+
+@st.composite
+def cone_projections(draw):
+    """An orthant, second-order or 1-norm cone of dim 2-6 and a point z of
+    scale 1e-3 to 1e3. On the norm cones the head is a drawn multiple of the
+    tail's norm, so z can lie in the cone, in its polar or outside both."""
+    kind = draw(st.sampled_from((NONNEG_ORTHANT, SECOND_ORDER, L1_NORM)))
+    d = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = draw(st.sampled_from([1e-3, 1.0, 1e3])) * rng.standard_normal(d)
+    if kind != NONNEG_ORTHANT:
+        z[0] = draw(st.floats(-2.0, 2.0)) * np.linalg.norm(z[1:], 1 if kind == L1_NORM else 2)
+    return ConeSpec(kind=kind, dim=d), z
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(cone_projections())
+def test_cone_projection_is_idempotent(case):
+    cone, z = case
+    pz = project_cone(cone, z)
+    assert np.abs(project_cone(cone, pz) - pz).max() <= 1e-12 * np.abs(z).max()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(cone_projections())
+def test_cone_projection_splits_z_as_moreau(case):
+    # z - P z lies in the polar cone and is orthogonal to P z
+    cone, z = case
+    pz = project_cone(cone, z)
+    rest = z - pz
+    assert np.abs(project_polar(cone, rest) - rest).max() <= 1e-10 * np.abs(z).max()
+    assert abs(pz @ rest) <= 1e-10 * (z @ z)
 
 
 @st.composite

@@ -146,6 +146,16 @@ def test_project_l1cone_matches_oracle_case():
     assert np.linalg.norm(got - oracle) <= 1e-6
 
 
+def test_project_l1cone_near_tie_in_the_polar():
+    # one ulp outside the polar cone {||s||_inf <= -s0}, with a tie among the
+    # largest tail magnitudes: the projection is at rounding level, not a
+    # point of size 0.1 with a negative head
+    z = np.array([-np.nextafter(0.5, 0.0), 0.5, -0.5, 0.1])
+    got = project_l1cone(z)
+    assert np.abs(got).max() <= 1e-15
+    assert np.abs(got[1:]).sum() <= got[0]
+
+
 def test_project_polar_orthant():
     cone = ConeSpec(kind=NONNEG_ORTHANT, dim=2)
     assert np.array_equal(project_polar(cone, np.array([1.0, -2.0])), [0.0, -2.0])

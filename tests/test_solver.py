@@ -28,6 +28,7 @@ from jointmm.prox import (
     smooth_zero,
 )
 from jointmm.solver import (
+    IterateState,
     SolverConfig,
     TRACE_HEADER,
     inner_ascent,
@@ -66,6 +67,16 @@ def quadratic_problem(rng, n=2, m=2, q=2, a=1.2, b=1.5, scale=0.3, cscale=0.4):
             return P, a, b
 
 
+def orthant_copy(P):
+    """P with psi the indicator of the nonnegative orthant, so run_pgmsad
+    takes the structured steps."""
+    return MinimaxProblem(
+        g=P.g, phi=P.phi, h=P.h,
+        psi=prox_indicator(ConeSpec(kind=NONNEG_ORTHANT, dim=P.m)),
+        K=P.K, A=P.A, B=P.B, c=P.c, mu=P.mu,
+    )
+
+
 def test_inner_ascent_exact_one_step():
     P = MinimaxProblem(
         g=smooth_zero(), phi=prox_zero(), h=smooth_scaled_sq_norm(1.0), psi=prox_zero(),
@@ -94,11 +105,7 @@ def test_inner_ascent_contraction_vs_closed_form(rng):
 
 def test_inner_ascent_with_orthant_prox(rng):
     P, a, b = quadratic_problem(rng)
-    P = MinimaxProblem(
-        g=P.g, phi=P.phi, h=P.h,
-        psi=prox_indicator(ConeSpec(kind=NONNEG_ORTHANT, dim=2)),
-        K=P.K, A=P.A, B=P.B, c=P.c, mu=P.mu,
-    )
+    P = orthant_copy(P)
     x, lam = rng.standard_normal(2), rng.standard_normal(2)
     # componentwise closed form of the constrained maximizer
     ystar = np.maximum((P.K.T @ x + P.B.T @ lam) / b, 0.0)
@@ -188,29 +195,43 @@ def test_run_pgmsad_deterministic_trace(rng):
     assert np.array_equal(r1.state.lam, r2.state.lam)
 
 
-def test_run_pgmsad_takes_one_product_with_K_transpose_per_outer_iteration(rng):
-    # per iterate: K y for the x-residual and the drive K^T x + B^T lambda,
-    # which the y-residual and the next inner ascent share; per step: K y+
-    # of the ascended y in the descent step
-    P, a, b = quadratic_problem(rng)
+def count_products(P, T):
+    """The products with K and K^T of a T-step run_pgmsad on P."""
     K = P.K
+    P.K = CountingMatrix(K)
+    cfg = SolverConfig(alpha_x=0.1, alpha_y=0.1, inner_steps=5, outer_cap=T,
+                       eps=0.0, x0=np.ones(2), y0=np.ones(2), project_final=False)
+    assert run_pgmsad(P, cfg).state.t == T
+    counts, P.K = P.K.counts, K
+    return counts
+
+
+def test_run_pgmsad_takes_one_product_with_K_transpose_per_outer_iteration(rng):
+    # structured steps (orthant psi): per iterate, K y for the x-residual and
+    # the drive K^T x + B^T lambda, which the y-residual and the next inner
+    # ascent share; per step, K y+ of the ascended y in the descent step
+    P = orthant_copy(quadratic_problem(rng)[0])
     for T in (4, 5):
-        P.K = CountingMatrix(K)
-        cfg = SolverConfig(alpha_x=0.1, alpha_y=0.1, inner_steps=5, outer_cap=T,
-                           eps=0.0, x0=np.ones(2), y0=np.ones(2), project_final=False)
-        assert run_pgmsad(P, cfg).state.t == T
-        assert P.K.counts == {"K": 2 * T + 1, "K.T": T + 1}
+        assert count_products(P, T) == {"K": 2 * T + 1, "K.T": T + 1}
+
+
+def test_run_pgmsad_affine_path_forms_K_only_to_build_its_maps(rng):
+    # zero prox: the step and certify are products with the dense maps
+    P, a, b = quadratic_problem(rng)
+    assert count_products(P, 4) == count_products(P, 5)
 
 
 def _assert_divergence_carries_state(err):
     state = err.value.state
+    assert isinstance(state, IterateState)
     assert all(np.all(np.isfinite(v)) for v in (state.x, state.y, state.lam))
     assert [rec.t for rec in err.value.trace] == list(range(state.t + 1))
 
 
 @pytest.mark.filterwarnings("error")
 def test_run_pgmsad_divergence_carries_state(rng):
-    # psi = 0: the closed-form power (1 - alpha_y b)^60 overflows at the first step
+    # psi = 0: the closed-form power (1 - alpha_y b)^60 overflows while the
+    # affine map is built, and the first step gives inf and NaN
     P, a, b = quadratic_problem(rng)
     cfg = SolverConfig(alpha_x=1e12, alpha_y=1e12, inner_steps=60,
                        outer_cap=500, eps=0.0, x0=np.ones(2), y0=np.ones(2))
@@ -223,12 +244,7 @@ def test_run_pgmsad_divergence_carries_state(rng):
 def test_run_pgmsad_divergence_in_the_inner_loop_carries_state(rng):
     # orthant psi: the inner loop runs, the drive grows with x each outer
     # iteration, and alpha_y times it overflows in the middle of the loop
-    P, a, b = quadratic_problem(rng)
-    P = MinimaxProblem(
-        g=P.g, phi=P.phi, h=P.h,
-        psi=prox_indicator(ConeSpec(kind=NONNEG_ORTHANT, dim=2)),
-        K=P.K, A=P.A, B=P.B, c=P.c, mu=P.mu,
-    )
+    P = orthant_copy(quadratic_problem(rng)[0])
     cfg = SolverConfig(alpha_x=1e12, alpha_y=1e100, inner_steps=60,
                        outer_cap=500, eps=0.0, x0=np.ones(2), y0=np.ones(2))
     with pytest.raises(DivergenceError) as err:
