@@ -3,7 +3,6 @@
 from .errors import (
     ConfigurationError,
     DivergenceError,
-    EstimationError,
     FrameworkError,
     JointmmError,
     SingularConstraintError,
@@ -55,8 +54,6 @@ from .apps import (
     builtin_gave,
     builtin_gave_config,
     builtin_glpe,
-    gave_to_minimax,
-    glpe_to_minimax,
     make_linreg,
     run_gave,
     run_glpe,

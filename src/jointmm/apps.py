@@ -1,8 +1,8 @@
 """Application drivers: absolute value equations, linear projection equations,
 and jointly constrained linear regression.
 
-Each application is reformulated as a linearly constrained minimax problem
-(gave_to_minimax, glpe_to_minimax, make_linreg) and solved by a dedicated
+Each application is a linearly constrained minimax problem (make_linreg
+builds the regression one as a MinimaxProblem), solved by a dedicated
 driver. The drivers share the multi-step texture of the generic solver but
 each carries the stabilization its problem class needs:
 
@@ -45,11 +45,7 @@ from .prox import (
     project_cone,
     projection_jacobian,
     projection_pattern,
-    prox_blocks,
-    prox_indicator,
-    prox_polar_indicator,
     prox_zero,
-    smooth_zero,
 )
 from .rng import gaussian_matrix, make_rng, standard_normal
 from .solver import (
@@ -147,50 +143,6 @@ class LinRegInstance:
     seed: int
 
 
-def _split_to_minimax(G, cone, z_term, head) -> MinimaxProblem:
-    """The minimax encoding shared by the two cone splits of A x + B P(x) = b.
-
-    The min variable is the cone part (indicator of cone); the max variable
-    is the pair (y, z) with the prox term z_term on z. They couple
-    through (b - (A+B) x)^T y under the joint constraint
-    x - head^T y - z = 0. Both smooth terms are linear, so the instance
-    lives in relaxed mode (mu = 0).
-    """
-    mrows, n = G.A.shape
-    K = np.zeros((n, mrows + n))
-    K[:, :mrows] = -(G.A + G.B).T
-    return MinimaxProblem(
-        g=smooth_zero(),
-        phi=prox_indicator(cone),
-        h=SmoothOracle(0.0, b=np.concatenate([-G.b, np.zeros(n)])),
-        psi=prox_blocks([(prox_zero(), mrows), (z_term, n)]),
-        K=K,
-        A=np.eye(n),
-        B=np.hstack([-head.T, -np.eye(n)]),
-        c=np.zeros(n),
-        mu=0.0,
-    )
-
-
-def gave_to_minimax(G: GaveInstance) -> MinimaxProblem:
-    """Encode the absolute-value equation as a constrained minimax template.
-
-    x+ is the nonnegative part (orthant indicator), z lies in the
-    nonnegative orthant, and the constraint is x+ - (B-A)^T y - z = 0.
-    """
-    orthant = ConeSpec(kind=NONNEG_ORTHANT, dim=G.cols)
-    return _split_to_minimax(G, orthant, prox_indicator(orthant), G.B - G.A)
-
-
-def glpe_to_minimax(G: GlpeInstance) -> MinimaxProblem:
-    """Encode the projection equation as a constrained minimax template.
-
-    x_K lies in K, z carries the indicator of the polar cone, and the
-    constraint is x_K - A^T y - z = 0.
-    """
-    return _split_to_minimax(G, G.cone, prox_polar_indicator(G.cone), G.A)
-
-
 @dataclass
 class GaveConfig:
     """Settings for the split absolute-value-equation loop.
@@ -251,8 +203,9 @@ def run_gave(G: GaveInstance, config: GaveConfig) -> GaveResult:
     under the equation-error metric; the sign carrying the multiplier
     estimate of the negative part wins at the saddle.
 
-    The loop state is an IterateState of the gave_to_minimax variables:
-    x = x+, y = (y, z) stacked, lambda. A DivergenceError carries the last
+    The loop state is an IterateState of the split's variables: x = x+
+    (the nonnegative part), y = (y, z) stacked (the free block and the
+    slack), and the multiplier lambda. A DivergenceError carries the last
     finite one.
     """
     A, B, b = G.A, G.B, G.b

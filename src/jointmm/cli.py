@@ -274,13 +274,6 @@ def cmd_bench(args):
     out = spec.get("out", ".")
     os.makedirs(out, exist_ok=True)
     # rows run serially: no pool beat serial by 1.2x on a 4-row bench.
-    # JOINTMM_THREADS is still checked, so a bad value keeps exiting 1.
-    workers = os.environ.get("JOINTMM_THREADS", "1")
-    try:
-        workers = int(workers)
-    except ValueError:
-        pass  # check_settings names the bad value
-    check_settings({"JOINTMM_THREADS": workers}, counts=("JOINTMM_THREADS",))
     rows = [_bench_one(spec) for spec in runs]
     path = os.path.join(out, spec.get("report", "bench.csv"))
     with open(path, "w", encoding="ascii") as fh:

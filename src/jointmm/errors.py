@@ -18,14 +18,6 @@ class SingularConstraintError(JointmmError):
     """
 
 
-class EstimationError(JointmmError):
-    """Operator-norm estimation did not converge within the iteration cap."""
-
-    def __init__(self, message, last_estimate):
-        super().__init__(message)
-        self.last_estimate = last_estimate
-
-
 class DivergenceError(JointmmError):
     """A solver iterate became nonfinite; raised only by solver.iterate.
 

@@ -1,5 +1,5 @@
 """Dense vector/matrix kernels: input checks, the Euclidean norm, SPD solves,
-operator-norm estimation, and the closed form of the diagonal ascent recurrence.
+operator norms, and the closed form of the diagonal ascent recurrence.
 
 Everything here works on float64 numpy arrays. Vectors are 1-d arrays,
 matrices 2-d row-major arrays. All functions are pure; nothing is mutated.
@@ -11,10 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, EstimationError, SingularConstraintError
-
-DEFAULT_NORM_TOL = 1e-8
-DEFAULT_NORM_MAX_ITER = 5000
+from .errors import ConfigurationError, SingularConstraintError
 
 
 def _as_finite_array(v, name, ndim):
@@ -99,53 +96,6 @@ def ascent_coefficients(d, n_steps, alpha):
     return p, w
 
 
-def _power_iteration(M, tol, max_iter):
-    """Power iteration on M^T M from the normalized all-ones start.
-
-    Returns (sigma, v) where sigma estimates the largest singular value and
-    v is the final right singular vector iterate. Deterministic.
-    """
-    n = M.shape[1]
-    v = np.ones(n) / np.sqrt(n)
-    sigma = float(np.linalg.norm(M @ v))
-    if sigma == 0.0:
-        # all-ones start is in the null space; fall back to coordinate starts
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = 1.0
-            if np.linalg.norm(M @ e) > 0:
-                v = e
-                sigma = float(np.linalg.norm(M @ e))
-                break
-        else:
-            return 0.0, v
-    for _ in range(max_iter):
-        w = M.T @ (M @ v)
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            return 0.0, v
-        v = w / norm_w
-        sigma_new = float(np.linalg.norm(M @ v))
-        if abs(sigma_new - sigma) <= tol * max(sigma_new, np.finfo(float).tiny):
-            return sigma_new, v
-        sigma = sigma_new
-    raise EstimationError(
-        f"operator norm estimate did not converge within {max_iter} iterations "
-        f"(last estimate {sigma})",
-        last_estimate=sigma,
-    )
-
-
-def operator_norm(M, tol=DEFAULT_NORM_TOL, max_iter=DEFAULT_NORM_MAX_ITER):
-    """Largest singular value of M by deterministic power iteration.
-
-    Returns 0.0 for the all-zero matrix. The relative accuracy is tol; the
-    start vector is the normalized all-ones vector so repeated calls give
-    identical results.
-    """
-    if tol <= 0:
-        raise ConfigurationError("operator_norm tolerance must be positive")
-    if not np.any(M):
-        return 0.0
-    sigma, _ = _power_iteration(M, tol, max_iter)
-    return sigma
+def operator_norm(M):
+    """Largest singular value of M, exactly (by SVD); 0.0 for a zero or empty matrix."""
+    return float(np.linalg.norm(M, 2))

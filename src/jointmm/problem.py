@@ -42,6 +42,7 @@ from .prox import (
     PROX_INDICATOR,
     PROX_LINEAR_SHIFT,
     PROX_POLAR_INDICATOR,
+    PROX_ZERO,
     ProxOperator,
     SmoothOracle,
     cone_from_json,
@@ -211,8 +212,16 @@ def residuals(P: MinimaxProblem, x, y, lam, L1, L2, Ky=None, drive=None) -> Resi
         raise ConfigurationError("residual scalings L1, L2 must be positive")
     gx = grad_x(P, x, y, lam, Ky)
     gy = grad_y(P, x, y, lam, drive)
-    rx = L1 * (x - prox_eval(P.phi, 1.0 / L1, x - gx / L1))
-    ry = L2 * (y - prox_eval(P.psi, 1.0 / L2, y + gy / L2))
+    # a zero prox makes the mapping the gradient itself; L (x - (x - g/L))
+    # would cancel to 0 once |g| < L ulp(|x|)/2
+    if P.phi.kind == PROX_ZERO:
+        rx = gx
+    else:
+        rx = L1 * (x - prox_eval(P.phi, 1.0 / L1, x - gx / L1))
+    if P.psi.kind == PROX_ZERO:
+        ry = -gy
+    else:
+        ry = L2 * (y - prox_eval(P.psi, 1.0 / L2, y + gy / L2))
     return Residuals(
         res_x=norm2(rx),
         res_y=norm2(ry),
@@ -260,16 +269,16 @@ class ProblemConstants:
     L_theta: Optional[float]
 
 
-def compute_constants(P: MinimaxProblem, tol=1e-8, max_iter=5000) -> ProblemConstants:
-    """Estimate ||K||, ||A||, ||B|| and assemble gamma and L_theta = gamma/mu.
+def compute_constants(P: MinimaxProblem) -> ProblemConstants:
+    """Compute ||K||, ||A||, ||B|| and assemble gamma and L_theta = gamma/mu.
 
     gamma bounds the Lipschitz modulus of the gradient of the reduced
     objective theta(x, lambda); it is finite for any data, but L_theta needs
     mu > 0 and is reported absent in relaxed mode.
     """
-    nK = operator_norm(P.K, tol, max_iter)
-    nA = operator_norm(P.A, tol, max_iter)
-    nB = operator_norm(P.B, tol, max_iter)
+    nK = operator_norm(P.K)
+    nA = operator_norm(P.A)
+    nB = operator_norm(P.B)
     Lg = P.g.lipschitz
     mu = P.mu
     gamma = max(

@@ -398,6 +398,11 @@ def run_pgmsad(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
     return SolveResult(state=state, trace=run.trace, residuals=res, converged=converged)
 
 
+# slack on run_framework's inner-accuracy check: an exact maximizer given
+# eps_t = 0 still leaves a residual at rounding level
+INNER_CHECK_ATOL = 1e-9
+
+
 def run_framework(
     P: MinimaxProblem,
     inner: Callable,
@@ -408,17 +413,16 @@ def run_framework(
     y0=None,
     lambda0=None,
     seed: int = 0,
-    check_atol: float = 1e-9,
 ) -> FrameworkResult:
     """Alternating-coordinate framework with a delegated inner maximizer.
 
     inner(x, lam, y_start, eps_t) must return y+ with the y-block gradient
     mapping at unit scaling below eps_t (checked here, with absolute slack
-    check_atol for exact maximizers supplied with eps_t = 0), and should not
-    move y away from y_*(x, lambda). eps_schedule is a callable t -> eps_t
-    or a sequence; square-summable schedules are what the convergence theory
-    asks for, so a constant schedule only triggers a warning. Runs exactly T
-    outer steps; the trace has rows 0..T.
+    INNER_CHECK_ATOL), and should not move y away from y_*(x, lambda).
+    eps_schedule is a callable t -> eps_t or a sequence; square-summable
+    schedules are what the convergence theory asks for, so a constant
+    schedule only triggers a warning. Runs exactly T outer steps; the trace
+    has rows 0..T.
     """
     check_settings(
         {"alpha_x": alpha_x, "T": T, "seed": seed}, steps=("alpha_x",), counts=("T", "seed")
@@ -442,7 +446,7 @@ def run_framework(
         eps_t = float(eps_fn(t))
         y = np.asarray(inner(s.x, s.lam, s.y, eps_t), dtype=np.float64)
         achieved = inner_residual(P, s.x, y, s.lam, L=1.0)
-        if achieved > eps_t + check_atol:
+        if achieved > eps_t + INNER_CHECK_ATOL:
             raise FrameworkError(
                 f"inner solver missed its target at iteration {t}: "
                 f"residual {achieved:.3e} > eps_t {eps_t:.3e}",

@@ -9,10 +9,12 @@ mapping G_L, written from their definitions on project_cone and prox_eval;
 criterion 8's lemma suite uses them. The helpers smooth_coupling,
 approx_y_star, glpe_sweep_step and pgmsad_structured are reference
 quantities and loops built on the package's own kernels, which the tests
-check elsewhere, and CountingMatrix is a stand-in for a problem's coupling
-matrix that counts the products a loop takes. The matrix-file readers and
-writers at the end parse and format one line at a time with float(), int()
-and repr(), the reference for matio's bulk paths.
+check elsewhere. gave_to_minimax and glpe_to_minimax are the minimax
+encodings of the two equation applications, which no solve path uses, and
+CountingMatrix is a stand-in for a problem's coupling matrix that counts
+the products a loop takes. The matrix-file readers and writers at the end
+parse and format one line at a time with float(), int() and repr(), the
+reference for matio's bulk paths.
 """
 
 import math
@@ -20,9 +22,22 @@ import math
 import numpy as np
 from scipy.optimize import minimize
 
+from jointmm.apps import GaveInstance, GlpeInstance
 from jointmm.errors import ConfigurationError
-from jointmm.problem import feas
-from jointmm.prox import project_cone, projection_jacobian, prox_eval
+from jointmm.problem import MinimaxProblem, feas
+from jointmm.prox import (
+    NONNEG_ORTHANT,
+    ConeSpec,
+    SmoothOracle,
+    project_cone,
+    projection_jacobian,
+    prox_blocks,
+    prox_eval,
+    prox_indicator,
+    prox_polar_indicator,
+    prox_zero,
+    smooth_zero,
+)
 from jointmm.solver import (
     IterateState,
     certify_residuals,
@@ -296,6 +311,50 @@ def glpe_sweep_step(G, alpha, inner_steps, x):
     for _ in range(inner_steps):
         w = w + alpha * (Jtr - JtJ @ w)
     return x - w
+
+
+def _split_to_minimax(G, cone, z_term, head) -> MinimaxProblem:
+    """The minimax encoding shared by the two cone splits of A x + B P(x) = b.
+
+    The min variable is the cone part (indicator of cone); the max variable
+    is the pair (y, z) with the prox term z_term on z. They couple
+    through (b - (A+B) x)^T y under the joint constraint
+    x - head^T y - z = 0. Both smooth terms are linear, so the instance
+    lives in relaxed mode (mu = 0).
+    """
+    mrows, n = G.A.shape
+    K = np.zeros((n, mrows + n))
+    K[:, :mrows] = -(G.A + G.B).T
+    return MinimaxProblem(
+        g=smooth_zero(),
+        phi=prox_indicator(cone),
+        h=SmoothOracle(0.0, b=np.concatenate([-G.b, np.zeros(n)])),
+        psi=prox_blocks([(prox_zero(), mrows), (z_term, n)]),
+        K=K,
+        A=np.eye(n),
+        B=np.hstack([-head.T, -np.eye(n)]),
+        c=np.zeros(n),
+        mu=0.0,
+    )
+
+
+def gave_to_minimax(G: GaveInstance) -> MinimaxProblem:
+    """Encode the absolute-value equation as a constrained minimax template.
+
+    x+ is the nonnegative part (orthant indicator), z lies in the
+    nonnegative orthant, and the constraint is x+ - (B-A)^T y - z = 0.
+    """
+    orthant = ConeSpec(kind=NONNEG_ORTHANT, dim=G.cols)
+    return _split_to_minimax(G, orthant, prox_indicator(orthant), G.B - G.A)
+
+
+def glpe_to_minimax(G: GlpeInstance) -> MinimaxProblem:
+    """Encode the projection equation as a constrained minimax template.
+
+    x_K lies in K, z carries the indicator of the polar cone, and the
+    constraint is x_K - A^T y - z = 0.
+    """
+    return _split_to_minimax(G, G.cone, prox_polar_indicator(G.cone), G.A)
 
 
 def pgmsad_structured(P, config):

@@ -441,7 +441,7 @@ def test_criterion_11_saddle_recovery(criterion_11_runs):
 CRITERION_11_PINS = (
     [360, 273, 1750, 183, 1981, 2688, 3045, 607, 478, 1689,
      286, 546, 532, 1057, 2872, 234, 286, 2926, 257, 680],
-    "5917211baa9eaabadcc23d66bc972148df14084ebc1b630ab39495fd8b36c68b",
+    "d1e329890abb0b93924d430e04d734e7a2ae6f5023f90021cf73065ece91cd90",
 )
 
 

@@ -14,8 +14,6 @@ from jointmm.apps import (
     builtin_gave,
     builtin_gave_config,
     builtin_glpe,
-    gave_to_minimax,
-    glpe_to_minimax,
     glpe_paper_step_size,
     make_linreg,
     run_gave,
@@ -34,7 +32,7 @@ from jointmm.prox import (
 )
 from jointmm.solver import SolverConfig, run_framework, run_pgmsad
 
-from oracles import CountingMatrix, in_cone
+from oracles import CountingMatrix, gave_to_minimax, glpe_to_minimax, in_cone
 
 
 def test_gave_to_minimax_shapes(rng):

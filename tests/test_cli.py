@@ -202,8 +202,7 @@ def test_bench_runs_and_failure_marking(tmp_path):
     assert lines[1].split(",")[-1] == "ok"
 
 
-def test_bench_parallel_workers(tmp_path, monkeypatch):
-    monkeypatch.setenv("JOINTMM_THREADS", "2")
+def test_bench_parallel_workers(tmp_path):
     cfg = tmp_path / "bench.json"
     cfg.write_text(
         json.dumps(
@@ -216,19 +215,18 @@ def test_bench_parallel_workers(tmp_path, monkeypatch):
             }
         )
     )
-    # the rows do not depend on JOINTMM_THREADS, apart from wall_time_s
+    # two runs of the same rows agree, apart from wall_time_s
     assert main(["bench", "--config", str(cfg)]) == EXIT_OK
-    pooled = (tmp_path / "bench.csv").read_text().splitlines()
-    monkeypatch.setenv("JOINTMM_THREADS", "1")
+    first = (tmp_path / "bench.csv").read_text().splitlines()
     assert main(["bench", "--config", str(cfg)]) == EXIT_OK
-    serial = (tmp_path / "bench.csv").read_text().splitlines()
-    assert len(pooled) == 3
+    second = (tmp_path / "bench.csv").read_text().splitlines()
+    assert len(first) == 3
 
     def without_wall_time(lines):
         wall = BENCH_HEADER.split(",").index("wall_time_s")
         return [[v for i, v in enumerate(line.split(",")) if i != wall] for line in lines]
 
-    assert without_wall_time(pooled) == without_wall_time(serial)
+    assert without_wall_time(first) == without_wall_time(second)
 
 
 def test_linreg_wrong_length_start_exits_error(tmp_path, capsys):
@@ -304,15 +302,6 @@ def test_glpe_fractional_inner_n_exits_error(tmp_path, capsys):
     code = main(["glpe", "--config", str(cfg), "--out", str(tmp_path)])
     assert code == EXIT_ERROR
     assert "inner_steps" in capsys.readouterr().err
-
-
-def test_bench_non_integer_thread_count_exits_error(tmp_path, monkeypatch, capsys):
-    cfg = tmp_path / "bench.json"
-    cfg.write_text(json.dumps({"runs": [], "out": str(tmp_path)}))
-    for bad in ("two", "-1", "1.5"):
-        monkeypatch.setenv("JOINTMM_THREADS", bad)
-        assert main(["bench", "--config", str(cfg)]) == EXIT_ERROR
-        assert "JOINTMM_THREADS must be a nonnegative integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from jointmm.errors import ConfigurationError, EstimationError, SingularConstraintError
+from jointmm.errors import ConfigurationError, SingularConstraintError
 from jointmm.numerics import (
     as_matrix,
     as_vector,
     operator_norm,
     spd_factor,
     spd_solve_factored,
-    _power_iteration,
 )
 
 from oracles import jacobi_sigma_max
@@ -68,9 +67,7 @@ def test_operator_norm_diagonal():
 
 def test_operator_norm_matches_jacobi_oracle(rng):
     M = rng.standard_normal((5, 3))
-    assert operator_norm(M, tol=1e-10, max_iter=20000) == pytest.approx(
-        jacobi_sigma_max(M), rel=1e-6
-    )
+    assert operator_norm(M) == pytest.approx(jacobi_sigma_max(M), rel=1e-12)
 
 
 def test_operator_norm_transpose_symmetry(rng):
@@ -82,25 +79,13 @@ def test_operator_norm_zero_matrix():
     assert operator_norm(np.zeros((3, 3))) == 0.0
 
 
-def test_operator_norm_rayleigh_vector_consistency(rng):
-    M = rng.standard_normal((5, 5))
-    tol = 1e-8
-    sigma, v = _power_iteration(M, tol, 5000)
-    rayleigh = np.linalg.norm(M @ v) / np.linalg.norm(v)
-    assert sigma >= rayleigh * (1.0 - tol)
-
-
-def test_operator_norm_iteration_cap():
-    # two nearly equal singular values force slow convergence
-    M = np.diag([1.0, 1.0 - 1e-12, 0.5])
-    with pytest.raises(EstimationError) as err:
-        operator_norm(M, tol=1e-15, max_iter=3)
-    assert err.value.last_estimate > 0
-
-
-def test_operator_norm_bad_tol():
-    with pytest.raises(ConfigurationError):
-        operator_norm(np.eye(2), tol=0.0)
+def test_operator_norm_close_top_singular_values(rng):
+    # sigma_1 - sigma_2 = 1e-6: an iterative estimate converges slowly here
+    n = 50
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    s = np.concatenate([[1.0, 1.0 - 1e-6], np.linspace(0.9, 0.1, n - 2)])
+    assert operator_norm((U * s) @ V.T) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_validators():

@@ -7,8 +7,6 @@ import pytest
 from jointmm.apps import (
     builtin_gave,
     builtin_glpe,
-    gave_to_minimax,
-    glpe_to_minimax,
     make_linreg,
     run_linreg,
 )
@@ -36,7 +34,13 @@ from jointmm.prox import (
 )
 from jointmm.solver import SolverConfig, run_pgmsad
 
-from oracles import approx_y_star, central_difference, smooth_coupling
+from oracles import (
+    approx_y_star,
+    central_difference,
+    gave_to_minimax,
+    glpe_to_minimax,
+    smooth_coupling,
+)
 
 
 def make_problem(rng, n=3, m=3, q=2, a=1.0, b=1.0, scale=0.5, mu=None):
@@ -181,6 +185,20 @@ def test_residuals_reduce_to_gradient_norms(rng):
     res = residuals(P, x, y, lam, 2.0, 5.0)
     assert res.res_x == pytest.approx(np.linalg.norm(grad_x(P, x, y, lam)), rel=1e-12)
     assert res.res_y == pytest.approx(np.linalg.norm(grad_y(P, x, y, lam)), rel=1e-12)
+
+
+def test_residuals_zero_prox_keep_gradients_below_rounding(rng):
+    # x = y = 1 and a multiplier that leaves gradients of about 1e-13: below
+    # L ulp(1)/2, where L (x - (x - g/L)) would round to exactly 0
+    P = make_problem(rng, n=1, m=1, q=2)
+    x, y, L = np.ones(1), np.ones(1), 1e4
+    coupling = np.concatenate([x + P.K @ y, P.K.T @ x - y])
+    lam = np.linalg.solve(np.vstack([P.A.T, P.B.T]), 1e-13 - coupling)
+    gx, gy = grad_x(P, x, y, lam), grad_y(P, x, y, lam)
+    assert 0 < max(abs(gx).max(), abs(gy).max()) < L * np.spacing(1.0) / 2
+    res = residuals(P, x, y, lam, L, L)
+    assert res.res_x == np.linalg.norm(gx) > 0
+    assert res.res_y == np.linalg.norm(gy) > 0
 
 
 def test_residuals_deterministic(rng):

@@ -127,9 +127,10 @@ def zero_prox_runs(draw):
     without b, and a run_pgmsad config from a given start with project_each_outer
     on or off. The data is drawn as in criterion 11 until the reduced objective
     in (x, lambda) is strongly convex, and the steps are fractions of 1/L_theta
-    and 1/L_h, so that runs can stop early. eps is positive: at eps = 0 a run
-    stops only on residuals that round to exactly zero, which the structured
-    form L (x - (x - grad / L)) can reach steps before the norm of R z + r."""
+    and 1/L_h, so that runs can stop early. eps is positive for the same
+    reason: at eps = 0 a run stops only on residuals that are exactly zero,
+    and both paths take a zero-prox residual from the gradient itself, which
+    no drawn run drives to exactly zero within its cap."""
     n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     q = draw(st.integers(1, m))
     vector_g, linear_g, vector_h, linear_h = (draw(st.booleans()) for _ in range(4))
