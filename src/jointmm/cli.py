@@ -216,13 +216,14 @@ def cmd_budget(args):
         alpha_x = 0.9 / C.L_theta
     if alpha_y is None:
         alpha_y = 0.9 / C.L_h if C.L_h > 0 else 1.0
+    check_settings({"alpha_x": alpha_x, "alpha_y": alpha_y}, steps=("alpha_x", "alpha_y"))
     B = compute_budget_constants(P, C, alpha_x, alpha_y)
     B = B.with_bounds(
         beta1=spec.get("beta1"),
         omega1=spec.get("omega1"),
         theta_gap=spec.get("theta_gap"),
     )
-    eps = float(spec.get("eps", 1e-2))
+    eps = spec.get("eps", 1e-2)
     N, T = plan_budget(C, B, alpha_x, alpha_y, P.mu, eps)
     print(
         json.dumps(
@@ -271,6 +272,8 @@ def _bench_one(spec):
 def cmd_bench(args):
     spec = command_spec(args)
     runs = spec.get("runs", [])
+    if not (isinstance(runs, list) and all(isinstance(entry, dict) for entry in runs)):
+        raise ConfigurationError(f"runs must be a list of run objects, got {runs!r}")
     out = spec.get("out", ".")
     os.makedirs(out, exist_ok=True)
     # rows run serially: no pool beat serial by 1.2x on a 4-row bench.

@@ -40,9 +40,9 @@ TRACE_HEADER = "t,elapsed_s,res_x,res_y,res_feas,app_error"
 TRACE_COLUMNS = TRACE_HEADER.split(",")[2:]  # the row a certify returns
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One per-iteration trace row."""
+class TraceRecord(NamedTuple):
+    """One per-iteration trace row (a NamedTuple: every driver builds one per
+    row, and a tuple is cheaper to build than a frozen dataclass)."""
 
     t: int
     elapsed: float
@@ -62,17 +62,18 @@ class IterateState:
     t: int
 
 
-def check_settings(values, steps=(), counts=(), nonnegative=()):
+def check_settings(values, steps=(), counts=(), nonnegative=(), positive=()):
     """Raise ConfigurationError unless the named entries of the dict values are valid.
 
-    steps must be positive and finite, counts nonnegative integers, and
-    nonnegative fields numbers >= 0. The comparisons are written so that NaN
-    fails them.
+    steps (step sizes) and positive fields must be positive and finite,
+    counts nonnegative integers, and nonnegative fields numbers >= 0. The
+    comparisons are written so that NaN fails them.
     """
-    for name in steps:
+    for name in (*steps, *positive):
         value = values[name]
         if not (isinstance(value, Real) and 0 < value < math.inf):
-            raise ConfigurationError(f"step size {name} must be positive and finite, got {value!r}")
+            what = "step size " if name in steps else ""
+            raise ConfigurationError(f"{what}{name} must be positive and finite, got {value!r}")
     for name in counts:
         value = values[name]
         if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
@@ -223,9 +224,10 @@ def iterate(state, step, certify, outer_cap, record_trace) -> LoopResult:
     """The outer loop every driver shares: certify iterate t, stop or step.
 
     certify(state) returns (done, row, cert): done is the stopping test of
-    the iterate, row its trace values (res_x, res_y, res_feas, app_error)
-    and cert whatever the driver needs back or the step reuses (residuals,
-    the recovered point, the iterate's products with K, ...).
+    the iterate, row its trace values (res_x, res_y, res_feas and, where the
+    driver has one, app_error) and cert whatever the driver needs back or
+    the step reuses (residuals, the recovered point, the iterate's products
+    with K, ...).
     step(state, cert, t) returns iterate t + 1. Iterate t is
     recorded as trace row t, so a run of T steps has rows 0..T.
 
@@ -287,6 +289,31 @@ def certify_residuals(P: MinimaxProblem, L1, L2, eps):
 AFFINE_MAX_DIM = 256
 
 
+# The least number of outer steps in a block of _run_affine (see
+# _block_shape). Blocked / one-step-at-a-time wall time of run_pgmsad on the
+# affine path, build included (random problems with n = m = (n + m + q) / 2.2
+# rounded, N = 60, eps = 0; median ratio of 21 pairs at 100 steps and 11 at
+# 1,000, run in alternating order, 1 OpenBLAS thread, 2-vCPU Xeon VM):
+#     n + m + q      5    22    44    64    65    86   128   129   192   220   256
+#     j             51    11     5     4     3     2     2     1     1     1     1
+#     k             51    11    10     8     9     8     8     8     8     8     8
+#     100 steps   0.53  0.49  0.54  0.60  0.60  0.63  0.78  0.75  0.83  0.86  0.87
+#     1,000 steps 0.25  0.31  0.38  0.41  0.44  0.49  0.55  0.62  0.69  0.67  0.69
+# With k = j instead, a block of one step (n + m + q >= 129) measured 0.99 to
+# 1.08x: the row product and its norms then cost what they save. Blocks of
+# 16 gained at 1,000 steps (0.68x at 255) and lost margin at 100 (0.95x).
+AFFINE_BLOCK_MIN = 8
+
+
+def _block_shape(dim):
+    """(j, k) at n + m + q = dim: a block of _run_affine holds k outer steps,
+    filled by k / j products with the stacked powers M, ..., M^j. j is
+    AFFINE_MAX_DIM // dim (at least 1) and k the least multiple of j that
+    is at least AFFINE_BLOCK_MIN."""
+    j = max(1, AFFINE_MAX_DIM // dim)
+    return j, j * -(-AFFINE_BLOCK_MIN // j)
+
+
 def _affine_maps(P: MinimaxProblem, config: SolverConfig):
     """A zero-prox outer step and the residual map as dense affine maps of
     the stacked iterate z = (x, y, lambda): returns (M, c, R, r).
@@ -328,26 +355,77 @@ def _affine_maps(P: MinimaxProblem, config: SolverConfig):
 
 def _run_affine(P: MinimaxProblem, config: SolverConfig, start: IterateState) -> LoopResult:
     """run_pgmsad's loop on the maps of _affine_maps under iterate: the same
-    trace rows, stop rule and divergence. The loop's state is (z, t); it is
-    an IterateState again in the result and in a DivergenceError. The cert
-    is the trace row."""
+    trace rows, stop rule and divergence, with the outer steps taken in
+    blocks of k (see _block_shape).
+
+    The stacked powers S = [M; M^2; ...; M^j] and the offsets
+    c_i = sum_{l<i} M^l c are built once per run, so one product gives the
+    j iterates after an anchor z, (S z).reshape(j, d) + C, and k / j such
+    products a block Z of k iterates. One more product gives their residual
+    rows, the block norms of the columns of R Z^T + r. The loop's state is
+    a cursor (Z, rows, i, t) on iterate t = Z[i]: step moves i on and fills
+    the next block from the last iterate of this one, certify returns row
+    i, and iterate still records each row with its own elapsed stamp. A
+    block with a nonfinite row is filled again one z <- M z + c step at a
+    time from its anchor, so a DivergenceError names the iterate single
+    steps name. The state is an IterateState again in the result and in a
+    DivergenceError. The cert is the trace row. A run that stops inside a
+    block has computed up to k - 1 iterates it does not use.
+    """
     n, nm = P.n, P.n + P.m
     M, c, R, r = _affine_maps(P, config)
+    d = M.shape[0]
+    j, k = _block_shape(d)
     eps = config.eps
+    # row b of JT @ (G * G) holds the squared norms of block b of each
+    # column of G. An entry whose square overflows makes the other two NaN
+    # (0 * inf), so a block with a nonfinite row takes its norms one by one
+    JT = np.zeros((3, d))
+    JT[0, :n], JT[1, n:nm], JT[2, nm:] = 1.0, 1.0, 1.0
+    r_col = r[:, None]
+
+    def fill(z, powers, offsets):
+        """The k iterates after z, by products with stacked powers."""
+        Z, h = np.empty((k, d)), len(offsets)
+        for lo in range(0, k, h):
+            Z[lo : lo + h] = (powers @ z).reshape(h, d) + offsets
+            z = Z[lo + h - 1]
+        return Z
+
+    def row_norms(Z):
+        return [[norm2(g[:n]), norm2(g[n:nm]), norm2(g[nm:])] for g in Z @ R.T + r]
+
+    def step(s, cert, t):
+        Z, rows, i, _ = s
+        if i + 1 < len(rows):
+            return Z, rows, i + 1, t + 1
+        z = Z[i]
+        Z = fill(z, S, C)
+        G = R @ Z.T + r_col
+        N = np.sqrt(JT @ (G * G))
+        if math.isfinite(N.sum()):
+            return Z, N.T.tolist(), 0, t + 1
+        Z = fill(z, M, c[None])
+        return Z, row_norms(Z), 0, t + 1
 
     def certify(s):
-        g = R @ s[0] + r
-        row = (norm2(g[:n]), norm2(g[n:nm]), norm2(g[nm:]), None)
+        row = s[1][s[2]]
         return row[0] <= eps and row[1] <= eps and row[2] <= eps, row, row
 
     def unstack(s):
-        z, t = s
+        z, t = s[0][s[2]], s[3]
         return IterateState(x=z[:n].copy(), y=z[n:nm].copy(), lam=z[nm:].copy(), t=t)
 
-    z0 = np.concatenate([start.x, start.y, start.lam])
-    step = lambda s, cert, t: (M @ s[0] + c, t + 1)
+    z0 = np.concatenate([start.x, start.y, start.lam])[None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        S, C = np.empty((j, d, d)), np.empty((j, d))
+        S[0], C[0] = M, c
+        for i in range(1, j):
+            S[i], C[i] = M @ S[i - 1], M @ C[i - 1] + c
+        S = S.reshape(j * d, d)
+        first = z0, row_norms(z0), 0, 0
     try:
-        run = iterate((z0, 0), step, certify, config.outer_cap, config.record_trace)
+        run = iterate(first, step, certify, config.outer_cap, config.record_trace)
     except DivergenceError as err:
         err.state = None if err.state is None else unstack(err.state)
         raise
@@ -361,11 +439,13 @@ def run_pgmsad(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
     are <= config.eps. converged describes the returned point: after the
     final projection it is decided again on the projected iterate.
 
-    With phi = psi = 0 and n + m + q <= AFFINE_MAX_DIM, an outer step is one
-    product with the dense map of _affine_maps and a certify one product with
-    the KKT map; the iterates agree with the structured steps to rounding.
-    Any other problem takes the structured steps: inner_ascent, outer_step
-    and project_feasible.
+    With phi = psi = 0 and n + m + q <= AFFINE_MAX_DIM, the outer steps come
+    in blocks (see _run_affine): products with the stacked powers of the
+    dense outer-step map of _affine_maps give the block's iterates, and one
+    product with the KKT map their residual rows. Each row is still certified
+    and traced on its own, with its own elapsed stamp, and the iterates agree
+    with the structured steps to rounding. Any other problem takes the
+    structured steps: inner_ascent, outer_step and project_feasible.
 
     Returns (state, trace, residuals, converged). Deterministic for a fixed
     config and initial point (trace timestamps aside).
@@ -477,27 +557,34 @@ def plan_budget(
     or with a uniform gap bound omega1:
         N = ceil[(log(4 gamma1 omega1 / mu) + 2 log(1/eps)) / (-log(1 - mu alpha_y))],
     and in both cases T = ceil(2 gamma2 theta_gap / eps^2). Both are clamped
-    to at least 1. Exactly one of beta1/omega1 and a theta_gap are required.
+    to at least 1. Exactly one of beta1/omega1 and a theta_gap are required;
+    they and eps must be positive and finite, and a budget too large for a
+    float is a ConfigurationError too.
     """
     if mu <= 0:
         raise ConfigurationError("plan_budget needs mu > 0")
-    if eps <= 0:
-        raise ConfigurationError("plan_budget needs eps > 0")
-    check_budget_steps(C, alpha_x, alpha_y)
-    if not (0 < mu * alpha_y < 1):
-        raise ConfigurationError("plan_budget needs mu * alpha_y in (0, 1)")
     if B.theta_gap is None:
         raise ConfigurationError("plan_budget needs theta_gap (initial gap upper bound)")
     if (B.beta1 is None) == (B.omega1 is None):
         raise ConfigurationError("plan_budget needs exactly one of beta1 / omega1")
+    bound = "beta1" if B.omega1 is None else "omega1"
+    values = {"eps": eps, "theta_gap": B.theta_gap, bound: getattr(B, bound)}
+    check_settings(values, positive=tuple(values))
+    check_budget_steps(C, alpha_x, alpha_y)
+    if not (0 < mu * alpha_y < 1):
+        raise ConfigurationError("plan_budget needs mu * alpha_y in (0, 1)")
 
     rate = -math.log(1.0 - mu * alpha_y)
-    if B.beta1 is not None:
-        numer = math.log(8.0 * B.gamma1 * B.beta1**2) + 2.0 * math.log(1.0 / eps)
-    else:
-        numer = math.log(4.0 * B.gamma1 * B.omega1 / mu) + 2.0 * math.log(1.0 / eps)
-    N = max(1, math.ceil(numer / rate))
-    T = max(1, math.ceil(2.0 * B.gamma2 * B.theta_gap / eps**2))
+    try:
+        if B.beta1 is not None:
+            numer = math.log(8.0 * B.gamma1 * B.beta1**2) + 2.0 * math.log(1.0 / eps)
+        else:
+            numer = math.log(4.0 * B.gamma1 * B.omega1 / mu) + 2.0 * math.log(1.0 / eps)
+        N = max(1, math.ceil(numer / rate))
+        T = max(1, math.ceil(2.0 * B.gamma2 * B.theta_gap / eps**2))
+    except (OverflowError, ZeroDivisionError) as exc:
+        msg = f"plan_budget: the budget overflows a float (eps {eps!r})"
+        raise ConfigurationError(msg) from exc
     return N, T
 
 

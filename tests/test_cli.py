@@ -170,6 +170,37 @@ def test_budget_relaxed_mode_exits_error(tmp_path, capsys):
     assert "relaxed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, manifest, named",
+    [
+        ({"--eps": "nan"}, {}, "eps"),
+        ({"--eps": "inf"}, {}, "eps"),
+        ({"--eps": "1e-200"}, {}, "overflows"),
+        ({"--beta1": "0"}, {}, "beta1"),
+        ({"--omega1": "-1", "--beta1": None}, {}, "omega1"),
+        ({"--theta-gap": "nan"}, {}, "theta_gap"),
+        ({"--theta-gap": "inf"}, {}, "theta_gap"),
+        ({"--theta-gap": "-1"}, {}, "theta_gap"),
+        ({}, {"alpha_x": "abc"}, "alpha_x"),
+        ({}, {"alpha_y": -1.0}, "alpha_y"),
+    ],
+)
+def test_budget_bad_settings_exit_error(tmp_path, capsys, flags, manifest, named):
+    # flags override the base flags; None drops one
+    flags = {"--n": "20", "--theta-gap": "1", "--beta1": "1", **flags}
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(manifest))
+    argv = ["budget", "--config", str(cfg)]
+    for flag, value in flags.items():
+        if value is not None:
+            argv += [flag, value]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert err.startswith("error:") and named in err
+    assert "Traceback" not in err
+
+
 def test_bench_empty_run_list(tmp_path):
     cfg = tmp_path / "bench.json"
     cfg.write_text(json.dumps({"runs": [], "out": str(tmp_path)}))
@@ -177,6 +208,17 @@ def test_bench_empty_run_list(tmp_path):
     assert code == EXIT_OK
     lines = (tmp_path / "bench.csv").read_text().splitlines()
     assert lines == [BENCH_HEADER]
+
+
+@pytest.mark.parametrize("runs", [5, "a.json", [1, 2], {"name": "c"}])
+def test_bench_runs_not_a_list_of_objects_exits_error(tmp_path, capsys, runs):
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"runs": runs, "out": str(tmp_path)}))
+    code = main(["bench", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert err.startswith("error: runs must be a list")
+    assert not (tmp_path / "bench.csv").exists()
 
 
 def test_bench_runs_and_failure_marking(tmp_path):

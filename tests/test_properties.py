@@ -1,7 +1,7 @@
 """Property tests (hypothesis) of the feasibility projection, the multiplier
 recovery, the closed-form inner ascent, the affine PGmsAD path, the norm
-kernel, the cone projections and their pattern keys, and the GLPE step on a
-cached operator."""
+kernel, the prox operators, the cone projections and their pattern keys, and
+the GLPE step on a cached operator."""
 
 import struct
 
@@ -12,6 +12,9 @@ from jointmm.apps import GlpeConfig, GlpeInstance, run_glpe
 from jointmm.numerics import norm2
 from jointmm.problem import MinimaxProblem, compute_constants, recover_multiplier
 from jointmm.prox import (
+    BOX,
+    FREE,
+    ZERO,
     ConeSpec,
     L1_NORM,
     NONNEG_ORTHANT,
@@ -21,6 +24,12 @@ from jointmm.prox import (
     project_polar,
     projection_jacobian,
     projection_pattern,
+    prox_blocks,
+    prox_eval,
+    prox_indicator,
+    prox_linear_shift,
+    prox_polar_indicator,
+    prox_scaled_sq_norm,
     prox_zero,
     smooth_scaled_sq_norm,
 )
@@ -190,6 +199,97 @@ def test_norm2_is_bit_equal_to_numpy_norm(entries):
         got, ref = norm2(v), float(np.linalg.norm(v))
     assert type(got) is float
     assert struct.pack("<d", got) == struct.pack("<d", ref)
+
+
+CONES = (FREE, ZERO, NONNEG_ORTHANT, SECOND_ORDER, L1_NORM)
+PROX_STEPS = st.sampled_from([1e-2, 0.5, 1.0, 7.0])
+SCALES = st.sampled_from([1e-3, 1.0, 1e3])
+
+
+def draw_cone(draw, rng, d, scale, box=False):
+    """A cone of dim d (or, when box is set, possibly a box of that scale)."""
+    kind = draw(st.sampled_from(CONES + ((BOX,) if box else ())))
+    if kind != BOX:
+        return ConeSpec(kind=kind, dim=d)
+    lo = scale * rng.standard_normal(d)
+    return ConeSpec(kind=BOX, dim=d, lower=lo, upper=lo + scale * rng.uniform(0.0, 2.0, d))
+
+
+def draw_prox(draw, rng, d, scale):
+    """A prox term of dim d of any kind but blocks, with data of the given scale."""
+    kind = draw(st.sampled_from(["zero", "indicator", "polar", "sq_norm", "shift"]))
+    if kind == "zero":
+        return prox_zero()
+    if kind == "sq_norm":
+        return prox_scaled_sq_norm(draw(st.sampled_from([0.0, 1e-3, 1.0, 1e3])))
+    if kind == "shift":
+        return prox_linear_shift(scale * rng.standard_normal(d))
+    if kind == "polar":
+        return prox_polar_indicator(draw_cone(draw, rng, d, scale))
+    return prox_indicator(draw_cone(draw, rng, d, scale, box=True))
+
+
+@st.composite
+def prox_pairs(draw):
+    """A prox term of any kind (blocks of two others too), a step t and two
+    points u, v of a drawn scale."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(SCALES)
+    if draw(st.booleans()):
+        dims = [draw(st.integers(2, 4)) for _ in range(2)]
+        op = prox_blocks([(draw_prox(draw, rng, d, scale), d) for d in dims])
+        d = sum(dims)
+    else:
+        d = draw(st.integers(2, 6))
+        op = draw_prox(draw, rng, d, scale)
+    u, v = (scale * rng.standard_normal(d) for _ in range(2))
+    return op, draw(PROX_STEPS), u, v
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(prox_pairs())
+def test_prox_eval_is_firmly_nonexpansive(case):
+    # ||P u - P v||^2 <= <P u - P v, u - v>
+    op, t, u, v = case
+    dp = prox_eval(op, t, u) - prox_eval(op, t, v)
+    assert dp @ dp <= dp @ (u - v) + 1e-12 * max(u @ u, v @ v)
+
+
+@st.composite
+def conjugate_pairs(draw):
+    """A prox term whose conjugate is again a prox term, that conjugate, a
+    step t and a point z: a cone indicator and its polar indicator (either
+    way round), the zero function and the indicator of {0}, and
+    scaled_sq_norm(c) and scaled_sq_norm(1 / c). On the norm cones the
+    head of z is a drawn multiple of the tail's norm, so z can lie in the
+    cone, in its polar or outside both."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(2, 6))
+    z = draw(SCALES) * rng.standard_normal(d)
+    kind = draw(st.sampled_from(["indicator", "polar", "zero", "sq_norm"]))
+    if kind == "zero":
+        op, conj = prox_zero(), prox_indicator(ConeSpec(kind=ZERO, dim=d))
+    elif kind == "sq_norm":
+        c = draw(st.floats(1e-3, 1e3))
+        op, conj = prox_scaled_sq_norm(c), prox_scaled_sq_norm(1.0 / c)
+    else:
+        cone = draw_cone(draw, rng, d, 1.0)
+        if cone.kind in (SECOND_ORDER, L1_NORM):
+            tail = np.linalg.norm(z[1:], 1 if cone.kind == L1_NORM else 2)
+            z[0] = draw(st.floats(-2.0, 2.0)) * tail
+        op, conj = prox_indicator(cone), prox_polar_indicator(cone)
+        if kind == "polar":
+            op, conj = conj, op
+    return op, conj, draw(PROX_STEPS), z
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(conjugate_pairs())
+def test_prox_eval_splits_z_as_moreau(case):
+    # z = prox_{t sigma}(z) + t prox_{sigma* / t}(z / t)
+    op, conj, t, z = case
+    got = prox_eval(op, t, z) + t * prox_eval(conj, 1.0 / t, z / t)
+    assert np.abs(got - z).max() <= 1e-12 * np.abs(z).max()
 
 
 POLYHEDRAL = (NONNEG_ORTHANT, L1_NORM)

@@ -31,6 +31,8 @@ from jointmm.solver import (
     IterateState,
     SolverConfig,
     TRACE_HEADER,
+    _affine_maps,
+    _block_shape,
     inner_ascent,
     outer_step,
     plan_budget,
@@ -41,7 +43,7 @@ from jointmm.solver import (
     write_trace_csv,
 )
 
-from oracles import CountingMatrix, approx_y_star, quadratic_saddle_kkt
+from oracles import CountingMatrix, approx_y_star, pgmsad_structured, quadratic_saddle_kkt
 
 
 def quadratic_problem(rng, n=2, m=2, q=2, a=1.2, b=1.5, scale=0.3, cscale=0.4):
@@ -238,6 +240,76 @@ def test_run_pgmsad_divergence_carries_state(rng):
     with pytest.raises(DivergenceError) as err:
         run_pgmsad(P, cfg)
     _assert_divergence_carries_state(err)
+
+
+def affine_case(rng, n, m, q):
+    """A zero-prox problem of n + m + q <= AFFINE_MAX_DIM (run_pgmsad takes
+    the affine path) and SolverConfig settings with a given start."""
+    P = quadratic_problem(rng, n, m, q)[0]
+    C = compute_constants(P)
+    return P, dict(alpha_x=0.9 / C.L_theta, alpha_y=0.9 / C.L_h, inner_steps=5,
+                   project_final=False, x0=rng.standard_normal(n),
+                   y0=rng.standard_normal(m), lambda0=rng.standard_normal(q))
+
+
+def assert_same_run(got, ref):
+    """run_pgmsad's result against pgmsad_structured's LoopResult: the same
+    step count and stop, trace rows and iterates equal to 1e-12 relative."""
+    assert (got.state.t, got.converged) == (ref.t, ref.converged)
+    rows = [np.array([rec[2:5] for rec in run.trace]) for run in (got, ref)]
+    assert np.abs(rows[0] - rows[1]).max() <= 1e-12 * rows[1].max()
+    z = [np.concatenate([s.x, s.y, s.lam]) for s in (got.state, ref.state)]
+    assert np.abs(z[0] - z[1]).max() <= 1e-12 * np.abs(z[1]).max()
+
+
+# n + m + q = 6: blocks of one product with M, ..., M^42; 40: blocks of two
+# products with M, ..., M^6
+@pytest.mark.parametrize("n, m, q, shape", [(2, 2, 2, (42, 42)), (16, 16, 8, (6, 12))])
+def test_affine_blocks_match_the_structured_steps_at_every_cap(rng, n, m, q, shape):
+    P, kw = affine_case(rng, n, m, q)
+    assert _block_shape(n + m + q) == shape
+    k = shape[1]
+    for cap in (0, 1, k - 1, k, k + 1, 3 * k):
+        cfg = SolverConfig(outer_cap=cap, eps=0.0, **kw)
+        assert_same_run(run_pgmsad(P, cfg), pgmsad_structured(P, cfg))
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_affine_blocks_stop_on_the_first_and_last_row_of_a_block(rng, where):
+    # iterate 0 is certified alone; block b >= 1 holds iterates
+    # (b - 1) k + 1 .. b k. eps is set just above the largest residual of a
+    # record-low iterate t in the wanted place, so the run stops at t
+    P, kw = affine_case(rng, 2, 2, 2)
+    k = _block_shape(6)[1]
+    trace = pgmsad_structured(P, SolverConfig(outer_cap=5 * k, eps=0.0, **kw)).trace
+    worst = [max(rec[2:5]) for rec in trace]
+    t = next(t for t in range(k, 5 * k + 1)
+             if t % k == (1 if where == "first" else 0) and worst[t] < 0.999 * min(worst[:t]))
+    cfg = SolverConfig(outer_cap=5 * k, eps=worst[t] * (1 + 1e-9), **kw)
+    got, ref = run_pgmsad(P, cfg), pgmsad_structured(P, cfg)
+    assert (ref.t, ref.converged) == (t, True)
+    assert_same_run(got, ref)
+
+
+@pytest.mark.filterwarnings("error")
+def test_affine_divergence_names_the_iterate_single_steps_name(rng):
+    # a finite outer-step map with spectral radius near 5: the iterates grow
+    # until entries of the x- and y-residuals overflow when squared. The
+    # block holding that row is filled again by single steps and its norms
+    # taken block by block, so the error does not name res_feas, which the
+    # product of the squares with a 0/1 matrix makes NaN (0 * inf)
+    P, kw = affine_case(rng, 2, 2, 2)
+    kw["alpha_x"] *= 10
+    cfg = SolverConfig(outer_cap=100000, eps=0.0, **kw)
+    M = _affine_maps(P, cfg)[0]
+    assert np.all(np.isfinite(M)) and np.abs(np.linalg.eigvals(M)).max() > 1
+    with pytest.raises(DivergenceError) as err:
+        run_pgmsad(P, cfg)
+    with pytest.raises(DivergenceError) as ref:
+        pgmsad_structured(P, cfg)
+    assert str(err.value) == str(ref.value) == "diverged at iterate 223: nonfinite res_x, res_y"
+    _assert_divergence_carries_state(err)
+    assert err.value.state.t == ref.value.state.t > _block_shape(6)[1]
 
 
 @pytest.mark.filterwarnings("error")
