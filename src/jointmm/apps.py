@@ -91,14 +91,6 @@ class _EquationData:
 class GaveInstance(_EquationData):
     """Data (A, B, b) of the equation A x + B |x| = b."""
 
-    @property
-    def rows(self):
-        return self.A.shape[0]
-
-    @property
-    def cols(self):
-        return self.A.shape[1]
-
     def error(self, x):
         """Scoring metric ||A x + B |x| - b||."""
         x = np.asarray(x, dtype=np.float64)
@@ -358,12 +350,13 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
     and applies the correction. The returned split x = P_K(x) + (x - P_K(x))
     satisfies cone membership and complementarity exactly.
 
-    For the polyhedral cones (orthant, 1-norm) D_K is constant on each
-    active pattern (prox.projection_pattern), so the sweeps are one fixed
-    linear map r -> W r (richardson_operator). The driver keeps J and W of
-    the last pattern and rebuilds them only when the pattern changes; a
-    step is then one matvec. The second-order cone's Jacobian moves within
-    its boundary piece, so there each step builds J and runs the sweeps.
+    The sweeps from w = 0 are one linear map r -> W r (richardson_operator),
+    so a linearization is the pair (J, W) and a step is one matvec. For the
+    polyhedral cones (orthant, 1-norm) D_K is constant on each active
+    pattern (prox.projection_pattern), so the driver keeps J and W of the
+    last pattern and rebuilds them only when the pattern changes. The
+    second-order cone has no pattern key (its Jacobian moves within its
+    boundary piece), so there each step builds J and W.
 
     Trace row t: res_feas and app_error are the equation error at iterate
     t; res_x is the norm of the correction that produced iterate t and
@@ -377,8 +370,12 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
     cone = G.cone
     n = A.shape[1]
     last_step = (0.0, 0.0)  # correction norm and inner residual behind the iterate
-    linearization = (None, None, None)  # pattern key, J and W (None off the polyhedral cones)
+    linearization = (None, None, None)  # pattern key (None: rebuild every step), J and W
     patterns = 0
+
+    def linearize(x):
+        J = A + B @ projection_jacobian(cone, x)
+        return J, richardson_operator(J, alpha, config.inner_steps)
 
     def certify(x):
         xk = project_cone(cone, x)
@@ -391,19 +388,10 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
         xk, r, _ = cert
         key = projection_pattern(cone, x, xk)
         if key is None or key != linearization[0]:
-            J = A + B @ projection_jacobian(cone, x)
-            W = None if key is None else richardson_operator(J, alpha, config.inner_steps)
-            linearization = (key, J, W)
+            linearization = (key, *linearize(x))
             patterns += 1
         _, J, W = linearization
-        if W is None:
-            JtJ = J.T @ J
-            Jtr = J.T @ r
-            w = np.zeros(n)
-            for _ in range(config.inner_steps):
-                w = w + alpha * (Jtr - JtJ @ w)
-        else:
-            w = W @ r
+        w = W @ r
         x = x - w
         if config.record_trace:
             last_step = (norm2(w), norm2(r - J @ w))
@@ -412,8 +400,8 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
     x0 = start_vector(config.x0, n, "x0", lambda: np.zeros(n))
     run = iterate(x0, step, certify, config.outer_cap, config.record_trace)
     xk, _, err = run.cert
-    J = A + B @ projection_jacobian(cone, run.state)
-    step_jacobian = np.eye(n) - richardson_operator(J, alpha, config.inner_steps) @ J
+    J, W = linearize(run.state)
+    step_jacobian = np.eye(n) - W @ J
     return GlpeResult(
         x=run.state,
         x_cone=xk,
@@ -571,7 +559,8 @@ def _gave_c():
     return GaveInstance(A=A, B=B, b=b)
 
 
-def _glpe_paper(cone_kind=NONNEG_ORTHANT):
+def builtin_glpe(cone_kind=NONNEG_ORTHANT) -> GlpeInstance:
+    """The 5 x 5 projection equation glpe-paper under the cone cone_kind."""
     A = np.array(
         [
             [-1.0, 0.0, 1.0, 0.0, 0.0],
@@ -594,33 +583,31 @@ def _glpe_paper(cone_kind=NONNEG_ORTHANT):
     return GlpeInstance(A=A, B=B, b=b, cone=ConeSpec(kind=cone_kind, dim=5))
 
 
-GAVE_BUILTINS = {"gave-a": _gave_a, "gave-b": _gave_b, "gave-c": _gave_c}
-BUILTIN_NAMES = ("gave-a", "gave-b", "gave-c", "glpe-paper")
-
-# stock settings of each named instance: (alpha_x = alpha_y = alpha_z,
-# inner_steps, outer_cap, penalty, eps, start point)
-_GAVE_STOCK = {
-    "gave-a": (0.05, 5, 200, 1.5, 1e-3, GAVE_SMALL_START),
-    "gave-b": (0.01, 40, 100, 1.0, 2.5e-2, GAVE_SMALL_START),
-    "gave-c": (0.01, 5, 10, 0.0, 1e-8, {}),
+# named gave instances: builder and stock settings (alpha_x = alpha_y =
+# alpha_z, inner_steps, outer_cap, penalty, eps, start point)
+GAVE_BUILTINS = {
+    "gave-a": (_gave_a, (0.05, 5, 200, 1.5, 1e-3, GAVE_SMALL_START)),
+    "gave-b": (_gave_b, (0.01, 40, 100, 1.0, 2.5e-2, GAVE_SMALL_START)),
+    "gave-c": (_gave_c, (0.01, 5, 10, 0.0, 1e-8, {})),
 }
 
 
-def _gave_entry(table, name):
-    if name not in table:
-        raise ConfigurationError(f"unknown built-in instance {name!r}; choose from {sorted(table)}")
-    return table[name]
+def _gave_entry(name):
+    if name not in GAVE_BUILTINS:
+        choices = sorted(GAVE_BUILTINS)
+        raise ConfigurationError(f"unknown built-in instance {name!r}; choose from {choices}")
+    return GAVE_BUILTINS[name]
 
 
 def builtin_gave(name: str) -> GaveInstance:
-    return _gave_entry(GAVE_BUILTINS, name)()
+    return _gave_entry(name)[0]()
 
 
 def builtin_gave_config(name: str) -> GaveConfig:
     """Stock settings for each named instance. Step sizes and loop counts
     are fixed per instance; penalty and stopping threshold are this
     implementation's tuning."""
-    alpha, inner_steps, outer_cap, penalty, eps, start = _gave_entry(_GAVE_STOCK, name)
+    alpha, inner_steps, outer_cap, penalty, eps, start = _gave_entry(name)[1]
     return GaveConfig(
         alpha_x=alpha,
         alpha_y=alpha,
@@ -631,7 +618,3 @@ def builtin_gave_config(name: str) -> GaveConfig:
         eps=eps,
         **start,
     )
-
-
-def builtin_glpe(cone_kind=NONNEG_ORTHANT) -> GlpeInstance:
-    return _glpe_paper(cone_kind)

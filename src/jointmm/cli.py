@@ -194,7 +194,8 @@ def cmd_run(args):
         elif builtin == "glpe-paper":
             kind = "glpe"
         else:
-            raise JointmmError(f"unknown builtin {builtin!r}; choose from {apps.BUILTIN_NAMES}")
+            names = (*apps.GAVE_BUILTINS, "glpe-paper")
+            raise JointmmError(f"unknown builtin {builtin!r}; choose from {names}")
     return run(kind, spec)
 
 
@@ -218,7 +219,8 @@ def cmd_budget(args):
         alpha_y = 0.9 / C.L_h if C.L_h > 0 else 1.0
     check_settings({"alpha_x": alpha_x, "alpha_y": alpha_y}, steps=("alpha_x", "alpha_y"))
     B = compute_budget_constants(P, C, alpha_x, alpha_y)
-    B = B.with_bounds(
+    B = dataclasses.replace(
+        B,
         beta1=spec.get("beta1"),
         omega1=spec.get("omega1"),
         theta_gap=spec.get("theta_gap"),

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -98,8 +98,8 @@ class MinimaxProblem:
                     )
         _check_prox_dim("phi", self.phi, n)
         _check_prox_dim("psi", self.psi, m)
-        if self.mu < 0:
-            raise ConfigurationError("mu must be >= 0")
+        if not 0 <= self.mu < math.inf:  # NaN fails this too
+            raise ConfigurationError(f"mu must be >= 0 and finite, got {self.mu!r}")
         self._gram_inv = None
         self._ascent_maps = {}
 
@@ -197,11 +197,21 @@ class Residuals:
         return self.res_x <= eps and self.res_y <= eps and self.res_feas <= eps
 
 
+def gradient_mapping(op: ProxOperator, L, z, g):
+    """L (z - prox_{op/L}(z - g/L)), the gradient mapping of the prox term op
+    at z for the gradient g at scaling L: g itself when op is the zero prox,
+    where the formula would cancel to 0 once |g| < L ulp(|z|)/2."""
+    if op.kind == PROX_ZERO:
+        return g
+    return L * (z - prox_eval(op, 1.0 / L, z - g / L))
+
+
 def residuals(P: MinimaxProblem, x, y, lam, L1, L2, Ky=None, drive=None) -> Residuals:
     """Gradient-mapping residuals certifying (eps-)stationarity.
 
     res_x = ||L1 (x - prox_{phi/L1}(x - grad_x/L1))||, res_y the same on the
-    ascent side (note the + sign: y + grad_y/L2), res_feas = ||Ax + By + c||.
+    ascent side with the gradient -grad_y (see gradient_mapping), res_feas =
+    ||Ax + By + c||.
     All three vanish exactly at a stationary triple. Nonfinite input gives
     nonfinite residuals, not an error: solver.iterate decides divergence.
     A loop that already holds K y or the drive K^T x + B^T lambda of the
@@ -210,18 +220,8 @@ def residuals(P: MinimaxProblem, x, y, lam, L1, L2, Ky=None, drive=None) -> Resi
     """
     if L1 <= 0 or L2 <= 0:
         raise ConfigurationError("residual scalings L1, L2 must be positive")
-    gx = grad_x(P, x, y, lam, Ky)
-    gy = grad_y(P, x, y, lam, drive)
-    # a zero prox makes the mapping the gradient itself; L (x - (x - g/L))
-    # would cancel to 0 once |g| < L ulp(|x|)/2
-    if P.phi.kind == PROX_ZERO:
-        rx = gx
-    else:
-        rx = L1 * (x - prox_eval(P.phi, 1.0 / L1, x - gx / L1))
-    if P.psi.kind == PROX_ZERO:
-        ry = -gy
-    else:
-        ry = L2 * (y - prox_eval(P.psi, 1.0 / L2, y + gy / L2))
+    rx = gradient_mapping(P.phi, L1, x, grad_x(P, x, y, lam, Ky))
+    ry = gradient_mapping(P.psi, L2, y, -grad_y(P, x, y, lam, drive))
     return Residuals(
         res_x=norm2(rx),
         res_y=norm2(ry),
@@ -251,9 +251,7 @@ def inner_residual(P: MinimaxProblem, x, y, lam, L=1.0):
     This is the quantity an inner maximizer must drive below its target; it
     vanishes exactly at y_*(x, lambda).
     """
-    gy = grad_y(P, x, y, lam)
-    ry = L * (y - prox_eval(P.psi, 1.0 / L, y + gy / L))
-    return float(np.linalg.norm(ry))
+    return norm2(gradient_mapping(P.psi, L, y, -grad_y(P, x, y, lam)))
 
 
 @dataclass(frozen=True)
@@ -316,22 +314,18 @@ class BudgetConstants:
     omega1: Optional[float] = None
     theta_gap: Optional[float] = None
 
-    def with_bounds(self, beta1=None, omega1=None, theta_gap=None):
-        return replace(self, beta1=beta1, omega1=omega1, theta_gap=theta_gap)
-
 
 def check_budget_steps(C: ProblemConstants, alpha_x: float, alpha_y: float):
     """Raise ConfigurationError unless 0 < alpha_x < 1/L_theta (when mu > 0
-    defines L_theta) and 0 < alpha_y < 1/L_h (when L_h > 0): the step-size
-    ranges the budget formulas assume."""
+    defines L_theta) and 0 < alpha_y < 1/L_h (no upper bound when L_h = 0):
+    the step-size ranges the budget formulas assume."""
     if C.L_theta is not None and not (0 < alpha_x < 1.0 / C.L_theta):
         raise ConfigurationError(
             f"alpha_x must lie in (0, 1/L_theta) = (0, {1.0 / C.L_theta:.6g}), got {alpha_x}"
         )
-    if C.L_h > 0 and not (0 < alpha_y < 1.0 / C.L_h):
-        raise ConfigurationError(
-            f"alpha_y must lie in (0, 1/L_h) = (0, {1.0 / C.L_h:.6g}), got {alpha_y}"
-        )
+    hi = 1.0 / C.L_h if C.L_h > 0 else math.inf
+    if not 0 < alpha_y < hi:
+        raise ConfigurationError(f"alpha_y must lie in (0, 1/L_h) = (0, {hi:.6g}), got {alpha_y}")
 
 
 def compute_budget_constants(
@@ -346,8 +340,6 @@ def compute_budget_constants(
     if C.L_theta is None:
         raise ConfigurationError("budget constants need mu > 0 (L_theta undefined in relaxed mode)")
     check_budget_steps(C, alpha_x, alpha_y)
-    if alpha_y <= 0:
-        raise ConfigurationError("alpha_y must be positive")
     if C.norm_B == 0:
         raise ConfigurationError("budget constants need B nonzero")
 

@@ -198,30 +198,20 @@ def _soc_jacobian(z):
     return D
 
 
-def _linf_cone_jacobian(z):
-    a0 = z[0]
-    tail = z[1:]
-    d = z.shape[0]
-    mags = np.abs(tail)
-    if mags.max(initial=0.0) <= a0:
-        return np.eye(d)
-    if mags.sum() <= -a0:
-        return np.zeros((d, d))
-    p = _project_linf_cone(z)
-    t0 = p[0]
-    active = mags > t0
-    k = int(active.sum())
-    grad_t0 = np.zeros(d)
-    grad_t0[0] = 1.0 / (1.0 + k)
-    grad_t0[1:][active] = np.sign(tail[active]) / (1.0 + k)
-    D = np.zeros((d, d))
-    D[0, :] = grad_t0
-    for i in range(d - 1):
-        if active[i]:
-            D[1 + i, :] = np.sign(tail[i]) * grad_t0
-        else:
-            D[1 + i, 1 + i] = 1.0
-    return D
+def _l1_piece(z, pz=None):
+    """The piece of the 1-norm cone projection that z lies on: b"polar"
+    (P_K(z) = 0, tested first, so the apex is polar), b"inside" (P_K(z) = z),
+    or on the boundary the signs s of the tail of pz = P_K(z), which are 0
+    exactly off the active set and the signs of z on it. pz is computed when
+    not given."""
+    mags = np.abs(z[1:])
+    if mags.max() <= -z[0]:
+        return b"polar"
+    if mags.sum() <= z[0]:
+        return b"inside"
+    if pz is None:
+        pz = project_l1cone(z)
+    return np.sign(pz[1:])
 
 
 def projection_jacobian(cone: ConeSpec, z):
@@ -246,8 +236,17 @@ def projection_jacobian(cone: ConeSpec, z):
     if cone.kind == SECOND_ORDER:
         return _soc_jacobian(z)
     if cone.kind == L1_NORM:
-        # P(z) = z + P_linf(-z), so D = I - D_linf(-z)
-        return np.eye(cone.dim) - _linf_cone_jacobian(-z)
+        piece = _l1_piece(z)
+        if isinstance(piece, bytes):
+            return np.eye(cone.dim) if piece == b"inside" else np.zeros((cone.dim, cone.dim))
+        # boundary: P(z) = z + t (1, -s), t = (sum_active |z_i| - z0) / (1 + k)
+        # over the k active entries; with r = (1, -s), D is I - r r^T / (1 + k)
+        # on the head and the active entries, and 0 on the inactive ones
+        r = np.concatenate(([1.0], -piece))
+        D = np.eye(cone.dim) - np.outer(r, r / (1.0 + np.count_nonzero(piece)))
+        inactive = np.flatnonzero(piece == 0) + 1
+        D[inactive, inactive] = 0.0
+        return D
     raise ConfigurationError(f"unknown cone kind {cone.kind!r}")
 
 
@@ -256,25 +255,18 @@ def projection_pattern(cone: ConeSpec, z, pz=None):
 
     Equal keys of one cone mean equal projection_jacobian(cone, z) bytes, so
     a caller may reuse whatever it built from the Jacobian while the key
-    stays put. Orthant: the mask z > 0. 1-norm cone: the branch of
-    projection_jacobian (polar, inside, boundary) and, on the boundary, the
-    signs of the tail of pz = P_K(z), which are 0 exactly off the active set
-    and the signs of z on it; pz is computed when not given. The key costs
-    less than the Jacobian it stands for. None for the other kinds: the
-    second-order cone's Jacobian varies within its boundary piece, and the
-    remaining kinds have no key yet.
+    stays put. Orthant: the mask z > 0. 1-norm cone: the piece of z
+    (_l1_piece), on the boundary b"boundary" and the tail signs of
+    pz = P_K(z); pz is computed when not given. The key costs less than the
+    Jacobian it stands for. None for the other kinds: the second-order
+    cone's Jacobian varies within its boundary piece, and the remaining
+    kinds have no key yet.
     """
     if cone.kind == NONNEG_ORTHANT:
         return (z > 0).tobytes()
     if cone.kind == L1_NORM:
-        mags = np.abs(z[1:])
-        if mags.max() <= -z[0]:  # the branch order of projection_jacobian
-            return b"polar"
-        if mags.sum() <= z[0]:
-            return b"inside"
-        if pz is None:
-            pz = project_l1cone(z)
-        return b"boundary" + np.sign(pz[1:]).tobytes()
+        piece = _l1_piece(z, pz)
+        return piece if isinstance(piece, bytes) else b"boundary" + piece.tobytes()
     return None
 
 

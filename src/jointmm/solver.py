@@ -66,21 +66,25 @@ def check_settings(values, steps=(), counts=(), nonnegative=(), positive=()):
     """Raise ConfigurationError unless the named entries of the dict values are valid.
 
     steps (step sizes) and positive fields must be positive and finite,
-    counts nonnegative integers, and nonnegative fields numbers >= 0. The
-    comparisons are written so that NaN fails them.
+    counts nonnegative integers, and nonnegative fields numbers >= 0. A bool
+    is none of these, and the comparisons are written so that NaN fails them.
     """
+
+    def number(value, kind=Real):
+        return isinstance(value, kind) and not isinstance(value, bool)
+
     for name in (*steps, *positive):
         value = values[name]
-        if not (isinstance(value, Real) and 0 < value < math.inf):
+        if not (number(value) and 0 < value < math.inf):
             what = "step size " if name in steps else ""
             raise ConfigurationError(f"{what}{name} must be positive and finite, got {value!r}")
     for name in counts:
         value = values[name]
-        if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
+        if not (number(value, Integral) and value >= 0):
             raise ConfigurationError(f"{name} must be a nonnegative integer, got {value!r}")
     for name in nonnegative:
         value = values[name]
-        if not (isinstance(value, Real) and value >= 0):
+        if not (number(value) and value >= 0):
             raise ConfigurationError(f"{name} must be >= 0, got {value!r}")
 
 

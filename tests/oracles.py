@@ -344,7 +344,7 @@ def gave_to_minimax(G: GaveInstance) -> MinimaxProblem:
     x+ is the nonnegative part (orthant indicator), z lies in the
     nonnegative orthant, and the constraint is x+ - (B-A)^T y - z = 0.
     """
-    orthant = ConeSpec(kind=NONNEG_ORTHANT, dim=G.cols)
+    orthant = ConeSpec(kind=NONNEG_ORTHANT, dim=G.A.shape[1])
     return _split_to_minimax(G, orthant, prox_indicator(orthant), G.B - G.A)
 
 

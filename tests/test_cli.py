@@ -201,6 +201,34 @@ def test_budget_bad_settings_exit_error(tmp_path, capsys, flags, manifest, named
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("mu", [float("nan"), float("inf")])
+def test_budget_nonfinite_mu_exits_error(tmp_path, capsys, mu):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(_manifest_2x2(mu=mu)))
+    code = main(["budget", "--problem", str(path), "--theta-gap", "1", "--beta1", "1"])
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert err.startswith("error:") and "mu must be >= 0 and finite" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, manifest, named",
+    [(["solve", "--builtin", "gave-a"], {"alpha_x": True, "alpha_y": True},
+      "step size alpha_x must be positive and finite, got True"),
+     (["glpe"], {"eps": True}, "eps must be >= 0, got True")],
+    ids=["gave-a-steps", "glpe-eps"],
+)
+def test_bool_settings_exit_error(tmp_path, capsys, argv, manifest, named):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(manifest))
+    code = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert err.startswith("error:") and named in err
+    assert "Traceback" not in err
+
+
 def test_bench_empty_run_list(tmp_path):
     cfg = tmp_path / "bench.json"
     cfg.write_text(json.dumps({"runs": [], "out": str(tmp_path)}))

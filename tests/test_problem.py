@@ -216,6 +216,14 @@ def test_inner_residual_vanishes_at_maximizer(rng):
     assert inner_residual(P, x, ystar, lam) <= 1e-10
 
 
+def test_inner_residual_keeps_a_gradient_below_the_ulp_of_y():
+    # h = 0 and psi = 0: the mapping is -grad_y = -x, which 1 - (1 + 1e-17)
+    # would round to 0
+    P = MinimaxProblem(g=smooth_zero(), phi=prox_zero(), h=smooth_zero(), psi=prox_zero(),
+                       K=np.eye(1), A=np.eye(1), B=np.eye(1), c=np.zeros(1))
+    assert inner_residual(P, np.array([1e-17]), np.ones(1), np.zeros(1)) == 1e-17
+
+
 def test_y_star_lipschitz_bound(rng):
     # strongly concave quadratic inner problem: closed-form maximizer
     P = make_problem(rng, b=1.3)

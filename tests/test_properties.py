@@ -369,9 +369,10 @@ def test_cone_projection_splits_z_as_moreau(case):
 
 @st.composite
 def glpe_starts(draw):
-    """A random polyhedral GLPE instance, a step size inside the stable range
-    of its first linearization, and a start x0."""
-    kind = draw(st.sampled_from(POLYHEDRAL))
+    """A random GLPE instance on the orthant, 1-norm or second-order cone, a
+    step size inside the stable range of its first linearization, and a
+    start x0."""
+    kind = draw(st.sampled_from(POLYHEDRAL + (SECOND_ORDER,)))
     d = draw(st.integers(2, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     G = GlpeInstance(A=rng.standard_normal((d, d)) + 3.0 * np.eye(d),

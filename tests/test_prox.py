@@ -301,18 +301,28 @@ def test_projection_jacobian_matches_finite_differences(rng):
     ([0.0, 0.0, 0.0], "polar"),       # the apex takes the Jacobian's polar branch
     ([0.0, 1.0, -1.0], "boundary"),   # every tail entry active
     ([0.0, 3.0, -0.5], "boundary"),   # the second tail entry inactive
+    # near ties: on and one ulp off the polar and inside tests, and tail
+    # magnitudes one ulp apart
+    ([-0.5, 0.5, -0.5], "polar"),
+    ([-np.nextafter(0.5, 0), 0.5, -0.5, 0.1], "boundary"),
+    ([1.0, 0.5, -0.5], "inside"),
+    ([np.nextafter(1.0, 0), 0.5, -0.5], "boundary"),
+    ([0.0, 1.0, -np.nextafter(1.0, 2), 0.25], "boundary"),
 ])
 def test_l1_pattern_branches(z, branch):
-    cone = ConeSpec(kind=L1_NORM, dim=3)
     z = np.array(z)
+    d = z.shape[0]
+    cone = ConeSpec(kind=L1_NORM, dim=d)
     key = projection_pattern(cone, z)
     assert key.startswith(branch.encode())
     assert key == projection_pattern(cone, z, project_cone(cone, z))
     D = projection_jacobian(cone, z)
     if branch == "inside":
-        assert np.array_equal(D, np.eye(3))
+        assert np.array_equal(D, np.eye(d))
     if branch == "polar":
-        assert np.array_equal(D, np.zeros((3, 3)))
+        assert np.array_equal(D, np.zeros((d, d)))
+    if branch == "boundary":  # an orthogonal projector
+        assert np.array_equal(D, D.T) and np.abs(D @ D - D).max() <= 1e-15
 
 
 def test_l1_pattern_tells_inside_from_fully_active_boundary():

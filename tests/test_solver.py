@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -605,11 +607,11 @@ def test_plan_budget_validation():
     B = BudgetConstants(chi0=1, chi1=1, omega_x=0, omega_y=0, gamma1=1.0, gamma2=1.0)
     with pytest.raises(ConfigurationError, match="theta_gap"):
         plan_budget(C, B, 0.1, 0.5, 1.0, 0.1)
-    both = B.with_bounds(beta1=1.0, omega1=1.0, theta_gap=1.0)
+    both = dataclasses.replace(B, beta1=1.0, omega1=1.0, theta_gap=1.0)
     with pytest.raises(ConfigurationError, match="exactly one"):
         plan_budget(C, both, 0.1, 0.5, 1.0, 0.1)
     with pytest.raises(ConfigurationError):
-        plan_budget(C, B.with_bounds(beta1=1.0, theta_gap=1.0), 0.1, 0.5, 0.0, 0.1)
+        plan_budget(C, dataclasses.replace(B, beta1=1.0, theta_gap=1.0), 0.1, 0.5, 0.0, 0.1)
 
 
 def test_trace_csv_golden_header(tmp_path, rng):
