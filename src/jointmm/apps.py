@@ -33,8 +33,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .numerics import as_matrix, as_vector, norm2
-from .problem import MinimaxProblem, recover_multiplier, residuals
+from .numerics import as_matrix, as_vector, norm2, serial_matmul
+from .problem import MinimaxProblem, Residuals, recover_multiplier, residuals
 from .prox import (
     ConeSpec,
     L1_NORM,
@@ -52,6 +52,7 @@ from .solver import (
     IterateState,
     SolveResult,
     SolverConfig,
+    _run_affine,
     ascend,
     check_settings,
     iterate,
@@ -67,6 +68,21 @@ _GLPE_CONES = (NONNEG_ORTHANT, SECOND_ORDER, L1_NORM)
 # coupling so the stock step sizes (0.3 on the descent side, 1 on the
 # ascent side) sit inside the stable region with fast uniform contraction
 LINREG_COUPLING_GAIN = 2.2
+
+# The largest n + m + q at which run_linreg takes the affine path of x
+# (_linreg_maps). Affine / structured wall time of run_linreg, build
+# included (make_linreg(n, n, n // 5, seed 3) at the stock steps, eps = 0;
+# median of 3, 1 OpenBLAS thread, 2-vCPU Xeon VM):
+#     n + m + q      22   110   220   440   880  1760  3520
+#     10 steps     0.84  0.87  1.56  3.84  9.12  15.1  21.7
+#     100 steps    0.15  0.19  0.32  0.78  1.50  1.69  2.58
+#     1,000 steps  0.07  0.09  0.15  0.26  0.39  0.52  0.64
+# The build (three n^3 products with K) pays for itself after 200 to 370
+# steps at every size measured; the stock instances take 332 (n = 10) to
+# 8,987 (n = 400) steps. The maps hold about 4.2 n^2 doubles on this family
+# (5.1 MiB at n = 400), so the limit keeps them under 30 MB and the build
+# near 0.25 s.
+LINREG_AFFINE_MAX_DIM = 2048
 
 
 @dataclass
@@ -276,8 +292,8 @@ class GlpeConfig:
     """Settings for the projection-equation driver.
 
     alpha defaults to the preset 1/|det(A+B)|; inner_steps is the number of
-    Richardson sweeps per outer linearization; eps is the equation-error
-    stopping threshold.
+    Richardson sweeps per outer linearization, at least 1; eps is the
+    equation-error stopping threshold.
     """
 
     alpha: Optional[float] = None
@@ -294,6 +310,10 @@ class GlpeConfig:
             counts=("inner_steps", "outer_cap"),
             nonnegative=("eps",),
         )
+        if self.inner_steps == 0:
+            raise ConfigurationError(
+                "inner_steps must be at least 1: with no Richardson sweeps a step never moves x"
+            )
 
 
 @dataclass
@@ -435,9 +455,14 @@ def make_linreg(n, m, p, seed, lambda_reg=None):
     if p < 1:
         raise ConfigurationError("regression instances need p >= 1")
     rng = make_rng(seed)
-    K = gaussian_matrix(rng, m, n)
-    A = gaussian_matrix(rng, p, n)
-    B = gaussian_matrix(rng, p, m)
+    try:
+        K = gaussian_matrix(rng, m, n)
+        A = gaussian_matrix(rng, p, n)
+        B = gaussian_matrix(rng, p, m)
+    except MemoryError:
+        raise ConfigurationError(
+            f"a regression instance of n = {n}, m = {m}, p = {p} is too large to hold in memory"
+        ) from None
     b = np.zeros(m)
     c = np.zeros(p)
     if lambda_reg is None:
@@ -466,6 +491,63 @@ def make_linreg(n, m, p, seed, lambda_reg=None):
     return inst, P
 
 
+def _linreg_maps(P: MinimaxProblem, config: SolverConfig):
+    """run_linreg's outer step and residual rows as dense affine maps of x
+    when one inner ascent lands on y*(x): returns (F, f, H, h, RM, rm).
+
+    With ascent weight p = 0 the ascended y+ = w (K^T x - b_h) forgets y,
+    so the descent step and the feasibility projection give the next
+    iterate as x' = F x + f, y' = H x + h. Its residual row is the block
+    norms of RM x + rm: the x-gradient and the y-gradient (up to sign) at
+    (x', y'), projected by I - G^T S^-1 G with G = [A B] (the multiplier
+    recovery, folded in), and the constraint residual A x' + B y' + c.
+    Every block is a product with K, A, B or S^-1 with n columns, taken by
+    numerics.serial_matmul so that its bits do not depend on the BLAS
+    thread count; no (n + m)-square matrix is formed. K is reached only
+    through a product, as the steps reach it. Overflow gives inf or NaN
+    entries, not a warning: iterate decides divergence.
+    """
+    n, m, q = P.n, P.m, P.q
+    A, B, Si, ax = P.A, P.B, P.gram_inverse(), config.alpha_x
+    mm = serial_matmul
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = P.K @ np.eye(m)
+        dg, dh = np.broadcast_to(P.g.d, n), np.broadcast_to(P.h.d, m)
+        bg = np.zeros(n) if P.g.b is None else P.g.b
+        bh = np.zeros(m) if P.h.b is None else P.h.b
+        w = np.broadcast_to(P.ascent_map(config.inner_steps, config.alpha_y)[1], m)
+        # ascent y+ = w (K^T x - b_h)
+        Y, yc = w[:, None] * K.T, -w * bh
+        # descent x+ = x - alpha_x (d_g x + b_g + K y+)
+        X = mm(K, Y)
+        X[np.diag_indices(n)] += dg
+        X *= -ax
+        X[np.diag_indices(n)] += 1.0
+        xc = -ax * (bg + K @ yc)
+        # projection onto A x + B y + c = 0
+        Z, zc = mm(Si, mm(A, X) + mm(B, Y)), Si @ (A @ xc + B @ yc + P.c)
+        X -= mm(A.T, Z)
+        Y -= mm(B.T, Z)
+        F, f, H, h = X, xc - A.T @ zc, Y, yc - B.T @ zc
+        # rows: the gradients at (x', y'), d_g x' + b_g + K y' and
+        # K^T x' - d_h y' - b_h, less G^T S^-1 G of them (the residuals at
+        # the recovered multiplier), then A x' + B y' + c. Fortran order:
+        # RM.T is C-contiguous, the fast layout for the row products
+        RM = np.empty((n + m + q, n), order="F")
+        Rx, Ry = RM[:n], RM[n : n + m]
+        Rx[...] = mm(K, H)
+        Rx += dg[:, None] * F
+        Ry[...] = mm(K.T, F)
+        Ry -= dh[:, None] * H
+        gx, gy = dg * f + bg + K @ h, K.T @ f - dh * h - bh
+        L, lc = mm(Si, mm(A, Rx) + mm(B, Ry)), Si @ (A @ gx + B @ gy)
+        Rx -= mm(A.T, L)
+        Ry -= mm(B.T, L)
+        RM[n + m :] = mm(A, F) + mm(B, H)
+        rm = np.concatenate([gx - A.T @ lc, gy - B.T @ lc, A @ f + B @ h + P.c])
+    return F, f, H, h, RM, rm
+
+
 def run_linreg(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
     """Projected multi-step descent-ascent for smooth constrained instances.
 
@@ -475,14 +557,26 @@ def run_linreg(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
     not iterated; it is recovered by least squares from the gradients at
     every iterate, which is what certifies stationarity. This is the stable
     route for instances whose reduced objective in (x, lambda) is
-    indefinite, where the multiplier iteration diverges.
+    indefinite, where the multiplier iteration diverges. A given lambda0 is
+    a ConfigurationError, since no start multiplier is used.
 
-    Each iterate is evaluated once: certify forms K^T x and K y, recovers
-    the multiplier from them into the state (a step returns it empty), takes
-    the three residuals from them too, and hands K^T x to the step as the
-    next ascent's drive. With K y+ of the ascended y, an outer iteration
-    takes three products with K. A given lambda0 is a ConfigurationError,
-    since no start multiplier is used.
+    When the inner ascent lands exactly on y*(x) (ascent weight
+    p = (1 - alpha_y d_h)^N = 0, as at make_linreg's alpha_y = 1) and
+    n + m + q <= LINREG_AFFINE_MAX_DIM, the whole outer step and the
+    residual row of the next iterate are affine maps of x alone
+    (_linreg_maps). Their build costs three n x n x n products with K, and
+    the steps then run in blocks on solver._run_affine: one n x n matvec per
+    outer iteration and one product with the residual map per block.
+    Iterate 0's row is certified from the projected start as on the
+    structured path; the returned point, and a DivergenceError's, takes its
+    multiplier from one recover_multiplier call. The rows and iterates agree
+    with the structured steps to rounding.
+
+    Otherwise the structured steps run. Each iterate is evaluated once:
+    certify forms K^T x and K y, recovers the multiplier from them into the
+    state (a step returns it empty), takes the three residuals from them
+    too, and hands K^T x to the step as the next ascent's drive. With K y+
+    of the ascended y, an outer iteration takes three products with K.
     """
     if P.phi.kind != PROX_ZERO or P.psi.kind != PROX_ZERO:
         raise ConfigurationError("run_linreg handles smooth instances (phi = psi = 0)")
@@ -510,10 +604,23 @@ def run_linreg(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
         return IterateState(x=x, y=y, lam=None, t=t + 1)
 
     start = IterateState(x=x, y=y, lam=None, t=0)
-    run = iterate(start, step, certify, config.outer_cap, config.record_trace)
-    return SolveResult(
-        state=run.state, trace=run.trace, residuals=run.cert[0], converged=run.converged
-    )
+    p = P.ascent_map(config.inner_steps, config.alpha_y)[0]
+    if np.any(p) or P.n + P.m + P.q > LINREG_AFFINE_MAX_DIM:
+        run = iterate(start, step, certify, config.outer_cap, config.record_trace)
+        res = run.cert[0]
+    else:
+        F, f, H, h, RM, rm = _linreg_maps(P, config)
+
+        def unstack(z, prev, t):
+            if t == 0:
+                return start  # its multiplier recovered by certify
+            x, y = z.copy(), H @ prev + h
+            return IterateState(x=x, y=y, lam=recover_multiplier(P, x, y), t=t)
+
+        row0 = certify(start)[1][:3]
+        run = _run_affine(P, config, (F, f, RM, rm), x, unstack, row0)
+        res = Residuals(*run.cert[:3], L1=float(L1), L2=float(L2))
+    return SolveResult(state=run.state, trace=run.trace, residuals=res, converged=run.converged)
 
 
 # named instances with exact embedded data

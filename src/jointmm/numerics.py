@@ -1,5 +1,6 @@
 """Dense vector/matrix kernels: input checks, the Euclidean norm, SPD solves,
-operator norms, and the closed form of the diagonal ascent recurrence.
+a matrix product whose bits do not depend on the BLAS thread count, operator
+norms, and the closed form of the diagonal ascent recurrence.
 
 Everything here works on float64 numpy arrays. Vectors are 1-d arrays,
 matrices 2-d row-major arrays. All functions are pure; nothing is mutated.
@@ -73,6 +74,33 @@ def spd_factor(S):
 def spd_solve_factored(F, r):
     """Solve S zeta = r given the cached inverse F = S^{-1} from spd_factor: one matvec."""
     return F @ r
+
+
+# A matrix product of at most this many multiply-adds runs on one BLAS thread
+# (OpenBLAS's default threshold, 65,536 x 4). A larger product is split among
+# the threads, and its bits then change with their number: on OpenBLAS
+# 0.3.31, (8 x 400) @ (400 x 400) and (8 x 400) @ (400 x 880) gave other bits
+# at 2 threads than at 1, while (8 x 400) @ (400 x 300) did not. A matvec
+# splits only its outputs and keeps its bits.
+SERIAL_MATMUL_WORK = 65536 * 4
+
+
+def serial_matmul(A, B):
+    """A @ B for 2-d A and B, as products of blocks of rows of A (all of B,
+    or at least 8 rows) by blocks of columns of B, each within
+    SERIAL_MATMUL_WORK multiply-adds, which BLAS runs on one thread: the
+    same bits whatever the BLAS thread count, at about the speed of one
+    product on one thread. A product within the limit is one call."""
+    (m, k), n = A.shape, B.shape[1]
+    if m * k * n <= SERIAL_MATMUL_WORK:
+        return A @ B
+    rows = min(m, max(8, SERIAL_MATMUL_WORK // (k * n)))
+    cols = max(1, SERIAL_MATMUL_WORK // (rows * k))
+    out = np.empty((m, n))
+    for i in range(0, m, rows):
+        for j in range(0, n, cols):
+            out[i : i + rows, j : j + cols] = A[i : i + rows] @ B[:, j : j + cols]
+    return out
 
 
 def ascent_coefficients(d, n_steps, alpha):

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, FrameworkError
-from .numerics import as_vector, norm2
+from .numerics import as_vector, norm2, serial_matmul
 from .problem import (
     BudgetConstants,
     MinimaxProblem,
@@ -328,8 +328,9 @@ def _affine_maps(P: MinimaxProblem, config: SolverConfig):
     z <- M z + c. The three residuals are the block norms of R z + r, the
     KKT map [[diag d_g, K, A^T], [K^T, -diag d_h, B^T], [A, B, 0]] with
     r = (b_g, -b_h, c). K is reached only through a product, as the steps
-    reach it. Overflow gives inf or NaN entries, not a warning: iterate
-    decides divergence.
+    reach it, and products of matrices go through numerics.serial_matmul,
+    so the bits do not depend on the BLAS thread count. Overflow gives inf
+    or NaN entries, not a warning: iterate decides divergence.
     """
     n, m, q = P.n, P.m, P.q
     A, B, ax = P.A, P.B, config.alpha_x
@@ -343,97 +344,114 @@ def _affine_maps(P: MinimaxProblem, config: SolverConfig):
         Y = np.hstack([w[:, None] * K.T, np.diag(p), w[:, None] * B.T])
         yc = -w * bh
         # descent x+ = x - alpha_x (d_g x + b_g + K y+ + A^T lambda)
-        X = np.hstack([np.eye(n) - ax * np.diag(dg), np.zeros((n, m)), -ax * A.T]) - ax * (K @ Y)
+        X = np.hstack([np.eye(n) - ax * np.diag(dg), np.zeros((n, m)), -ax * A.T])
+        X -= ax * serial_matmul(K, Y)
         xc = -ax * (bg + K @ yc)
         # multiplier lambda+ = lambda - alpha_x (A x + B y+ + c), the old x
-        L = np.hstack([-ax * A, np.zeros((q, m)), np.eye(q)]) - ax * (B @ Y)
+        L = np.hstack([-ax * A, np.zeros((q, m)), np.eye(q)]) - ax * serial_matmul(B, Y)
         lc = -ax * (P.c + B @ yc)
         E, e = np.vstack([X, Y]), np.concatenate([xc, yc])
         if config.project_each_outer:
             G = np.hstack([A, B])
-            C = G.T @ P.gram_inverse()
-            E, e = E - C @ (G @ E), e - C @ (G @ e + P.c)
+            C = serial_matmul(G.T, P.gram_inverse())
+            E, e = E - serial_matmul(C, serial_matmul(G, E)), e - C @ (G @ e + P.c)
         R = np.block([[np.diag(dg), K, A.T], [K.T, -np.diag(dh), B.T], [A, B, np.zeros((q, q))]])
+    R = np.asfortranarray(R)  # R.T C-contiguous: the fast layout for the row products
     return np.vstack([E, L]), np.concatenate([e, lc]), R, np.concatenate([bg, -bh, P.c])
 
 
-def _run_affine(P: MinimaxProblem, config: SolverConfig, start: IterateState) -> LoopResult:
-    """run_pgmsad's loop on the maps of _affine_maps under iterate: the same
-    trace rows, stop rule and divergence, with the outer steps taken in
-    blocks of k (see _block_shape).
+def _run_affine(
+    P: MinimaxProblem, config: SolverConfig, maps, z0, unstack, row0=None
+) -> LoopResult:
+    """A zero-prox driver's loop on dense affine maps under iterate: the same
+    trace rows, stop rule and divergence as its structured steps, with the
+    outer steps taken in blocks of k (see _block_shape).
+
+    maps is (M, c, R, r): an outer step is z <- M z + c on the driver's
+    iterate z, and a residual row is the norms of the n-, m- and q-blocks of
+    R z + r. With row0 None, R reads the iterate itself (run_pgmsad's KKT
+    map). Given row0, R reads the iterate's predecessor (run_linreg's
+    residual map of x), and row0 is the row of iterate 0, which has none.
+    unstack(z, prev, t) returns the driver's state of iterate t = z with
+    predecessor prev (prev is z at t = 0); it gives the result's state and
+    a DivergenceError's.
 
     The stacked powers S = [M; M^2; ...; M^j] and the offsets
     c_i = sum_{l<i} M^l c are built once per run, so one product gives the
     j iterates after an anchor z, (S z).reshape(j, d) + C, and k / j such
-    products a block Z of k iterates. One more product gives their residual
-    rows, the block norms of the columns of R Z^T + r. The loop's state is
-    a cursor (Z, rows, i, t) on iterate t = Z[i]: step moves i on and fills
-    the next block from the last iterate of this one, certify returns row
-    i, and iterate still records each row with its own elapsed stamp. A
-    block with a nonfinite row is filled again one z <- M z + c step at a
-    time from its anchor, so a DivergenceError names the iterate single
-    steps name. The state is an IterateState again in the result and in a
-    DivergenceError. The cert is the trace row. A run that stops inside a
-    block has computed up to k - 1 iterates it does not use.
+    products a block of k iterates. One more product gives their residual
+    rows, the block norms of the rows of V R^T + r, V the block's iterates
+    (or their predecessors). The loop's state is a cursor
+    (W, rows, i, t): W holds the block's anchor and its k iterates, and
+    iterate t is W[i + 1]. step moves i on and fills the next block from
+    the last iterate of this one, certify returns row i, and iterate still
+    records each row with its own elapsed stamp. A block with a nonfinite
+    row is filled again one z <- M z + c step at a time from its anchor, so
+    a DivergenceError names the iterate single steps name. The cert is the
+    trace row. A run that stops inside a block has computed up to k - 1
+    iterates it does not use.
     """
+    M, c, R, r = maps
     n, nm = P.n, P.n + P.m
-    M, c, R, r = _affine_maps(P, config)
     d = M.shape[0]
     j, k = _block_shape(d)
     eps = config.eps
-    # row b of JT @ (G * G) holds the squared norms of block b of each
-    # column of G. An entry whose square overflows makes the other two NaN
+    # R reads the block's iterates W[1:], or their predecessors W[:-1]
+    rows_of = slice(1, k + 1) if row0 is None else slice(0, k)
+    # column b of (G * G) @ J holds the squared norms of block b of each
+    # row of G. An entry whose square overflows makes the other two NaN
     # (0 * inf), so a block with a nonfinite row takes its norms one by one
-    JT = np.zeros((3, d))
-    JT[0, :n], JT[1, n:nm], JT[2, nm:] = 1.0, 1.0, 1.0
-    r_col = r[:, None]
+    J = np.zeros((R.shape[0], 3))
+    J[:n, 0], J[n:nm, 1], J[nm:, 2] = 1.0, 1.0, 1.0
 
     def fill(z, powers, offsets):
-        """The k iterates after z, by products with stacked powers."""
-        Z, h = np.empty((k, d)), len(offsets)
-        for lo in range(0, k, h):
-            Z[lo : lo + h] = (powers @ z).reshape(h, d) + offsets
-            z = Z[lo + h - 1]
-        return Z
+        """z and the k iterates after it, by products with stacked powers."""
+        W, h = np.empty((k + 1, d)), len(offsets)
+        W[0] = z
+        for lo in range(1, k + 1, h):
+            W[lo : lo + h] = (powers @ W[lo - 1]).reshape(h, d) + offsets
+        return W
 
     def row_norms(Z):
-        return [[norm2(g[:n]), norm2(g[n:nm]), norm2(g[nm:])] for g in Z @ R.T + r]
+        G = serial_matmul(Z, R.T) + r
+        return [[norm2(g[:n]), norm2(g[n:nm]), norm2(g[nm:])] for g in G]
 
     def step(s, cert, t):
-        Z, rows, i, _ = s
+        W, rows, i, _ = s
         if i + 1 < len(rows):
-            return Z, rows, i + 1, t + 1
-        z = Z[i]
-        Z = fill(z, S, C)
-        G = R @ Z.T + r_col
-        N = np.sqrt(JT @ (G * G))
+            return W, rows, i + 1, t + 1
+        z = W[i + 1]
+        W = fill(z, S, C)
+        G = serial_matmul(W[rows_of], R.T) + r
+        N = np.sqrt((G * G) @ J)
         if math.isfinite(N.sum()):
-            return Z, N.T.tolist(), 0, t + 1
-        Z = fill(z, M, c[None])
-        return Z, row_norms(Z), 0, t + 1
+            return W, N.tolist(), 0, t + 1
+        W = fill(z, M, c[None])
+        return W, row_norms(W[rows_of]), 0, t + 1
 
     def certify(s):
         row = s[1][s[2]]
         return row[0] <= eps and row[1] <= eps and row[2] <= eps, row, row
 
-    def unstack(s):
-        z, t = s[0][s[2]], s[3]
-        return IterateState(x=z[:n].copy(), y=z[n:nm].copy(), lam=z[nm:].copy(), t=t)
+    def state_of(s):
+        W, _, i, t = s
+        return unstack(W[i + 1], W[i], t)
 
-    z0 = np.concatenate([start.x, start.y, start.lam])[None]
     with np.errstate(over="ignore", invalid="ignore"):
-        S, C = np.empty((j, d, d)), np.empty((j, d))
-        S[0], C[0] = M, c
-        for i in range(1, j):
-            S[i], C[i] = M @ S[i - 1], M @ C[i - 1] + c
-        S = S.reshape(j * d, d)
-        first = z0, row_norms(z0), 0, 0
+        S, C = [M], [c]
+        for _ in range(1, j):
+            S.append(serial_matmul(M, S[-1]))
+            C.append(M @ C[-1] + c)
+        S, C = np.vstack(S) if j > 1 else M, np.array(C)
+        if row0 is None:
+            row0 = row_norms(z0[None])[0]
     try:
-        run = iterate(first, step, certify, config.outer_cap, config.record_trace)
+        run = iterate((np.vstack([z0, z0]), [row0], 0, 0), step, certify,
+                      config.outer_cap, config.record_trace)
     except DivergenceError as err:
-        err.state = None if err.state is None else unstack(err.state)
+        err.state = None if err.state is None else state_of(err.state)
         raise
-    return run._replace(state=unstack(run.state))
+    return run._replace(state=state_of(run.state))
 
 
 def run_pgmsad(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
@@ -467,7 +485,13 @@ def run_pgmsad(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
     start = _gaussian_start(P, config.seed, config.x0, config.y0, config.lambda0)
     zero_prox = P.phi.kind == PROX_ZERO and P.psi.kind == PROX_ZERO
     if zero_prox and P.n + P.m + P.q <= AFFINE_MAX_DIM:
-        run = _run_affine(P, config, start)
+        n, nm = P.n, P.n + P.m
+
+        def unstack(z, prev, t):
+            return IterateState(x=z[:n].copy(), y=z[n:nm].copy(), lam=z[nm:].copy(), t=t)
+
+        z0 = np.concatenate([start.x, start.y, start.lam])
+        run = _run_affine(P, config, _affine_maps(P, config), z0, unstack)
         res = Residuals(*run.cert[:3], L1=float(L1), L2=float(L2))
     else:
         certify = certify_residuals(P, L1, L2, config.eps)

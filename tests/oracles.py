@@ -7,9 +7,9 @@ slack reformulations. in_cone, forward_backward and gradient_mapping are
 the cone membership test, the forward-backward point T_L and the gradient
 mapping G_L, written from their definitions on project_cone and prox_eval;
 criterion 8's lemma suite uses them. The helpers smooth_coupling,
-approx_y_star, glpe_sweep_step and pgmsad_structured are reference
-quantities and loops built on the package's own kernels, which the tests
-check elsewhere. gave_to_minimax and glpe_to_minimax are the minimax
+approx_y_star, glpe_sweep_step, pgmsad_structured and linreg_structured are
+reference quantities and loops built on the package's own kernels, which the
+tests check elsewhere. gave_to_minimax and glpe_to_minimax are the minimax
 encodings of the two equation applications, which no solve path uses, and
 CountingMatrix is a stand-in for a problem's coupling matrix that counts
 the products a loop takes. The matrix-file readers and writers at the end
@@ -24,7 +24,7 @@ from scipy.optimize import minimize
 
 from jointmm.apps import GaveInstance, GlpeInstance
 from jointmm.errors import ConfigurationError
-from jointmm.problem import MinimaxProblem, feas
+from jointmm.problem import MinimaxProblem, feas, recover_multiplier, residuals
 from jointmm.prox import (
     NONNEG_ORTHANT,
     ConeSpec,
@@ -38,8 +38,10 @@ from jointmm.prox import (
     prox_zero,
     smooth_zero,
 )
+from jointmm.rng import make_rng, standard_normal
 from jointmm.solver import (
     IterateState,
+    ascend,
     certify_residuals,
     inner_ascent,
     iterate,
@@ -373,6 +375,34 @@ def pgmsad_structured(P, config):
 
     start = IterateState(x=config.x0, y=config.y0, lam=config.lambda0, t=0)
     certify = certify_residuals(P, 1.0 / config.alpha_x, 1.0 / config.alpha_y, config.eps)
+    return iterate(start, step, certify, config.outer_cap, True)
+
+
+def linreg_structured(P, config):
+    """run_linreg's loop on the structured steps whatever the ascent weight:
+    ascend, the descent step and project_feasible under iterate, each
+    iterate certified by recover_multiplier and residuals. Starts from the
+    projection of the config's x0 and y0, or of run_linreg's draws from the
+    config's seed where they are None, and returns iterate's LoopResult,
+    whose state carries its recovered multiplier."""
+    L1, L2 = 1.0 / config.alpha_x, 1.0 / config.alpha_y
+
+    def certify(s):
+        s.lam = recover_multiplier(P, s.x, s.y)
+        res = residuals(P, s.x, s.y, s.lam, L1, L2)
+        return res.within(config.eps), (res.res_x, res.res_y, res.res_feas, None), res
+
+    def step(s, cert, t):
+        y = ascend(P, P.K.T @ s.x, s.y, config.inner_steps, config.alpha_y)
+        x = s.x - config.alpha_x * (P.g.gradient(s.x) + P.K @ y)
+        x, y = project_feasible(P, x, y)
+        return IterateState(x=x, y=y, lam=None, t=t + 1)
+
+    rng = make_rng(config.seed)
+    x = P.K @ standard_normal(rng, P.m) if config.x0 is None else config.x0
+    y = P.K.T @ standard_normal(rng, P.n) if config.y0 is None else config.y0
+    x, y = project_feasible(P, x, y)
+    start = IterateState(x=x, y=y, lam=None, t=0)
     return iterate(start, step, certify, config.outer_cap, True)
 
 

@@ -32,7 +32,7 @@ from jointmm.prox import (
 )
 from jointmm.solver import SolverConfig, run_framework, run_pgmsad
 
-from oracles import CountingMatrix, gave_to_minimax, glpe_to_minimax, in_cone
+from oracles import CountingMatrix, gave_to_minimax, glpe_to_minimax, in_cone, linreg_structured
 
 
 def test_gave_to_minimax_shapes(rng):
@@ -277,10 +277,10 @@ def _stock_linreg_config(**overrides):
                            "outer_cap": 200000, "eps": 1e-8, **overrides})
 
 
-# run_linreg on make_linreg(40, 40, 8, seed 3) at the stock settings: outer
-# iterations and the sha256 of the bytes of x, y and lambda in that order,
-# the same whether each iterate's K products are formed once or three times
-LINREG_PIN = (1241, "1d7fb2c5419d0acf8e6c5196c2f07a53602d9310f68929044da3fd7be1ca54d9")
+# run_linreg on make_linreg(40, 40, 8, seed 3) at the stock settings (the
+# affine path of x): outer iterations and the sha256 of the bytes of x, y
+# and lambda in that order
+LINREG_PIN = (1241, "86f7c903adfff36aec872cbf7a3a97678d09184d3e842e8fc77a882b60ae4b30")
 
 
 def test_run_linreg_stock_run_is_pinned():
@@ -291,16 +291,30 @@ def test_run_linreg_stock_run_is_pinned():
     assert (r.state.t, digest.hexdigest()) == LINREG_PIN
 
 
+def count_linreg_products(T, alpha_y):
+    """The products with K and K^T of a T-step run_linreg on make_linreg(10, 10, 2)."""
+    _, P = make_linreg(10, 10, 2, seed=3)
+    P.K = CountingMatrix(P.K)
+    r = run_linreg(P, _stock_linreg_config(alpha_y=alpha_y, outer_cap=T, eps=0.0))
+    assert r.state.t == T
+    return P.K.counts
+
+
 def test_run_linreg_takes_three_products_with_K_per_outer_iteration():
-    # per iterate: K^T x and K y, shared by the multiplier, the residuals and
-    # the next drive; per step: K y+ of the ascended y. The start point's two
-    # draws are the other two products: 3 T + 4 in all.
+    # alpha_y = 0.5: the ascent weight (1 - 0.5)^3 is not 0, so the
+    # structured steps run. Per iterate: K^T x and K y, shared by the
+    # multiplier, the residuals and the next drive; per step: K y+ of the
+    # ascended y. The start point's two draws are the other two products:
+    # 3 T + 4 in all.
     for T in (4, 5):
-        _, P = make_linreg(10, 10, 2, seed=3)
-        P.K = CountingMatrix(P.K)
-        r = run_linreg(P, _stock_linreg_config(outer_cap=T, eps=0.0))
-        assert r.state.t == T
-        assert P.K.counts == {"K": 2 * T + 2, "K.T": T + 2}
+        assert count_linreg_products(T, 0.5) == {"K": 2 * T + 2, "K.T": T + 2}
+
+
+def test_run_linreg_affine_path_forms_K_only_outside_its_steps():
+    # stock alpha_y = 1: one ascent lands on y*(x), and K is reached by the
+    # start's draws, the build of the maps, iterate 0's row and the returned
+    # multiplier, whatever the number of steps
+    assert count_linreg_products(4, 1.0) == count_linreg_products(5, 1.0)
 
 
 def test_run_linreg_rejects_nonsmooth():
@@ -369,12 +383,21 @@ def test_glpe_divergence_carries_state_and_trace():
 def test_linreg_divergence_carries_state_and_trace():
     from jointmm.errors import DivergenceError
 
+    # the affine path of x (alpha_y = 1) against the structured steps: the
+    # same iterate and columns, and the last finite state with its multiplier
     _, P = make_linreg(10, 10, 2, seed=3)
     cfg = SolverConfig(alpha_x=50.0, alpha_y=1.0, inner_steps=3, outer_cap=200000, eps=1e-8)
     with pytest.raises(DivergenceError) as err:
         run_linreg(P, cfg)
-    _assert_finite_state(err.value.state)
-    assert [rec.t for rec in err.value.trace] == list(range(err.value.state.t + 1))
+    with pytest.raises(DivergenceError) as ref:
+        linreg_structured(P, cfg)
+    assert str(err.value) == str(ref.value)
+    got, want = err.value.state, ref.value.state
+    _assert_finite_state(got)
+    assert got.t == want.t > 0
+    for u, v in ((got.x, want.x), (got.y, want.y), (got.lam, want.lam)):
+        assert np.abs(u - v).max() <= 1e-12 * np.abs(v).max()
+    assert [rec.t for rec in err.value.trace] == list(range(got.t + 1))
 
 
 @pytest.mark.parametrize("cone_kind", [NONNEG_ORTHANT, SECOND_ORDER])
@@ -395,6 +418,8 @@ def test_config_checks_reject_nan_and_fractional_counts():
         GaveConfig(alpha_x=0.1, alpha_y=0.1, inner_steps=1, outer_cap=1, penalty=float("nan"))
     with pytest.raises(ConfigurationError, match="inner_steps"):
         GlpeConfig(inner_steps=2.5)
+    with pytest.raises(ConfigurationError, match="inner_steps must be at least 1"):
+        GlpeConfig(inner_steps=0)
     with pytest.raises(ConfigurationError, match="alpha"):
         GlpeConfig(alpha=0.0)
     with pytest.raises(ConfigurationError, match="seed"):

@@ -514,3 +514,18 @@ def test_out_that_is_an_existing_file_exits_error(tmp_path, capsys):
     out.write_text("")
     assert main(["gave", "--out", str(out)]) == EXIT_ERROR
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        # no Richardson sweeps: x would never move over the 200 steps
+        (["glpe", "--inner-n", "0", "--outer-t", "200"], "inner_steps must be at least 1"),
+        # K alone would take 8 TB: the allocation is refused at once
+        (["linreg", "--n", "1000000"], "n = 1000000, m = 1000000, p = 200000 is too large"),
+    ],
+)
+def test_settings_that_cannot_run_exit_error(tmp_path, capsys, argv, named):
+    assert main([*argv, "--out", str(tmp_path / "run")]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and "Traceback" not in err

@@ -6,6 +6,7 @@ from jointmm.numerics import (
     as_matrix,
     as_vector,
     operator_norm,
+    serial_matmul,
     spd_factor,
     spd_solve_factored,
 )
@@ -95,3 +96,16 @@ def test_validators():
         as_matrix(np.ones(3))
     with pytest.raises(ConfigurationError):
         as_vector(np.array([1.0, np.inf]))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_serial_matmul_matches_matmul_across_its_blocks(rng, order):
+    # at 400 inner terms the blocks are 8 rows by 81 columns: 21 x 170 ends
+    # in a short block both ways
+    A = np.asarray(rng.standard_normal((21, 400)), order=order)
+    B = np.asarray(rng.standard_normal((400, 170)), order=order)
+    got = serial_matmul(A, B)
+    assert got.shape == (21, 170) and got.flags.c_contiguous
+    assert np.abs(got - A @ B).max() <= 1e-12 * np.abs(A @ B).max()
+    # a product that fits in one block is the plain product, bit for bit
+    assert np.array_equal(serial_matmul(B.T[:3], A.T), B.T[:3] @ A.T)

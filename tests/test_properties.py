@@ -1,5 +1,6 @@
 """Property tests (hypothesis) of the feasibility projection, the multiplier
-recovery, the closed-form inner ascent, the affine PGmsAD path, the norm
+recovery, the closed-form inner ascent, the affine PGmsAD path, the affine
+regression path, the norm
 kernel, the prox operators, the cone projections and their pattern keys, and
 the GLPE step on a cached operator."""
 
@@ -8,7 +9,7 @@ import struct
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from jointmm.apps import GlpeConfig, GlpeInstance, run_glpe
+from jointmm.apps import GlpeConfig, GlpeInstance, make_linreg, run_glpe, run_linreg
 from jointmm.numerics import norm2
 from jointmm.problem import MinimaxProblem, compute_constants, recover_multiplier
 from jointmm.prox import (
@@ -35,7 +36,7 @@ from jointmm.prox import (
 )
 from jointmm.solver import SolverConfig, inner_ascent, project_feasible, run_pgmsad
 
-from oracles import ascent_loop, glpe_sweep_step, pgmsad_structured
+from oracles import ascent_loop, glpe_sweep_step, linreg_structured, pgmsad_structured
 
 # cond([A B]) <= 100, so cond(A A^T + B B^T) <= 1e4; measured errors stay below 1e-12
 TOL = 1e-10
@@ -185,6 +186,50 @@ def test_affine_pgmsad_matches_the_structured_steps(case):
     rows = [np.array([[r.res_x, r.res_y, r.res_feas] for r in run.trace]) for run in (got, ref)]
     # relative to the trace's largest entry: a residual at rounding level
     # (res_feas after a projection) has no relative digits of its own
+    assert np.abs(rows[0] - rows[1]).max() <= 1e-12 * rows[1].max()
+    z = [np.concatenate([s.x, s.y, s.lam]) for s in (got.state, ref.state)]
+    assert np.abs(z[0] - z[1]).max() <= 1e-12 * np.abs(z[1]).max()
+
+
+@st.composite
+def linreg_runs(draw):
+    """make_linreg's K, A, B (n = m, q <= n / 5, as in criterion 4) with
+    drawn c, g and h, where alpha_y d_h = 1 exactly (d_h a power of two), so
+    one ascent lands on y*(x) and run_linreg takes the affine path of x;
+    settings with a given start. alpha_x scales with
+    d_h, which scales the reduced curvature K K^T / d_h. From these starts
+    the residuals are about 0.1 to 20 over 400 steps, so eps is drawn on
+    that scale, for runs that stop at many rows."""
+    n = draw(st.integers(5, 30))
+    _, P = make_linreg(n, n, draw(st.integers(1, n // 5)), seed=draw(st.integers(0, 2**16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dh = draw(st.sampled_from([0.5, 1.0, 2.0, 4.0]))
+    dg = P.g.d * rng.uniform(0.0, 2.0, n) if draw(st.booleans()) else P.g.d
+    P = MinimaxProblem(
+        g=SmoothOracle(dg, 0.5 * rng.standard_normal(n) if draw(st.booleans()) else None),
+        phi=prox_zero(),
+        h=SmoothOracle(dh, 0.5 * rng.standard_normal(n) if draw(st.booleans()) else None),
+        psi=prox_zero(),
+        K=P.K, A=P.A, B=P.B, c=0.4 * rng.standard_normal(P.q), mu=dh,
+    )
+    cfg = SolverConfig(
+        alpha_x=draw(st.floats(0.1, 1.0)) * 0.3 * dh,
+        alpha_y=1.0 / dh,
+        inner_steps=draw(st.sampled_from([1, 3, 60])),
+        outer_cap=draw(st.integers(0, 400)),
+        eps=draw(st.sampled_from([0.0, 0.1, 0.5, 2.0])),
+        x0=rng.standard_normal(n), y0=rng.standard_normal(n),
+    )
+    return P, cfg
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(linreg_runs())
+def test_affine_linreg_matches_the_structured_steps(case):
+    P, cfg = case
+    got, ref = run_linreg(P, cfg), linreg_structured(P, cfg)
+    assert (got.state.t, got.converged) == (ref.t, ref.converged)
+    rows = [np.array([[r.res_x, r.res_y, r.res_feas] for r in run.trace]) for run in (got, ref)]
     assert np.abs(rows[0] - rows[1]).max() <= 1e-12 * rows[1].max()
     z = [np.concatenate([s.x, s.y, s.lam]) for s in (got.state, ref.state)]
     assert np.abs(z[0] - z[1]).max() <= 1e-12 * np.abs(z[1]).max()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import jointmm.problem
+from jointmm.apps import make_linreg, run_linreg
 from jointmm.errors import (
     ConfigurationError,
     DivergenceError,
@@ -45,7 +46,13 @@ from jointmm.solver import (
     write_trace_csv,
 )
 
-from oracles import CountingMatrix, approx_y_star, pgmsad_structured, quadratic_saddle_kkt
+from oracles import (
+    CountingMatrix,
+    approx_y_star,
+    linreg_structured,
+    pgmsad_structured,
+    quadratic_saddle_kkt,
+)
 
 
 def quadratic_problem(rng, n=2, m=2, q=2, a=1.2, b=1.5, scale=0.3, cscale=0.4):
@@ -274,6 +281,19 @@ def test_affine_blocks_match_the_structured_steps_at_every_cap(rng, n, m, q, sha
     for cap in (0, 1, k - 1, k, k + 1, 3 * k):
         cfg = SolverConfig(outer_cap=cap, eps=0.0, **kw)
         assert_same_run(run_pgmsad(P, cfg), pgmsad_structured(P, cfg))
+
+
+# make_linreg(n, n, n // 5) at the stock settings, where run_linreg takes
+# the affine path of x: n = 10, blocks of one product with F, ..., F^25;
+# 40, two products with F, ..., F^6; 130, eight products with F
+@pytest.mark.parametrize("n, shape", [(10, (25, 25)), (40, (6, 12)), (130, (1, 8))])
+def test_linreg_affine_blocks_match_the_structured_steps_at_every_cap(n, shape):
+    _, P = make_linreg(n, n, n // 5, seed=3)
+    assert _block_shape(n) == shape
+    k = shape[1]
+    for cap in (0, 1, k - 1, k, k + 1, 3 * k):
+        cfg = SolverConfig(alpha_x=0.3, alpha_y=1.0, inner_steps=3, outer_cap=cap, eps=0.0)
+        assert_same_run(run_linreg(P, cfg), linreg_structured(P, cfg))
 
 
 @pytest.mark.parametrize("where", ["first", "last"])
