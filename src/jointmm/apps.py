@@ -33,8 +33,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .numerics import as_matrix, as_vector, norm2, serial_matmul
-from .problem import MinimaxProblem, Residuals, recover_multiplier, residuals
+from .numerics import apply, as_matrix, as_vector, norm2
+from .problem import MinimaxProblem, Residuals, recover_multiplier, residual_vectors, residuals
 from .prox import (
     ConeSpec,
     L1_NORM,
@@ -53,8 +53,9 @@ from .solver import (
     SolveResult,
     SolverConfig,
     _run_affine,
-    ascend,
+    affine_parts,
     check_settings,
+    inner_ascent,
     iterate,
     project_feasible,
     start_vector,
@@ -77,11 +78,12 @@ LINREG_COUPLING_GAIN = 2.2
 #     10 steps     0.84  0.87  1.56  3.84  9.12  15.1  21.7
 #     100 steps    0.15  0.19  0.32  0.78  1.50  1.69  2.58
 #     1,000 steps  0.07  0.09  0.15  0.26  0.39  0.52  0.64
-# The build (three n^3 products with K) pays for itself after 200 to 370
-# steps at every size measured; the stock instances take 332 (n = 10) to
-# 8,987 (n = 400) steps. The maps hold about 4.2 n^2 doubles on this family
-# (5.1 MiB at n = 400), so the limit keeps them under 30 MB and the build
-# near 0.25 s.
+# The build pays for itself after 200 to 370 steps at every size measured;
+# the stock instances take 332 (n = 10) to 8,987 (n = 400) steps. Building
+# the maps from the step itself (four products with K of n + 1 rows) takes
+# about 40 ms at n = 400 and 0.63 s at n = 1,000 (0.56 s by the earlier
+# hand-derived maps). The maps hold about 4.2 n^2 doubles (5.1 MiB at
+# n = 400): under 30 MB here.
 LINREG_AFFINE_MAX_DIM = 2048
 
 
@@ -491,61 +493,36 @@ def make_linreg(n, m, p, seed, lambda_reg=None):
     return inst, P
 
 
+def linreg_step(P: MinimaxProblem, config: SolverConfig, x, y, Ktx):
+    """run_linreg's outer step: the inner ascent with drive Ktx = K^T x, the
+    descent step in x and project_feasible; returns (x, y). With psi = 0 it
+    takes a batch of points as rows (see numerics.apply)."""
+    y = inner_ascent(P, x, None, y, config.inner_steps, config.alpha_y, Ktx)
+    x = x - config.alpha_x * (P.g.gradient(x) + apply(P.K, y))
+    return project_feasible(P, x, y)
+
+
 def _linreg_maps(P: MinimaxProblem, config: SolverConfig):
     """run_linreg's outer step and residual rows as dense affine maps of x
-    when one inner ascent lands on y*(x): returns (F, f, H, h, RM, rm).
-
-    With ascent weight p = 0 the ascended y+ = w (K^T x - b_h) forgets y,
-    so the descent step and the feasibility projection give the next
-    iterate as x' = F x + f, y' = H x + h. Its residual row is the block
-    norms of RM x + rm: the x-gradient and the y-gradient (up to sign) at
-    (x', y'), projected by I - G^T S^-1 G with G = [A B] (the multiplier
-    recovery, folded in), and the constraint residual A x' + B y' + c.
-    Every block is a product with K, A, B or S^-1 with n columns, taken by
-    numerics.serial_matmul so that its bits do not depend on the BLAS
-    thread count; no (n + m)-square matrix is formed. K is reached only
-    through a product, as the steps reach it. Overflow gives inf or NaN
-    entries, not a warning: iterate decides divergence.
+    when one inner ascent lands on y*(x) (ascent weight p = 0, so the
+    ascended y forgets the old y): x' = F x + f, y' = H x + h, and the
+    residual_vectors at (x', y') and their recovered multiplier, RM x + rm.
+    They are linreg_step, recover_multiplier and residual_vectors run on the
+    rows of [I; 0] (see solver.affine_parts). F, H are C-contiguous.
+    Overflow gives inf or NaN entries, not a warning.
     """
-    n, m, q = P.n, P.m, P.q
-    A, B, Si, ax = P.A, P.B, P.gram_inverse(), config.alpha_x
-    mm = serial_matmul
+    L1, L2 = 1.0 / config.alpha_x, 1.0 / config.alpha_y
+
+    def outputs(x):
+        x, y = linreg_step(P, config, x, np.zeros((len(x), P.m)), apply(P.K.T, x))
+        Ky, Ktx = apply(P.K, y), apply(P.K.T, x)
+        lam = recover_multiplier(P, x, y, Ky, Ktx)
+        vectors = residual_vectors(P, x, y, lam, L1, L2, Ky, Ktx + apply(P.B.T, lam))
+        return x, y, np.hstack(vectors)
+
     with np.errstate(over="ignore", invalid="ignore"):
-        K = P.K @ np.eye(m)
-        dg, dh = np.broadcast_to(P.g.d, n), np.broadcast_to(P.h.d, m)
-        bg = np.zeros(n) if P.g.b is None else P.g.b
-        bh = np.zeros(m) if P.h.b is None else P.h.b
-        w = np.broadcast_to(P.ascent_map(config.inner_steps, config.alpha_y)[1], m)
-        # ascent y+ = w (K^T x - b_h)
-        Y, yc = w[:, None] * K.T, -w * bh
-        # descent x+ = x - alpha_x (d_g x + b_g + K y+)
-        X = mm(K, Y)
-        X[np.diag_indices(n)] += dg
-        X *= -ax
-        X[np.diag_indices(n)] += 1.0
-        xc = -ax * (bg + K @ yc)
-        # projection onto A x + B y + c = 0
-        Z, zc = mm(Si, mm(A, X) + mm(B, Y)), Si @ (A @ xc + B @ yc + P.c)
-        X -= mm(A.T, Z)
-        Y -= mm(B.T, Z)
-        F, f, H, h = X, xc - A.T @ zc, Y, yc - B.T @ zc
-        # rows: the gradients at (x', y'), d_g x' + b_g + K y' and
-        # K^T x' - d_h y' - b_h, less G^T S^-1 G of them (the residuals at
-        # the recovered multiplier), then A x' + B y' + c. Fortran order:
-        # RM.T is C-contiguous, the fast layout for the row products
-        RM = np.empty((n + m + q, n), order="F")
-        Rx, Ry = RM[:n], RM[n : n + m]
-        Rx[...] = mm(K, H)
-        Rx += dg[:, None] * F
-        Ry[...] = mm(K.T, F)
-        Ry -= dh[:, None] * H
-        gx, gy = dg * f + bg + K @ h, K.T @ f - dh * h - bh
-        L, lc = mm(Si, mm(A, Rx) + mm(B, Ry)), Si @ (A @ gx + B @ gy)
-        Rx -= mm(A.T, L)
-        Ry -= mm(B.T, L)
-        RM[n + m :] = mm(A, F) + mm(B, H)
-        rm = np.concatenate([gx - A.T @ lc, gy - B.T @ lc, A @ f + B @ h + P.c])
-    return F, f, H, h, RM, rm
+        (F, f), (H, h), (RM, rm) = affine_parts(outputs, P.n)
+    return np.ascontiguousarray(F), f, np.ascontiguousarray(H), h, RM, rm
 
 
 def run_linreg(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
@@ -562,21 +539,18 @@ def run_linreg(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
 
     When the inner ascent lands exactly on y*(x) (ascent weight
     p = (1 - alpha_y d_h)^N = 0, as at make_linreg's alpha_y = 1) and
-    n + m + q <= LINREG_AFFINE_MAX_DIM, the whole outer step and the
-    residual row of the next iterate are affine maps of x alone
-    (_linreg_maps). Their build costs three n x n x n products with K, and
-    the steps then run in blocks on solver._run_affine: one n x n matvec per
-    outer iteration and one product with the residual map per block.
-    Iterate 0's row is certified from the projected start as on the
-    structured path; the returned point, and a DivergenceError's, takes its
-    multiplier from one recover_multiplier call. The rows and iterates agree
-    with the structured steps to rounding.
+    n + m + q <= LINREG_AFFINE_MAX_DIM, the outer step and the residual row
+    of the next iterate are affine maps of x alone (_linreg_maps), and the
+    steps run in blocks on solver._run_affine: one n x n matvec per outer
+    iteration and one product with the residual map per block. Iterate 0's
+    row and the returned multiplier come from certify and recover_multiplier
+    as on the structured path; the rows and iterates agree with it to
+    rounding.
 
-    Otherwise the structured steps run. Each iterate is evaluated once:
-    certify forms K^T x and K y, recovers the multiplier from them into the
-    state (a step returns it empty), takes the three residuals from them
-    too, and hands K^T x to the step as the next ascent's drive. With K y+
-    of the ascended y, an outer iteration takes three products with K.
+    Otherwise linreg_step runs on each iterate. certify forms K^T x and K y
+    once, for the multiplier it puts in the state, the three residuals and
+    the next ascent's drive, so an outer iteration takes three products with
+    K (K^T x, K y, and K y+ of the ascended y).
     """
     if P.phi.kind != PROX_ZERO or P.psi.kind != PROX_ZERO:
         raise ConfigurationError("run_linreg handles smooth instances (phi = psi = 0)")
@@ -598,9 +572,7 @@ def run_linreg(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
         return res.within(config.eps), (res.res_x, res.res_y, res.res_feas, None), (res, Ktx)
 
     def step(s, cert, t):
-        y = ascend(P, cert[1], s.y, config.inner_steps, config.alpha_y)
-        x = s.x - config.alpha_x * (P.g.gradient(s.x) + P.K @ y)
-        x, y = project_feasible(P, x, y)
+        x, y = linreg_step(P, config, s.x, s.y, cert[1])
         return IterateState(x=x, y=y, lam=None, t=t + 1)
 
     start = IterateState(x=x, y=y, lam=None, t=0)

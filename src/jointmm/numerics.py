@@ -2,8 +2,10 @@
 a matrix product whose bits do not depend on the BLAS thread count, operator
 norms, and the closed form of the diagonal ascent recurrence.
 
-Everything here works on float64 numpy arrays. Vectors are 1-d arrays,
-matrices 2-d row-major arrays. All functions are pure; nothing is mutated.
+Everything here works on float64 numpy arrays. A point is a 1-d array, a
+batch of points a 2-d array with one point per row, and matrices are 2-d
+row-major arrays; apply(A, v) applies A to a point or to every row of a
+batch. All functions are pure; nothing is mutated.
 """
 
 from __future__ import annotations
@@ -72,8 +74,8 @@ def spd_factor(S):
 
 
 def spd_solve_factored(F, r):
-    """Solve S zeta = r given the cached inverse F = S^{-1} from spd_factor: one matvec."""
-    return F @ r
+    """Solve S zeta = r given the cached inverse F = S^{-1} from spd_factor: one product."""
+    return apply(F, r)
 
 
 # A matrix product of at most this many multiply-adds runs on one BLAS thread
@@ -101,6 +103,12 @@ def serial_matmul(A, B):
         for j in range(0, n, cols):
             out[i : i + rows, j : j + cols] = A[i : i + rows] @ B[:, j : j + cols]
     return out
+
+
+def apply(A, v):
+    """A @ v for a point v; for a batch, A applied to each row, v A^T by
+    serial_matmul (the same bits at any BLAS thread count)."""
+    return A @ v if v.ndim == 1 else serial_matmul(v, A.T)
 
 
 def ascent_coefficients(d, n_steps, alpha):

@@ -29,6 +29,7 @@ import numpy as np
 from . import matio
 from .errors import ConfigurationError
 from .numerics import (
+    apply,
     as_matrix,
     as_vector,
     ascent_coefficients,
@@ -122,11 +123,12 @@ class MinimaxProblem:
         SingularConstraintError when [A B] is rank deficient.
         """
         if self._gram_inv is None:
-            self._gram_inv = spd_factor(self.A @ self.A.T + self.B @ self.B.T)
+            # A A^T is A applied to the rows of A: the same bits at any BLAS thread count
+            self._gram_inv = spd_factor(apply(self.A, self.A) + apply(self.B, self.B))
         return self._gram_inv
 
     def gram_solve(self, r):
-        """Solve (A A^T + B B^T) zeta = r: one matvec with the cached inverse."""
+        """Solve (A A^T + B B^T) zeta = r: one product with the cached inverse."""
         return spd_solve_factored(self.gram_inverse(), r)
 
     def ascent_map(self, n_steps, alpha_y):
@@ -164,7 +166,7 @@ def grad_x(P: MinimaxProblem, x, y, lam, Ky=None):
 
     Ky, when given, is K y of this y, and the product is not formed again.
     """
-    return P.g.gradient(x) + (P.K @ y if Ky is None else Ky) + P.A.T @ lam
+    return P.g.gradient(x) + (apply(P.K, y) if Ky is None else Ky) + apply(P.A.T, lam)
 
 
 def grad_y(P: MinimaxProblem, x, y, lam, drive=None):
@@ -174,13 +176,13 @@ def grad_y(P: MinimaxProblem, x, y, lam, drive=None):
     inner ascent's drive, and is not formed again.
     """
     if drive is None:
-        drive = P.K.T @ x + P.B.T @ lam
+        drive = apply(P.K.T, x) + apply(P.B.T, lam)
     return drive - P.h.gradient(y)
 
 
 def feas(P: MinimaxProblem, x, y):
     """Constraint residual A x + B y + c."""
-    return P.A @ x + P.B @ y + P.c
+    return apply(P.A, x) + apply(P.B, y) + P.c
 
 
 @dataclass(frozen=True)
@@ -206,12 +208,21 @@ def gradient_mapping(op: ProxOperator, L, z, g):
     return L * (z - prox_eval(op, 1.0 / L, z - g / L))
 
 
-def residuals(P: MinimaxProblem, x, y, lam, L1, L2, Ky=None, drive=None) -> Residuals:
-    """Gradient-mapping residuals certifying (eps-)stationarity.
+def residual_vectors(P: MinimaxProblem, x, y, lam, L1, L2, Ky=None, drive=None):
+    """The three vectors whose norms are the residuals: the gradient mappings
+    L1 (x - prox_{phi/L1}(x - grad_x/L1)) and the same on the ascent side with
+    the gradient -grad_y, and A x + B y + c. Like the gradients, feas and
+    recover_multiplier, with phi = psi = 0 it takes a batch of points as rows
+    (see numerics.apply)."""
+    rx = gradient_mapping(P.phi, L1, x, grad_x(P, x, y, lam, Ky))
+    ry = gradient_mapping(P.psi, L2, y, -grad_y(P, x, y, lam, drive))
+    return rx, ry, feas(P, x, y)
 
-    res_x = ||L1 (x - prox_{phi/L1}(x - grad_x/L1))||, res_y the same on the
-    ascent side with the gradient -grad_y (see gradient_mapping), res_feas =
-    ||Ax + By + c||.
+
+def residuals(P: MinimaxProblem, x, y, lam, L1, L2, Ky=None, drive=None) -> Residuals:
+    """Gradient-mapping residuals certifying (eps-)stationarity: res_x, res_y
+    and res_feas are the norms of the three residual_vectors.
+
     All three vanish exactly at a stationary triple. Nonfinite input gives
     nonfinite residuals, not an error: solver.iterate decides divergence.
     A loop that already holds K y or the drive K^T x + B^T lambda of the
@@ -220,15 +231,8 @@ def residuals(P: MinimaxProblem, x, y, lam, L1, L2, Ky=None, drive=None) -> Resi
     """
     if L1 <= 0 or L2 <= 0:
         raise ConfigurationError("residual scalings L1, L2 must be positive")
-    rx = gradient_mapping(P.phi, L1, x, grad_x(P, x, y, lam, Ky))
-    ry = gradient_mapping(P.psi, L2, y, -grad_y(P, x, y, lam, drive))
-    return Residuals(
-        res_x=norm2(rx),
-        res_y=norm2(ry),
-        res_feas=norm2(feas(P, x, y)),
-        L1=float(L1),
-        L2=float(L2),
-    )
+    rx, ry, rf = residual_vectors(P, x, y, lam, L1, L2, Ky, drive)
+    return Residuals(norm2(rx), norm2(ry), norm2(rf), float(L1), float(L2))
 
 
 def recover_multiplier(P: MinimaxProblem, x, y, Ky=None, Ktx=None):
@@ -240,9 +244,9 @@ def recover_multiplier(P: MinimaxProblem, x, y, Ky=None, Ktx=None):
     multiplier that zeroes both gradients. Ky and Ktx, when given, are K y
     and K^T x of this pair, and the products are not formed again.
     """
-    gx0 = P.g.gradient(x) + (P.K @ y if Ky is None else Ky)
-    gy0 = (P.K.T @ x if Ktx is None else Ktx) - P.h.gradient(y)
-    return -P.gram_solve(P.A @ gx0 + P.B @ gy0)
+    gx0 = P.g.gradient(x) + (apply(P.K, y) if Ky is None else Ky)
+    gy0 = (apply(P.K.T, x) if Ktx is None else Ktx) - P.h.gradient(y)
+    return -P.gram_solve(apply(P.A, gx0) + apply(P.B, gy0))
 
 
 def inner_residual(P: MinimaxProblem, x, y, lam, L=1.0):

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, FrameworkError
-from .numerics import as_vector, norm2, serial_matmul
+from .numerics import apply, as_vector, norm2, serial_matmul
 from .problem import (
     BudgetConstants,
     MinimaxProblem,
@@ -31,6 +31,7 @@ from .problem import (
     feas,
     grad_x,
     inner_residual,
+    residual_vectors,
     residuals,
 )
 from .prox import PROX_ZERO, prox_eval
@@ -144,21 +145,13 @@ def inner_ascent(P: MinimaxProblem, x, lam, y0, n_steps, alpha_y, drive=None):
     the work does not grow with n_steps. Any other psi runs the N-step
     loop. Overflow gives inf or NaN, not an error: iterate decides
     divergence. drive, when given, is K^T x + B^T lambda of (x, lambda),
-    as certify_residuals hands it on, and is not formed again.
-    """
-    if drive is None:
-        drive = P.K.T @ x + P.B.T @ lam
-    return ascend(P, drive, y0, n_steps, alpha_y)
-
-
-def ascend(P: MinimaxProblem, drive, y0, n_steps, alpha_y):
-    """n_steps steps y <- prox_{alpha_y psi}[y + alpha_y (drive - grad h(y))].
-
-    The inner ascent for a given drive (K^T x + B^T lambda, or K^T x where
-    the multiplier is not iterated): closed form when psi = 0, else a loop.
+    as certify_residuals hands it on (or K^T x, where the multiplier is
+    not iterated), and is not formed again.
     """
     if n_steps < 0:
         raise ConfigurationError("inner_ascent needs n_steps >= 0")
+    if drive is None:
+        drive = apply(P.K.T, x) + apply(P.B.T, lam)
     y = np.asarray(y0, dtype=np.float64)
     if P.psi.kind == PROX_ZERO:
         p, w = P.ascent_map(n_steps, alpha_y)
@@ -189,7 +182,18 @@ def project_feasible(P: MinimaxProblem, x, y):
     (A^T zeta, B^T zeta). The Gram inverse is cached on the problem.
     """
     zeta = P.gram_solve(feas(P, x, y))
-    return x - P.A.T @ zeta, y - P.B.T @ zeta
+    return x - apply(P.A.T, zeta), y - apply(P.B.T, zeta)
+
+
+def pgmsad_step(P: MinimaxProblem, config: SolverConfig, x, y, lam, drive=None):
+    """run_pgmsad's outer step: inner_ascent (drive as there), outer_step and,
+    under project_each_outer, project_feasible; returns (x, y, lambda). With
+    phi = psi = 0 it takes a batch of points as rows (see numerics.apply)."""
+    y = inner_ascent(P, x, lam, y, config.inner_steps, config.alpha_y, drive)
+    x, lam = outer_step(P, x, lam, y, config.alpha_x)
+    if config.project_each_outer:
+        x, y = project_feasible(P, x, y)
+    return x, y, lam
 
 
 def start_vector(given, dim, name, draw):
@@ -318,46 +322,41 @@ def _block_shape(dim):
     return j, j * -(-AFFINE_BLOCK_MIN // j)
 
 
+# Unit rows per call of f in affine_parts: 0.2 MB per array at n = 400, where
+# all 401 rows of [I; 0] at once took 10 MB more peak memory than the maps
+PROBE_ROWS = 64
+
+
+def affine_parts(f, d):
+    """(M, c) for each affine map of row batches of length d that f returns
+    (a tuple of 2-d arrays): c = f(0), column i of M is f(e_i) - f(0), and
+    M.T is C-contiguous. f runs on the rows of [I; 0], PROBE_ROWS at a time."""
+    parts = [(np.empty((d, v.shape[1])), v[0]) for v in f(np.zeros((1, d)))]
+    for i in range(0, d, PROBE_ROWS):
+        for (Mt, c), v in zip(parts, f(np.eye(min(PROBE_ROWS, d - i), d, i))):
+            Mt[i : i + len(v)] = v - c
+    return [(Mt.T, c) for Mt, c in parts]
+
+
 def _affine_maps(P: MinimaxProblem, config: SolverConfig):
     """A zero-prox outer step and the residual map as dense affine maps of
     the stacked iterate z = (x, y, lambda): returns (M, c, R, r).
 
-    With phi = psi = 0 the closed-form inner ascent, the descent step in x,
-    the multiplier step (with the old x) and, when project_each_outer is
-    set, the feasibility projection are all affine, so one outer step is
-    z <- M z + c. The three residuals are the block norms of R z + r, the
-    KKT map [[diag d_g, K, A^T], [K^T, -diag d_h, B^T], [A, B, 0]] with
-    r = (b_g, -b_h, c). K is reached only through a product, as the steps
-    reach it, and products of matrices go through numerics.serial_matmul,
-    so the bits do not depend on the BLAS thread count. Overflow gives inf
-    or NaN entries, not a warning: iterate decides divergence.
+    With phi = psi = 0 an outer step is z <- M z + c and the three
+    residual_vectors are R z + r: pgmsad_step and residual_vectors run on
+    the rows of [I; 0] (see affine_parts). M is C-contiguous for matvecs.
+    Overflow gives inf or NaN entries, not a warning.
     """
-    n, m, q = P.n, P.m, P.q
-    A, B, ax = P.A, P.B, config.alpha_x
+    n, nm, L1, L2 = P.n, P.n + P.m, 1.0 / config.alpha_x, 1.0 / config.alpha_y
+
+    def outputs(z):
+        x, y, lam = z[:, :n], z[:, n:nm], z[:, nm:]
+        vectors = residual_vectors(P, x, y, lam, L1, L2)
+        return np.hstack(pgmsad_step(P, config, x, y, lam)), np.hstack(vectors)
+
     with np.errstate(over="ignore", invalid="ignore"):
-        K = P.K @ np.eye(m)
-        dg, dh = np.broadcast_to(P.g.d, n), np.broadcast_to(P.h.d, m)
-        bg = np.zeros(n) if P.g.b is None else P.g.b
-        bh = np.zeros(m) if P.h.b is None else P.h.b
-        p, w = (np.broadcast_to(v, m) for v in P.ascent_map(config.inner_steps, config.alpha_y))
-        # inner ascent y+ = p y + w (K^T x + B^T lambda - b_h)
-        Y = np.hstack([w[:, None] * K.T, np.diag(p), w[:, None] * B.T])
-        yc = -w * bh
-        # descent x+ = x - alpha_x (d_g x + b_g + K y+ + A^T lambda)
-        X = np.hstack([np.eye(n) - ax * np.diag(dg), np.zeros((n, m)), -ax * A.T])
-        X -= ax * serial_matmul(K, Y)
-        xc = -ax * (bg + K @ yc)
-        # multiplier lambda+ = lambda - alpha_x (A x + B y+ + c), the old x
-        L = np.hstack([-ax * A, np.zeros((q, m)), np.eye(q)]) - ax * serial_matmul(B, Y)
-        lc = -ax * (P.c + B @ yc)
-        E, e = np.vstack([X, Y]), np.concatenate([xc, yc])
-        if config.project_each_outer:
-            G = np.hstack([A, B])
-            C = serial_matmul(G.T, P.gram_inverse())
-            E, e = E - serial_matmul(C, serial_matmul(G, E)), e - C @ (G @ e + P.c)
-        R = np.block([[np.diag(dg), K, A.T], [K.T, -np.diag(dh), B.T], [A, B, np.zeros((q, q))]])
-    R = np.asfortranarray(R)  # R.T C-contiguous: the fast layout for the row products
-    return np.vstack([E, L]), np.concatenate([e, lc]), R, np.concatenate([bg, -bh, P.c])
+        (M, c), (R, r) = affine_parts(outputs, nm + P.q)
+    return np.ascontiguousarray(M), c, R, r
 
 
 def _run_affine(
@@ -367,29 +366,25 @@ def _run_affine(
     trace rows, stop rule and divergence as its structured steps, with the
     outer steps taken in blocks of k (see _block_shape).
 
-    maps is (M, c, R, r): an outer step is z <- M z + c on the driver's
-    iterate z, and a residual row is the norms of the n-, m- and q-blocks of
-    R z + r. With row0 None, R reads the iterate itself (run_pgmsad's KKT
-    map). Given row0, R reads the iterate's predecessor (run_linreg's
-    residual map of x), and row0 is the row of iterate 0, which has none.
-    unstack(z, prev, t) returns the driver's state of iterate t = z with
-    predecessor prev (prev is z at t = 0); it gives the result's state and
-    a DivergenceError's.
+    maps is (M, c, R, r), the driver's step and residual functions applied
+    to the rows of [I; 0] (see affine_parts): an outer step is z <- M z + c,
+    and a residual row is the norms of the n-, m- and q-blocks of R z + r.
+    With row0 None, R reads the iterate itself (run_pgmsad). Given row0, R
+    reads the iterate's predecessor (run_linreg), and row0 is the row of
+    iterate 0, which has none. unstack(z, prev, t) returns the driver's
+    state of iterate t = z with predecessor prev (prev is z at t = 0), for
+    the result and a DivergenceError.
 
     The stacked powers S = [M; M^2; ...; M^j] and the offsets
-    c_i = sum_{l<i} M^l c are built once per run, so one product gives the
-    j iterates after an anchor z, (S z).reshape(j, d) + C, and k / j such
-    products a block of k iterates. One more product gives their residual
-    rows, the block norms of the rows of V R^T + r, V the block's iterates
-    (or their predecessors). The loop's state is a cursor
-    (W, rows, i, t): W holds the block's anchor and its k iterates, and
-    iterate t is W[i + 1]. step moves i on and fills the next block from
-    the last iterate of this one, certify returns row i, and iterate still
-    records each row with its own elapsed stamp. A block with a nonfinite
+    c_i = sum_{l<i} M^l c are built once, so one product gives the j
+    iterates after an anchor z, (S z).reshape(j, d) + C, k / j such
+    products a block, and one more product their residual rows. The loop's
+    state is a cursor (W, rows, i, t): W holds the block's anchor and its k
+    iterates, iterate t is W[i + 1], step moves i on or fills the next
+    block, and certify returns row i (the cert). A block with a nonfinite
     row is filled again one z <- M z + c step at a time from its anchor, so
-    a DivergenceError names the iterate single steps name. The cert is the
-    trace row. A run that stops inside a block has computed up to k - 1
-    iterates it does not use.
+    a DivergenceError names the iterate single steps name. A run that stops
+    inside a block has computed up to k - 1 iterates it does not use.
     """
     M, c, R, r = maps
     n, nm = P.n, P.n + P.m
@@ -463,11 +458,12 @@ def run_pgmsad(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
 
     With phi = psi = 0 and n + m + q <= AFFINE_MAX_DIM, the outer steps come
     in blocks (see _run_affine): products with the stacked powers of the
-    dense outer-step map of _affine_maps give the block's iterates, and one
-    product with the KKT map their residual rows. Each row is still certified
-    and traced on its own, with its own elapsed stamp, and the iterates agree
-    with the structured steps to rounding. Any other problem takes the
-    structured steps: inner_ascent, outer_step and project_feasible.
+    dense outer-step map give the block's iterates, and one product with the
+    residual map their residual rows. The maps are pgmsad_step and
+    residual_vectors applied to the rows of [I; 0] (_affine_maps). Each row
+    is still certified and traced on its own, with its own elapsed stamp,
+    and the iterates agree with the structured steps to rounding. Any other
+    problem takes pgmsad_step on each iterate.
 
     Returns (state, trace, residuals, converged). Deterministic for a fixed
     config and initial point (trace timestamps aside).
@@ -476,10 +472,7 @@ def run_pgmsad(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
     L2 = 1.0 / config.alpha_y
 
     def step(s, cert, t):
-        y = inner_ascent(P, s.x, s.lam, s.y, config.inner_steps, config.alpha_y, cert[1])
-        x, lam = outer_step(P, s.x, s.lam, y, config.alpha_x)
-        if config.project_each_outer:
-            x, y = project_feasible(P, x, y)
+        x, y, lam = pgmsad_step(P, config, s.x, s.y, s.lam, cert[1])
         return IterateState(x=x, y=y, lam=lam, t=t + 1)
 
     start = _gaussian_start(P, config.seed, config.x0, config.y0, config.lambda0)
@@ -527,18 +520,25 @@ def run_framework(
     inner(x, lam, y_start, eps_t) must return y+ with the y-block gradient
     mapping at unit scaling below eps_t (checked here, with absolute slack
     INNER_CHECK_ATOL), and should not move y away from y_*(x, lambda).
-    eps_schedule is a callable t -> eps_t or a sequence; square-summable
-    schedules are what the convergence theory asks for, so a constant
-    schedule only triggers a warning. Runs exactly T outer steps; the trace
-    has rows 0..T.
+    eps_schedule is a callable t -> eps_t or a sequence of numbers >= 0 (inf
+    allowed; anything else is a ConfigurationError naming the iteration);
+    square-summable schedules are what the convergence theory asks for, so a
+    constant schedule only triggers a warning. Runs exactly T outer steps;
+    the trace has rows 0..T.
     """
     check_settings(
         {"alpha_x": alpha_x, "T": T, "seed": seed}, steps=("alpha_x",), counts=("T", "seed")
     )
+
+    def target(t, value):
+        name = f"eps_t of iteration {t}"
+        check_settings({name: value}, nonnegative=(name,))
+        return float(value)
+
     if callable(eps_schedule):
         eps_fn = eps_schedule
     else:
-        sched = list(map(float, eps_schedule))
+        sched = [target(t, v) for t, v in enumerate(eps_schedule)]
         if len(sched) < T:
             raise ConfigurationError(f"eps schedule has {len(sched)} entries, need {T}")
         if len(set(sched)) == 1 and T > 1:
@@ -551,7 +551,7 @@ def run_framework(
     eps_used = []
 
     def step(s, cert, t):
-        eps_t = float(eps_fn(t))
+        eps_t = target(t, eps_fn(t))
         y = np.asarray(inner(s.x, s.lam, s.y, eps_t), dtype=np.float64)
         achieved = inner_residual(P, s.x, y, s.lam, L=1.0)
         if achieved > eps_t + INNER_CHECK_ATOL:

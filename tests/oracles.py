@@ -41,7 +41,6 @@ from jointmm.prox import (
 from jointmm.rng import make_rng, standard_normal
 from jointmm.solver import (
     IterateState,
-    ascend,
     certify_residuals,
     inner_ascent,
     iterate,
@@ -380,7 +379,7 @@ def pgmsad_structured(P, config):
 
 def linreg_structured(P, config):
     """run_linreg's loop on the structured steps whatever the ascent weight:
-    ascend, the descent step and project_feasible under iterate, each
+    inner_ascent, the descent step and project_feasible under iterate, each
     iterate certified by recover_multiplier and residuals. Starts from the
     projection of the config's x0 and y0, or of run_linreg's draws from the
     config's seed where they are None, and returns iterate's LoopResult,
@@ -393,7 +392,7 @@ def linreg_structured(P, config):
         return res.within(config.eps), (res.res_x, res.res_y, res.res_feas, None), res
 
     def step(s, cert, t):
-        y = ascend(P, P.K.T @ s.x, s.y, config.inner_steps, config.alpha_y)
+        y = inner_ascent(P, s.x, None, s.y, config.inner_steps, config.alpha_y, P.K.T @ s.x)
         x = s.x - config.alpha_x * (P.g.gradient(s.x) + P.K @ y)
         x, y = project_feasible(P, x, y)
         return IterateState(x=x, y=y, lam=None, t=t + 1)
@@ -409,8 +408,12 @@ def linreg_structured(P, config):
 class CountingMatrix:
     """Stand-in for a problem's K that counts the products taken with K
     (K @ v) and with its transpose (K.T @ v) in counts["K"] and
-    counts["K.T"]. The products are formed with the wrapped array, so a
-    loop run on the stand-in gives the same bits."""
+    counts["K.T"]. A row-batch product V @ K.T, as numerics.apply forms
+    it, applies K to every row of V and counts as one product with K. The
+    products are formed with the wrapped array, so a loop run on the
+    stand-in gives the same bits."""
+
+    __array_ufunc__ = None  # V @ stand-in goes to __rmatmul__, not to numpy
 
     def __init__(self, M, counts=None, key="K"):
         self.M = M
@@ -428,6 +431,10 @@ class CountingMatrix:
     def __matmul__(self, v):
         self.counts[self.key] += 1
         return self.M @ v
+
+    def __rmatmul__(self, V):
+        self.counts["K" if self.key == "K.T" else "K.T"] += 1
+        return V @ self.M
 
 
 def read_matrix_csv_lines(path):

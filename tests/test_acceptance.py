@@ -443,7 +443,7 @@ def test_criterion_11_saddle_recovery(criterion_11_runs):
 CRITERION_11_PINS = (
     [360, 273, 1750, 183, 1981, 2688, 3045, 607, 478, 1689,
      286, 546, 532, 1057, 2872, 234, 286, 2926, 257, 680],
-    "837cd353cc6ed15a7caf5b00ea17600c68d28712273bac0fdfed8c328a3ef56a",
+    "17c9de166ba0d5ed93ab97c0f803a4f257ee7997ba868c1093747aa7f4550b16",
 )
 
 

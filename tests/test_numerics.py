@@ -3,6 +3,7 @@ import pytest
 
 from jointmm.errors import ConfigurationError, SingularConstraintError
 from jointmm.numerics import (
+    apply,
     as_matrix,
     as_vector,
     operator_norm,
@@ -109,3 +110,15 @@ def test_serial_matmul_matches_matmul_across_its_blocks(rng, order):
     assert np.abs(got - A @ B).max() <= 1e-12 * np.abs(A @ B).max()
     # a product that fits in one block is the plain product, bit for bit
     assert np.array_equal(serial_matmul(B.T[:3], A.T), B.T[:3] @ A.T)
+
+
+def test_apply_takes_a_point_or_a_batch_of_rows(rng):
+    A = rng.standard_normal((170, 400))
+    V = rng.standard_normal((21, 400))
+    # a point is the plain product, bit for bit; a batch of rows is each
+    # row's product, by serial_matmul
+    assert np.array_equal(apply(A, V[3]), A @ V[3])
+    got = apply(A, V)
+    assert np.array_equal(got, serial_matmul(V, A.T))
+    ref = np.array([A @ v for v in V])
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -467,6 +468,26 @@ def test_run_framework_constant_schedule_warns(rng):
 
     with pytest.warns(UserWarning, match="constant"):
         run_framework(P, inner, [0.1, 0.1, 0.1], 0.02, 3, x0=np.ones(2), y0=np.ones(2))
+
+
+@pytest.mark.parametrize("schedule, t", [
+    (lambda t: math.nan, 0),
+    ([math.nan] * 3, 0),
+    (lambda t: -1.0 if t == 2 else math.inf, 2),
+    ([math.inf, -0.1, math.inf], 1),
+    ([math.inf, math.inf, "tight"], 2),
+    (lambda t: None, 0),
+], ids=["nan-callable", "nan-list", "negative-callable", "negative-list", "text-list", "none"])
+def test_run_framework_rejects_a_bad_inner_target(rng, schedule, t):
+    # a NaN target would turn the inner-accuracy check off, and this inner
+    # solver, which does nothing, would run all T steps; inf is allowed
+    P, a, b = quadratic_problem(rng)
+
+    def no_op(x, lam, y_start, eps_t):
+        return y_start
+
+    with pytest.raises(ConfigurationError, match=f"^eps_t of iteration {t} must be >= 0"):
+        run_framework(P, no_op, schedule, 0.02, 3, x0=np.ones(2), y0=np.ones(2))
 
 
 def test_run_framework_inner_miss_raises(rng):

@@ -1,0 +1,71 @@
+"""The same bits at 1 and 2 BLAS threads: each run below goes in a fresh
+interpreter with OPENBLAS_NUM_THREADS set, and the digests of the results
+must agree. The runs are large enough that a plain product of a batch, or
+of the Gram matrix, would be split among the threads."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import jointmm
+
+RUNS = r"""
+import hashlib, json
+import numpy as np
+from jointmm import problem
+from jointmm.apps import make_linreg, run_linreg
+from jointmm.problem import MinimaxProblem
+from jointmm.prox import SmoothOracle, prox_zero
+from jointmm.solver import SolverConfig, run_pgmsad
+
+
+def digest(*arrays):
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
+out = {}
+# the affine path of x, whose maps are built from 401 x 400 batches
+_, P = make_linreg(400, 400, 80, seed=3)
+s = run_linreg(P, SolverConfig(alpha_x=0.3, alpha_y=1.0, inner_steps=3, outer_cap=20)).state
+out["run_linreg"] = digest(s.x, s.y, s.lam)
+# the affine path of run_pgmsad at n + m + q = 256, projected every step
+rng = np.random.default_rng(7)
+n, q = 110, 36
+P = MinimaxProblem(g=SmoothOracle(1.0), phi=prox_zero(), h=SmoothOracle(1.0), psi=prox_zero(),
+                   K=rng.standard_normal((n, n)) / n**0.5, A=rng.standard_normal((q, n)),
+                   B=rng.standard_normal((q, n)), c=rng.standard_normal(q), mu=1.0)
+cfg = SolverConfig(alpha_x=0.05, alpha_y=0.5, inner_steps=5, outer_cap=20,
+                   project_each_outer=True, seed=1)
+s = run_pgmsad(P, cfg).state
+out["run_pgmsad"] = digest(s.x, s.y, s.lam)
+# the Gram matrix A A^T + B B^T at q = 300, as handed to its factorization
+# (the inverse np.linalg.inv takes of it is not thread-independent there)
+_, P = make_linreg(400, 400, 300, seed=3)
+built = []
+problem.spd_factor = lambda S: built.append(S) or S
+P.gram_inverse()
+out["gram"] = digest(built[0])
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def digests():
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("fewer than 2 CPUs: OpenBLAS would run one thread either way")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(jointmm.__file__)))
+    out = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", RUNS], env=env, capture_output=True,
+                              text=True, timeout=300, check=True)
+        out[threads] = json.loads(proc.stdout)
+    return out
+
+
+@pytest.mark.parametrize("run", ["run_linreg", "run_pgmsad", "gram"])
+def test_same_bits_at_one_and_two_blas_threads(digests, run):
+    assert digests["1"][run] == digests["2"][run]
