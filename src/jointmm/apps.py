@@ -27,13 +27,14 @@ each carries the stabilization its problem class needs:
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .numerics import apply, as_matrix, as_vector, norm2
+from .numerics import apply, as_matrix, as_vector, norm2, serial_matmul
 from .problem import MinimaxProblem, Residuals, recover_multiplier, residual_vectors, residuals
 from .prox import (
     ConeSpec,
@@ -42,6 +43,7 @@ from .prox import (
     PROX_ZERO,
     SECOND_ORDER,
     SmoothOracle,
+    inside_pattern,
     project_cone,
     projection_jacobian,
     projection_pattern,
@@ -49,15 +51,20 @@ from .prox import (
 )
 from .rng import gaussian_matrix, make_rng, standard_normal
 from .solver import (
+    GLPE_BLOCK_SWITCH,
+    Block,
     IterateState,
     SolveResult,
     SolverConfig,
+    _block_shape,
     _run_affine,
     affine_parts,
     check_settings,
+    fill_iterates,
     inner_ascent,
     iterate,
     project_feasible,
+    stacked_powers,
     start_vector,
 )
 
@@ -373,17 +380,35 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
     satisfies cone membership and complementarity exactly.
 
     The sweeps from w = 0 are one linear map r -> W r (richardson_operator),
-    so a linearization is the pair (J, W) and a step is one matvec. For the
-    polyhedral cones (orthant, 1-norm) D_K is constant on each active
-    pattern (prox.projection_pattern), so the driver keeps J and W of the
-    last pattern and rebuilds them only when the pattern changes. The
+    so a linearization is the pair (J, W) and a structured step is one
+    matvec, x <- x - W r with r = A x + B P_K(x) - b. For the polyhedral
+    cones (orthant, 1-norm) D_K is constant on each active pattern
+    (prox.projection_pattern), so the driver keeps J and W of the last
+    pattern and rebuilds them only when the pattern changes. The
     second-order cone has no pattern key (its Jacobian moves within its
     boundary piece), so there each step builds J and W.
 
+    On a pattern the step is affine, x <- M x + W b with M = I - W J, so
+    while the equation error is above max(solver.GLPE_BLOCK_SWITCH, eps)
+    the polyhedral cones take their steps in blocks (solver.Block): from an
+    iterate whose pattern is known, products with the pattern's stacked
+    powers [M; M^2; ...; M^j] give the next k iterates (solver._block_shape
+    at n; j = k = 51 at n = 5), and three row-batch products with J, W and
+    J give their equation errors, corrections and inner residuals. A block
+    ends at the first iterate that prox.inside_pattern cannot place inside
+    the pattern's piece with a margin, or whose error is at or under the
+    switch point, or at a nonfinite value. That iterate is taken again by a
+    structured step from its predecessor and certified by projecting it;
+    from the first row at or under the switch point (or the first nonfinite
+    block) on, every step is structured, so the stop is decided by the
+    structured arithmetic. The blocked iterates agree with the structured
+    steps to rounding.
+
     Trace row t: res_feas and app_error are the equation error at iterate
     t; res_x is the norm of the correction that produced iterate t and
-    res_y the residual of its inner solve (both 0 in row 0). The loop state
-    is the iterate x; a DivergenceError carries the last finite one.
+    res_y the residual of its inner solve (both 0 in row 0, and in every
+    row without a trace). The loop state is the iterate x; a
+    DivergenceError carries the last finite one.
     """
     if config is None:
         config = GlpeConfig()
@@ -391,9 +416,13 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
     A, B, b = G.A, G.B, G.b
     cone = G.cone
     n = A.shape[1]
+    j, k = _block_shape(n)
+    floor = max(GLPE_BLOCK_SWITCH, config.eps)
     last_step = (0.0, 0.0)  # correction norm and inner residual behind the iterate
-    linearization = (None, None, None)  # pattern key (None: rebuild every step), J and W
+    # pattern key (None: rebuild every step), J, W and the stacked powers of the step map
+    linearization = (None, None, None, None)
     patterns = 0
+    structured = False  # set once for all: no more blocks
 
     def linearize(x):
         J = A + B @ projection_jacobian(cone, x)
@@ -405,23 +434,73 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
         err = norm2(r)
         return err <= config.eps, (*last_step, err, err), (xk, r, err)
 
-    def step(x, cert, t):
-        nonlocal last_step, linearization, patterns
-        xk, r, _ = cert
-        key = projection_pattern(cone, x, xk)
-        if key is None or key != linearization[0]:
-            linearization = (key, *linearize(x))
-            patterns += 1
-        _, J, W = linearization
+    def single(x, r):
+        nonlocal last_step
+        _, J, W, _ = linearization
         w = W @ r
-        x = x - w
         if config.record_trace:
             last_step = (norm2(w), norm2(r - J @ w))
-        return x
+        return x - w
+
+    def row_norms(V):
+        return np.sqrt(np.einsum("ij,ij->i", V, V))
+
+    def block(x, r):
+        nonlocal structured
+        key, J, W, (S, C) = linearization
+        X = fill_iterates(x, k, S, C)[1:]
+        R = apply(J, X) - b
+        err = row_norms(R)
+        if not math.isfinite(err.sum()):
+            structured = True
+            return single(x, r)
+        ok = inside_pattern(cone, key, X) & (err > floor)
+        p = k if ok.all() else int(ok.argmin())  # the rows before p are the key's
+        if p < k and not err[p] > floor:
+            structured = True
+        if p == 0:
+            return single(x, r)
+        rows = np.zeros((p + (p < k), 4))
+        rows[:p, 2] = rows[:p, 3] = err[:p]
+        if config.record_trace:
+            prev = np.vstack([r, R[: p - 1]])  # the residual each correction solves
+            w = apply(W, prev)
+            rows[:p, 0], rows[:p, 1] = row_norms(w), row_norms(prev - apply(J, w))
+
+        done = np.zeros(len(rows), dtype=bool)
+        if p < k:  # row p: a structured step from row p - 1, certified as such
+            x_end = single(X[p - 1], R[p - 1])
+            done[p], rows[p], end = certify(x_end)
+
+        def at(i):
+            if i < p:
+                return X[i].copy(), (None, R[i], float(err[i]))
+            return x_end, end
+
+        return Block(rows, done, at)
+
+    def step(x, cert, t):
+        nonlocal linearization, patterns, structured
+        xk, r, err = cert
+        if xk is not None:  # a block's iterates (xk None) are on its pattern
+            key = projection_pattern(cone, x, xk)
+            if key is None or key != linearization[0]:
+                J, W = linearize(x)
+                powers = None
+                if key is not None and not structured:
+                    powers = stacked_powers(np.eye(n) - serial_matmul(W, J), W @ b, j)
+                linearization = (key, J, W, powers)
+                patterns += 1
+        structured = structured or not err > floor
+        if structured or linearization[0] is None:
+            return single(x, r)
+        return block(x, r)
 
     x0 = start_vector(config.x0, n, "x0", lambda: np.zeros(n))
     run = iterate(x0, step, certify, config.outer_cap, config.record_trace)
     xk, _, err = run.cert
+    if xk is None:
+        xk = project_cone(cone, run.state)
     J, W = linearize(run.state)
     step_jacobian = np.eye(n) - W @ J
     return GlpeResult(

@@ -17,7 +17,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ConfigurationError
-from .numerics import as_vector
+from .numerics import apply, as_vector
 
 # cone kinds
 FREE = "free"
@@ -268,6 +268,43 @@ def projection_pattern(cone: ConeSpec, z, pz=None):
         piece = _l1_piece(z, pz)
         return piece if isinstance(piece, bytes) else b"boundary" + piece.tobytes()
     return None
+
+
+# inside_pattern's margin, relative to ||z||_1: far above the rounding of the
+# projection that decides a pattern (a few ulp of ||z||_1 times the dimension)
+PATTERN_MARGIN = 1e-9
+
+
+def inside_pattern(cone: ConeSpec, key, Z):
+    """For each row z of Z, whether z lies inside the piece of the pattern
+    key (see projection_pattern) with room to spare: each inequality that
+    defines the piece holds by PATTERN_MARGIN ||z||_1, so rounding in the
+    projection cannot move z off it. A false entry decides nothing, and a
+    row with a nonfinite entry is never inside.
+
+    Orthant: the signs of the mask. 1-norm cone: b"polar" and b"inside" by
+    their own tests; a boundary piece with tail signs s (0 off the active
+    set) is the polyhedron {z : C z >= 0} of the shift t0(z) =
+    (s . z_tail - z0) / (1 + k) over the k active entries: t0 > 0,
+    s_i z_i > t0 on the active set and |z_i| < t0 off it.
+    """
+    m = PATTERN_MARGIN * np.abs(Z).sum(axis=1)
+    if cone.kind == NONNEG_ORTHANT:
+        signs = np.where(np.frombuffer(key, dtype=bool), 1.0, -1.0)
+        return (Z * signs > m[:, None]).all(axis=1)
+    if cone.kind != L1_NORM:
+        raise ConfigurationError(f"{cone.kind} cone has no pattern")
+    head, mags = Z[:, 0], np.abs(Z[:, 1:])
+    if key == b"polar":
+        return mags.max(axis=1) < -head - m
+    if key == b"inside":
+        return mags.sum(axis=1) < head - m
+    s = np.frombuffer(key, offset=len(b"boundary"))
+    on = s != 0
+    t0 = np.concatenate(([-1.0], s)) / (1.0 + np.count_nonzero(on))
+    tail = np.eye(cone.dim)[1:]
+    C = np.vstack([t0, s[on, None] * tail[on] - t0, t0 - tail[~on], t0 + tail[~on]])
+    return (apply(C, Z) > m[:, None]).all(axis=1)
 
 
 # prox operator kinds

@@ -15,6 +15,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 from numbers import Integral, Real
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -228,6 +229,25 @@ class LoopResult(NamedTuple):
     trace: list
 
 
+class Block(NamedTuple):
+    """The k >= 1 iterates after the current one, handed to iterate at once
+    by a step: rows is their k x c array of trace rows (the first c of
+    TRACE_COLUMNS), done their k stopping tests, and at(i) returns the state
+    and cert of the i-th, for the iterates the loop stops on or goes on from."""
+
+    rows: np.ndarray
+    done: np.ndarray
+    at: Callable
+
+
+def _check_row(row, t, last, trace):
+    """Raise DivergenceError when an entry of iterate t's row is nonfinite."""
+    bad = [c for c, v in zip(TRACE_COLUMNS, row) if v is not None and not math.isfinite(v)]
+    if bad:
+        msg = f"diverged at iterate {t}: nonfinite {', '.join(bad)}"
+        raise DivergenceError(msg, state=last, trace=trace)
+
+
 def iterate(state, step, certify, outer_cap, record_trace) -> LoopResult:
     """The outer loop every driver shares: certify iterate t, stop or step.
 
@@ -236,38 +256,61 @@ def iterate(state, step, certify, outer_cap, record_trace) -> LoopResult:
     driver has one, app_error) and cert whatever the driver needs back or
     the step reuses (residuals, the recovered point, the iterate's products
     with K, ...).
-    step(state, cert, t) returns iterate t + 1. Iterate t is
-    recorded as trace row t, so a run of T steps has rows 0..T.
+    step(state, cert, t) returns iterate t + 1, which certify then checks,
+    or a Block of the iterates t + 1, ..., t + k with their rows and tests
+    already made. Iterate t is recorded as trace row t, so a run of T steps
+    has rows 0..T. A block's rows share one elapsed stamp, taken when the
+    step returns it.
 
     The loop stops when done is true or after outer_cap steps, and returns
     the last state with its cert, the number of steps t, whether done held,
-    and the trace. It alone decides divergence: steps and certify run under
-    one np.errstate that lets overflow give inf and NaN, and a row with a
-    nonfinite value (the row must cover every variable of the state) raises
-    DivergenceError with the last certified state (None at iterate 0) and
-    the trace so far; the message names the iterate and the columns.
+    and the trace. A block's rows after the cap are not used; one vector
+    test finds its first done or nonfinite row. The loop alone decides
+    divergence: steps and certify run under one np.errstate that lets
+    overflow give inf and NaN, and a row with a nonfinite value (the row
+    must cover every variable of the state) raises DivergenceError with the
+    last certified state (None at iterate 0) and the trace so far; the
+    message names the iterate and the columns.
     """
     trace = []
     start = time.perf_counter()
     t = 0
     last = None
     with np.errstate(over="ignore", invalid="ignore"):
+        done, row, cert = certify(state)
         while True:
-            done, row, cert = certify(state)
             # the row's sum (None and 0.0 left out) is nonfinite whenever an
             # entry is; it can also overflow, so the columns are then checked
             if not math.isfinite(sum(filter(None, row))):
-                bad = [c for c, v in zip(TRACE_COLUMNS, row) if v is not None and not math.isfinite(v)]
-                if bad:
-                    msg = f"diverged at iterate {t}: nonfinite {', '.join(bad)}"
-                    raise DivergenceError(msg, state=last, trace=trace)
+                _check_row(row, t, last, trace)
             if record_trace:
                 trace.append(TraceRecord(t, time.perf_counter() - start, *row))
             if done or t == outer_cap:
                 return LoopResult(state, cert, t, done, trace)
+            out = step(state, cert, t)
+            while type(out) is Block:
+                k = min(len(out.done), outer_cap - t)
+                finite = np.isfinite(out.rows[:k]).all(axis=1)
+                stops = np.flatnonzero(out.done[:k] | ~finite)
+                k = int(stops[0]) + 1 if len(stops) else k
+                if record_trace:
+                    kept = k if finite[k - 1] else k - 1
+                    columns = out.rows[:kept].T.tolist()
+                    stamps = repeat(time.perf_counter() - start, kept)
+                    trace.extend(map(TraceRecord, range(t + 1, t + 1 + kept), stamps, *columns))
+                if not finite[k - 1]:
+                    row = out.rows[k - 1].tolist()
+                    _check_row(row, t + k, out.at(k - 2)[0] if k > 1 else state, trace)
+                state, cert = out.at(k - 1)
+                t += k
+                done = bool(out.done[k - 1])
+                if done or t == outer_cap:
+                    return LoopResult(state, cert, t, done, trace)
+                out = step(state, cert, t)
             last = state
-            state = step(state, cert, t)
+            state = out
             t += 1
+            done, row, cert = certify(state)
 
 
 def certify_residuals(P: MinimaxProblem, L1, L2, eps):
@@ -313,13 +356,62 @@ AFFINE_MAX_DIM = 256
 AFFINE_BLOCK_MIN = 8
 
 
+# The equation error at or under which apps.run_glpe takes structured steps
+# only; above it the orthant and 1-norm cones take blocks. Near eps 1e-13
+# the error's step-to-step ratio is mostly rounding noise, so the stop is a
+# first-passage time of that noise and its count holds only for the same
+# iterate bits: the switch must leave the contraction enough structured
+# steps to wash the blocks' rounding out of the iterate. Stock glpe-paper
+# runs at eps 1e-13 by switch point, outer steps and the first 8 hex digits
+# of sha256(x) (* = the pinned run, 115,328 3bac75f3 and 8,467 024be1f3):
+#     switch          orthant               1-norm
+#     1e-11           115,318  3bac75f3     8,467  cb9fb1e4
+#     3e-11           115,325  3bac75f3     8,465  27dbf7b0
+#     1e-10           115,327  3bac75f3     8,467  024be1f3 *
+#     3e-10           115,328  3bac75f3 *   8,465  27dbf7b0
+#     1e-9 ... 1e-6   115,328  3bac75f3 *   8,467  024be1f3 *
+# (1e-9, 3e-9, 1e-8, 3e-8, 1e-7, 3e-7, 1e-6). Neither count is monotone in
+# the switch, so the rule is a choice backed by this scan, not a bound:
+# 1e-8 sits a decade inside the pinned range on both sides. At 1e-8 the
+# orthant run reaches the switch point at step 65,966, in 1,296 blocks, and
+# takes its last 49,362 steps structured. On the benchmark's rotated
+# instances (seeds 0 to 11), 23 of 24 orthant and 1-norm runs kept the
+# structured count and bits; seed 10's 1-norm run stopped at 8,468 steps
+# against 8,465.
+GLPE_BLOCK_SWITCH = 1e-8
+
+
 def _block_shape(dim):
-    """(j, k) at n + m + q = dim: a block of _run_affine holds k outer steps,
-    filled by k / j products with the stacked powers M, ..., M^j. j is
+    """(j, k) at n + m + q = dim: a block of _run_affine holds k outer steps
+    (and one of apps.run_glpe at dim = n), filled by k / j products with the
+    stacked powers M, ..., M^j. j is
     AFFINE_MAX_DIM // dim (at least 1) and k the least multiple of j that
     is at least AFFINE_BLOCK_MIN."""
     j = max(1, AFFINE_MAX_DIM // dim)
     return j, j * -(-AFFINE_BLOCK_MIN // j)
+
+
+def stacked_powers(M, c, j):
+    """(S, C) of the affine map z <- M z + c: the stacked powers
+    S = [M; M^2; ...; M^j] and the offsets C_i = sum_{l<i} M^l c, i = 1..j,
+    so that (S z).reshape(j, d) + C holds the j iterates after z. Products
+    go through serial_matmul; overflow gives inf or NaN entries."""
+    S, C = [M], [c]
+    for _ in range(1, j):
+        S.append(serial_matmul(M, S[-1]))
+        C.append(M @ C[-1] + c)
+    return (np.vstack(S) if j > 1 else M), np.array(C)
+
+
+def fill_iterates(z, k, S, C):
+    """z and the k iterates after it as the rows of one (k + 1) x d array,
+    by k / len(C) products with stacked powers (S, C) (see stacked_powers)."""
+    d, h = len(z), len(C)
+    Z = np.empty((k + 1, d))
+    Z[0] = z
+    for lo in range(1, k + 1, h):
+        Z[lo : lo + h] = apply(S, Z[lo - 1]).reshape(h, d) + C
+    return Z
 
 
 # Unit rows per call of f in affine_parts: 0.2 MB per array at n = 400, where
@@ -375,23 +467,19 @@ def _run_affine(
     state of iterate t = z with predecessor prev (prev is z at t = 0), for
     the result and a DivergenceError.
 
-    The stacked powers S = [M; M^2; ...; M^j] and the offsets
-    c_i = sum_{l<i} M^l c are built once, so one product gives the j
-    iterates after an anchor z, (S z).reshape(j, d) + C, k / j such
-    products a block, and one more product their residual rows. The loop's
-    state is a cursor (W, rows, i, t): W holds the block's anchor and its k
-    iterates, iterate t is W[i + 1], step moves i on or fills the next
-    block, and certify returns row i (the cert). A block with a nonfinite
-    row is filled again one z <- M z + c step at a time from its anchor, so
-    a DivergenceError names the iterate single steps name. A run that stops
-    inside a block has computed up to k - 1 iterates it does not use.
+    The stacked powers of M are built once (stacked_powers), so a step is a
+    Block: k / j products fill the k iterates after the current one, and one
+    product with R gives their residual rows. The loop's state is
+    (z, prev, t). A block with a nonfinite row is filled again one
+    z <- M z + c step at a time, so a DivergenceError names the iterate
+    single steps name. A run that stops inside a block has computed up to
+    k - 1 iterates it does not use.
     """
     M, c, R, r = maps
     n, nm = P.n, P.n + P.m
-    d = M.shape[0]
-    j, k = _block_shape(d)
+    j, k = _block_shape(M.shape[0])
     eps = config.eps
-    # R reads the block's iterates W[1:], or their predecessors W[:-1]
+    # R reads the block's iterates Z[1:], or their predecessors Z[:-1]
     rows_of = slice(1, k + 1) if row0 is None else slice(0, k)
     # column b of (G * G) @ J holds the squared norms of block b of each
     # row of G. An entry whose square overflows makes the other two NaN
@@ -399,54 +487,32 @@ def _run_affine(
     J = np.zeros((R.shape[0], 3))
     J[:n, 0], J[n:nm, 1], J[nm:, 2] = 1.0, 1.0, 1.0
 
-    def fill(z, powers, offsets):
-        """z and the k iterates after it, by products with stacked powers."""
-        W, h = np.empty((k + 1, d)), len(offsets)
-        W[0] = z
-        for lo in range(1, k + 1, h):
-            W[lo : lo + h] = (powers @ W[lo - 1]).reshape(h, d) + offsets
-        return W
-
     def row_norms(Z):
         G = serial_matmul(Z, R.T) + r
-        return [[norm2(g[:n]), norm2(g[n:nm]), norm2(g[nm:])] for g in G]
+        return np.array([[norm2(g[:n]), norm2(g[n:nm]), norm2(g[nm:])] for g in G])
 
     def step(s, cert, t):
-        W, rows, i, _ = s
-        if i + 1 < len(rows):
-            return W, rows, i + 1, t + 1
-        z = W[i + 1]
-        W = fill(z, S, C)
-        G = serial_matmul(W[rows_of], R.T) + r
+        Z = fill_iterates(s[0], k, S, C)
+        G = serial_matmul(Z[rows_of], R.T) + r
         N = np.sqrt((G * G) @ J)
-        if math.isfinite(N.sum()):
-            return W, N.tolist(), 0, t + 1
-        W = fill(z, M, c[None])
-        return W, row_norms(W[rows_of]), 0, t + 1
-
-    def certify(s):
-        row = s[1][s[2]]
-        return row[0] <= eps and row[1] <= eps and row[2] <= eps, row, row
-
-    def state_of(s):
-        W, _, i, t = s
-        return unstack(W[i + 1], W[i], t)
+        if not math.isfinite(N.sum()):
+            Z = fill_iterates(s[0], k, M, c[None])
+            N = row_norms(Z[rows_of])
+        return Block(N, (N <= eps).all(axis=1),
+                     lambda i: ((Z[i + 1], Z[i], t + i + 1), N[i].tolist()))
 
     with np.errstate(over="ignore", invalid="ignore"):
-        S, C = [M], [c]
-        for _ in range(1, j):
-            S.append(serial_matmul(M, S[-1]))
-            C.append(M @ C[-1] + c)
-        S, C = np.vstack(S) if j > 1 else M, np.array(C)
+        S, C = stacked_powers(M, c, j)
         if row0 is None:
-            row0 = row_norms(z0[None])[0]
+            row0 = row_norms(z0[None])[0].tolist()
+    done0 = all(v <= eps for v in row0)
     try:
-        run = iterate((np.vstack([z0, z0]), [row0], 0, 0), step, certify,
+        run = iterate((z0, z0, 0), step, lambda s: (done0, row0, row0),
                       config.outer_cap, config.record_trace)
     except DivergenceError as err:
-        err.state = None if err.state is None else state_of(err.state)
+        err.state = None if err.state is None else unstack(*err.state)
         raise
-    return run._replace(state=state_of(run.state))
+    return run._replace(state=unstack(*run.state))
 
 
 def run_pgmsad(P: MinimaxProblem, config: SolverConfig) -> SolveResult:

@@ -7,9 +7,10 @@ slack reformulations. in_cone, forward_backward and gradient_mapping are
 the cone membership test, the forward-backward point T_L and the gradient
 mapping G_L, written from their definitions on project_cone and prox_eval;
 criterion 8's lemma suite uses them. The helpers smooth_coupling,
-approx_y_star, glpe_sweep_step, pgmsad_structured and linreg_structured are
-reference quantities and loops built on the package's own kernels, which the
-tests check elsewhere. gave_to_minimax and glpe_to_minimax are the minimax
+approx_y_star, glpe_sweep_step, pgmsad_structured, linreg_structured and
+glpe_structured are reference quantities and loops built on the package's
+own kernels, which the tests check elsewhere. gave_to_minimax and
+glpe_to_minimax are the minimax
 encodings of the two equation applications, which no solve path uses, and
 CountingMatrix is a stand-in for a problem's coupling matrix that counts
 the products a loop takes. The matrix-file readers and writers at the end
@@ -22,8 +23,15 @@ import math
 import numpy as np
 from scipy.optimize import minimize
 
-from jointmm.apps import GaveInstance, GlpeInstance
+from jointmm.apps import (
+    GaveInstance,
+    GlpeInstance,
+    GlpeResult,
+    glpe_paper_step_size,
+    richardson_operator,
+)
 from jointmm.errors import ConfigurationError
+from jointmm.numerics import norm2
 from jointmm.problem import MinimaxProblem, feas, recover_multiplier, residuals
 from jointmm.prox import (
     NONNEG_ORTHANT,
@@ -31,6 +39,7 @@ from jointmm.prox import (
     SmoothOracle,
     project_cone,
     projection_jacobian,
+    projection_pattern,
     prox_blocks,
     prox_eval,
     prox_indicator,
@@ -46,6 +55,7 @@ from jointmm.solver import (
     iterate,
     outer_step,
     project_feasible,
+    start_vector,
 )
 
 
@@ -312,6 +322,59 @@ def glpe_sweep_step(G, alpha, inner_steps, x):
     for _ in range(inner_steps):
         w = w + alpha * (Jtr - JtJ @ w)
     return x - w
+
+
+def glpe_structured(G, config):
+    """run_glpe's loop with a structured step on every iterate, whatever the
+    cone and the equation error: certify projects x onto the cone, and a
+    step finds x's pattern, rebuilds J and W when it changed (every step on
+    the second-order cone) and takes x - W r. Returns a GlpeResult."""
+    alpha = config.alpha if config.alpha is not None else glpe_paper_step_size(G)
+    A, B, b = G.A, G.B, G.b
+    cone = G.cone
+    n = A.shape[1]
+    last_step = (0.0, 0.0)
+    linearization = (None, None, None)
+    patterns = 0
+
+    def linearize(x):
+        J = A + B @ projection_jacobian(cone, x)
+        return J, richardson_operator(J, alpha, config.inner_steps)
+
+    def certify(x):
+        xk = project_cone(cone, x)
+        r = A @ x + B @ xk - b
+        err = norm2(r)
+        return err <= config.eps, (*last_step, err, err), (xk, r, err)
+
+    def step(x, cert, t):
+        nonlocal last_step, linearization, patterns
+        xk, r, _ = cert
+        key = projection_pattern(cone, x, xk)
+        if key is None or key != linearization[0]:
+            linearization = (key, *linearize(x))
+            patterns += 1
+        _, J, W = linearization
+        w = W @ r
+        x = x - w
+        if config.record_trace:
+            last_step = (norm2(w), norm2(r - J @ w))
+        return x
+
+    x0 = start_vector(config.x0, n, "x0", lambda: np.zeros(n))
+    run = iterate(x0, step, certify, config.outer_cap, config.record_trace)
+    xk, _, err = run.cert
+    J, W = linearize(run.state)
+    return GlpeResult(
+        x=run.state,
+        x_cone=xk,
+        error=err,
+        trace=run.trace,
+        iterations=run.t,
+        converged=run.converged,
+        rate=float(np.abs(np.linalg.eigvals(np.eye(n) - W @ J)).max()),
+        patterns=patterns,
+    )
 
 
 def _split_to_minimax(G, cone, z_term, head) -> MinimaxProblem:

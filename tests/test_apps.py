@@ -30,9 +30,16 @@ from jointmm.prox import (
     project_cone,
     project_polar,
 )
-from jointmm.solver import SolverConfig, run_framework, run_pgmsad
+from jointmm.solver import SolverConfig, _block_shape, run_framework, run_pgmsad
 
-from oracles import CountingMatrix, gave_to_minimax, glpe_to_minimax, in_cone, linreg_structured
+from oracles import (
+    CountingMatrix,
+    gave_to_minimax,
+    glpe_structured,
+    glpe_to_minimax,
+    in_cone,
+    linreg_structured,
+)
 
 
 def test_gave_to_minimax_shapes(rng):
@@ -147,9 +154,11 @@ def test_glpe_singular_preset_rejected():
 
 
 # the stock glpe-paper runs at eps 1e-13: outer iterations and the sha256 of
-# r.x.tobytes(), where every step is one product with the Richardson matrix
-# W of its linearization (rebuilt per pattern on the orthant and 1-norm
-# cones, per step on the second-order cone)
+# r.x.tobytes(), where every structured step is one product with the
+# Richardson matrix W of its linearization (rebuilt per pattern on the
+# orthant and 1-norm cones, per step on the second-order cone). run_glpe's
+# blocks before the switch point leave both unchanged, and glpe_structured,
+# which takes a structured step on every iterate, gives them too.
 GLPE_PINS = {
     NONNEG_ORTHANT: (115328, "3bac75f3682ddab1979d06c8e01cd3b980b3ce509c5165df3e50cb957df422af"),
     SECOND_ORDER: (1946, "656d547a0b98946fd6eb7293226b493d29f5bf59d54944f6dbd7a9134edc9a3e"),
@@ -167,6 +176,30 @@ def test_glpe_stock_runs_are_pinned(stock_glpe, cone_kind):
     r = stock_glpe[cone_kind]
     assert r.converged
     assert (r.iterations, hashlib.sha256(r.x.tobytes()).hexdigest()) == GLPE_PINS[cone_kind]
+
+
+@pytest.fixture(scope="module")
+def structured_glpe():
+    return {kind: glpe_structured(builtin_glpe(kind), GlpeConfig(eps=1e-13)) for kind in GLPE_PINS}
+
+
+def assert_traces_agree(got, want, scale=None):
+    """Equal row counts and t, and every value within 1e-12 of scale, by
+    default the largest value of want."""
+    assert [rec.t for rec in got] == [rec.t for rec in want]
+    values = lambda trace: np.array([rec[2:] for rec in trace], dtype=float)
+    u, v = values(got), values(want)
+    scale = np.abs(v).max() if scale is None else scale
+    assert np.abs(u - v).max(initial=0.0) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("cone_kind", list(GLPE_PINS))
+def test_glpe_blocks_match_the_structured_run(stock_glpe, structured_glpe, cone_kind):
+    got, want = stock_glpe[cone_kind], structured_glpe[cone_kind]
+    assert (want.iterations, hashlib.sha256(want.x.tobytes()).hexdigest()) == GLPE_PINS[cone_kind]
+    assert (got.patterns, got.rate, got.error) == (want.patterns, want.rate, want.error)
+    assert np.array_equal(got.x_cone, want.x_cone)
+    assert_traces_agree(got.trace, want.trace)
 
 
 def test_glpe_patterns_count_the_linearizations(stock_glpe):
@@ -372,8 +405,15 @@ def test_gave_divergence_without_trace_carries_state():
 def test_glpe_divergence_carries_state_and_trace():
     from jointmm.errors import DivergenceError
 
+    # the stacked powers overflow, so the first block is nonfinite and every
+    # step is structured: the same iterate, columns and last finite state
+    G, cfg = builtin_glpe(NONNEG_ORTHANT), GlpeConfig(alpha=5.0)
     with pytest.raises(DivergenceError) as err:
-        run_glpe(builtin_glpe(NONNEG_ORTHANT), GlpeConfig(alpha=5.0))
+        run_glpe(G, cfg)
+    with pytest.raises(DivergenceError) as ref:
+        glpe_structured(G, cfg)
+    assert str(err.value) == str(ref.value)
+    assert np.array_equal(err.value.state, ref.value.state)
     assert err.value.state.shape == (5,) and np.all(np.isfinite(err.value.state))
     assert err.value.trace and err.value.trace[0].t == 0
     assert [rec.t for rec in err.value.trace] == list(range(len(err.value.trace)))
@@ -400,15 +440,33 @@ def test_linreg_divergence_carries_state_and_trace():
     assert [rec.t for rec in err.value.trace] == list(range(got.t + 1))
 
 
-@pytest.mark.parametrize("cone_kind", [NONNEG_ORTHANT, SECOND_ORDER])
+# the iterates in one of run_glpe's blocks at n = 5
+GLPE_BLOCK = _block_shape(5)[1]
+
+
+@pytest.mark.parametrize("cone_kind", [NONNEG_ORTHANT, SECOND_ORDER, L1_NORM])
 def test_glpe_trace_rows_each_iterate_once(cone_kind):
     G = builtin_glpe(cone_kind)
-    r = run_glpe(G, GlpeConfig(outer_cap=40))
-    assert [rec.t for rec in r.trace] == list(range(r.iterations + 1))
-    # row t: equation error at iterate t; correction and inner residual of step t
-    assert r.trace[0].res_x == 0.0 and r.trace[0].res_y == 0.0
-    assert r.trace[-1].res_feas == r.error == r.trace[-1].objective_metric
-    assert all(rec.res_x > 0.0 for rec in r.trace[1:])
+    # from near the solution the polyhedral cones' first block holds rows
+    # 1..GLPE_BLOCK, so the caps stop the run before it, in it, on its edge
+    # and in the next block; from x0 = 0 the pattern changes first
+    near = run_glpe(G, GlpeConfig(eps=1e-3)).x
+    for x0, cap in [(None, 40)] + [(near, cap) for cap in (0, 1, GLPE_BLOCK - 1, GLPE_BLOCK,
+                                                            GLPE_BLOCK + 1)]:
+        cfg = GlpeConfig(outer_cap=cap, x0=x0)
+        r, ref = run_glpe(G, cfg), glpe_structured(G, cfg)
+        assert r.iterations == cap and not r.converged
+        assert [rec.t for rec in r.trace] == list(range(r.iterations + 1))
+        # row t: equation error at iterate t; correction and inner residual of step t
+        assert r.trace[0].res_x == 0.0 and r.trace[0].res_y == 0.0
+        assert r.trace[-1].res_feas == r.error == r.trace[-1].objective_metric
+        assert all(rec.res_x > 0.0 for rec in r.trace[1:])
+        # near the solution the rows are far below b, the scale of their rounding
+        assert_traces_agree(r.trace, ref.trace, scale=np.linalg.norm(G.b))
+        assert np.abs(r.x - ref.x).max() <= 1e-12 * np.abs(ref.x).max()
+        assert np.array_equal(r.x_cone, project_cone(G.cone, r.x))
+    stamps = {rec.elapsed for rec in r.trace[1 : GLPE_BLOCK + 1]}
+    assert len(stamps) == (GLPE_BLOCK if cone_kind == SECOND_ORDER else 1)
 
 
 def test_config_checks_reject_nan_and_fractional_counts():

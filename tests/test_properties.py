@@ -2,7 +2,7 @@
 recovery, the closed-form inner ascent, the affine PGmsAD path, the affine
 regression path, the norm
 kernel, the prox operators, the cone projections and their pattern keys, and
-the GLPE step on a cached operator."""
+the GLPE step on a cached operator and in blocks."""
 
 import struct
 
@@ -21,6 +21,7 @@ from jointmm.prox import (
     NONNEG_ORTHANT,
     SECOND_ORDER,
     SmoothOracle,
+    inside_pattern,
     project_cone,
     project_polar,
     projection_jacobian,
@@ -36,7 +37,13 @@ from jointmm.prox import (
 )
 from jointmm.solver import SolverConfig, inner_ascent, project_feasible, run_pgmsad
 
-from oracles import ascent_loop, glpe_sweep_step, linreg_structured, pgmsad_structured
+from oracles import (
+    ascent_loop,
+    glpe_structured,
+    glpe_sweep_step,
+    linreg_structured,
+    pgmsad_structured,
+)
 
 # cond([A B]) <= 100, so cond(A A^T + B B^T) <= 1e4; measured errors stay below 1e-12
 TOL = 1e-10
@@ -379,6 +386,18 @@ def test_projection_is_linear_on_a_pattern(case):
             assert np.abs(step - t * D @ v).max() <= 1e-12 * (1.0 + np.abs(z).max())
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(cone_points())
+def test_rows_inside_a_pattern_have_its_key(case):
+    cone, z, v = case
+    key = projection_pattern(cone, z)
+    Z = z + 10.0 ** np.arange(-15, 1)[:, None] * v
+    inside = inside_pattern(cone, key, Z)
+    assert inside.dtype == bool and inside.shape == (len(Z),)
+    for zt in Z[inside]:
+        assert projection_pattern(cone, zt) == key
+
+
 @st.composite
 def cone_projections(draw):
     """An orthant, second-order or 1-norm cone of dim 2-6 and a point z of
@@ -439,3 +458,39 @@ def test_cached_glpe_steps_match_the_sweep_loop(case):
     for _ in range(steps):
         ref = glpe_sweep_step(G, alpha, sweeps, ref)
     assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@st.composite
+def glpe_runs(draw):
+    """A seeded GLPE instance of dimension 5 to 50 on the orthant or the
+    1-norm cone, whose linearizations are well conditioned (A = 4 I plus a
+    Gaussian of norm about 1, B a Gaussian of norm about 1), with a start
+    x0, a step size inside the stable range of every linearization
+    (||J|| <= ||A|| + ||B||, as ||D_K|| <= 1), a sweep count, and a trace or
+    none. eps 1e-9 lies under the switch point, so each run ends in
+    structured steps, and the cap is far off."""
+    kind = draw(st.sampled_from(POLYHEDRAL))
+    d = draw(st.integers(5, 50))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = 4.0 * np.eye(d) + 0.5 * rng.standard_normal((d, d)) / np.sqrt(d)
+    B = 0.5 * rng.standard_normal((d, d)) / np.sqrt(d)
+    G = GlpeInstance(A=A, B=B, b=rng.standard_normal(d), cone=ConeSpec(kind=kind, dim=d))
+    x0 = draw(st.sampled_from([0.0, 1.0])) * rng.standard_normal(d)
+    alpha = draw(st.floats(0.02, 1.0)) / (np.linalg.norm(A, 2) + np.linalg.norm(B, 2)) ** 2
+    cfg = GlpeConfig(alpha=alpha, inner_steps=draw(st.sampled_from([1, 2, 5])), outer_cap=20000,
+                     eps=1e-9, x0=x0, record_trace=draw(st.booleans()))
+    return G, cfg
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(glpe_runs())
+def test_blocked_glpe_matches_the_structured_steps(case):
+    G, cfg = case
+    got, want = run_glpe(G, cfg), glpe_structured(G, cfg)
+    assert want.converged and got.converged
+    assert got.iterations == want.iterations and got.patterns == want.patterns
+    assert np.abs(got.x - want.x).max() <= 1e-12 * np.abs(want.x).max()
+    assert [rec.t for rec in got.trace] == [rec.t for rec in want.trace]
+    if cfg.record_trace:
+        u, v = (np.array([rec[2:] for rec in run.trace]) for run in (got, want))
+        assert np.abs(u - v).max() <= 1e-12 * np.abs(v).max()

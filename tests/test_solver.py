@@ -741,3 +741,58 @@ def test_iterate_accepts_a_finite_row_whose_sum_overflows():
 
     run = iterate(0, lambda s, cert, t: s + 1, certify, 10, True)
     assert (run.state, run.converged, len(run.trace)) == (2, True, 3)
+
+
+def _counting_blocks(size, bad=None):
+    """A step for iterate on integer states: from s, a Block of the states
+    s + 1, ..., s + size with rows (state, 0, 0), done at 5 and a NaN res_y
+    at state bad. Odd states step singly instead."""
+    from jointmm.solver import Block
+
+    def step(s, cert, t):
+        if s % 2:
+            return s + 1
+        states = np.arange(s + 1, s + 1 + size)
+        rows = np.zeros((size, 3))
+        rows[:, 0] = states
+        rows[states == bad, 1] = np.nan
+        return Block(rows, states >= 5, lambda i: (int(states[i]), -int(states[i])))
+
+    return step
+
+
+def _counting_certify(s):
+    return s >= 5, (float(s), 0.0, 0.0, None), -s
+
+
+def test_iterate_takes_blocks_up_to_the_first_done_row_or_the_cap():
+    from jointmm.solver import iterate
+
+    # 0 -> block 1..3 -> 3 steps singly -> 4 -> block 5..7 stops at 5
+    run = iterate(0, _counting_blocks(3), _counting_certify, 10, True)
+    assert (run.state, run.cert, run.t, run.converged) == (5, -5, 5, True)
+    assert [rec.t for rec in run.trace] == [0, 1, 2, 3, 4, 5]
+    assert [rec.res_x for rec in run.trace] == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+    assert all(rec.objective_metric is None for rec in run.trace)
+    # the rows of a block share one stamp, taken after the step
+    stamps = [rec.elapsed for rec in run.trace]
+    assert stamps[1] == stamps[2] == stamps[3] <= stamps[4] <= stamps[5]
+    # a cap inside a block: its later rows are not used
+    run = iterate(0, _counting_blocks(3), _counting_certify, 2, True)
+    assert (run.state, run.cert, run.t, run.converged) == (2, -2, 2, False)
+    assert [rec.t for rec in run.trace] == [0, 1, 2]
+    run = iterate(0, _counting_blocks(3), _counting_certify, 2, False)
+    assert (run.state, run.t, run.trace) == (2, 2, [])
+
+
+def test_iterate_raises_on_a_nonfinite_block_row_with_the_row_before_it():
+    from jointmm.solver import iterate
+
+    with pytest.raises(DivergenceError, match="iterate 2: nonfinite res_y$") as err:
+        iterate(0, _counting_blocks(3, bad=2), _counting_certify, 10, True)
+    assert err.value.state == 1
+    assert [rec.t for rec in err.value.trace] == [0, 1]
+    # the block's first row: the state the block was taken from
+    with pytest.raises(DivergenceError, match="iterate 5: nonfinite res_y$") as err:
+        iterate(0, _counting_blocks(3, bad=5), _counting_certify, 10, False)
+    assert err.value.state == 4 and err.value.trace == []

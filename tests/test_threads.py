@@ -1,7 +1,8 @@
 """The same bits at 1 and 2 BLAS threads: each run below goes in a fresh
 interpreter with OPENBLAS_NUM_THREADS set, and the digests of the results
 must agree. The runs are large enough that a plain product of a batch, or
-of the Gram matrix, would be split among the threads."""
+of the Gram matrix, would be split among the threads; the GLPE runs compare
+their step counts too."""
 
 import json
 import os
@@ -16,7 +17,7 @@ RUNS = r"""
 import hashlib, json
 import numpy as np
 from jointmm import problem
-from jointmm.apps import make_linreg, run_linreg
+from jointmm.apps import GlpeConfig, builtin_glpe, make_linreg, run_glpe, run_linreg
 from jointmm.problem import MinimaxProblem
 from jointmm.prox import SmoothOracle, prox_zero
 from jointmm.solver import SolverConfig, run_pgmsad
@@ -48,6 +49,10 @@ built = []
 problem.spd_factor = lambda S: built.append(S) or S
 P.gram_inverse()
 out["gram"] = digest(built[0])
+# the stock GLPE runs, whose blocks take products with stacked powers
+for kind in ("nonneg_orthant", "l1_norm"):
+    r = run_glpe(builtin_glpe(kind), GlpeConfig(record_trace=False))
+    out[f"glpe_{kind}"] = [r.iterations, digest(r.x)]
 print(json.dumps(out))
 """
 
@@ -66,6 +71,8 @@ def digests():
     return out
 
 
-@pytest.mark.parametrize("run", ["run_linreg", "run_pgmsad", "gram"])
+@pytest.mark.parametrize(
+    "run", ["run_linreg", "run_pgmsad", "gram", "glpe_nonneg_orthant", "glpe_l1_norm"]
+)
 def test_same_bits_at_one_and_two_blas_threads(digests, run):
     assert digests["1"][run] == digests["2"][run]
