@@ -208,8 +208,7 @@ def cmd_budget(args):
     else:
         P = _linreg_problem(spec, spec.get("seed", 0))
     if P.mu <= 0:
-        print("relaxed mode (mu = 0): no smoothness constant, no budget", file=sys.stderr)
-        return EXIT_ERROR
+        raise ConfigurationError("relaxed mode (mu = 0): no smoothness constant, no budget")
     C = compute_constants(P)
     alpha_x = spec.get("alpha_x")
     alpha_y = spec.get("alpha_y")

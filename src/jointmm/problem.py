@@ -430,6 +430,13 @@ def load_json_object(path, what):
     return data
 
 
+def _holds_bool(value):
+    """Whether a JSON value is a boolean or holds one in its lists and objects."""
+    items = list(value.values()) if isinstance(value, dict) else value
+    types = set(map(type, items)) if isinstance(items, list) else {type(items)}
+    return bool in types or (bool(types & {list, dict}) and any(map(_holds_bool, items)))
+
+
 def load_problem_manifest(path) -> MinimaxProblem:
     """Build a MinimaxProblem from a JSON manifest.
 
@@ -437,9 +444,12 @@ def load_problem_manifest(path) -> MinimaxProblem:
     MatrixMarket files, resolved relative to the manifest. The vector c may
     be inline or a single-column matrix file. Smooth terms come from the
     {zero, scaled_sq_norm, linear, quadratic_diag} registry and nonsmooth
-    terms from the ProxOperator kinds.
+    terms from the ProxOperator kinds. No entry may be a boolean.
     """
     data = load_json_object(path, "problem manifest")
+    for key, value in data.items():
+        if _holds_bool(value):
+            raise ConfigurationError(f"problem manifest {path}: {key!r} holds a boolean")
     base_dir = os.path.dirname(os.path.abspath(path))
     try:
         K = _load_matrix_field(data["K"], base_dir)

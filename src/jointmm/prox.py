@@ -114,8 +114,6 @@ def _project_linf_cone(z):
     mags = np.abs(tail)
     if mags.max(initial=0.0) <= a0:
         return z.copy()
-    if mags.sum() <= -a0:
-        return np.zeros_like(z)
     # stationarity of (t0-a0)^2 + sum((|a_i|-t0)_+^2): t0 = (a0 + sum of active mags)/(1+count)
     # with the k largest mags active. The derivative rises with t0, so the
     # first k whose candidate reaches d[k] holds the root, in [d[k], d[k-1]];

@@ -356,37 +356,12 @@ AFFINE_MAX_DIM = 256
 AFFINE_BLOCK_MIN = 8
 
 
-# The equation error at or under which apps.run_glpe takes structured steps
-# only; above it the orthant and 1-norm cones take blocks. Near eps 1e-13
-# the error's step-to-step ratio is mostly rounding noise, so the stop is a
-# first-passage time of that noise and its count holds only for the same
-# iterate bits: the switch must leave the contraction enough structured
-# steps to wash the blocks' rounding out of the iterate. Stock glpe-paper
-# runs at eps 1e-13 by switch point, outer steps and the first 8 hex digits
-# of sha256(x) (* = the pinned run, 115,328 3bac75f3 and 8,467 024be1f3):
-#     switch          orthant               1-norm
-#     1e-11           115,318  3bac75f3     8,467  cb9fb1e4
-#     3e-11           115,325  3bac75f3     8,465  27dbf7b0
-#     1e-10           115,327  3bac75f3     8,467  024be1f3 *
-#     3e-10           115,328  3bac75f3 *   8,465  27dbf7b0
-#     1e-9 ... 1e-6   115,328  3bac75f3 *   8,467  024be1f3 *
-# (1e-9, 3e-9, 1e-8, 3e-8, 1e-7, 3e-7, 1e-6). Neither count is monotone in
-# the switch, so the rule is a choice backed by this scan, not a bound:
-# 1e-8 sits a decade inside the pinned range on both sides. At 1e-8 the
-# orthant run reaches the switch point at step 65,966, in 1,296 blocks, and
-# takes its last 49,362 steps structured. On the benchmark's rotated
-# instances (seeds 0 to 11), 23 of 24 orthant and 1-norm runs kept the
-# structured count and bits; seed 10's 1-norm run stopped at 8,468 steps
-# against 8,465.
-GLPE_BLOCK_SWITCH = 1e-8
-
-
 def _block_shape(dim):
     """(j, k) at n + m + q = dim: a block of _run_affine holds k outer steps
-    (and one of apps.run_glpe at dim = n), filled by k / j products with the
-    stacked powers M, ..., M^j. j is
-    AFFINE_MAX_DIM // dim (at least 1) and k the least multiple of j that
-    is at least AFFINE_BLOCK_MIN."""
+    (one of apps.run_glpe, at dim = n, keeps up to k), filled by k / j
+    products with the stacked powers M, ..., M^j. j is AFFINE_MAX_DIM // dim
+    (at least 1) and k the least multiple of j that is at least
+    AFFINE_BLOCK_MIN."""
     j = max(1, AFFINE_MAX_DIM // dim)
     return j, j * -(-AFFINE_BLOCK_MIN // j)
 

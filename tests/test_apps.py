@@ -405,8 +405,9 @@ def test_gave_divergence_without_trace_carries_state():
 def test_glpe_divergence_carries_state_and_trace():
     from jointmm.errors import DivergenceError
 
-    # the stacked powers overflow, so the first block is nonfinite and every
-    # step is structured: the same iterate, columns and last finite state
+    # the stacked powers overflow, so every block is nonfinite from its first
+    # row and every step is structured: the same iterate, columns and last
+    # finite state
     G, cfg = builtin_glpe(NONNEG_ORTHANT), GlpeConfig(alpha=5.0)
     with pytest.raises(DivergenceError) as err:
         run_glpe(G, cfg)

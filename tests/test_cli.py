@@ -167,7 +167,9 @@ def test_budget_relaxed_mode_exits_error(tmp_path, capsys):
     path.write_text(json.dumps(problem))
     code = main(["budget", "--problem", str(path), "--theta-gap", "1", "--beta1", "1"])
     assert code == EXIT_ERROR
-    assert "relaxed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "relaxed" in err
+    assert err.startswith("error:")
 
 
 @pytest.mark.parametrize(
@@ -259,6 +261,7 @@ def test_bench_runs_and_failure_marking(tmp_path):
                     {"name": "c", "kind": "gave", "builtin": "gave-c"},
                     {"name": "lr", "kind": "linreg", "n": 10, "seed": 3},
                     {"name": "broken", "kind": "gave", "builtin": "no-such"},
+                    {"name": "odd", "kind": "nope"},
                 ],
             }
         )
@@ -267,8 +270,9 @@ def test_bench_runs_and_failure_marking(tmp_path):
     assert code == EXIT_CAP
     lines = (tmp_path / "bench.csv").read_text().splitlines()
     assert lines[0] == BENCH_HEADER
-    assert len(lines) == 4
+    assert len(lines) == 5
     assert "failed" in lines[3]
+    assert lines[4].startswith("odd,") and "failed: unknown run kind 'nope'" in lines[4]
     assert lines[1].split(",")[-1] == "ok"
 
 
@@ -453,6 +457,12 @@ def _manifest_2x2(**changes):
             {"op": {"kind": "linear_shift", "v": [1.0, 2.0]}, "dim": 1},
             {"op": {"kind": "zero_function"}, "dim": 1}]}),
          "prox term phi: shift length must be 1, got 2"),
+        # a bool would read as the number 1, which each of these fields accepts
+        (_manifest_2x2(mu=True), "'mu' holds a boolean"),
+        (_manifest_2x2(g={"kind": "scaled_sq_norm", "c": True}), "'g' holds a boolean"),
+        (_manifest_2x2(psi={"kind": "blocks", "blocks": [
+            {"op": {"kind": "zero_function"}, "dim": True},
+            {"op": {"kind": "zero_function"}, "dim": 1}]}), "'psi' holds a boolean"),
     ],
 )
 def test_bad_problem_manifest_terms_exit_error(tmp_path, capsys, problem, named):
@@ -461,6 +471,15 @@ def test_bad_problem_manifest_terms_exit_error(tmp_path, capsys, problem, named)
     assert main(["solve", "--problem", str(path), "--out", str(tmp_path / "run")]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+
+def test_solve_glpe_paper_builtin_runs_the_glpe_kind(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = main(["solve", "--builtin", "glpe-paper", "--cone", "l1_norm", "--out", str(out)])
+    assert code == EXIT_OK
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["instance"] == "glpe-paper/l1_norm" and summary["iterations"] == 8467
+    assert read_json(out / "state.json")["iterations"] == 8467
 
 
 def test_glpe_command_and_bench_spec_share_stock_settings():

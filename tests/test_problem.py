@@ -332,6 +332,20 @@ def write_manifest(tmp_path, rng):
     return path, (K, A, B)
 
 
+def test_manifest_reads_c_from_a_column_file(tmp_path, rng):
+    write_matrix_csv(np.array([[0.5], [-0.25]]), tmp_path / "c.csv")
+    manifest = {
+        "K": rng.standard_normal((2, 3)).tolist(), "A": rng.standard_normal((2, 2)).tolist(),
+        "B": rng.standard_normal((2, 3)).tolist(), "c": "c.csv",
+        "g": {"kind": "zero"}, "h": {"kind": "zero"},
+        "phi": {"kind": "zero_function"}, "psi": {"kind": "zero_function"},
+    }
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(manifest))
+    P = load_problem_manifest(path)
+    assert P.c.shape == (2,) and np.array_equal(P.c, [0.5, -0.25])
+
+
 def test_manifest_loading(tmp_path, rng):
     path, (K, A, B) = write_manifest(tmp_path, rng)
     P = load_problem_manifest(path)
