@@ -56,7 +56,6 @@ from .solver import (
     SolverConfig,
     _block_shape,
     _run_affine,
-    affine_parts,
     check_settings,
     fill_iterates,
     inner_ascent,
@@ -76,7 +75,7 @@ _GLPE_CONES = (NONNEG_ORTHANT, SECOND_ORDER, L1_NORM)
 LINREG_COUPLING_GAIN = 2.2
 
 # The largest n + m + q at which run_linreg takes the affine path of x
-# (_linreg_maps). Affine / structured wall time of run_linreg, build
+# (solver._run_affine). Affine / structured wall time of run_linreg, build
 # included (make_linreg(n, n, n // 5, seed 3) at the stock steps, eps = 0;
 # median of 3, 1 OpenBLAS thread, 2-vCPU Xeon VM):
 #     n + m + q      22   110   220   440   880  1760  3520
@@ -87,8 +86,8 @@ LINREG_COUPLING_GAIN = 2.2
 # the stock instances take 332 (n = 10) to 8,987 (n = 400) steps. Building
 # the maps from the step itself (four products with K of n + 1 rows) takes
 # about 40 ms at n = 400 and 0.63 s at n = 1,000 (0.56 s by the earlier
-# hand-derived maps). The maps hold about 4.2 n^2 doubles (5.1 MiB at
-# n = 400): under 30 MB here.
+# hand-derived maps). The step and residual maps hold about 3.2 n^2
+# doubles (3.9 MiB at n = 400): under 30 MB here.
 LINREG_AFFINE_MAX_DIM = 2048
 
 
@@ -578,29 +577,6 @@ def linreg_step(P: MinimaxProblem, config: SolverConfig, x, y, Ktx):
     return project_feasible(P, x, y)
 
 
-def _linreg_maps(P: MinimaxProblem, config: SolverConfig):
-    """run_linreg's outer step and residual rows as dense affine maps of x
-    when one inner ascent lands on y*(x) (ascent weight p = 0, so the
-    ascended y forgets the old y): x' = F x + f, y' = H x + h, and the
-    residual_vectors at (x', y') and their recovered multiplier, RM x + rm.
-    They are linreg_step, recover_multiplier and residual_vectors run on the
-    rows of [I; 0] (see solver.affine_parts). F, H are C-contiguous.
-    Overflow gives inf or NaN entries, not a warning.
-    """
-    L1, L2 = 1.0 / config.alpha_x, 1.0 / config.alpha_y
-
-    def outputs(x):
-        x, y = linreg_step(P, config, x, np.zeros((len(x), P.m)), apply(P.K.T, x))
-        Ky, Ktx = apply(P.K, y), apply(P.K.T, x)
-        lam = recover_multiplier(P, x, y, Ky, Ktx)
-        vectors = residual_vectors(P, x, y, lam, L1, L2, Ky, Ktx + apply(P.B.T, lam))
-        return x, y, np.hstack(vectors)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        (F, f), (H, h), (RM, rm) = affine_parts(outputs, P.n)
-    return np.ascontiguousarray(F), f, np.ascontiguousarray(H), h, RM, rm
-
-
 def run_linreg(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
     """Projected multi-step descent-ascent for smooth constrained instances.
 
@@ -616,12 +592,14 @@ def run_linreg(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
     When the inner ascent lands exactly on y*(x) (ascent weight
     p = (1 - alpha_y d_h)^N = 0, as at make_linreg's alpha_y = 1) and
     n + m + q <= LINREG_AFFINE_MAX_DIM, the outer step and the residual row
-    of the next iterate are affine maps of x alone (_linreg_maps), and the
-    steps run in blocks on solver._run_affine: one n x n matvec per outer
-    iteration and one product with the residual map per block. Iterate 0's
-    row and the returned multiplier come from certify and recover_multiplier
-    as on the structured path; the rows and iterates agree with it to
-    rounding.
+    of the next iterate are affine maps of x alone, and the steps run in
+    blocks on solver._run_affine: one n x n matvec per outer iteration and
+    one product with the residual map per block. The maps are linreg_step
+    (from y = 0, which the ascent forgets), recover_multiplier and
+    residual_vectors run on a batch of x as rows. Iterate 0's row comes from
+    certify; the returned y is linreg_step's from the predecessor and the
+    multiplier recover_multiplier's, as on the structured path. The rows and
+    iterates agree with it to rounding.
 
     Otherwise linreg_step runs on each iterate. certify forms K^T x and K y
     once, for the multiplier it puts in the state, the three residuals and
@@ -657,16 +635,21 @@ def run_linreg(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
         run = iterate(start, step, certify, config.outer_cap, config.record_trace)
         res = run.cert[0]
     else:
-        F, f, H, h, RM, rm = _linreg_maps(P, config)
+        def outputs(X):
+            X, Y = linreg_step(P, config, X, 0.0, apply(P.K.T, X))
+            Ky, Ktx = apply(P.K, Y), apply(P.K.T, X)
+            lam = recover_multiplier(P, X, Y, Ky, Ktx)
+            vectors = residual_vectors(P, X, Y, lam, L1, L2, Ky, Ktx + apply(P.B.T, lam))
+            return X, np.hstack(vectors)
 
         def unstack(z, prev, t):
             if t == 0:
                 return start  # its multiplier recovered by certify
-            x, y = z.copy(), H @ prev + h
+            x, y = z.copy(), linreg_step(P, config, prev, 0.0, P.K.T @ prev)[1]
             return IterateState(x=x, y=y, lam=recover_multiplier(P, x, y), t=t)
 
         row0 = certify(start)[1][:3]
-        run = _run_affine(P, config, (F, f, RM, rm), x, unstack, row0)
+        run = _run_affine(P, config, outputs, x, unstack, row0)
         res = Residuals(*run.cert[:3], L1=float(L1), L2=float(L2))
     return SolveResult(state=run.state, trace=run.trace, residuals=res, converged=run.converged)
 

@@ -76,6 +76,11 @@ SPEC_FIELDS = {
     "lambda0": "lambda0",
 }
 
+# spec keys a run kind reads besides its settings: the command line's own
+# keys and out, a bench row's name and kind, and the keys of its instance
+SPEC_READ = {"command", "func", "config", "out", "name", "kind"}
+SPEC_EXTRA = dict(solve={"problem"}, linreg={"n", "m", "p"}, gave={"builtin"}, glpe={"cone"})
+
 
 class RunPlan(NamedTuple):
     config: object
@@ -114,24 +119,35 @@ def _linreg_problem(spec, seed):
     return P
 
 
+def spec_fields(kind, stock):
+    """Spec key -> config field, for the keys that set a field of stock, the
+    kind's config (glpe's step alpha is set by alpha_x, the flag name)."""
+    fields = dict(SPEC_FIELDS, alpha_x="alpha") if kind == "glpe" else SPEC_FIELDS
+    names = {f.name for f in dataclasses.fields(stock)}
+    return {key: field for key, field in fields.items() if field in names}
+
+
+def check_spec(kind, spec, config):
+    """Raise ConfigurationError naming the keys of a spec resolved to config
+    that its kind does not read."""
+    unread = sorted(set(spec) - spec_fields(kind, config).keys() - SPEC_READ - SPEC_EXTRA[kind])
+    if unread:
+        raise ConfigurationError(f"{kind} runs do not read {', '.join(map(repr, unread))}")
+
+
 def resolve(kind, spec) -> RunPlan:
     """Map a run spec to its config, its solve and its report.
 
     The config is the kind's STOCK config with the spec's settings applied
     by dataclasses.replace, so the config's own checks run on the result.
+    Keys that set no field are left to check_spec, which run and bench call.
     """
     if kind not in STOCK:
         raise ConfigurationError(f"unknown run kind {kind!r}; choose from {sorted(STOCK)}")
-    fields = dict(SPEC_FIELDS, alpha_x="alpha") if kind == "glpe" else SPEC_FIELDS
     stock = STOCK[kind](spec)
-    names = {f.name for f in dataclasses.fields(stock)}
+    fields = spec_fields(kind, stock)
     config = dataclasses.replace(
-        stock,
-        **{
-            fields[key]: val
-            for key, val in spec.items()
-            if key in fields and fields[key] in names and val is not None
-        },
+        stock, **{fields[k]: val for k, val in spec.items() if k in fields and val is not None}
     )
     if kind == "solve":
         if spec.get("problem") is None:
@@ -167,6 +183,7 @@ def run(kind, spec):
     out = spec.get("out", ".")
     os.makedirs(out, exist_ok=True)
     plan = resolve(kind, spec)
+    check_spec(kind, spec, plan.config)
     start = time.perf_counter()
     result = plan.solve()
     wall = time.perf_counter() - start
@@ -193,6 +210,7 @@ def cmd_run(args):
             kind = "gave"
         elif builtin == "glpe-paper":
             kind = "glpe"
+            del spec["builtin"]  # the glpe kind's only instance
         else:
             names = (*apps.GAVE_BUILTINS, "glpe-paper")
             raise JointmmError(f"unknown builtin {builtin!r}; choose from {names}")
@@ -251,6 +269,7 @@ def _bench_one(spec):
     start = time.perf_counter()
     try:
         plan = resolve(spec.get("kind"), spec)
+        check_spec(spec["kind"], spec, plan.config)
         result = plan.solve()
         wall = time.perf_counter() - start
         summary, _ = plan.report(result)
@@ -289,8 +308,15 @@ def cmd_bench(args):
     return EXIT_CAP if failed else EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors exit 1 as a ConfigurationError, not 2 (the cap code)."""
+
+    def error(self, message):
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="jointmm",
         description="solvers for minimax problems with joint linear constraints",
     )
@@ -337,9 +363,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (JointmmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

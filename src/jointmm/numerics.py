@@ -11,6 +11,7 @@ batch. All functions are pure; nothing is mutated.
 from __future__ import annotations
 
 import math
+from numbers import Real
 
 import numpy as np
 
@@ -37,6 +38,19 @@ def as_vector(v, name="vector"):
 def as_matrix(m, name="matrix"):
     """Validate and convert to a finite 2-d float64 array."""
     return _as_finite_array(m, name, 2)
+
+
+def is_number(value, kind=Real):
+    """Whether value is a number of kind (Real, Integral, int) and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def json_number(value, kind=Real):
+    """value if is_number(value, kind), else a TypeError, as float() raises
+    on junk: a manifest's coefficients (Real) and dims (int) are read so."""
+    if not is_number(value, kind):
+        raise TypeError(f"{value!r} is not a JSON {'number' if kind is Real else 'integer'}")
+    return value
 
 
 def norm2(v):

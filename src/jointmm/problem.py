@@ -33,6 +33,7 @@ from .numerics import (
     as_matrix,
     as_vector,
     ascent_coefficients,
+    json_number,
     norm2,
     operator_norm,
     spd_factor,
@@ -384,7 +385,7 @@ def smooth_term_from_json(data: dict) -> SmoothOracle:
     if kind == "zero":
         return smooth_zero()
     if kind == "scaled_sq_norm":
-        return smooth_scaled_sq_norm(float(data["c"]))
+        return smooth_scaled_sq_norm(float(json_number(data["c"])))
     if kind == "linear":
         return smooth_linear(np.asarray(data["b"], dtype=float))
     if kind == "quadratic_diag":
@@ -401,12 +402,12 @@ def prox_term_from_json(data: dict) -> ProxOperator:
     if kind == "polar_indicator":
         return prox_polar_indicator(cone_from_json(data["cone"]))
     if kind == "scaled_sq_norm":
-        return prox_scaled_sq_norm(float(data["c"]))
+        return prox_scaled_sq_norm(float(json_number(data["c"])))
     if kind == "linear_shift":
         return prox_linear_shift(np.asarray(data["v"], dtype=float))
     if kind == "blocks":
         return prox_blocks(
-            [(prox_term_from_json(b["op"]), int(b["dim"])) for b in data["blocks"]]
+            [(prox_term_from_json(b["op"]), json_number(b["dim"], int)) for b in data["blocks"]]
         )
     raise ConfigurationError(f"unknown prox operator kind {kind!r}")
 
@@ -468,7 +469,7 @@ def load_problem_manifest(path) -> MinimaxProblem:
             A=A,
             B=B,
             c=c,
-            mu=float(data.get("mu", 0.0)),
+            mu=float(json_number(data.get("mu", 0.0))),
         )
     except KeyError as exc:
         field = exc.args[0]

@@ -17,7 +17,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ConfigurationError
-from .numerics import apply, as_vector
+from .numerics import apply, as_vector, json_number
 
 # cone kinds
 FREE = "free"
@@ -73,7 +73,7 @@ def cone_to_json(cone: ConeSpec) -> dict:
 def cone_from_json(data: dict) -> ConeSpec:
     return ConeSpec(
         kind=data["kind"],
-        dim=int(data["dim"]),
+        dim=json_number(data["dim"], int),
         lower=np.asarray(data["lower"], dtype=float) if "lower" in data else None,
         upper=np.asarray(data["upper"], dtype=float) if "upper" in data else None,
     )

@@ -16,13 +16,13 @@ import time
 import warnings
 from dataclasses import dataclass
 from itertools import repeat
-from numbers import Integral, Real
+from numbers import Integral
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, FrameworkError
-from .numerics import apply, as_vector, norm2, serial_matmul
+from .numerics import apply, as_vector, is_number, serial_matmul
 from .problem import (
     BudgetConstants,
     MinimaxProblem,
@@ -71,22 +71,18 @@ def check_settings(values, steps=(), counts=(), nonnegative=(), positive=()):
     counts nonnegative integers, and nonnegative fields numbers >= 0. A bool
     is none of these, and the comparisons are written so that NaN fails them.
     """
-
-    def number(value, kind=Real):
-        return isinstance(value, kind) and not isinstance(value, bool)
-
     for name in (*steps, *positive):
         value = values[name]
-        if not (number(value) and 0 < value < math.inf):
+        if not (is_number(value) and 0 < value < math.inf):
             what = "step size " if name in steps else ""
             raise ConfigurationError(f"{what}{name} must be positive and finite, got {value!r}")
     for name in counts:
         value = values[name]
-        if not (number(value, Integral) and value >= 0):
+        if not (is_number(value, Integral) and value >= 0):
             raise ConfigurationError(f"{name} must be a nonnegative integer, got {value!r}")
     for name in nonnegative:
         value = values[name]
-        if not (number(value) and value >= 0):
+        if not (is_number(value) and value >= 0):
             raise ConfigurationError(f"{name} must be >= 0, got {value!r}")
 
 
@@ -274,21 +270,11 @@ def iterate(state, step, certify, outer_cap, record_trace) -> LoopResult:
     """
     trace = []
     start = time.perf_counter()
-    t = 0
-    last = None
+    # the start point comes in as the output of step -1, with no predecessor
+    t, state, out = -1, None, state
     with np.errstate(over="ignore", invalid="ignore"):
-        done, row, cert = certify(state)
         while True:
-            # the row's sum (None and 0.0 left out) is nonfinite whenever an
-            # entry is; it can also overflow, so the columns are then checked
-            if not math.isfinite(sum(filter(None, row))):
-                _check_row(row, t, last, trace)
-            if record_trace:
-                trace.append(TraceRecord(t, time.perf_counter() - start, *row))
-            if done or t == outer_cap:
-                return LoopResult(state, cert, t, done, trace)
-            out = step(state, cert, t)
-            while type(out) is Block:
+            if type(out) is Block:
                 k = min(len(out.done), outer_cap - t)
                 finite = np.isfinite(out.rows[:k]).all(axis=1)
                 stops = np.flatnonzero(out.done[:k] | ~finite)
@@ -304,13 +290,19 @@ def iterate(state, step, certify, outer_cap, record_trace) -> LoopResult:
                 state, cert = out.at(k - 1)
                 t += k
                 done = bool(out.done[k - 1])
-                if done or t == outer_cap:
-                    return LoopResult(state, cert, t, done, trace)
-                out = step(state, cert, t)
-            last = state
-            state = out
-            t += 1
-            done, row, cert = certify(state)
+            else:
+                last, state = state, out
+                t += 1
+                done, row, cert = certify(state)
+                # the row's sum (None and 0.0 left out) is nonfinite whenever an
+                # entry is; it can also overflow, so the columns are then checked
+                if not math.isfinite(sum(filter(None, row))):
+                    _check_row(row, t, last, trace)
+                if record_trace:
+                    trace.append(TraceRecord(t, time.perf_counter() - start, *row))
+            if done or t == outer_cap:
+                return LoopResult(state, cert, t, done, trace)
+            out = step(state, cert, t)
 
 
 def certify_residuals(P: MinimaxProblem, L1, L2, eps):
@@ -405,42 +397,23 @@ def affine_parts(f, d):
     return [(Mt.T, c) for Mt, c in parts]
 
 
-def _affine_maps(P: MinimaxProblem, config: SolverConfig):
-    """A zero-prox outer step and the residual map as dense affine maps of
-    the stacked iterate z = (x, y, lambda): returns (M, c, R, r).
-
-    With phi = psi = 0 an outer step is z <- M z + c and the three
-    residual_vectors are R z + r: pgmsad_step and residual_vectors run on
-    the rows of [I; 0] (see affine_parts). M is C-contiguous for matvecs.
-    Overflow gives inf or NaN entries, not a warning.
-    """
-    n, nm, L1, L2 = P.n, P.n + P.m, 1.0 / config.alpha_x, 1.0 / config.alpha_y
-
-    def outputs(z):
-        x, y, lam = z[:, :n], z[:, n:nm], z[:, nm:]
-        vectors = residual_vectors(P, x, y, lam, L1, L2)
-        return np.hstack(pgmsad_step(P, config, x, y, lam)), np.hstack(vectors)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        (M, c), (R, r) = affine_parts(outputs, nm + P.q)
-    return np.ascontiguousarray(M), c, R, r
-
-
 def _run_affine(
-    P: MinimaxProblem, config: SolverConfig, maps, z0, unstack, row0=None
+    P: MinimaxProblem, config: SolverConfig, outputs, z0, unstack, row0=None
 ) -> LoopResult:
     """A zero-prox driver's loop on dense affine maps under iterate: the same
     trace rows, stop rule and divergence as its structured steps, with the
     outer steps taken in blocks of k (see _block_shape).
 
-    maps is (M, c, R, r), the driver's step and residual functions applied
-    to the rows of [I; 0] (see affine_parts): an outer step is z <- M z + c,
-    and a residual row is the norms of the n-, m- and q-blocks of R z + r.
-    With row0 None, R reads the iterate itself (run_pgmsad). Given row0, R
-    reads the iterate's predecessor (run_linreg), and row0 is the row of
-    iterate 0, which has none. unstack(z, prev, t) returns the driver's
-    state of iterate t = z with predecessor prev (prev is z at t = 0), for
-    the result and a DivergenceError.
+    outputs(Z) is the driver's step on a batch of iterates as rows and
+    returns (the next iterates, their stacked residual vectors); run on the
+    rows of [I; 0] (affine_parts) it gives the maps, overflow giving inf or
+    NaN: a step is z <- M z + c, and a residual row the norms of the n-, m-
+    and q-blocks of R z + r, each summed over its own squares. With row0
+    None, R reads the iterate itself (run_pgmsad). Given row0, R reads the
+    iterate's predecessor (run_linreg), and row0 is the row of iterate 0,
+    which has none. unstack(z, prev, t) returns the driver's state of
+    iterate t = z with predecessor prev (prev is z at t = 0), for the result
+    and a DivergenceError.
 
     The stacked powers of M are built once (stacked_powers), so a step is a
     Block: k / j products fill the k iterates after the current one, and one
@@ -450,26 +423,19 @@ def _run_affine(
     single steps name. A run that stops inside a block has computed up to
     k - 1 iterates it does not use.
     """
-    M, c, R, r = maps
-    n, nm = P.n, P.n + P.m
-    j, k = _block_shape(M.shape[0])
-    eps = config.eps
+    n, nm, eps = P.n, P.n + P.m, config.eps
+    j, k = _block_shape(len(z0))
     # R reads the block's iterates Z[1:], or their predecessors Z[:-1]
     rows_of = slice(1, k + 1) if row0 is None else slice(0, k)
-    # column b of (G * G) @ J holds the squared norms of block b of each
-    # row of G. An entry whose square overflows makes the other two NaN
-    # (0 * inf), so a block with a nonfinite row takes its norms one by one
-    J = np.zeros((R.shape[0], 3))
-    J[:n, 0], J[n:nm, 1], J[nm:, 2] = 1.0, 1.0, 1.0
 
     def row_norms(Z):
         G = serial_matmul(Z, R.T) + r
-        return np.array([[norm2(g[:n]), norm2(g[n:nm]), norm2(g[nm:])] for g in G])
+        G *= G
+        return np.sqrt(np.add.reduceat(G, [0, n + 1, nm + 2], axis=1))
 
     def step(s, cert, t):
         Z = fill_iterates(s[0], k, S, C)
-        G = serial_matmul(Z[rows_of], R.T) + r
-        N = np.sqrt((G * G) @ J)
+        N = row_norms(Z[rows_of])
         if not math.isfinite(N.sum()):
             Z = fill_iterates(s[0], k, M, c[None])
             N = row_norms(Z[rows_of])
@@ -477,6 +443,12 @@ def _run_affine(
                      lambda i: ((Z[i + 1], Z[i], t + i + 1), N[i].tolist()))
 
     with np.errstate(over="ignore", invalid="ignore"):
+        (M, c), (R, r) = affine_parts(outputs, len(z0))
+        M = np.ascontiguousarray(M)
+        # a zero closes each of the n-, m- and q-blocks of R z + r, so each is
+        # nonempty (q = 0 too) for the reduceat that sums its own squares
+        ends = [n, nm, len(r)]
+        R, r = np.insert(R.T, ends, 0.0, axis=1).T, np.insert(r, ends, 0.0)
         S, C = stacked_powers(M, c, j)
         if row0 is None:
             row0 = row_norms(z0[None])[0].tolist()
@@ -500,17 +472,16 @@ def run_pgmsad(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
     With phi = psi = 0 and n + m + q <= AFFINE_MAX_DIM, the outer steps come
     in blocks (see _run_affine): products with the stacked powers of the
     dense outer-step map give the block's iterates, and one product with the
-    residual map their residual rows. The maps are pgmsad_step and
-    residual_vectors applied to the rows of [I; 0] (_affine_maps). Each row
-    is still certified and traced on its own, with its own elapsed stamp,
-    and the iterates agree with the structured steps to rounding. Any other
-    problem takes pgmsad_step on each iterate.
+    residual map their residual rows. _run_affine builds the maps from
+    pgmsad_step and residual_vectors run on a batch of iterates as rows.
+    iterate still checks and traces each row (a block's rows share one
+    elapsed stamp), and the iterates agree with the structured steps to
+    rounding. Any other problem takes pgmsad_step on each iterate.
 
     Returns (state, trace, residuals, converged). Deterministic for a fixed
     config and initial point (trace timestamps aside).
     """
-    L1 = 1.0 / config.alpha_x
-    L2 = 1.0 / config.alpha_y
+    L1, L2 = 1.0 / config.alpha_x, 1.0 / config.alpha_y
 
     def step(s, cert, t):
         x, y, lam = pgmsad_step(P, config, s.x, s.y, s.lam, cert[1])
@@ -521,11 +492,16 @@ def run_pgmsad(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
     if zero_prox and P.n + P.m + P.q <= AFFINE_MAX_DIM:
         n, nm = P.n, P.n + P.m
 
+        def outputs(Z):
+            x, y, lam = Z[:, :n], Z[:, n:nm], Z[:, nm:]
+            vectors = residual_vectors(P, x, y, lam, L1, L2)
+            return np.hstack(pgmsad_step(P, config, x, y, lam)), np.hstack(vectors)
+
         def unstack(z, prev, t):
             return IterateState(x=z[:n].copy(), y=z[n:nm].copy(), lam=z[nm:].copy(), t=t)
 
         z0 = np.concatenate([start.x, start.y, start.lam])
-        run = _run_affine(P, config, _affine_maps(P, config), z0, unstack)
+        run = _run_affine(P, config, outputs, z0, unstack)
         res = Residuals(*run.cert[:3], L1=float(L1), L2=float(L2))
     else:
         certify = certify_residuals(P, L1, L2, config.eps)

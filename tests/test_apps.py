@@ -313,7 +313,7 @@ def _stock_linreg_config(**overrides):
 # run_linreg on make_linreg(40, 40, 8, seed 3) at the stock settings (the
 # affine path of x): outer iterations and the sha256 of the bytes of x, y
 # and lambda in that order
-LINREG_PIN = (1241, "3cfc666092c6cd08087de1f49c96918705cf2624d2e255b2f52473aa5074a6f8")
+LINREG_PIN = (1241, "33e714a4cd2ba4c0e4324a862d5464334e3bf1cfa0df5f167f2fbb31ccc07620")
 
 
 def test_run_linreg_stock_run_is_pinned():

@@ -463,6 +463,15 @@ def _manifest_2x2(**changes):
         (_manifest_2x2(psi={"kind": "blocks", "blocks": [
             {"op": {"kind": "zero_function"}, "dim": True},
             {"op": {"kind": "zero_function"}, "dim": 1}]}), "'psi' holds a boolean"),
+        # float() and int() would read these as 0.5, 1.0, 1 and 1
+        (_manifest_2x2(phi={"kind": "scaled_sq_norm", "c": "0.5"}), "'0.5' is not a JSON number"),
+        (_manifest_2x2(g={"kind": "scaled_sq_norm", "c": "0.5"}), "'0.5' is not a JSON number"),
+        (_manifest_2x2(mu="1"), "'1' is not a JSON number"),
+        (_manifest_2x2(phi={"kind": "indicator", "cone": {"kind": "free", "dim": 1.9}}),
+         "1.9 is not a JSON integer"),
+        (_manifest_2x2(psi={"kind": "blocks", "blocks": [
+            {"op": {"kind": "zero_function"}, "dim": "1"},
+            {"op": {"kind": "zero_function"}, "dim": 1}]}), "'1' is not a JSON integer"),
     ],
 )
 def test_bad_problem_manifest_terms_exit_error(tmp_path, capsys, problem, named):
@@ -548,3 +557,75 @@ def test_settings_that_cannot_run_exit_error(tmp_path, capsys, argv, named):
     assert main([*argv, "--out", str(tmp_path / "run")]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["glpe", "--cone", "bogus"], "argument --cone: invalid choice: 'bogus'"),
+        (["glpe", "--bogus"], "unrecognized arguments: --bogus"),
+        (["glpe", "--eps", "x"], "argument --eps: invalid float value: 'x'"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["choice", "flag", "type", "no-command"],
+)
+def test_usage_errors_exit_error_not_the_cap_code(capsys, argv, named):
+    # argparse alone exits 2, which reads as an exhausted iteration cap
+    assert main(argv) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: jointmm") and named in err and "Traceback" not in err
+
+
+def test_help_still_exits_ok(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["glpe", "--help"])
+    assert exit_.value.code == 0 and "--cone" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, manifest, named",
+    [
+        (["glpe", "--penalty", "3"], None, "glpe runs do not read 'penalty'"),
+        (["gave", "--seed", "7", "--cone", "l1_norm", "--n", "4"], None,
+         "gave runs do not read 'cone', 'n', 'seed'"),
+        # the flag is --inner-n: inner_steps is the config field it sets
+        (["linreg"], {"inner_steps": 50}, "linreg runs do not read 'inner_steps'"),
+        (["solve", "--builtin", "glpe-paper"], {"lambda0": [1.0]},
+         "glpe runs do not read 'lambda0'"),
+        (["solve", "--builtin", "gave-a", "--n", "4"], None, "gave runs do not read 'n'"),
+    ],
+    ids=["glpe-penalty", "gave-glpe-keys", "linreg-field-name", "glpe-redirect", "gave-redirect"],
+)
+def test_settings_the_run_kind_does_not_read_exit_error(tmp_path, capsys, argv, manifest, named):
+    if manifest is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(manifest))
+        argv = [*argv, "--config", str(cfg)]
+    assert main([*argv, "--out", str(tmp_path / "run")]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not (tmp_path / "run" / "state.json").exists()
+
+
+def test_perfbench_run_manifest_keys_still_load(tmp_path, capsys):
+    # the keys of the run.json that perfbench's cli-manifest workload writes
+    problem, cfg = tmp_path / "problem.json", tmp_path / "run.json"
+    problem.write_text(json.dumps(_manifest_2x2()))
+    cfg.write_text(json.dumps({"alpha_x": 0.2, "alpha_y": 0.3, "inner_n": 4, "outer_t": 7,
+                               "eps": 1e-30, "project_each_outer": True,
+                               "x0": [1.0, 2.0], "y0": [3.0, 4.0]}))
+    argv = ["solve", "--problem", str(problem), "--config", str(cfg), "--out", str(tmp_path)]
+    assert main(argv) == EXIT_CAP
+    assert json.loads(capsys.readouterr().out)["iterations"] == 7
+
+
+def test_bench_rows_with_keys_their_kind_does_not_read_fail(tmp_path):
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"out": str(tmp_path), "runs": [
+        {"name": "c", "kind": "gave", "builtin": "gave-c", "outer_t": 50},
+        {"name": "odd", "kind": "gave", "builtin": "gave-c", "cone": "l1_norm"},
+    ]}))
+    assert main(["bench", "--config", str(cfg)]) == EXIT_CAP
+    lines = (tmp_path / "bench.csv").read_text().splitlines()
+    assert lines[1].startswith("c,") and lines[1].endswith(",ok")
+    assert lines[2].startswith("odd,") and lines[2].endswith("failed: gave runs do not read 'cone'")

@@ -35,10 +35,11 @@ from jointmm.solver import (
     IterateState,
     SolverConfig,
     TRACE_HEADER,
-    _affine_maps,
     _block_shape,
+    affine_parts,
     inner_ascent,
     outer_step,
+    pgmsad_step,
     plan_budget,
     project_feasible,
     run_framework,
@@ -284,6 +285,22 @@ def test_affine_blocks_match_the_structured_steps_at_every_cap(rng, n, m, q, sha
         assert_same_run(run_pgmsad(P, cfg), pgmsad_structured(P, cfg))
 
 
+@pytest.mark.parametrize("psi", ["zero", "orthant"])
+def test_unconstrained_problems_match_the_structured_steps(rng, psi):
+    # q = 0: lambda and the q-block of every residual row are empty. Zero
+    # prox takes the affine path (blocks of 51 at n + m + q = 5), orthant psi
+    # the structured one; res_feas is then exactly 0 on every row
+    P, kw = affine_case(rng, 3, 2, 0)
+    P = orthant_copy(P) if psi == "orthant" else P
+    assert P.q == 0 and _block_shape(5) == (51, 51)
+    for cap, eps in ((0, 0.0), (1, 0.0), (51, 0.0), (120, 0.0), (10000, 1e-10)):
+        cfg = SolverConfig(outer_cap=cap, eps=eps, **kw)
+        got = run_pgmsad(P, cfg)
+        assert_same_run(got, pgmsad_structured(P, cfg))
+        assert all(rec.res_feas == 0.0 for rec in got.trace)
+    assert got.converged and 0 < got.state.t < 10000
+
+
 # make_linreg(n, n, n // 5) at the stock settings, where run_linreg takes
 # the affine path of x: n = 10, blocks of one product with F, ..., F^25;
 # 40, two products with F, ..., F^6; 130, eight products with F
@@ -318,13 +335,14 @@ def test_affine_blocks_stop_on_the_first_and_last_row_of_a_block(rng, where):
 def test_affine_divergence_names_the_iterate_single_steps_name(rng):
     # a finite outer-step map with spectral radius near 5: the iterates grow
     # until entries of the x- and y-residuals overflow when squared. The
-    # block holding that row is filled again by single steps and its norms
-    # taken block by block, so the error does not name res_feas, which the
-    # product of the squares with a 0/1 matrix makes NaN (0 * inf)
+    # block holding that row is filled again by single steps and each norm
+    # sums only its own block's squares, so the error does not name
+    # res_feas, which a sum over all squares would make nonfinite
     P, kw = affine_case(rng, 2, 2, 2)
     kw["alpha_x"] *= 10
     cfg = SolverConfig(outer_cap=100000, eps=0.0, **kw)
-    M = _affine_maps(P, cfg)[0]
+    step = lambda z: (np.hstack(pgmsad_step(P, cfg, z[:, :2], z[:, 2:4], z[:, 4:])),)
+    [(M, _)] = affine_parts(step, 6)
     assert np.all(np.isfinite(M)) and np.abs(np.linalg.eigvals(M)).max() > 1
     with pytest.raises(DivergenceError) as err:
         run_pgmsad(P, cfg)
