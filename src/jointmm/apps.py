@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .numerics import apply, as_matrix, as_vector, norm2, serial_matmul
-from .problem import MinimaxProblem, Residuals, recover_multiplier, residual_vectors, residuals
+from .problem import MinimaxProblem, recover_multiplier, residual_vectors, residuals
 from .prox import (
     ConeSpec,
     L1_NORM,
@@ -417,7 +417,9 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
     keeps none, and that step is structured. So every iterate at or under
     the switch point, or nonfinite, comes from a structured step, and the
     stop and a divergence are decided in the structured arithmetic; the
-    blocked iterates agree with it to rounding.
+    blocked iterates agree with it to rounding. A block row's cert is the
+    one certify gives. Overflowed stacked powers (a divergent run) are not
+    kept: they would fill only nonfinite blocks.
 
     Trace row t: res_feas and app_error are the equation error at iterate
     t; res_x is the norm of the correction that produced iterate t and
@@ -473,21 +475,21 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
         e = err[:p]
         rows = np.column_stack([row_norms(np.diff(Z[: p + 1], axis=0)), e, e, e])
         # no row is done: each error is above floor >= eps
-        return Block(rows, np.zeros(p, dtype=bool),
-                     lambda i: (Z[i + 1].copy(), (None, R[i], float(err[i]))))
+        return Block(rows, np.zeros(p, dtype=bool), lambda i: (
+            Z[i + 1].copy(), (project_cone(cone, Z[i + 1]), R[i], float(err[i]))))
 
     def step(x, cert, t):
         nonlocal linearization, patterns
         xk, r, err = cert
-        if xk is not None:  # a block's iterates (xk None) are on its pattern
-            key = projection_pattern(cone, x, xk)
-            if key is None or key != linearization[0]:
-                J, W = linearize(x)
-                powers = None
-                if key is not None and err > floor:
-                    powers = stacked_powers(np.eye(n) - serial_matmul(W, J), W @ b, j)
-                linearization = (key, J, W, powers)
-                patterns += 1
+        key = projection_pattern(cone, x, xk)
+        if key is None or key != linearization[0]:
+            J, W = linearize(x)
+            powers = None
+            if key is not None and err > floor:
+                S, C = stacked_powers(np.eye(n) - serial_matmul(W, J), W @ b, j)
+                powers = (S, C) if np.isfinite(S).all() and np.isfinite(C).all() else None
+            linearization = (key, J, W, powers)
+            patterns += 1
         if not err > floor or linearization[3] is None:
             return single(x, r)
         return block(x, r)
@@ -495,8 +497,6 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
     x0 = start_vector(config.x0, n, "x0", lambda: np.zeros(n))
     run = iterate(x0, step, certify, config.outer_cap, config.record_trace)
     xk, _, err = run.cert
-    if xk is None:
-        xk = project_cone(cone, run.state)
     J, W = linearize(run.state)
     step_jacobian = np.eye(n) - W @ J
     return GlpeResult(
@@ -595,11 +595,10 @@ def run_linreg(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
     of the next iterate are affine maps of x alone, and the steps run in
     blocks on solver._run_affine: one n x n matvec per outer iteration and
     one product with the residual map per block. The maps are linreg_step
-    (from y = 0, which the ascent forgets), recover_multiplier and
-    residual_vectors run on a batch of x as rows. Iterate 0's row comes from
-    certify; the returned y is linreg_step's from the predecessor and the
-    multiplier recover_multiplier's, as on the structured path. The rows and
-    iterates agree with it to rounding.
+    (from y = 0, which the ascent forgets), and recover_multiplier and
+    residual_vectors of its output, on a batch of x as rows. Past iterate 0
+    (certify's), y is the step's from the predecessor and lambda recovered
+    as on the structured path; rows and iterates agree with it to rounding.
 
     Otherwise linreg_step runs on each iterate. certify forms K^T x and K y
     once, for the multiplier it puts in the state, the three residuals and
@@ -633,7 +632,6 @@ def run_linreg(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
     p = P.ascent_map(config.inner_steps, config.alpha_y)[0]
     if np.any(p) or P.n + P.m + P.q > LINREG_AFFINE_MAX_DIM:
         run = iterate(start, step, certify, config.outer_cap, config.record_trace)
-        res = run.cert[0]
     else:
         def outputs(X):
             X, Y = linreg_step(P, config, X, 0.0, apply(P.K.T, X))
@@ -643,15 +641,11 @@ def run_linreg(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
             return X, np.hstack(vectors)
 
         def unstack(z, prev, t):
-            if t == 0:
-                return start  # its multiplier recovered by certify
             x, y = z.copy(), linreg_step(P, config, prev, 0.0, P.K.T @ prev)[1]
             return IterateState(x=x, y=y, lam=recover_multiplier(P, x, y), t=t)
 
-        row0 = certify(start)[1][:3]
-        run = _run_affine(P, config, outputs, x, unstack, row0)
-        res = Residuals(*run.cert[:3], L1=float(L1), L2=float(L2))
-    return SolveResult(state=run.state, trace=run.trace, residuals=res, converged=run.converged)
+        run = _run_affine(P, config, outputs, x, start, certify, unstack)
+    return SolveResult(run.state, run.trace, run.cert[0], run.converged)
 
 
 # named instances with exact embedded data

@@ -79,7 +79,9 @@ SPEC_FIELDS = {
 # spec keys a run kind reads besides its settings: the command line's own
 # keys and out, a bench row's name and kind, and the keys of its instance
 SPEC_READ = {"command", "func", "config", "out", "name", "kind"}
-SPEC_EXTRA = dict(solve={"problem"}, linreg={"n", "m", "p"}, gave={"builtin"}, glpe={"cone"})
+SPEC_EXTRA = dict(solve={"problem"}, linreg={"n", "m", "p"}, gave={"builtin"}, glpe={"cone"},
+                  budget={"problem", "n", "m", "p", "seed", "alpha_x", "alpha_y", "eps",
+                          "beta1", "omega1", "theta_gap"}, bench={"runs", "report"})
 
 
 class RunPlan(NamedTuple):
@@ -127,10 +129,11 @@ def spec_fields(kind, stock):
     return {key: field for key, field in fields.items() if field in names}
 
 
-def check_spec(kind, spec, config):
+def check_spec(kind, spec, config=None):
     """Raise ConfigurationError naming the keys of a spec resolved to config
-    that its kind does not read."""
-    unread = sorted(set(spec) - spec_fields(kind, config).keys() - SPEC_READ - SPEC_EXTRA[kind])
+    (None for budget and bench) that its kind does not read."""
+    fields = set() if config is None else spec_fields(kind, config).keys()
+    unread = sorted(set(spec) - fields - SPEC_READ - SPEC_EXTRA[kind])
     if unread:
         raise ConfigurationError(f"{kind} runs do not read {', '.join(map(repr, unread))}")
 
@@ -219,6 +222,7 @@ def cmd_run(args):
 
 def cmd_budget(args):
     spec = command_spec(args)
+    check_spec("budget", spec)
     if spec.get("problem") is None and spec.get("n") is None:
         raise JointmmError("budget needs a problem manifest or regression sizes (--n)")
     if spec.get("problem") is not None:
@@ -291,6 +295,7 @@ def _bench_one(spec):
 
 def cmd_bench(args):
     spec = command_spec(args)
+    check_spec("bench", spec)
     runs = spec.get("runs", [])
     if not (isinstance(runs, list) and all(isinstance(entry, dict) for entry in runs)):
         raise ConfigurationError(f"runs must be a list of run objects, got {runs!r}")

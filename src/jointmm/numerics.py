@@ -53,6 +53,17 @@ def json_number(value, kind=Real):
     return value
 
 
+def json_array(value):
+    """value, a JSON number or nested lists of them, as a float64 array; any other
+    entry raises json_number's TypeError (types are read a list at a time)."""
+    if type(value) is not list:
+        return np.asarray(json_number(value), dtype=float)
+    if not set(map(type, value)) <= {int, float}:
+        for v in value:
+            json_array(v)
+    return np.asarray(value, dtype=float)
+
+
 def norm2(v):
     """Euclidean norm of a C-contiguous 1-d float64 vector, as a Python float.
 

@@ -33,6 +33,7 @@ from .numerics import (
     as_matrix,
     as_vector,
     ascent_coefficients,
+    json_array,
     json_number,
     norm2,
     operator_norm,
@@ -387,9 +388,9 @@ def smooth_term_from_json(data: dict) -> SmoothOracle:
     if kind == "scaled_sq_norm":
         return smooth_scaled_sq_norm(float(json_number(data["c"])))
     if kind == "linear":
-        return smooth_linear(np.asarray(data["b"], dtype=float))
+        return smooth_linear(json_array(data["b"]))
     if kind == "quadratic_diag":
-        return smooth_quadratic_diag(np.asarray(data["d"], dtype=float))
+        return smooth_quadratic_diag(json_array(data["d"]))
     raise ConfigurationError(f"unknown smooth term kind {kind!r}")
 
 
@@ -404,7 +405,7 @@ def prox_term_from_json(data: dict) -> ProxOperator:
     if kind == "scaled_sq_norm":
         return prox_scaled_sq_norm(float(json_number(data["c"])))
     if kind == "linear_shift":
-        return prox_linear_shift(np.asarray(data["v"], dtype=float))
+        return prox_linear_shift(json_array(data["v"]))
     if kind == "blocks":
         return prox_blocks(
             [(prox_term_from_json(b["op"]), json_number(b["dim"], int)) for b in data["blocks"]]
@@ -416,7 +417,7 @@ def _load_matrix_field(value, base_dir):
     if isinstance(value, str):
         path = value if os.path.isabs(value) else os.path.join(base_dir, value)
         return matio.read_matrix(path)
-    return np.asarray(value, dtype=float)
+    return json_array(value)
 
 
 def load_json_object(path, what):
@@ -453,13 +454,8 @@ def load_problem_manifest(path) -> MinimaxProblem:
             raise ConfigurationError(f"problem manifest {path}: {key!r} holds a boolean")
     base_dir = os.path.dirname(os.path.abspath(path))
     try:
-        K = _load_matrix_field(data["K"], base_dir)
-        A = _load_matrix_field(data["A"], base_dir)
-        B = _load_matrix_field(data["B"], base_dir)
-        c = data["c"]
-        if isinstance(c, str):
-            c = _load_matrix_field(c, base_dir).reshape(-1)
-        c = np.asarray(c, dtype=float)
+        K, A, B, c = (_load_matrix_field(data[key], base_dir) for key in ("K", "A", "B", "c"))
+        c = c.reshape(-1) if isinstance(data["c"], str) else c
         return MinimaxProblem(
             g=smooth_term_from_json(data["g"]),
             phi=prox_term_from_json(data["phi"]),

@@ -17,7 +17,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ConfigurationError
-from .numerics import apply, as_vector, json_number
+from .numerics import apply, as_vector, json_array, json_number
 
 # cone kinds
 FREE = "free"
@@ -74,8 +74,8 @@ def cone_from_json(data: dict) -> ConeSpec:
     return ConeSpec(
         kind=data["kind"],
         dim=json_number(data["dim"], int),
-        lower=np.asarray(data["lower"], dtype=float) if "lower" in data else None,
-        upper=np.asarray(data["upper"], dtype=float) if "upper" in data else None,
+        lower=json_array(data["lower"]) if "lower" in data else None,
+        upper=json_array(data["upper"]) if "upper" in data else None,
     )
 
 

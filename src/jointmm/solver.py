@@ -398,7 +398,7 @@ def affine_parts(f, d):
 
 
 def _run_affine(
-    P: MinimaxProblem, config: SolverConfig, outputs, z0, unstack, row0=None
+    P: MinimaxProblem, config: SolverConfig, outputs, z0, start, certify, unstack
 ) -> LoopResult:
     """A zero-prox driver's loop on dense affine maps under iterate: the same
     trace rows, stop rule and divergence as its structured steps, with the
@@ -407,13 +407,11 @@ def _run_affine(
     outputs(Z) is the driver's step on a batch of iterates as rows and
     returns (the next iterates, their stacked residual vectors); run on the
     rows of [I; 0] (affine_parts) it gives the maps, overflow giving inf or
-    NaN: a step is z <- M z + c, and a residual row the norms of the n-, m-
-    and q-blocks of R z + r, each summed over its own squares. With row0
-    None, R reads the iterate itself (run_pgmsad). Given row0, R reads the
-    iterate's predecessor (run_linreg), and row0 is the row of iterate 0,
-    which has none. unstack(z, prev, t) returns the driver's state of
-    iterate t = z with predecessor prev (prev is z at t = 0), for the result
-    and a DivergenceError.
+    NaN: a step is z <- M z + c, and the residual row of the next iterate
+    the norms of the n-, m- and q-blocks of R z + r, each summed over its
+    own squares. Iterate 0 is start (z0), certified by certify; a block
+    row's cert is (its Residuals, None). unstack(z, prev, t) returns the
+    driver's state of iterate t >= 1 = z with predecessor prev.
 
     The stacked powers of M are built once (stacked_powers), so a step is a
     Block: k / j products fill the k iterates after the current one, and one
@@ -423,10 +421,8 @@ def _run_affine(
     single steps name. A run that stops inside a block has computed up to
     k - 1 iterates it does not use.
     """
-    n, nm, eps = P.n, P.n + P.m, config.eps
+    n, nm, L1, L2 = P.n, P.n + P.m, 1.0 / config.alpha_x, 1.0 / config.alpha_y
     j, k = _block_shape(len(z0))
-    # R reads the block's iterates Z[1:], or their predecessors Z[:-1]
-    rows_of = slice(1, k + 1) if row0 is None else slice(0, k)
 
     def row_norms(Z):
         G = serial_matmul(Z, R.T) + r
@@ -435,12 +431,12 @@ def _run_affine(
 
     def step(s, cert, t):
         Z = fill_iterates(s[0], k, S, C)
-        N = row_norms(Z[rows_of])
+        N = row_norms(Z[:-1])
         if not math.isfinite(N.sum()):
             Z = fill_iterates(s[0], k, M, c[None])
-            N = row_norms(Z[rows_of])
-        return Block(N, (N <= eps).all(axis=1),
-                     lambda i: ((Z[i + 1], Z[i], t + i + 1), N[i].tolist()))
+            N = row_norms(Z[:-1])
+        return Block(N, (N <= config.eps).all(axis=1), lambda i: (
+            (Z[i + 1], Z[i], t + i + 1), (Residuals(*N[i].tolist(), L1=L1, L2=L2), None)))
 
     with np.errstate(over="ignore", invalid="ignore"):
         (M, c), (R, r) = affine_parts(outputs, len(z0))
@@ -450,16 +446,14 @@ def _run_affine(
         ends = [n, nm, len(r)]
         R, r = np.insert(R.T, ends, 0.0, axis=1).T, np.insert(r, ends, 0.0)
         S, C = stacked_powers(M, c, j)
-        if row0 is None:
-            row0 = row_norms(z0[None])[0].tolist()
-    done0 = all(v <= eps for v in row0)
+    state_of = lambda s: start if s[2] == 0 else unstack(*s)
     try:
-        run = iterate((z0, z0, 0), step, lambda s: (done0, row0, row0),
+        run = iterate((z0, z0, 0), step, lambda s: certify(start),
                       config.outer_cap, config.record_trace)
     except DivergenceError as err:
-        err.state = None if err.state is None else unstack(*err.state)
+        err.state = None if err.state is None else state_of(err.state)
         raise
-    return run._replace(state=unstack(*run.state))
+    return run._replace(state=state_of(run.state))
 
 
 def run_pgmsad(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
@@ -473,7 +467,8 @@ def run_pgmsad(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
     in blocks (see _run_affine): products with the stacked powers of the
     dense outer-step map give the block's iterates, and one product with the
     residual map their residual rows. _run_affine builds the maps from
-    pgmsad_step and residual_vectors run on a batch of iterates as rows.
+    pgmsad_step and the residual_vectors of its output, on a batch of
+    iterates as rows; certify_residuals certifies iterate 0 on both paths.
     iterate still checks and traces each row (a block's rows share one
     elapsed stamp), and the iterates agree with the structured steps to
     rounding. Any other problem takes pgmsad_step on each iterate.
@@ -488,26 +483,23 @@ def run_pgmsad(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
         return IterateState(x=x, y=y, lam=lam, t=t + 1)
 
     start = _gaussian_start(P, config.seed, config.x0, config.y0, config.lambda0)
+    certify = certify_residuals(P, L1, L2, config.eps)
     zero_prox = P.phi.kind == PROX_ZERO and P.psi.kind == PROX_ZERO
     if zero_prox and P.n + P.m + P.q <= AFFINE_MAX_DIM:
         n, nm = P.n, P.n + P.m
 
         def outputs(Z):
-            x, y, lam = Z[:, :n], Z[:, n:nm], Z[:, nm:]
-            vectors = residual_vectors(P, x, y, lam, L1, L2)
-            return np.hstack(pgmsad_step(P, config, x, y, lam)), np.hstack(vectors)
+            x, y, lam = pgmsad_step(P, config, Z[:, :n], Z[:, n:nm], Z[:, nm:])
+            return np.hstack((x, y, lam)), np.hstack(residual_vectors(P, x, y, lam, L1, L2))
 
         def unstack(z, prev, t):
             return IterateState(x=z[:n].copy(), y=z[n:nm].copy(), lam=z[nm:].copy(), t=t)
 
         z0 = np.concatenate([start.x, start.y, start.lam])
-        run = _run_affine(P, config, outputs, z0, unstack)
-        res = Residuals(*run.cert[:3], L1=float(L1), L2=float(L2))
+        run = _run_affine(P, config, outputs, z0, start, certify, unstack)
     else:
-        certify = certify_residuals(P, L1, L2, config.eps)
         run = iterate(start, step, certify, config.outer_cap, config.record_trace)
-        res = run.cert[0]
-    state, converged = run.state, run.converged
+    state, res, converged = run.state, run.cert[0], run.converged
     if state.t > 0 and config.project_final and not config.project_each_outer:
         x, y = project_feasible(P, state.x, state.y)
         state = IterateState(x=x, y=y, lam=state.lam, t=state.t)

@@ -405,9 +405,8 @@ def test_gave_divergence_without_trace_carries_state():
 def test_glpe_divergence_carries_state_and_trace():
     from jointmm.errors import DivergenceError
 
-    # the stacked powers overflow, so every block is nonfinite from its first
-    # row and every step is structured: the same iterate, columns and last
-    # finite state
+    # the stacked powers overflow, so no block is filled and every step is
+    # structured: the same iterate, columns and last finite state
     G, cfg = builtin_glpe(NONNEG_ORTHANT), GlpeConfig(alpha=5.0)
     with pytest.raises(DivergenceError) as err:
         run_glpe(G, cfg)
@@ -418,6 +417,23 @@ def test_glpe_divergence_carries_state_and_trace():
     assert err.value.state.shape == (5,) and np.all(np.isfinite(err.value.state))
     assert err.value.trace and err.value.trace[0].t == 0
     assert [rec.t for rec in err.value.trace] == list(range(len(err.value.trace)))
+
+
+@pytest.mark.parametrize("cone_kind, alpha, fills", [
+    (NONNEG_ORTHANT, None, 1298), (L1_NORM, None, 106), (NONNEG_ORTHANT, 5.0, 0)])
+def test_glpe_fills_blocks_only_from_finite_stacked_powers(monkeypatch, cone_kind, alpha, fills):
+    # at alpha 5 every pattern's powers overflow (spectral radius of the step
+    # map 1.6e8 to 2.3e10): a block filled from them would be thrown away
+    import jointmm.apps
+    from jointmm.errors import DivergenceError
+
+    calls, fill = [], jointmm.apps.fill_iterates
+    monkeypatch.setattr(jointmm.apps, "fill_iterates", lambda *a: calls.append(1) or fill(*a))
+    try:
+        run_glpe(builtin_glpe(cone_kind), GlpeConfig(alpha=alpha))
+    except DivergenceError:
+        assert alpha == 5.0
+    assert len(calls) == fills
 
 
 @pytest.mark.filterwarnings("error")

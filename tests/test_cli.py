@@ -472,6 +472,22 @@ def _manifest_2x2(**changes):
         (_manifest_2x2(psi={"kind": "blocks", "blocks": [
             {"op": {"kind": "zero_function"}, "dim": "1"},
             {"op": {"kind": "zero_function"}, "dim": 1}]}), "'1' is not a JSON integer"),
+        # np.asarray(..., dtype=float) would read these strings as numbers too
+        (_manifest_2x2(K=[["1", "0"], ["0", "1"]]), "'1' is not a JSON number"),
+        (_manifest_2x2(A=[[1.0, "0"]]), "'0' is not a JSON number"),
+        (_manifest_2x2(B=[[0.0, "1"]]), "'1' is not a JSON number"),
+        (_manifest_2x2(c=["0.5"]), "'0.5' is not a JSON number"),
+        (_manifest_2x2(g={"kind": "linear", "b": ["0.5", "1"]}), "'0.5' is not a JSON number"),
+        (_manifest_2x2(h={"kind": "quadratic_diag", "d": "2"}), "'2' is not a JSON number"),
+        (_manifest_2x2(h={"kind": "quadratic_diag", "d": [2.0, "2"]}), "'2' is not a JSON number"),
+        (_manifest_2x2(psi={"kind": "linear_shift", "v": [1.0, "2"]}), "'2' is not a JSON number"),
+        (_manifest_2x2(phi={"kind": "indicator", "cone": {
+            "kind": "box", "dim": 2, "lower": ["0", "0"], "upper": [1, 1]}}),
+         "'0' is not a JSON number"),
+        (_manifest_2x2(phi={"kind": "indicator", "cone": {
+            "kind": "box", "dim": 2, "lower": [0, 0], "upper": [1, "1"]}}),
+         "'1' is not a JSON number"),
+        (_manifest_2x2(K=[[1.0, 0.0], [0.0, None]]), "None is not a JSON number"),
     ],
 )
 def test_bad_problem_manifest_terms_exit_error(tmp_path, capsys, problem, named):
@@ -593,8 +609,14 @@ def test_help_still_exits_ok(capsys):
         (["solve", "--builtin", "glpe-paper"], {"lambda0": [1.0]},
          "glpe runs do not read 'lambda0'"),
         (["solve", "--builtin", "gave-a", "--n", "4"], None, "gave runs do not read 'n'"),
+        (["budget", "--n", "10", "--theta-gap", "10", "--beta1", "1", "--cone", "l1_norm",
+          "--penalty", "3", "--outer-t", "5"], None,
+         "budget runs do not read 'cone', 'outer_t', 'penalty'"),
+        (["bench", "--penalty", "3", "--alpha-x", "9", "--n", "4"], {"runs": []},
+         "bench runs do not read 'alpha_x', 'n', 'penalty'"),
     ],
-    ids=["glpe-penalty", "gave-glpe-keys", "linreg-field-name", "glpe-redirect", "gave-redirect"],
+    ids=["glpe-penalty", "gave-glpe-keys", "linreg-field-name", "glpe-redirect", "gave-redirect",
+         "budget-keys", "bench-keys"],
 )
 def test_settings_the_run_kind_does_not_read_exit_error(tmp_path, capsys, argv, manifest, named):
     if manifest is not None:

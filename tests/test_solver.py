@@ -314,6 +314,32 @@ def test_linreg_affine_blocks_match_the_structured_steps_at_every_cap(n, shape):
         assert_same_run(run_linreg(P, cfg), linreg_structured(P, cfg))
 
 
+def assert_certified_at_start(P, got, config, converged):
+    """A run that stopped at iterate 0 returns the residuals, and trace row 0,
+    of problem.residuals at its state, bit for bit."""
+    s, L1, L2 = got.state, 1.0 / config.alpha_x, 1.0 / config.alpha_y
+    want = residuals(P, s.x, s.y, s.lam, L1, L2)
+    assert (s.t, got.converged, got.residuals) == (0, converged, want)
+    assert got.trace[0][2:5] == (want.res_x, want.res_y, want.res_feas)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_affine_paths_certify_iterate_0_by_the_drivers_certify(seed):
+    # the residual map R z + r rounds otherwise than residuals does; iterate
+    # 0 must be certified as on the structured path, at cap 0 and when the
+    # start already meets eps
+    rng = np.random.default_rng(seed)
+    n, m = rng.integers(1, 6, 2)
+    P, kw = affine_case(rng, n, m, int(rng.integers(1, m + 1)))
+    _, Q = make_linreg(5 + seed, 5 + seed, 1 + seed // 5, seed=seed)
+    stock = dict(alpha_x=0.3, alpha_y=1.0, inner_steps=3)
+    for cap, eps in ((0, 0.0), (50, 1e12)):
+        cfg = SolverConfig(outer_cap=cap, eps=eps, **kw)
+        assert_certified_at_start(P, run_pgmsad(P, cfg), cfg, eps > 0)
+        cfg = SolverConfig(outer_cap=cap, eps=eps, **stock)
+        assert_certified_at_start(Q, run_linreg(Q, cfg), cfg, eps > 0)
+
+
 @pytest.mark.parametrize("where", ["first", "last"])
 def test_affine_blocks_stop_on_the_first_and_last_row_of_a_block(rng, where):
     # iterate 0 is certified alone; block b >= 1 holds iterates
