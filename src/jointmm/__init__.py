@@ -35,6 +35,7 @@ from .solver import (
     IterateState,
     SolveResult,
     SolverConfig,
+    Trace,
     TraceRecord,
     inner_ascent,
     outer_step,

@@ -54,6 +54,7 @@ from .solver import (
     IterateState,
     SolveResult,
     SolverConfig,
+    Trace,
     _block_shape,
     _run_affine,
     check_settings,
@@ -215,7 +216,7 @@ class GaveResult:
 
     x: np.ndarray
     error: float
-    trace: list
+    trace: Trace
     x_plus: np.ndarray
     y: np.ndarray
     z: np.ndarray
@@ -354,7 +355,7 @@ class GlpeResult:
     x: np.ndarray
     x_cone: np.ndarray
     error: float
-    trace: list
+    trace: Trace
     iterations: int
     converged: bool
     rate: float

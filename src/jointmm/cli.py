@@ -76,12 +76,16 @@ SPEC_FIELDS = {
     "lambda0": "lambda0",
 }
 
-# spec keys a run kind reads besides its settings: the command line's own
-# keys and out, a bench row's name and kind, and the keys of its instance
-SPEC_READ = {"command", "func", "config", "out", "name", "kind"}
+# spec keys read besides a kind's settings and its SPEC_EXTRA (the keys of its
+# instance): by every command (the command line's own keys), by the commands
+# that run a kind and write its files to out, and by a bench row (its name
+# and kind; bench writes its report to its own out)
+SPEC_READ = {"command", "func", "config"}
+RUN_READ = SPEC_READ | {"out"}
+ROW_READ = {"name", "kind"}
 SPEC_EXTRA = dict(solve={"problem"}, linreg={"n", "m", "p"}, gave={"builtin"}, glpe={"cone"},
                   budget={"problem", "n", "m", "p", "seed", "alpha_x", "alpha_y", "eps",
-                          "beta1", "omega1", "theta_gap"}, bench={"runs", "report"})
+                          "beta1", "omega1", "theta_gap"}, bench={"runs", "report", "out"})
 
 
 class RunPlan(NamedTuple):
@@ -129,13 +133,15 @@ def spec_fields(kind, stock):
     return {key: field for key, field in fields.items() if field in names}
 
 
-def check_spec(kind, spec, config=None):
+def check_spec(kind, spec, config=None, read=SPEC_READ):
     """Raise ConfigurationError naming the keys of a spec resolved to config
-    (None for budget and bench) that its kind does not read."""
+    (None for budget and bench) that neither its kind nor the caller (the
+    keys read) reads; the settings come first, then an unread out."""
     fields = set() if config is None else spec_fields(kind, config).keys()
-    unread = sorted(set(spec) - fields - SPEC_READ - SPEC_EXTRA[kind])
+    unread = set(spec) - fields - read - SPEC_EXTRA[kind]
     if unread:
-        raise ConfigurationError(f"{kind} runs do not read {', '.join(map(repr, unread))}")
+        names = sorted(unread, key=lambda key: (key == "out", key))
+        raise ConfigurationError(f"{kind} runs do not read {', '.join(map(repr, names))}")
 
 
 def resolve(kind, spec) -> RunPlan:
@@ -183,10 +189,10 @@ def resolve(kind, spec) -> RunPlan:
 def run(kind, spec):
     """Resolve and solve one run spec; write trace.csv and state.json to its
     out directory, print its summary line, and return the exit code."""
+    plan = resolve(kind, spec)
+    check_spec(kind, spec, plan.config, RUN_READ)
     out = spec.get("out", ".")
     os.makedirs(out, exist_ok=True)
-    plan = resolve(kind, spec)
-    check_spec(kind, spec, plan.config)
     start = time.perf_counter()
     result = plan.solve()
     wall = time.perf_counter() - start
@@ -273,7 +279,7 @@ def _bench_one(spec):
     start = time.perf_counter()
     try:
         plan = resolve(spec.get("kind"), spec)
-        check_spec(spec["kind"], spec, plan.config)
+        check_spec(spec["kind"], spec, plan.config, ROW_READ)
         result = plan.solve()
         wall = time.perf_counter() - start
         summary, _ = plan.report(result)

@@ -22,13 +22,15 @@ class DivergenceError(JointmmError):
     """A solver iterate became nonfinite; raised only by solver.iterate.
 
     Carries the last certified state (None when the start already fails)
-    and the trace recorded up to that point.
+    and the solver.Trace recorded up to that point (empty by default).
     """
 
     def __init__(self, message, state=None, trace=None):
+        from .solver import Trace  # solver imports this module
+
         super().__init__(message)
         self.state = state
-        self.trace = trace if trace is not None else []
+        self.trace = trace if trace is not None else Trace()
 
 
 class FrameworkError(JointmmError):

@@ -15,9 +15,8 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
 from numbers import Integral
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -43,8 +42,7 @@ TRACE_COLUMNS = TRACE_HEADER.split(",")[2:]  # the row a certify returns
 
 
 class TraceRecord(NamedTuple):
-    """One per-iteration trace row (a NamedTuple: every driver builds one per
-    row, and a tuple is cheaper to build than a frozen dataclass)."""
+    """One per-iteration trace row, as indexing or iterating a Trace gives it."""
 
     t: int
     elapsed: float
@@ -52,6 +50,49 @@ class TraceRecord(NamedTuple):
     res_y: float
     res_feas: float
     objective_metric: Optional[float] = None
+
+
+def _record(t, elapsed, res_x, res_y, res_feas, app):
+    return TraceRecord(t, elapsed, res_x, res_y, res_feas, None if math.isnan(app) else app)
+
+
+class Trace:
+    """A run's trace rows 0, ..., T (row t is iterate t), held as float64
+    columns: columns is the 5 x (T + 1) array of elapsed and TRACE_COLUMNS,
+    with NaN where a row has no app_error (a recorded app_error is finite).
+
+    Indexing by an integer gives row t as a TraceRecord of Python floats, and
+    its objective_metric (the app_error) None where the column is NaN; a
+    slice and iteration give TraceRecords too. A Trace equals another with
+    the same columns, or a list of the TraceRecords it yields.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns=None):
+        self.columns = np.empty((1 + len(TRACE_COLUMNS), 0)) if columns is None else columns
+
+    def __len__(self):
+        return self.columns.shape[1]
+
+    def __iter__(self):
+        return map(_record, range(len(self)), *self.columns.tolist())
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(_record, range(len(self))[i], *self.columns[:, i].tolist()))
+        t = range(len(self))[i]
+        return _record(t, *self.columns[:, t].tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, Trace):
+            return np.array_equal(self.columns, other.columns, equal_nan=True)
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __repr__(self):
+        return f"Trace({len(self)} rows)"
 
 
 @dataclass
@@ -119,14 +160,14 @@ class SolverConfig:
 
 class SolveResult(NamedTuple):
     state: IterateState
-    trace: list
+    trace: Trace
     residuals: Residuals
     converged: bool
 
 
 class FrameworkResult(NamedTuple):
     state: IterateState
-    trace: list
+    trace: Trace
     eps_used: list
 
 
@@ -222,14 +263,15 @@ class LoopResult(NamedTuple):
     cert: object
     t: int
     converged: bool
-    trace: list
+    trace: Trace
 
 
 class Block(NamedTuple):
     """The k >= 1 iterates after the current one, handed to iterate at once
-    by a step: rows is their k x c array of trace rows (the first c of
-    TRACE_COLUMNS), done their k stopping tests, and at(i) returns the state
-    and cert of the i-th, for the iterates the loop stops on or goes on from."""
+    by a step: rows is their k x c float64 array of trace rows (the first c
+    of TRACE_COLUMNS; iterate records NaN in the others), done their k
+    stopping tests, and at(i) returns the state and cert of the i-th, for the
+    iterates the loop stops on or goes on from."""
 
     rows: np.ndarray
     done: np.ndarray
@@ -237,26 +279,39 @@ class Block(NamedTuple):
 
 
 def _check_row(row, t, last, trace):
-    """Raise DivergenceError when an entry of iterate t's row is nonfinite."""
+    """Raise DivergenceError when an entry of iterate t's row is nonfinite;
+    trace() gives the Trace it carries."""
     bad = [c for c, v in zip(TRACE_COLUMNS, row) if v is not None and not math.isfinite(v)]
     if bad:
         msg = f"diverged at iterate {t}: nonfinite {', '.join(bad)}"
-        raise DivergenceError(msg, state=last, trace=trace)
+        raise DivergenceError(msg, state=last, trace=trace())
+
+
+# Structured trace rows iterate holds as tuples before it moves them into an
+# array: a bound on that list (about 0.2 MB), whose rows cost about 200 bytes
+# each against the 40 of an array row
+TRACE_STAGE_ROWS = 1024
 
 
 def iterate(state, step, certify, outer_cap, record_trace) -> LoopResult:
     """The outer loop every driver shares: certify iterate t, stop or step.
 
     certify(state) returns (done, row, cert): done is the stopping test of
-    the iterate, row its trace values (res_x, res_y, res_feas and, where the
-    driver has one, app_error) and cert whatever the driver needs back or
-    the step reuses (residuals, the recovered point, the iterate's products
-    with K, ...).
+    the iterate, row its trace values (res_x, res_y, res_feas and app_error,
+    None where the driver has none) and cert whatever the driver needs back
+    or the step reuses (residuals, the recovered point, the iterate's
+    products with K, ...).
     step(state, cert, t) returns iterate t + 1, which certify then checks,
     or a Block of the iterates t + 1, ..., t + k with their rows and tests
     already made. Iterate t is recorded as trace row t, so a run of T steps
     has rows 0..T. A block's rows share one elapsed stamp, taken when the
     step returns it.
+
+    The trace is a Trace of float64 columns. A block's rows go in with one
+    slice copy and one broadcast stamp; a structured row is staged as a tuple
+    with its stamp, and the staged rows become one array at the next block,
+    at every TRACE_STAGE_ROWS rows and at return, where the pieces are
+    joined into the Trace's columns (40 bytes a row).
 
     The loop stops when done is true or after outer_cap steps, and returns
     the last state with its cert, the number of steps t, whether done held,
@@ -268,7 +323,18 @@ def iterate(state, step, certify, outer_cap, record_trace) -> LoopResult:
     last certified state (None at iterate 0) and the trace so far; the
     message names the iterate and the columns.
     """
-    trace = []
+    # the trace so far: arrays of rows (stamp and TRACE_COLUMNS), then staged rows
+    chunks, staged = [], []
+
+    def flush():
+        if staged:
+            chunks.append(np.array(staged, dtype=np.float64))
+            staged.clear()
+
+    def trace():
+        flush()
+        return Trace(np.concatenate([c.T for c in chunks], axis=1) if chunks else None)
+
     start = time.perf_counter()
     # the start point comes in as the output of step -1, with no predecessor
     t, state, out = -1, None, state
@@ -281,9 +347,11 @@ def iterate(state, step, certify, outer_cap, record_trace) -> LoopResult:
                 k = int(stops[0]) + 1 if len(stops) else k
                 if record_trace:
                     kept = k if finite[k - 1] else k - 1
-                    columns = out.rows[:kept].T.tolist()
-                    stamps = repeat(time.perf_counter() - start, kept)
-                    trace.extend(map(TraceRecord, range(t + 1, t + 1 + kept), stamps, *columns))
+                    rows = np.full((kept, 1 + len(TRACE_COLUMNS)), np.nan)
+                    rows[:, 0] = time.perf_counter() - start
+                    rows[:, 1 : 1 + out.rows.shape[1]] = out.rows[:kept]
+                    flush()
+                    chunks.append(rows)
                 if not finite[k - 1]:
                     row = out.rows[k - 1].tolist()
                     _check_row(row, t + k, out.at(k - 2)[0] if k > 1 else state, trace)
@@ -299,9 +367,11 @@ def iterate(state, step, certify, outer_cap, record_trace) -> LoopResult:
                 if not math.isfinite(sum(filter(None, row))):
                     _check_row(row, t, last, trace)
                 if record_trace:
-                    trace.append(TraceRecord(t, time.perf_counter() - start, *row))
+                    staged.append((time.perf_counter() - start, *row))
+                    if len(staged) == TRACE_STAGE_ROWS:
+                        flush()
             if done or t == outer_cap:
-                return LoopResult(state, cert, t, done, trace)
+                return LoopResult(state, cert, t, done, trace())
             out = step(state, cert, t)
 
 
@@ -625,15 +695,14 @@ def plan_budget(
     return N, T
 
 
-def write_trace_csv(trace: Sequence[TraceRecord], path):
-    """Write a trace with the frozen header t,elapsed_s,res_x,res_y,res_feas,app_error."""
+def write_trace_csv(trace: Trace, path):
+    """Write a trace with the frozen header t,elapsed_s,res_x,res_y,res_feas,app_error:
+    elapsed to six decimals, each residual as the repr of its float, and
+    app_error blank where the row has none."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(TRACE_HEADER + "\n")
-        for rec in trace:
-            app = "" if rec.objective_metric is None else repr(float(rec.objective_metric))
-            fh.write(
-                f"{rec.t},{rec.elapsed:.6f},{rec.res_x!r},{rec.res_y!r},{rec.res_feas!r},{app}\n"
-            )
+        for t, (e, a, b, c, d) in enumerate(zip(*trace.columns.tolist())):
+            fh.write(f"{t},{e:.6f},{a!r},{b!r},{c!r},{'' if math.isnan(d) else repr(d)}\n")
 
 
 def state_to_json(state: IterateState, res: Residuals, wall_time_s: float) -> dict:

@@ -15,10 +15,12 @@ encodings of the two equation applications, which no solve path uses, and
 CountingMatrix is a stand-in for a problem's coupling matrix that counts
 the products a loop takes. The matrix-file readers and writers at the end
 parse and format one line at a time with float(), int() and repr(), the
-reference for matio's bulk paths.
+reference for matio's bulk paths, and write_trace_records_csv writes a
+trace one TraceRecord at a time, the reference for solver.write_trace_csv.
 """
 
 import math
+import re
 
 import numpy as np
 from scipy.optimize import minimize
@@ -49,6 +51,7 @@ from jointmm.prox import (
 )
 from jointmm.rng import make_rng, standard_normal
 from jointmm.solver import (
+    TRACE_HEADER,
     IterateState,
     certify_residuals,
     inner_ascent,
@@ -56,6 +59,7 @@ from jointmm.solver import (
     outer_step,
     project_feasible,
     start_vector,
+    write_trace_csv,
 )
 
 
@@ -602,3 +606,30 @@ def write_matrix_mm_lines(M, path, layout="coordinate"):
             for j in range(cols):
                 for i in range(rows):
                     fh.write(repr(float(M[i, j])) + "\n")
+
+
+def write_trace_records_csv(records, path):
+    """A trace given as a sequence of TraceRecords, written one record at a
+    time under the frozen header (the writer of the list-of-records trace)."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(TRACE_HEADER + "\n")
+        for rec in records:
+            app = "" if rec.objective_metric is None else repr(float(rec.objective_metric))
+            fh.write(
+                f"{rec.t},{rec.elapsed:.6f},{rec.res_x!r},{rec.res_y!r},{rec.res_feas!r},{app}\n"
+            )
+
+
+def assert_trace_csv_is_the_records_csv(trace, directory):
+    """solver.write_trace_csv writes the bytes write_trace_records_csv writes
+    from the trace's TraceRecords, elapsed_s aside (files in directory)."""
+    got, want = directory / "got.csv", directory / "want.csv"
+    write_trace_csv(trace, got)
+    write_trace_records_csv(list(trace), want)
+    assert trace_csv_without_elapsed(got) == trace_csv_without_elapsed(want)
+
+
+def trace_csv_without_elapsed(path):
+    """The bytes of a trace CSV with the elapsed_s field of every row emptied."""
+    with open(path, "rb") as fh:
+        return re.sub(rb"^(\d+),[^,\n]*,", rb"\1,,", fh.read(), flags=re.MULTILINE)

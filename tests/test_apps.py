@@ -34,6 +34,7 @@ from jointmm.solver import SolverConfig, _block_shape, run_framework, run_pgmsad
 
 from oracles import (
     CountingMatrix,
+    assert_trace_csv_is_the_records_csv,
     gave_to_minimax,
     glpe_structured,
     glpe_to_minimax,
@@ -200,6 +201,18 @@ def test_glpe_blocks_match_the_structured_run(stock_glpe, structured_glpe, cone_
     assert (got.patterns, got.rate, got.error) == (want.patterns, want.rate, want.error)
     assert np.array_equal(got.x_cone, want.x_cone)
     assert_traces_agree(got.trace, want.trace)
+
+
+@pytest.mark.parametrize("cone_kind", list(GLPE_PINS))
+def test_glpe_trace_csv_bytes_are_the_records_csv_bytes(stock_glpe, tmp_path, cone_kind):
+    assert_trace_csv_is_the_records_csv(stock_glpe[cone_kind].trace, tmp_path)
+
+
+def test_glpe_stock_trace_holds_at_most_64_bytes_a_row(stock_glpe):
+    # 115,328 steps: rows 0..115,328, as float64 columns the trace owns
+    trace = stock_glpe[NONNEG_ORTHANT].trace
+    assert len(trace) == GLPE_PINS[NONNEG_ORTHANT][0] + 1
+    assert trace.columns.flags.owndata and trace.columns.nbytes <= 64 * len(trace)
 
 
 def test_glpe_patterns_count_the_linearizations(stock_glpe):

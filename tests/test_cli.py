@@ -614,9 +614,14 @@ def test_help_still_exits_ok(capsys):
          "budget runs do not read 'cone', 'outer_t', 'penalty'"),
         (["bench", "--penalty", "3", "--alpha-x", "9", "--n", "4"], {"runs": []},
          "bench runs do not read 'alpha_x', 'n', 'penalty'"),
+        # budget writes no files; kind and name are read in bench rows only
+        (["budget", "--n", "10", "--theta-gap", "10", "--beta1", "1"], None,
+         "budget runs do not read 'out'"),
+        (["gave"], {"kind": "glpe"}, "gave runs do not read 'kind'"),
+        (["glpe", "--eps", "1e-3"], {"name": "g"}, "glpe runs do not read 'name'"),
     ],
     ids=["glpe-penalty", "gave-glpe-keys", "linreg-field-name", "glpe-redirect", "gave-redirect",
-         "budget-keys", "bench-keys"],
+         "budget-keys", "bench-keys", "budget-out", "gave-kind", "glpe-name"],
 )
 def test_settings_the_run_kind_does_not_read_exit_error(tmp_path, capsys, argv, manifest, named):
     if manifest is not None:
@@ -627,6 +632,27 @@ def test_settings_the_run_kind_does_not_read_exit_error(tmp_path, capsys, argv, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert not (tmp_path / "run" / "state.json").exists()
+
+
+def test_unread_out_creates_no_directory(tmp_path, capsys):
+    cfg = tmp_path / "k.json"
+    cfg.write_text(json.dumps({"kind": "glpe"}))
+    for argv in (["budget", "--n", "10", "--theta-gap", "10", "--beta1", "1"],
+                 ["gave", "--config", str(cfg)]):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
+def test_bench_rows_do_not_read_out(tmp_path):
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"out": str(tmp_path), "runs": [
+        {"name": "c", "kind": "gave", "builtin": "gave-c", "out": str(tmp_path / "c")},
+    ]}))
+    assert main(["bench", "--config", str(cfg)]) == EXIT_CAP
+    line = (tmp_path / "bench.csv").read_text().splitlines()[1]
+    assert line.startswith("c,") and line.endswith("failed: gave runs do not read 'out'")
 
 
 def test_perfbench_run_manifest_keys_still_load(tmp_path, capsys):

@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 import jointmm.problem
-from jointmm.apps import make_linreg, run_linreg
+from jointmm.apps import builtin_gave, builtin_gave_config, make_linreg, run_gave, run_linreg
 from jointmm.errors import (
     ConfigurationError,
     DivergenceError,
@@ -35,6 +36,8 @@ from jointmm.solver import (
     IterateState,
     SolverConfig,
     TRACE_HEADER,
+    Trace,
+    TraceRecord,
     _block_shape,
     affine_parts,
     inner_ascent,
@@ -53,6 +56,7 @@ from oracles import (
     approx_y_star,
     linreg_structured,
     pgmsad_structured,
+    assert_trace_csv_is_the_records_csv,
     quadratic_saddle_kkt,
 )
 
@@ -840,3 +844,72 @@ def test_iterate_raises_on_a_nonfinite_block_row_with_the_row_before_it():
     with pytest.raises(DivergenceError, match="iterate 5: nonfinite res_y$") as err:
         iterate(0, _counting_blocks(3, bad=5), _counting_certify, 10, False)
     assert err.value.state == 4 and err.value.trace == []
+
+
+def test_trace_holds_float64_columns_and_gives_records():
+    from jointmm.solver import iterate
+
+    def certify(s):
+        return False, (float(s), 0.5, -0.0, None if s % 2 else 2.0 * s), s
+
+    # rows 1-3 and 5 come from blocks, which stop at 5 (_counting_blocks)
+    trace = iterate(0, _counting_blocks(3), certify, 10, True).trace
+    assert isinstance(trace, Trace) and len(trace) == 6 and trace
+    assert trace.columns.dtype == np.float64 and trace.columns.shape == (5, 6)
+    # a block's rows have three columns: their app_error is NaN, given as None
+    assert np.array_equal(trace.columns[4], [0.0, np.nan, np.nan, np.nan, 8.0, np.nan],
+                          equal_nan=True)
+    rec = trace[4]
+    assert type(rec) is TraceRecord and rec[:1] + rec[2:] == (4, 4.0, 0.5, -0.0, 8.0)
+    assert all(type(v) is float for v in rec[1:]) and trace[-1] == trace[5]
+    assert trace[1].objective_metric is None and trace[1].res_y == 0.0
+    assert trace[4:] == [trace[4], trace[5]] and [r.t for r in trace[::-3]] == [5, 2]
+    assert trace == list(trace) and trace == Trace(trace.columns.copy()) and trace != []
+    with pytest.raises(IndexError):
+        trace[6]
+    assert Trace() == [] and not Trace() and len(DivergenceError("x").trace) == 0
+
+
+def _framework_run(rng):
+    P, a, b = quadratic_problem(rng)
+    inner = lambda x, lam, y_start, eps_t: approx_y_star(P, x, lam, 0.9 / b, tol=1e-14)
+    return run_framework(P, inner, lambda t: 1.0 / (t + 1.0) ** 2, 0.02, 6,
+                         x0=np.ones(2), y0=np.ones(2))
+
+
+def _pgmsad_run(rng, psi):
+    P, kw = affine_case(rng, 3, 2, 2)
+    P = orthant_copy(P) if psi == "orthant" else P
+    return run_pgmsad(P, SolverConfig(outer_cap=300, eps=1e-10, **kw))
+
+
+CSV_RUNS = {
+    "pgmsad-affine": lambda rng: _pgmsad_run(rng, "zero"),
+    "pgmsad-orthant": lambda rng: _pgmsad_run(rng, "orthant"),
+    "linreg": lambda rng: run_linreg(make_linreg(10, 10, 2, seed=3)[1], SolverConfig(
+        alpha_x=0.3, alpha_y=1.0, inner_steps=3, outer_cap=200, eps=1e-8)),
+    "gave-a": lambda rng: run_gave(builtin_gave("gave-a"), builtin_gave_config("gave-a")),
+    "framework": _framework_run,
+}
+
+
+@pytest.mark.parametrize("run", list(CSV_RUNS))
+def test_trace_csv_bytes_are_the_records_csv_bytes(rng, tmp_path, run):
+    trace = CSV_RUNS[run](rng).trace
+    assert len(trace) > 1
+    assert_trace_csv_is_the_records_csv(trace, tmp_path)
+
+
+@pytest.mark.parametrize("psi", ["zero", "orthant"])
+def test_divergence_carries_a_trace_up_to_the_bad_iterate(rng, psi):
+    # the case of test_affine_divergence_names_the_iterate_single_steps_name:
+    # zero prox diverges inside a block, orthant psi in a structured step
+    P, kw = affine_case(rng, 2, 2, 2)
+    kw["alpha_x"] *= 10
+    P = orthant_copy(P) if psi == "orthant" else P
+    with pytest.raises(DivergenceError) as err:
+        run_pgmsad(P, SolverConfig(outer_cap=100000, eps=0.0, **kw))
+    bad = int(re.search(r"iterate (\d+):", str(err.value)).group(1))
+    trace = err.value.trace
+    assert isinstance(trace, Trace) and len(trace) == bad == err.value.state.t + 1
+    assert np.isfinite(trace.columns[:4]).all() and np.isnan(trace.columns[4]).all()

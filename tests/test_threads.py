@@ -2,7 +2,7 @@
 interpreter with OPENBLAS_NUM_THREADS set, and the digests of the results
 must agree. The runs are large enough that a plain product of a batch, or
 of the Gram matrix, would be split among the threads; the GLPE runs compare
-their step counts too."""
+their step counts too, and the linreg run its trace columns."""
 
 import json
 import os
@@ -30,8 +30,11 @@ def digest(*arrays):
 out = {}
 # the affine path of x, whose maps are built from 401 x 400 batches
 _, P = make_linreg(400, 400, 80, seed=3)
-s = run_linreg(P, SolverConfig(alpha_x=0.3, alpha_y=1.0, inner_steps=3, outer_cap=20)).state
+r = run_linreg(P, SolverConfig(alpha_x=0.3, alpha_y=1.0, inner_steps=3, outer_cap=20))
+s = r.state
 out["run_linreg"] = digest(s.x, s.y, s.lam)
+# its trace rows, elapsed aside
+out["run_linreg_trace"] = digest(r.trace.columns[1:])
 # the affine path of run_pgmsad at n + m + q = 256, projected every step
 rng = np.random.default_rng(7)
 n, q = 110, 36
@@ -72,7 +75,8 @@ def digests():
 
 
 @pytest.mark.parametrize(
-    "run", ["run_linreg", "run_pgmsad", "gram", "glpe_nonneg_orthant", "glpe_l1_norm"]
+    "run", ["run_linreg", "run_linreg_trace", "run_pgmsad", "gram", "glpe_nonneg_orthant",
+            "glpe_l1_norm"]
 )
 def test_same_bits_at_one_and_two_blas_threads(digests, run):
     assert digests["1"][run] == digests["2"][run]
