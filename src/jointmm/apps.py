@@ -50,6 +50,7 @@ from .prox import (
 )
 from .rng import gaussian_matrix, make_rng, standard_normal
 from .solver import (
+    TRACE_STAGE_ROWS,
     Block,
     IterateState,
     SolveResult,
@@ -111,9 +112,10 @@ LINREG_AFFINE_MAX_DIM = 2048
 # 1e-8 sits a decade inside the pinned range on both sides. At 1e-8 the
 # orthant run reaches the switch point at step 65,966 after 1,295 blocks
 # (and 3 that keep no iterate), and takes its last 49,362 steps
-# structured. On the benchmark's rotated instances (seeds 0 to 11), 23 of
-# 24 orthant and 1-norm runs kept the structured count and bits; seed 10's
-# 1-norm run stopped at 8,468 steps against 8,465.
+# structured, in runs of structured steps (see run_glpe). On the
+# benchmark's rotated instances (seeds 0 to 11), 23 of 24 orthant and
+# 1-norm runs kept the structured count and bits; seed 10's 1-norm run
+# stopped at 8,468 steps against 8,465.
 GLPE_BLOCK_SWITCH = 1e-8
 
 
@@ -422,12 +424,22 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
     one certify gives. Overflowed stacked powers (a divergent run) are not
     kept: they would fill only nonfinite blocks.
 
+    Structured steps are handed to iterate as a Block too: a run of them
+    goes on in one local loop of the step's own arithmetic (x <- x - W r,
+    then certify's projection, residual and error), rebuilding J and W at
+    every step on the second-order cone. A run ends at the first iterate
+    that is done or nonfinite, leaves the pattern, or from which a block
+    would be taken, and holds at most solver.TRACE_STAGE_ROWS iterates and
+    none past outer_cap. Its cert of an iterate is certify's.
+
     Trace row t: res_feas and app_error are the equation error at iterate
     t; res_x is the norm of the correction that produced iterate t and
     res_y the residual r - J w of its inner solve, which on a pattern is
-    J x_t - b: a block row's res_y equals its res_feas. Both are 0 in row
-    0, and in structured rows without a trace. The loop state is the
-    iterate x; a DivergenceError carries the last finite one.
+    J x_t - b: a block row's res_y equals its res_feas. A run of structured
+    steps takes both norms for all its rows at once, in batched products
+    with the bits of one step at a time. Both are 0 in row 0, and in
+    structured rows without a trace. The loop state is the iterate x; a
+    DivergenceError carries the last finite one.
     """
     if config is None:
         config = GlpeConfig()
@@ -437,7 +449,6 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
     n = A.shape[1]
     j, k = _block_shape(n)
     floor = max(GLPE_BLOCK_SWITCH, config.eps)
-    last_step = (0.0, 0.0)  # correction norm and inner residual behind the iterate
     # pattern key (None: rebuild every step), J, W and the stacked powers of the step map
     linearization = (None, None, None, None)
     patterns = 0
@@ -446,24 +457,61 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
         J = A + B @ projection_jacobian(cone, x)
         return J, richardson_operator(J, alpha, config.inner_steps)
 
-    def certify(x):
+    def residual(x):
+        # the cert of x: P_K(x), the equation residual and its norm
         xk = project_cone(cone, x)
         r = A @ x + B @ xk - b
-        err = norm2(r)
-        return err <= config.eps, (*last_step, err, err), (xk, r, err)
+        return xk, r, norm2(r)
 
-    def single(x, r):
-        nonlocal last_step
-        _, J, W, _ = linearization
-        w = W @ r
-        if config.record_trace:
-            last_step = (norm2(w), norm2(r - J @ w))
-        return x - w
+    def certify(x):
+        cert = residual(x)
+        err = cert[2]
+        return err <= config.eps, (0.0, 0.0, err, err), cert
+
+    def dots(V):
+        # v . v of each row v, with the bits of norm2's v @ v
+        return (V[:, None, :] @ V[:, :, None]).ravel()
+
+    def structured(x, r, t):
+        # the run of structured steps from iterate t = x, of residual r
+        nonlocal patterns
+        key, J, W, powers = linearization
+        eps, record = config.eps, config.record_trace
+        # the iterates and errors, the Jacobians taken (one but for key None), and
+        # with a trace the residuals and corrections
+        X, E, Js, R, Ws = [], [], [J], [r], []
+        cap = min(config.outer_cap - t, TRACE_STAGE_ROWS)
+        while True:
+            w = W @ r
+            x = x - w
+            xk, r, err = residual(x)
+            X.append(x)
+            E.append(err)
+            if record:
+                R.append(r)
+                Ws.append(w)
+            if len(X) == cap or err <= eps or not err < np.inf:
+                break
+            if key is None:
+                J, W = linearize(x)
+                Js.append(J)
+                patterns += 1
+            elif projection_pattern(cone, x, xk) != key or (err > floor and powers is not None):
+                break
+        E = np.array(E)
+        rows = np.zeros((len(X), 4))
+        rows[:, 2] = rows[:, 3] = E
+        if record:
+            Wr = np.array(Ws)
+            rows[:, 0] = np.sqrt(dots(Wr))
+            JW = (J if key is not None else np.array(Js)) @ Wr[:, :, None]
+            rows[:, 1] = np.sqrt(dots(np.array(R[:-1]) - JW[:, :, 0]))
+        return Block(rows, E <= eps, lambda i: (X[i], residual(X[i])))
 
     def row_norms(V):
         return np.sqrt(np.einsum("ij,ij->i", V, V))
 
-    def block(x, r):
+    def block(x, r, t):
         key, J, _, (S, C) = linearization
         Z = fill_iterates(x, k, S, C)
         R = apply(J, Z[1:]) - b
@@ -472,7 +520,7 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
         ok = inside_pattern(cone, key, Z[1:]) & (floor < err) & (err < np.inf)
         p = k if ok.all() else int(ok.argmin())
         if p == 0:
-            return single(x, r)
+            return structured(x, r, t)
         e = err[:p]
         rows = np.column_stack([row_norms(np.diff(Z[: p + 1], axis=0)), e, e, e])
         # no row is done: each error is above floor >= eps
@@ -491,9 +539,9 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
                 powers = (S, C) if np.isfinite(S).all() and np.isfinite(C).all() else None
             linearization = (key, J, W, powers)
             patterns += 1
-        if not err > floor or linearization[3] is None:
-            return single(x, r)
-        return block(x, r)
+        if err > floor and linearization[3] is not None:
+            return block(x, r, t)
+        return structured(x, r, t)
 
     x0 = start_vector(config.x0, n, "x0", lambda: np.zeros(n))
     run = iterate(x0, step, certify, config.outer_cap, config.record_trace)

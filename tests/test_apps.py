@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from jointmm.apps import (
+    GLPE_BLOCK_SWITCH,
     GaveConfig,
     GaveInstance,
     GlpeConfig,
@@ -201,6 +202,49 @@ def test_glpe_blocks_match_the_structured_run(stock_glpe, structured_glpe, cone_
     assert (got.patterns, got.rate, got.error) == (want.patterns, want.rate, want.error)
     assert np.array_equal(got.x_cone, want.x_cone)
     assert_traces_agree(got.trace, want.trace)
+
+
+def structured_tail(G, trace, cap):
+    """s, the first row of trace at or under the switch point, and
+    glpe_structured from run_glpe's iterate s to step cap of the run."""
+    s = int(np.argmax(trace.columns[3] <= GLPE_BLOCK_SWITCH))
+    x = run_glpe(G, GlpeConfig(outer_cap=s)).x
+    return s, glpe_structured(G, GlpeConfig(x0=x, outer_cap=cap - s))
+
+
+def assert_structured_tail(got, s, want):
+    """got from step s on is want, bit for bit, elapsed aside."""
+    assert got.iterations == s + want.iterations and got.converged == want.converged
+    assert (got.x.tobytes(), got.x_cone.tobytes(), got.error) == (
+        want.x.tobytes(), want.x_cone.tobytes(), want.error)
+    assert np.array_equal(got.trace.columns[1:, s + 1 :], want.trace.columns[1:, 1:])
+
+
+@pytest.mark.parametrize("cone_kind", list(GLPE_PINS))
+def test_glpe_structured_rows_are_the_structured_steps_bits(stock_glpe, cone_kind):
+    # every row at or under the switch point comes from a structured step, and
+    # a run of them takes its trace norms in batches: the bits of one step at
+    # a time. On the orthant and 1-norm cones the first such step (to row s)
+    # goes from a block row, whose residual is J z - b, not certify's
+    # A x + B P_K(x) - b; its rounding leaves the iterate only 3,000 (1-norm)
+    # to 20,000 (orthant) steps later, so the oracle starts at iterate s.
+    got = stock_glpe[cone_kind]
+    s, want = structured_tail(builtin_glpe(cone_kind), got.trace, GLPE_PINS[cone_kind][0])
+    assert (got.trace.columns[3, s:] <= GLPE_BLOCK_SWITCH).all()
+    assert_structured_tail(got, s, want)
+
+
+@pytest.mark.parametrize("cone_kind, cap", [(NONNEG_ORTHANT, 70_000), (L1_NORM, 6_000)])
+def test_glpe_cap_inside_a_structured_run(stock_glpe, cone_kind, cap):
+    # the structured tails start at steps 65,966 (orthant) and 5,098 (1-norm),
+    # and a run of structured steps holds up to TRACE_STAGE_ROWS = 1,024 rows:
+    # both caps stop the run inside one
+    G, stock = builtin_glpe(cone_kind), stock_glpe[cone_kind]
+    got = run_glpe(G, GlpeConfig(outer_cap=cap))
+    s, want = structured_tail(G, stock.trace, cap)
+    assert not got.converged and got.iterations == cap
+    assert_structured_tail(got, s, want)
+    assert np.array_equal(got.trace.columns[1:], stock.trace.columns[1:, : cap + 1])
 
 
 @pytest.mark.parametrize("cone_kind", list(GLPE_PINS))
@@ -495,8 +539,10 @@ def test_glpe_trace_rows_each_iterate_once(cone_kind):
         assert_traces_agree(r.trace, ref.trace, scale=np.linalg.norm(G.b))
         assert np.abs(r.x - ref.x).max() <= 1e-12 * np.abs(ref.x).max()
         assert np.array_equal(r.x_cone, project_cone(G.cone, r.x))
+    # rows 1..GLPE_BLOCK come from one block (orthant, 1-norm) or one run of
+    # structured steps (second-order cone): they share one stamp
     stamps = {rec.elapsed for rec in r.trace[1 : GLPE_BLOCK + 1]}
-    assert len(stamps) == (GLPE_BLOCK if cone_kind == SECOND_ORDER else 1)
+    assert len(stamps) == 1
 
 
 def test_config_checks_reject_nan_and_fractional_counts():

@@ -2,7 +2,8 @@
 interpreter with OPENBLAS_NUM_THREADS set, and the digests of the results
 must agree. The runs are large enough that a plain product of a batch, or
 of the Gram matrix, would be split among the threads; the GLPE runs compare
-their step counts too, and the linreg run its trace columns."""
+their step counts too, and the linreg and traced GLPE runs their trace
+columns."""
 
 import json
 import os
@@ -52,10 +53,12 @@ built = []
 problem.spd_factor = lambda S: built.append(S) or S
 P.gram_inverse()
 out["gram"] = digest(built[0])
-# the stock GLPE runs, whose blocks take products with stacked powers
+# the stock GLPE runs, whose blocks take products with stacked powers, and
+# their traces, whose structured rows take batched products
 for kind in ("nonneg_orthant", "l1_norm"):
     r = run_glpe(builtin_glpe(kind), GlpeConfig(record_trace=False))
     out[f"glpe_{kind}"] = [r.iterations, digest(r.x)]
+    out[f"glpe_{kind}_trace"] = digest(run_glpe(builtin_glpe(kind)).trace.columns[1:])
 print(json.dumps(out))
 """
 
@@ -76,7 +79,7 @@ def digests():
 
 @pytest.mark.parametrize(
     "run", ["run_linreg", "run_linreg_trace", "run_pgmsad", "gram", "glpe_nonneg_orthant",
-            "glpe_l1_norm"]
+            "glpe_l1_norm", "glpe_nonneg_orthant_trace", "glpe_l1_norm_trace"]
 )
 def test_same_bits_at_one_and_two_blas_threads(digests, run):
     assert digests["1"][run] == digests["2"][run]
