@@ -81,9 +81,12 @@ LINREG_COUPLING_GAIN = 2.2
 # included (make_linreg(n, n, n // 5, seed 3) at the stock steps, eps = 0;
 # median of 3, 1 OpenBLAS thread, 2-vCPU Xeon VM):
 #     n + m + q      22   110   220   440   880  1760  3520
-#     10 steps     0.84  0.87  1.56  3.84  9.12  15.1  21.7
-#     100 steps    0.15  0.19  0.32  0.78  1.50  1.69  2.58
-#     1,000 steps  0.07  0.09  0.15  0.26  0.39  0.52  0.64
+#     10 steps     0.84  0.87  1.56  3.84  14.1  15.1  21.7
+#     100 steps    0.15  0.19  0.32  0.78  2.06  1.69  2.58
+#     1,000 steps  0.07  0.09  0.15  0.26  0.43  0.52  0.64
+# The 880 column was taken again with blocks of 64 and residual rows by
+# R X^T (median of 5 alternating pairs); blocks of 8 by X R^T read 14.1,
+# 2.16 and 0.55 in the same runs. The other columns are earlier figures.
 # The build pays for itself after 200 to 370 steps at every size measured;
 # the stock instances take 332 (n = 10) to 8,987 (n = 400) steps. Building
 # the maps from the step itself (four products with K of n + 1 rows) takes
@@ -117,6 +120,13 @@ LINREG_AFFINE_MAX_DIM = 2048
 # 1-norm runs kept the structured count and bits; seed 10's 1-norm run
 # stopped at 8,468 steps against 8,465.
 GLPE_BLOCK_SWITCH = 1e-8
+
+# The least number of iterates in a block of run_glpe (solver._block_shape at
+# n: 51 at n = 5). The block edges decide which iterates carry a block's
+# rounding, so the switch scan above and GLPE_PINS hold for this length; a
+# block is also cut at the first iterate that leaves its pattern's piece,
+# and the iterates filled past that point are thrown away.
+GLPE_BLOCK_MIN = 8
 
 
 @dataclass
@@ -411,18 +421,18 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
     while the equation error is above max(GLPE_BLOCK_SWITCH, eps) the
     polyhedral cones take their steps in blocks (solver.Block): products
     with the pattern's stacked powers [M; M^2; ...; M^j] give the next k
-    iterates Z (solver._block_shape at n; j = k = 51 at n = 5), and one
-    product J Z - b their equation errors. A block keeps the iterates before
-    the first that prox.inside_pattern cannot place inside the pattern's
-    piece with a margin, or whose error is at or under the switch point or
-    nonfinite. The next block starts from the last iterate kept, so its
-    first row is, to rounding, the one that ended this block: it normally
-    keeps none, and that step is structured. So every iterate at or under
-    the switch point, or nonfinite, comes from a structured step, and the
-    stop and a divergence are decided in the structured arithmetic; the
-    blocked iterates agree with it to rounding. A block row's cert is the
-    one certify gives. Overflowed stacked powers (a divergent run) are not
-    kept: they would fill only nonfinite blocks.
+    iterates Z (solver._block_shape at n and GLPE_BLOCK_MIN; j = k = 51 at
+    n = 5), and one product J Z - b their equation errors. A block keeps the
+    iterates before the first that prox.inside_pattern cannot place inside
+    the pattern's piece with a margin, or whose error is at or under the
+    switch point or nonfinite. The next block starts from the last iterate
+    kept, so its first row is, to rounding, the one that ended this block:
+    it normally keeps none, and that step is structured. So every iterate
+    at or under the switch point, or nonfinite, comes from a structured
+    step, and the stop and a divergence are decided in the structured
+    arithmetic; the blocked iterates agree with it to rounding. A block
+    row's cert is the one certify gives. Overflowed stacked powers (a
+    divergent run) are not kept: they would fill only nonfinite blocks.
 
     Structured steps are handed to iterate as a Block too: a run of them
     goes on in one local loop of the step's own arithmetic (x <- x - W r,
@@ -447,7 +457,7 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
     A, B, b = G.A, G.B, G.b
     cone = G.cone
     n = A.shape[1]
-    j, k = _block_shape(n)
+    j, k = _block_shape(n, GLPE_BLOCK_MIN)
     floor = max(GLPE_BLOCK_SWITCH, config.eps)
     # pattern key (None: rebuild every step), J, W and the stacked powers of the step map
     linearization = (None, None, None, None)
@@ -642,8 +652,10 @@ def run_linreg(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
     p = (1 - alpha_y d_h)^N = 0, as at make_linreg's alpha_y = 1) and
     n + m + q <= LINREG_AFFINE_MAX_DIM, the outer step and the residual row
     of the next iterate are affine maps of x alone, and the steps run in
-    blocks on solver._run_affine: one n x n matvec per outer iteration and
-    one product with the residual map per block. The maps are linreg_step
+    blocks of at least solver.AFFINE_BLOCK_MIN (64) on solver._run_affine:
+    where n > 128, one n x n matvec per outer iteration, and per block one
+    product R X^T of the residual map R ((n + m + q + 3) x n) with the
+    block's iterates X. The maps are linreg_step
     (from y = 0, which the ascent forgets), and recover_multiplier and
     residual_vectors of its output, on a batch of x as rows. Past iterate 0
     (certify's), y is the step's from the predecessor and lambda recovered

@@ -106,9 +106,11 @@ def spd_solve_factored(F, r):
 # A matrix product of at most this many multiply-adds runs on one BLAS thread
 # (OpenBLAS's default threshold, 65,536 x 4). A larger product is split among
 # the threads, and its bits then change with their number: on OpenBLAS
-# 0.3.31, (8 x 400) @ (400 x 400) and (8 x 400) @ (400 x 880) gave other bits
-# at 2 threads than at 1, while (8 x 400) @ (400 x 300) did not. A matvec
-# splits only its outputs and keeps its bits.
+# 0.3.31, (64 x 400) @ (400 x 400) (a probe batch of solver.affine_parts at
+# n = 400) and (883 x 400) @ (400 x 64) (a block's residual rows in
+# solver._run_affine at linreg-400) gave other bits at 2 threads than at 1,
+# while (8 x 400) @ (400 x 300) did not. A matvec splits only its outputs
+# and keeps its bits.
 SERIAL_MATMUL_WORK = 65536 * 4
 
 

@@ -406,27 +406,36 @@ AFFINE_MAX_DIM = 256
 # The least number of outer steps in a block of _run_affine (see
 # _block_shape). Blocked / one-step-at-a-time wall time of run_pgmsad on the
 # affine path, build included (random problems with n = m = (n + m + q) / 2.2
-# rounded, N = 60, eps = 0; median ratio of 21 pairs at 100 steps and 11 at
-# 1,000, run in alternating order, 1 OpenBLAS thread, 2-vCPU Xeon VM):
+# rounded, K, A, B Gaussian scaled by 0.3 / sqrt(n), N = 60, eps = 0; median
+# ratio of 21 pairs at 100 steps and 11 at 1,000, run in alternating order,
+# 1 OpenBLAS thread, 2-vCPU Xeon VM). The rows marked "/ 8" are the same
+# runs against blocks of at least 8 whose residual rows came from Z R^T,
+# the two versions imported side by side:
 #     n + m + q      5    22    44    64    65    86   128   129   192   220   256
 #     j             51    11     5     4     3     2     2     1     1     1     1
-#     k             51    11    10     8     9     8     8     8     8     8     8
-#     100 steps   0.53  0.49  0.54  0.60  0.60  0.63  0.78  0.75  0.83  0.86  0.87
-#     1,000 steps 0.25  0.31  0.38  0.41  0.44  0.49  0.55  0.62  0.69  0.67  0.69
-# With k = j instead, a block of one step (n + m + q >= 129) measured 0.99 to
-# 1.08x: the row product and its norms then cost what they save. Blocks of
-# 16 gained at 1,000 steps (0.68x at 255) and lost margin at 100 (0.95x).
-AFFINE_BLOCK_MIN = 8
+#     k            102    66    65    64    66    64    64    64    64    64    64
+#     100 steps   0.18  0.16  0.17  0.20  0.22  0.25  0.42  0.38  0.73  0.75  1.09
+#       / 8       0.92  0.70  0.72  0.69  0.74  0.78  0.84  0.88  0.86  0.86  0.82
+#     1,000 steps 0.03  0.04  0.06  0.08  0.09  0.11  0.16  0.21  0.36  0.42  0.54
+#       / 8       0.79  0.42  0.48  0.49  0.58  0.65  0.83  0.79  0.85  0.64  0.84
+# A residual row costs less in a longer block: at n = 400 (883 x 400 R), R Z^T
+# took 33 us a row at 8 rows, 30 at 32 and 22.5 at 64, against 46 for Z R^T
+# at any of them (median of 7, same VM). linreg-400's solve against blocks
+# of 8 by Z R^T, median of 15 in-process rounds (batches differ by about
+# 0.05): 0.74x here, 0.84x with Z R^T in blocks of 64, 0.76x with R Z^T in
+# blocks of 16, and 0.74x in blocks of 128, which fill twice the spare
+# iterates. The last block stops at the cap, so a short run fills few.
+AFFINE_BLOCK_MIN = 64
 
 
-def _block_shape(dim):
+def _block_shape(dim, rows):
     """(j, k) at n + m + q = dim: a block of _run_affine holds k outer steps
     (one of apps.run_glpe, at dim = n, keeps up to k), filled by k / j
     products with the stacked powers M, ..., M^j. j is AFFINE_MAX_DIM // dim
-    (at least 1) and k the least multiple of j that is at least
-    AFFINE_BLOCK_MIN."""
+    (at least 1) and k the least multiple of j that is at least rows
+    (AFFINE_BLOCK_MIN for _run_affine, apps.GLPE_BLOCK_MIN for run_glpe)."""
     j = max(1, AFFINE_MAX_DIM // dim)
-    return j, j * -(-AFFINE_BLOCK_MIN // j)
+    return j, j * -(-rows // j)
 
 
 def stacked_powers(M, c, j):
@@ -460,12 +469,12 @@ PROBE_ROWS = 64
 def affine_parts(f, d):
     """(M, c) for each affine map of row batches of length d that f returns
     (a tuple of 2-d arrays): c = f(0), column i of M is f(e_i) - f(0), and
-    M.T is C-contiguous. f runs on the rows of [I; 0], PROBE_ROWS at a time."""
-    parts = [(np.empty((d, v.shape[1])), v[0]) for v in f(np.zeros((1, d)))]
+    M is C-contiguous. f runs on the rows of [I; 0], PROBE_ROWS at a time."""
+    parts = [(np.empty((v.shape[1], d)), v[0]) for v in f(np.zeros((1, d)))]
     for i in range(0, d, PROBE_ROWS):
-        for (Mt, c), v in zip(parts, f(np.eye(min(PROBE_ROWS, d - i), d, i))):
-            Mt[i : i + len(v)] = v - c
-    return [(Mt.T, c) for Mt, c in parts]
+        for (M, c), v in zip(parts, f(np.eye(min(PROBE_ROWS, d - i), d, i))):
+            M[:, i : i + len(v)] = (v - c).T
+    return parts
 
 
 def _run_affine(
@@ -485,37 +494,39 @@ def _run_affine(
     driver's state of iterate t >= 1 = z with predecessor prev.
 
     The stacked powers of M are built once (stacked_powers), so a step is a
-    Block: k / j products fill the k iterates after the current one, and one
-    product with R gives their residual rows. The loop's state is
-    (z, prev, t). A block with a nonfinite row is filled again one
-    z <- M z + c step at a time, so a DivergenceError names the iterate
-    single steps name. A run that stops inside a block has computed up to
-    k - 1 iterates it does not use.
+    Block: k / j products fill the k iterates Z after the current one, and
+    one product R Z^T, with R held C-contiguous, gives their residual rows,
+    one column per iterate. The last block before outer_cap ends at the
+    first multiple of j at or past it. The loop's state is (z, prev, t). A
+    block with a nonfinite row is filled again one z <- M z + c step at a
+    time, so a DivergenceError names the iterate single steps name. A run
+    that stops inside a block by eps or divergence has computed up to
+    k - 1 iterates it does not use: 63 where j = 1.
     """
     n, nm, L1, L2 = P.n, P.n + P.m, 1.0 / config.alpha_x, 1.0 / config.alpha_y
-    j, k = _block_shape(len(z0))
+    j, k = _block_shape(len(z0), AFFINE_BLOCK_MIN)
 
     def row_norms(Z):
-        G = serial_matmul(Z, R.T) + r
+        G = serial_matmul(R, Z.T) + r[:, None]
         G *= G
-        return np.sqrt(np.add.reduceat(G, [0, n + 1, nm + 2], axis=1))
+        return np.sqrt(np.add.reduceat(G, [0, n + 1, nm + 2])).T
 
     def step(s, cert, t):
-        Z = fill_iterates(s[0], k, S, C)
+        h = min(k, j * -(-(config.outer_cap - t) // j))
+        Z = fill_iterates(s[0], h, S, C)
         N = row_norms(Z[:-1])
         if not math.isfinite(N.sum()):
-            Z = fill_iterates(s[0], k, M, c[None])
+            Z = fill_iterates(s[0], h, M, c[None])
             N = row_norms(Z[:-1])
         return Block(N, (N <= config.eps).all(axis=1), lambda i: (
             (Z[i + 1], Z[i], t + i + 1), (Residuals(*N[i].tolist(), L1=L1, L2=L2), None)))
 
     with np.errstate(over="ignore", invalid="ignore"):
         (M, c), (R, r) = affine_parts(outputs, len(z0))
-        M = np.ascontiguousarray(M)
         # a zero closes each of the n-, m- and q-blocks of R z + r, so each is
         # nonempty (q = 0 too) for the reduceat that sums its own squares
         ends = [n, nm, len(r)]
-        R, r = np.insert(R.T, ends, 0.0, axis=1).T, np.insert(r, ends, 0.0)
+        R, r = np.insert(R, ends, 0.0, axis=0), np.insert(r, ends, 0.0)
         S, C = stacked_powers(M, c, j)
     state_of = lambda s: start if s[2] == 0 else unstack(*s)
     try:

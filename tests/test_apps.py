@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from jointmm.apps import (
+    GLPE_BLOCK_MIN,
     GLPE_BLOCK_SWITCH,
     GaveConfig,
     GaveInstance,
@@ -371,14 +372,26 @@ def _stock_linreg_config(**overrides):
 # affine path of x): outer iterations and the sha256 of the bytes of x, y
 # and lambda in that order
 LINREG_PIN = (1241, "33e714a4cd2ba4c0e4324a862d5464334e3bf1cfa0df5f167f2fbb31ccc07620")
+# the same on make_linreg(130, 130, 26, seed 3), where the blocks are filled
+# by one matvec a step (stacked powers of j = 1): the pin was taken with
+# blocks of 8 steps and holds at any block length
+LINREG_J1_PIN = (3298, "d5215b2ab4ad1168b70f7ddaf7c03a291ccb83fba7d9d77381147b2b7a14dfef")
 
 
-def test_run_linreg_stock_run_is_pinned():
-    _, P = make_linreg(40, 40, 8, seed=3)
+def assert_stock_linreg_run(n, pin):
+    _, P = make_linreg(n, n, n // 5, seed=3)
     r = run_linreg(P, _stock_linreg_config())
     assert r.converged
     digest = hashlib.sha256(b"".join(v.tobytes() for v in (r.state.x, r.state.y, r.state.lam)))
-    assert (r.state.t, digest.hexdigest()) == LINREG_PIN
+    assert (r.state.t, digest.hexdigest()) == pin
+
+
+def test_run_linreg_stock_run_is_pinned():
+    assert_stock_linreg_run(40, LINREG_PIN)
+
+
+def test_run_linreg_one_matvec_a_step_is_pinned():
+    assert_stock_linreg_run(130, LINREG_J1_PIN)
 
 
 def count_linreg_products(T, alpha_y):
@@ -515,7 +528,7 @@ def test_linreg_divergence_carries_state_and_trace():
 
 
 # the iterates in one of run_glpe's blocks at n = 5
-GLPE_BLOCK = _block_shape(5)[1]
+GLPE_BLOCK = _block_shape(5, GLPE_BLOCK_MIN)[1]
 
 
 @pytest.mark.parametrize("cone_kind", [NONNEG_ORTHANT, SECOND_ORDER, L1_NORM])

@@ -33,6 +33,7 @@ from jointmm.prox import (
     smooth_zero,
 )
 from jointmm.solver import (
+    AFFINE_BLOCK_MIN,
     IterateState,
     SolverConfig,
     TRACE_HEADER,
@@ -277,12 +278,12 @@ def assert_same_run(got, ref):
     assert np.abs(z[0] - z[1]).max() <= 1e-12 * np.abs(z[1]).max()
 
 
-# n + m + q = 6: blocks of one product with M, ..., M^42; 40: blocks of two
-# products with M, ..., M^6
-@pytest.mark.parametrize("n, m, q, shape", [(2, 2, 2, (42, 42)), (16, 16, 8, (6, 12))])
+# n + m + q = 6: blocks of two products with M, ..., M^42; 40: blocks of
+# eleven products with M, ..., M^6
+@pytest.mark.parametrize("n, m, q, shape", [(2, 2, 2, (42, 84)), (16, 16, 8, (6, 66))])
 def test_affine_blocks_match_the_structured_steps_at_every_cap(rng, n, m, q, shape):
     P, kw = affine_case(rng, n, m, q)
-    assert _block_shape(n + m + q) == shape
+    assert _block_shape(n + m + q, AFFINE_BLOCK_MIN) == shape
     k = shape[1]
     for cap in (0, 1, k - 1, k, k + 1, 3 * k):
         cfg = SolverConfig(outer_cap=cap, eps=0.0, **kw)
@@ -292,12 +293,12 @@ def test_affine_blocks_match_the_structured_steps_at_every_cap(rng, n, m, q, sha
 @pytest.mark.parametrize("psi", ["zero", "orthant"])
 def test_unconstrained_problems_match_the_structured_steps(rng, psi):
     # q = 0: lambda and the q-block of every residual row are empty. Zero
-    # prox takes the affine path (blocks of 51 at n + m + q = 5), orthant psi
-    # the structured one; res_feas is then exactly 0 on every row
+    # prox takes the affine path (blocks of 102 at n + m + q = 5), orthant
+    # psi the structured one; res_feas is then exactly 0 on every row
     P, kw = affine_case(rng, 3, 2, 0)
     P = orthant_copy(P) if psi == "orthant" else P
-    assert P.q == 0 and _block_shape(5) == (51, 51)
-    for cap, eps in ((0, 0.0), (1, 0.0), (51, 0.0), (120, 0.0), (10000, 1e-10)):
+    assert P.q == 0 and _block_shape(5, AFFINE_BLOCK_MIN) == (51, 102)
+    for cap, eps in ((0, 0.0), (1, 0.0), (102, 0.0), (240, 0.0), (10000, 1e-10)):
         cfg = SolverConfig(outer_cap=cap, eps=eps, **kw)
         got = run_pgmsad(P, cfg)
         assert_same_run(got, pgmsad_structured(P, cfg))
@@ -306,16 +307,31 @@ def test_unconstrained_problems_match_the_structured_steps(rng, psi):
 
 
 # make_linreg(n, n, n // 5) at the stock settings, where run_linreg takes
-# the affine path of x: n = 10, blocks of one product with F, ..., F^25;
-# 40, two products with F, ..., F^6; 130, eight products with F
-@pytest.mark.parametrize("n, shape", [(10, (25, 25)), (40, (6, 12)), (130, (1, 8))])
+# the affine path of x: n = 10, blocks of three products with F, ..., F^25;
+# 40, eleven products with F, ..., F^6; 130, 64 products with F
+@pytest.mark.parametrize("n, shape", [(10, (25, 75)), (40, (6, 66)), (130, (1, 64))])
 def test_linreg_affine_blocks_match_the_structured_steps_at_every_cap(n, shape):
     _, P = make_linreg(n, n, n // 5, seed=3)
-    assert _block_shape(n) == shape
+    assert _block_shape(n, AFFINE_BLOCK_MIN) == shape
     k = shape[1]
     for cap in (0, 1, k - 1, k, k + 1, 3 * k):
         cfg = SolverConfig(alpha_x=0.3, alpha_y=1.0, inner_steps=3, outer_cap=cap, eps=0.0)
         assert_same_run(run_linreg(P, cfg), linreg_structured(P, cfg))
+
+
+def test_affine_blocks_end_at_the_cap(monkeypatch):
+    # the last block fills only up to the cap, rounded up to whole products
+    # with M, ..., M^j
+    import jointmm.solver
+
+    calls, fill = [], jointmm.solver.fill_iterates
+    monkeypatch.setattr(jointmm.solver, "fill_iterates", lambda *a: calls.append(a[1]) or fill(*a))
+    stock = dict(alpha_x=0.3, alpha_y=1.0, inner_steps=3, eps=0.0)
+    for n, cap, fills in ((130, 100, [64, 36]), (40, 100, [66, 36]), (10, 100, [75, 25])):
+        _, P = make_linreg(n, n, n // 5, seed=3)
+        calls.clear()
+        got = run_linreg(P, SolverConfig(outer_cap=cap, **stock))
+        assert (got.state.t, calls) == (cap, fills)
 
 
 def assert_certified_at_start(P, got, config, converged):
@@ -350,7 +366,7 @@ def test_affine_blocks_stop_on_the_first_and_last_row_of_a_block(rng, where):
     # (b - 1) k + 1 .. b k. eps is set just above the largest residual of a
     # record-low iterate t in the wanted place, so the run stops at t
     P, kw = affine_case(rng, 2, 2, 2)
-    k = _block_shape(6)[1]
+    k = _block_shape(6, AFFINE_BLOCK_MIN)[1]
     trace = pgmsad_structured(P, SolverConfig(outer_cap=5 * k, eps=0.0, **kw)).trace
     worst = [max(rec[2:5]) for rec in trace]
     t = next(t for t in range(k, 5 * k + 1)
@@ -380,7 +396,7 @@ def test_affine_divergence_names_the_iterate_single_steps_name(rng):
         pgmsad_structured(P, cfg)
     assert str(err.value) == str(ref.value) == "diverged at iterate 223: nonfinite res_x, res_y"
     _assert_divergence_carries_state(err)
-    assert err.value.state.t == ref.value.state.t > _block_shape(6)[1]
+    assert err.value.state.t == ref.value.state.t > _block_shape(6, AFFINE_BLOCK_MIN)[1]
 
 
 @pytest.mark.filterwarnings("error")

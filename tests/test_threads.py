@@ -29,13 +29,16 @@ def digest(*arrays):
 
 
 out = {}
-# the affine path of x, whose maps are built from 401 x 400 batches
+# the affine path of x, whose maps are built from 401 x 400 batches: 20
+# steps inside one block, and 150 steps over two full blocks of 64, whose
+# residual rows each come from one 883 x 400 by 400 x 64 product
 _, P = make_linreg(400, 400, 80, seed=3)
-r = run_linreg(P, SolverConfig(alpha_x=0.3, alpha_y=1.0, inner_steps=3, outer_cap=20))
-s = r.state
-out["run_linreg"] = digest(s.x, s.y, s.lam)
-# its trace rows, elapsed aside
-out["run_linreg_trace"] = digest(r.trace.columns[1:])
+for cap, name in ((20, "run_linreg"), (150, "run_linreg_150")):
+    r = run_linreg(P, SolverConfig(alpha_x=0.3, alpha_y=1.0, inner_steps=3, outer_cap=cap))
+    s = r.state
+    out[name] = digest(s.x, s.y, s.lam)
+    # its trace rows, elapsed aside
+    out[f"{name}_trace"] = digest(r.trace.columns[1:])
 # the affine path of run_pgmsad at n + m + q = 256, projected every step
 rng = np.random.default_rng(7)
 n, q = 110, 36
@@ -78,8 +81,9 @@ def digests():
 
 
 @pytest.mark.parametrize(
-    "run", ["run_linreg", "run_linreg_trace", "run_pgmsad", "gram", "glpe_nonneg_orthant",
-            "glpe_l1_norm", "glpe_nonneg_orthant_trace", "glpe_l1_norm_trace"]
+    "run", ["run_linreg", "run_linreg_trace", "run_linreg_150", "run_linreg_150_trace",
+            "run_pgmsad", "gram", "glpe_nonneg_orthant", "glpe_l1_norm",
+            "glpe_nonneg_orthant_trace", "glpe_l1_norm_trace"]
 )
 def test_same_bits_at_one_and_two_blas_threads(digests, run):
     assert digests["1"][run] == digests["2"][run]
