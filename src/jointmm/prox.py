@@ -17,7 +17,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ConfigurationError
-from .numerics import apply, as_vector, json_array, json_number
+from .numerics import apply, as_vector, json_array, json_number, norm2
 
 # cone kinds
 FREE = "free"
@@ -90,7 +90,8 @@ def project_soc(z):
         raise ConfigurationError("second-order cone projection needs dimension >= 2")
     s0 = z[0]
     tail = z[1:]
-    r = np.linalg.norm(tail)
+    # np.linalg.norm's bits: sqrt(t . t) of the contiguous tail, without its dispatch
+    r = norm2(np.ascontiguousarray(tail))
     if r <= s0:
         return z.copy()
     if r <= -s0:
@@ -118,16 +119,19 @@ def _project_linf_cone(z):
     # with the k largest mags active. The derivative rises with t0, so the
     # first k whose candidate reaches d[k] holds the root, in [d[k], d[k-1]];
     # the clamp keeps a candidate that rounding put just above d[k-1] there
-    d = np.sort(mags)[::-1]
-    csum = np.cumsum(d)
-    for k in range(1, d.shape[0] + 1):
+    # (the search runs on Python floats: the IEEE results of numpy's scalars)
+    mags.sort()
+    d = mags[::-1]
+    csum = d.cumsum().tolist()
+    d, a0 = d.tolist(), float(a0)
+    for k in range(1, len(d) + 1):
         cand = (a0 + csum[k - 1]) / (1.0 + k)
-        if k == d.shape[0] or cand >= d[k]:
+        if k == len(d) or cand >= d[k]:
             break
     t0 = max(min(cand, d[k - 1]), 0.0)
     out = np.empty_like(z)
     out[0] = t0
-    out[1:] = np.clip(tail, -t0, t0)
+    out[1:] = tail.clip(-t0, t0)
     return out
 
 
@@ -181,7 +185,7 @@ def project_polar(cone: ConeSpec, z):
 def _soc_jacobian(z):
     s0 = z[0]
     tail = z[1:]
-    r = np.linalg.norm(tail)
+    r = norm2(np.ascontiguousarray(tail))
     d = z.shape[0]
     if r <= s0:
         return np.eye(d)
@@ -192,7 +196,8 @@ def _soc_jacobian(z):
     D[0, 0] = 0.5
     D[0, 1:] = 0.5 * u
     D[1:, 0] = 0.5 * u
-    D[1:, 1:] = ((s0 + r) / (2.0 * r)) * (np.eye(d - 1) - np.outer(u, u)) + 0.5 * np.outer(u, u)
+    uu = np.outer(u, u)
+    D[1:, 1:] = ((s0 + r) / (2.0 * r)) * (np.eye(d - 1) - uu) + 0.5 * uu
     return D
 
 
@@ -266,6 +271,31 @@ def projection_pattern(cone: ConeSpec, z, pz=None):
         piece = _l1_piece(z, pz)
         return piece if isinstance(piece, bytes) else b"boundary" + piece.tobytes()
     return None
+
+
+def on_pattern(cone: ConeSpec, key, Z, PZ):
+    """For each row z of Z, with pz its row of PZ = P_K(Z), whether
+    projection_pattern(cone, z, pz) == key, with no margin (compare
+    inside_pattern). Orthant: the sign mask. 1-norm cone: the polar and
+    inside tests of _l1_piece, then on the boundary the bytes of the tail
+    signs of pz; PZ is read only there.
+    """
+    Z = np.asarray(Z)
+    if cone.kind == NONNEG_ORTHANT:
+        return ((Z > 0) == np.frombuffer(key, dtype=bool)).all(axis=1)
+    if cone.kind != L1_NORM:
+        raise ConfigurationError(f"{cone.kind} cone has no pattern")
+    head, mags = Z[:, 0], np.abs(Z[:, 1:])
+    polar = mags.max(axis=1) <= -head
+    if key == b"polar":
+        return polar
+    inside = ~polar & (mags.sum(axis=1) <= head)
+    if key == b"inside":
+        return inside
+    # the signs as int64 words, so that the test is the keys' byte equality
+    s = np.frombuffer(key, dtype=np.int64, offset=len(b"boundary"))
+    signs = np.sign(np.asarray(PZ)[:, 1:]).view(np.int64)
+    return ~polar & ~inside & (signs == s).all(axis=1)
 
 
 # inside_pattern's margin, relative to ||z||_1: far above the rounding of the

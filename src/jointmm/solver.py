@@ -290,7 +290,8 @@ def _check_row(row, t, last, trace):
 # Structured trace rows iterate holds as tuples before it moves them into an
 # array: a bound on that list (about 0.2 MB), whose rows cost about 200 bytes
 # each against the 40 of an array row. apps.run_glpe bounds a run of its
-# structured steps, which holds each iterate as an array, by it too.
+# structured steps, which holds each iterate, its projection and its
+# residual as arrays, by it too.
 TRACE_STAGE_ROWS = 1024
 
 

@@ -3,7 +3,9 @@
 Everything here deliberately avoids the code paths under test: the largest
 singular value comes from a Jacobi eigenvalue sweep, prox values from dense
 grids, and cone projections from a constrained least-squares solver with
-slack reformulations. in_cone, forward_backward and gradient_mapping are
+slack reformulations. The reference_* cone kernels are the projection
+kernels as first written, whose bits the package's faster ones keep. in_cone,
+forward_backward and gradient_mapping are
 the cone membership test, the forward-backward point T_L and the gradient
 mapping G_L, written from their definitions on project_cone and prox_eval;
 criterion 8's lemma suite uses them. The helpers smooth_coupling,
@@ -233,6 +235,73 @@ def slsqp_cone_projection(kind, z, tol=1e-12):
         return min((onto_norm_cone(u, l1) for u in candidates), key=dist)
 
     raise ValueError(kind)
+
+
+def reference_project_soc(z):
+    """prox.project_soc as first written, on np.linalg.norm: the bits the
+    kernel keeps."""
+    z = np.asarray(z, dtype=np.float64)
+    s0 = z[0]
+    tail = z[1:]
+    r = np.linalg.norm(tail)
+    if r <= s0:
+        return z.copy()
+    if r <= -s0:
+        return np.zeros_like(z)
+    alpha = 0.5 * (s0 + r)
+    out = np.empty_like(z)
+    out[0] = alpha
+    out[1:] = (alpha / r) * tail
+    return out
+
+
+def reference_project_linf_cone(z):
+    """prox._project_linf_cone as first written, its breakpoint search on
+    numpy scalars: the bits the kernel keeps."""
+    a0 = z[0]
+    tail = z[1:]
+    mags = np.abs(tail)
+    if mags.max(initial=0.0) <= a0:
+        return z.copy()
+    d = np.sort(mags)[::-1]
+    csum = np.cumsum(d)
+    for k in range(1, d.shape[0] + 1):
+        cand = (a0 + csum[k - 1]) / (1.0 + k)
+        if k == d.shape[0] or cand >= d[k]:
+            break
+    t0 = max(min(cand, d[k - 1]), 0.0)
+    out = np.empty_like(z)
+    out[0] = t0
+    out[1:] = np.clip(tail, -t0, t0)
+    return out
+
+
+def reference_project_l1cone(z):
+    """prox.project_l1cone as first written, on reference_project_linf_cone."""
+    z = np.asarray(z, dtype=np.float64)
+    if np.abs(z[1:]).sum() <= z[0]:
+        return z.copy()
+    return z + reference_project_linf_cone(-z)
+
+
+def reference_soc_jacobian(z):
+    """prox._soc_jacobian as first written, on np.linalg.norm and two outer
+    products: the bits the kernel keeps."""
+    s0 = z[0]
+    tail = z[1:]
+    r = np.linalg.norm(tail)
+    d = z.shape[0]
+    if r <= s0:
+        return np.eye(d)
+    if r <= -s0:
+        return np.zeros((d, d))
+    u = tail / r
+    D = np.empty((d, d))
+    D[0, 0] = 0.5
+    D[0, 1:] = 0.5 * u
+    D[1:, 0] = 0.5 * u
+    D[1:, 1:] = ((s0 + r) / (2.0 * r)) * (np.eye(d - 1) - np.outer(u, u)) + 0.5 * np.outer(u, u)
+    return D
 
 
 def in_cone(cone, z, tol=1e-10):

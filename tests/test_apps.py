@@ -8,6 +8,7 @@ import pytest
 from jointmm.apps import (
     GLPE_BLOCK_MIN,
     GLPE_BLOCK_SWITCH,
+    GLPE_PATTERN_CHUNK,
     GaveConfig,
     GaveInstance,
     GlpeConfig,
@@ -246,6 +247,54 @@ def test_glpe_cap_inside_a_structured_run(stock_glpe, cone_kind, cap):
     assert not got.converged and got.iterations == cap
     assert_structured_tail(got, s, want)
     assert np.array_equal(got.trace.columns[1:], stock.trace.columns[1:, : cap + 1])
+
+
+@pytest.mark.parametrize("cone_kind", list(GLPE_PINS))
+@pytest.mark.parametrize("cap", [None, 70_000])
+def test_glpe_iterates_do_not_depend_on_the_trace(stock_glpe, cone_kind, cap):
+    # the stock runs, and at cap 70,000 the orthant run stopped inside a run
+    # of structured steps (the other two converge before it)
+    G = builtin_glpe(cone_kind)
+    capped = {} if cap is None else {"outer_cap": cap}
+    traced = stock_glpe[cone_kind] if cap is None else run_glpe(G, GlpeConfig(**capped))
+    bare = run_glpe(G, GlpeConfig(record_trace=False, **capped))
+    assert len(bare.trace) == 0 and bare.iterations == traced.iterations
+    assert (bare.x.tobytes(), bare.x_cone.tobytes()) == (traced.x.tobytes(), traced.x_cone.tobytes())
+    assert (bare.error, bare.patterns, bare.converged) == (
+        traced.error, traced.patterns, traced.converged)
+
+
+def edge_glpe():
+    """The stock orthant instance with b moved so that the solution's first
+    entry is 1e-9, on the edge of its pattern, and a start 2e-9 across that
+    edge, at equation error 4.6e-9. Every step is structured (the error
+    starts under the switch point), and the first entry turns positive at
+    iterate 781, in the fourth chunk of the first run of structured steps:
+    a start found by scanning such edges near the stock solution."""
+    G = builtin_glpe(NONNEG_ORTHANT)
+    x = run_glpe(G, GlpeConfig(record_trace=False)).x
+    x[0] = 1e-9
+    G = GlpeInstance(A=G.A, B=G.B, b=G.A @ x + G.B @ np.maximum(x, 0.0), cone=G.cone)
+    x[0] -= 2e-9
+    return G, x
+
+
+@pytest.mark.parametrize("record_trace", [True, False])
+def test_glpe_run_cut_where_the_pattern_changes(record_trace):
+    # the run goes on past iterate 781 to the end of its chunk before it
+    # tests the pattern; the steps after 781 are thrown away, and the next
+    # run goes on from 781 on the new pattern: the structured steps' bits
+    G, x0 = edge_glpe()
+    first = run_glpe(G, GlpeConfig(x0=x0, outer_cap=780, record_trace=False))
+    assert first.patterns == 1 and 780 > GLPE_PATTERN_CHUNK
+    assert 780 % GLPE_PATTERN_CHUNK != 0
+    cfg = GlpeConfig(x0=x0, outer_cap=2000, record_trace=record_trace)
+    got, want = run_glpe(G, cfg), glpe_structured(G, cfg)
+    assert got.patterns == want.patterns == 2
+    assert (got.iterations, got.converged, got.error) == (want.iterations, want.converged,
+                                                          want.error)
+    assert (got.x.tobytes(), got.x_cone.tobytes()) == (want.x.tobytes(), want.x_cone.tobytes())
+    assert np.array_equal(got.trace.columns[1:], want.trace.columns[1:])
 
 
 @pytest.mark.parametrize("cone_kind", list(GLPE_PINS))

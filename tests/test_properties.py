@@ -22,6 +22,7 @@ from jointmm.prox import (
     SECOND_ORDER,
     SmoothOracle,
     inside_pattern,
+    on_pattern,
     project_cone,
     project_polar,
     projection_jacobian,
@@ -396,6 +397,51 @@ def test_rows_inside_a_pattern_have_its_key(case):
     assert inside.dtype == bool and inside.shape == (len(Z),)
     for zt in Z[inside]:
         assert projection_pattern(cone, zt) == key
+
+
+# entries with exact signed zeros and ties in |z_i|, among Gaussian ones
+PATTERN_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0]),
+                            st.floats(-3.0, 3.0))
+
+
+@st.composite
+def pattern_rows(draw):
+    """A polyhedral cone of dim 2-12 (tails past numpy's 8-term pairwise
+    sum), rows Z on it, their projections PZ and a key. A row's head is as
+    drawn, or on or one ulp off its tail's polar edge (-||t||_inf) or inside
+    edge (||t||_1); some rows carry an inf, -inf or NaN entry, and some are
+    doubled. The key is a row's pattern, b"polar" or b"inside"."""
+    kind = draw(st.sampled_from(POLYHEDRAL))
+    d = draw(st.integers(2, 12))
+    Z = np.array(draw(st.lists(st.lists(PATTERN_ENTRIES, min_size=d, max_size=d),
+                               min_size=1, max_size=12)))
+    for z in Z:
+        edge = draw(st.sampled_from([None, -np.abs(z[1:]).max(), np.abs(z[1:]).sum()]))
+        if edge is not None:
+            z[0] = np.nextafter(edge, draw(st.sampled_from([-np.inf, edge, np.inf])))
+        if draw(st.integers(0, 4)) == 0:
+            z[draw(st.integers(0, d - 1))] = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    # doubled rows, on the pattern of the row they double
+    Z = np.vstack([Z, 2.0 * Z[: draw(st.integers(0, len(Z)))]])
+    cone = ConeSpec(kind=kind, dim=d)
+    with np.errstate(invalid="ignore"):
+        PZ = np.array([project_cone(cone, z) for z in Z])
+    i = draw(st.integers(0, len(Z) - 1))
+    keys = [projection_pattern(cone, Z[i], PZ[i])]
+    if kind == L1_NORM:
+        keys += [b"polar", b"inside"]
+    return cone, draw(st.sampled_from(keys)), Z, PZ
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(pattern_rows())
+def test_on_pattern_is_the_key_test_row_by_row(case):
+    cone, key, Z, PZ = case
+    want = [projection_pattern(cone, z, pz) == key for z, pz in zip(Z, PZ)]
+    got = on_pattern(cone, key, Z, PZ)
+    assert got.dtype == bool and got.tolist() == want
+    # the list of rows a run of structured steps hands over reads the same
+    assert on_pattern(cone, key, list(Z), list(PZ)).tolist() == want
 
 
 @st.composite

@@ -13,6 +13,8 @@ from jointmm.prox import (
     cone_from_json,
     cone_to_json,
     inside_pattern,
+    _project_linf_cone,
+    _soc_jacobian,
     project_cone,
     project_l1cone,
     project_polar,
@@ -37,6 +39,10 @@ from oracles import (
     gradient_mapping,
     grid_prox_1d,
     in_cone,
+    reference_project_l1cone,
+    reference_project_linf_cone,
+    reference_project_soc,
+    reference_soc_jacobian,
     slsqp_cone_projection,
 )
 
@@ -155,6 +161,48 @@ def test_project_l1cone_near_tie_in_the_polar():
     got = project_l1cone(z)
     assert np.abs(got).max() <= 1e-15
     assert np.abs(got[1:]).sum() <= got[0]
+
+
+def kernel_points():
+    """A seeded family for the cone kernels, dims 2-9: Gaussian points at
+    three scales; tails with ties in |z_i| and signed zeros under heads of
+    +-0, far below the tail (so the infinity-norm search ends at t0 = 0),
+    far above it, and on and one ulp off the polar and inside edges of the
+    1-norm and second-order cones; the apex with both zero signs; and points
+    with an inf, -inf or NaN entry."""
+    rng = np.random.default_rng(25)
+    points = []
+    for d in range(2, 10):
+        points += [s * rng.standard_normal(d) for s in (1e-3, 1.0, 1e3) for _ in range(20)]
+        for _ in range(4):
+            tail = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0], d - 1)
+            edges = [np.abs(tail).sum(), -np.abs(tail).max(), np.linalg.norm(tail),
+                     -np.linalg.norm(tail)]
+            heads = [0.0, -0.0, -1e3, 1e3] + [h for e in edges for h in (
+                e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf))]
+            points += [np.concatenate(([h], tail)) for h in heads]
+        points += [np.zeros(d), np.full(d, -0.0)]
+        for bad in (np.inf, -np.inf, np.nan):
+            for i in range(d):
+                z = rng.standard_normal(d)
+                z[i] = bad
+                points.append(z)
+    return points
+
+
+@pytest.mark.parametrize("kernel, reference", [
+    (project_soc, reference_project_soc),
+    (project_l1cone, reference_project_l1cone),
+    (_project_linf_cone, reference_project_linf_cone),
+    (_soc_jacobian, reference_soc_jacobian),
+])
+def test_cone_kernels_keep_their_bits(kernel, reference):
+    with np.errstate(invalid="ignore", over="ignore"):
+        for z in kernel_points():
+            # a strided copy too: the norms read the tail as a contiguous copy
+            strided = np.repeat(z, 2)[::2]
+            for v in (z, strided):
+                assert kernel(v).tobytes() == reference(v).tobytes(), z
 
 
 def test_project_polar_orthant():
