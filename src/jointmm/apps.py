@@ -210,16 +210,15 @@ class LinRegInstance:
 class GaveConfig:
     """Settings for the split absolute-value-equation loop.
 
-    alpha_z defaults to alpha_y and penalty is the augmented-coupling
-    weight (0 gives the plain alternating loop). eps is the equation-error
-    stopping threshold.
+    alpha_x steps x+ and lambda, alpha_y the free block y and the slack z.
+    penalty is the augmented-coupling weight (0 gives the plain alternating
+    loop). eps is the equation-error stopping threshold.
     """
 
     alpha_x: float
     alpha_y: float
     inner_steps: int
     outer_cap: int
-    alpha_z: Optional[float] = None
     penalty: float = 1.0
     eps: float = 0.0
     x0: Optional[np.ndarray] = None
@@ -229,11 +228,9 @@ class GaveConfig:
     record_trace: bool = True
 
     def __post_init__(self):
-        if self.alpha_z is None:
-            self.alpha_z = self.alpha_y
         check_settings(
             vars(self),
-            steps=("alpha_x", "alpha_y", "alpha_z"),
+            steps=("alpha_x", "alpha_y"),
             counts=("inner_steps", "outer_cap"),
             nonnegative=("penalty", "eps"),
         )
@@ -276,7 +273,7 @@ def run_gave(G: GaveInstance, config: GaveConfig) -> GaveResult:
     AB = A + B
     BmA = B - A
     rho = config.penalty
-    ax, ay, az = config.alpha_x, config.alpha_y, config.alpha_z
+    ax, ay = config.alpha_x, config.alpha_y
 
     def certify(s):
         x, y, z, lam = s.x, s.y[:mrows], s.y[mrows:], s.lam
@@ -289,10 +286,10 @@ def run_gave(G: GaveInstance, config: GaveConfig) -> GaveResult:
         # built even without a trace: the row covers y, z and lambda for iterate
         gap = x - BmA.T @ y - z
         step_x = np.maximum(x + ax * (AB.T @ y + lam - rho * gap), 0.0)
-        step_z = np.maximum(z + az * (lam + rho * gap), 0.0)
+        step_z = np.maximum(z + ay * (lam + rho * gap), 0.0)
         res_y = np.hypot(
             np.linalg.norm(b - AB @ x + BmA @ lam + rho * (BmA @ gap)),
-            np.linalg.norm(z - step_z) / az,
+            np.linalg.norm(z - step_z) / ay,
         )
         row = (
             float(np.linalg.norm(x - step_x) / ax),
@@ -307,7 +304,7 @@ def run_gave(G: GaveInstance, config: GaveConfig) -> GaveResult:
         for _ in range(config.inner_steps):
             gap = x - BmA.T @ y - z
             y = y + ay * (b - AB @ x + BmA @ lam + rho * (BmA @ gap))
-            z = np.maximum(z + az * (lam + rho * gap), 0.0)
+            z = np.maximum(z + ay * (lam + rho * gap), 0.0)
         gap = x - BmA.T @ y - z
         x_new = np.maximum(x + ax * (AB.T @ y + lam - rho * gap), 0.0)
         lam = lam + ax * (x_new - BmA.T @ y - z)
@@ -462,8 +459,8 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
     tests are made at every step; the pattern is tested once per chunk of
     GLPE_PATTERN_CHUNK steps (prox.on_pattern), and the run is cut after
     the first iterate that left it: the steps after that one were taken on
-    the old pattern and are thrown away. Its cert of an iterate is
-    certify's.
+    the old pattern and are thrown away. Its cert of an iterate is the
+    projection, residual and error the run computed, with certify's bits.
 
     Trace row t: res_feas and app_error are the equation error at iterate
     t; res_x is the norm of the correction that produced iterate t and
@@ -471,9 +468,9 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
     J x_t - b: a block row's res_y equals its res_feas. A run of structured
     steps forms both for all its rows at once, from the residuals it kept:
     w = W r and r - J w as stacked products, with the bits of one step at a
-    time. Both are 0 in row 0, and in structured rows without a trace. The
-    loop state is the iterate x; a DivergenceError carries the last finite
-    one.
+    time. Both are 0 in row 0. Without a trace res_x is 0 in every row, and
+    res_y in structured rows. The loop state is the iterate x; a
+    DivergenceError carries the last finite one.
     """
     if config is None:
         config = GlpeConfig()
@@ -499,16 +496,12 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
         J = A + B @ projection_jacobian(cone, x)
         return J, richardson_operator(J, alpha, config.inner_steps)
 
-    def residual(x):
+    def certify(x):
         # the cert of x: P_K(x), the equation residual and its norm
         xk = project(x)
         r = A @ x + B @ xk - b
-        return xk, r, norm2(r)
-
-    def certify(x):
-        cert = residual(x)
-        err = cert[2]
-        return err <= config.eps, (0.0, 0.0, err, err), cert
+        err = norm2(r)
+        return err <= config.eps, (0.0, 0.0, err, err), (xk, r, err)
 
     def dots(V):
         # v . v of each row v, with the bits of norm2's v @ v
@@ -557,9 +550,8 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
                 tested = len(X)
         patterns += len(Js)
         m = len(X)
-        E = np.array(E[:m])
         rows = np.zeros((m, 4))
-        rows[:, 2] = rows[:, 3] = E
+        rows[:, 2] = rows[:, 3] = E[:m]
         if config.record_trace:
             # each step's w = W r and r - J w again, as stacked products
             Rm = stack_rows(R[:m], n)[:, :, None]
@@ -567,7 +559,7 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
             Wr = Wm @ Rm
             rows[:, 0] = np.sqrt(dots(Wr[:, :, 0]))
             rows[:, 1] = np.sqrt(dots((Rm - Jm @ Wr)[:, :, 0]))
-        return Block(rows, E <= eps, lambda i: (X[i], residual(X[i])))
+        return Block(rows, rows[:, 2] <= eps, lambda i: (X[i], (XK[i], R[i + 1], E[i])))
 
     def row_norms(V):
         return np.sqrt(np.einsum("ij,ij->i", V, V))
@@ -582,8 +574,10 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
         p = k if ok.all() else int(ok.argmin())
         if p == 0:
             return structured(x, r, t)
-        e = err[:p]
-        rows = np.column_stack([row_norms(np.diff(Z[: p + 1], axis=0)), e, e, e])
+        rows = np.zeros((p, 4))
+        rows[:, 1:] = err[:p, None]
+        if config.record_trace:
+            rows[:, 0] = row_norms(np.diff(Z[: p + 1], axis=0))
         # no row is done: each error is above floor >= eps
         return Block(rows, np.zeros(p, dtype=bool), lambda i: (
             Z[i + 1].copy(), (project_cone(cone, Z[i + 1]), R[i], float(err[i]))))
@@ -827,8 +821,8 @@ def builtin_glpe(cone_kind=NONNEG_ORTHANT) -> GlpeInstance:
     return GlpeInstance(A=A, B=B, b=b, cone=ConeSpec(kind=cone_kind, dim=5))
 
 
-# named gave instances: builder and stock settings (alpha_x = alpha_y =
-# alpha_z, inner_steps, outer_cap, penalty, eps, start point)
+# named gave instances: the function that builds each, and its stock settings
+# (alpha_x = alpha_y, inner_steps, outer_cap, penalty, eps, start point)
 GAVE_BUILTINS = {
     "gave-a": (_gave_a, (0.05, 5, 200, 1.5, 1e-3, GAVE_SMALL_START)),
     "gave-b": (_gave_b, (0.01, 40, 100, 1.0, 2.5e-2, GAVE_SMALL_START)),
@@ -855,7 +849,6 @@ def builtin_gave_config(name: str) -> GaveConfig:
     return GaveConfig(
         alpha_x=alpha,
         alpha_y=alpha,
-        alpha_z=alpha,
         inner_steps=inner_steps,
         outer_cap=outer_cap,
         penalty=penalty,

@@ -62,7 +62,6 @@ STOCK = {
 SPEC_FIELDS = {
     "alpha_x": "alpha_x",
     "alpha_y": "alpha_y",
-    "alpha_z": "alpha_z",
     "penalty": "penalty",
     "inner_n": "inner_steps",
     "outer_t": "outer_cap",
@@ -349,7 +348,6 @@ def build_parser():
         p.add_argument("--eps", type=float)
         p.add_argument("--alpha-x", dest="alpha_x", type=float)
         p.add_argument("--alpha-y", dest="alpha_y", type=float)
-        p.add_argument("--alpha-z", dest="alpha_z", type=float)
         p.add_argument("--inner-n", dest="inner_n", type=int)
         p.add_argument("--outer-t", dest="outer_t", type=int)
         p.add_argument("--seed", type=int)

@@ -201,22 +201,6 @@ def _soc_jacobian(z):
     return D
 
 
-def _l1_piece(z, pz=None):
-    """The piece of the 1-norm cone projection that z lies on: b"polar"
-    (P_K(z) = 0, tested first, so the apex is polar), b"inside" (P_K(z) = z),
-    or on the boundary the signs s of the tail of pz = P_K(z), which are 0
-    exactly off the active set and the signs of z on it. pz is computed when
-    not given."""
-    mags = np.abs(z[1:])
-    if mags.max() <= -z[0]:
-        return b"polar"
-    if mags.sum() <= z[0]:
-        return b"inside"
-    if pz is None:
-        pz = project_l1cone(z)
-    return np.sign(pz[1:])
-
-
 def projection_jacobian(cone: ConeSpec, z):
     """Derivative of the cone/box projection at z (a subgradient choice on
     the measure-zero piece boundaries). Projections here are piecewise
@@ -239,63 +223,70 @@ def projection_jacobian(cone: ConeSpec, z):
     if cone.kind == SECOND_ORDER:
         return _soc_jacobian(z)
     if cone.kind == L1_NORM:
-        piece = _l1_piece(z)
-        if isinstance(piece, bytes):
-            return np.eye(cone.dim) if piece == b"inside" else np.zeros((cone.dim, cone.dim))
+        row = pattern_rows(cone, z[None])[0]
+        if row[0] != 0:
+            return np.eye(cone.dim) if row[0] > 0 else np.zeros((cone.dim, cone.dim))
         # boundary: P(z) = z + t (1, -s), t = (sum_active |z_i| - z0) / (1 + k)
         # over the k active entries; with r = (1, -s), D is I - r r^T / (1 + k)
         # on the head and the active entries, and 0 on the inactive ones
-        r = np.concatenate(([1.0], -piece))
-        D = np.eye(cone.dim) - np.outer(r, r / (1.0 + np.count_nonzero(piece)))
-        inactive = np.flatnonzero(piece == 0) + 1
+        s = row[1:]
+        r = np.concatenate(([1.0], -s))
+        D = np.eye(cone.dim) - np.outer(r, r / (1.0 + np.count_nonzero(s)))
+        inactive = np.flatnonzero(s == 0) + 1
         D[inactive, inactive] = 0.0
         return D
     raise ConfigurationError(f"unknown cone kind {cone.kind!r}")
 
 
-def projection_pattern(cone: ConeSpec, z, pz=None):
-    """Key of the active pattern of z, on which projection_jacobian is constant.
+def pattern_rows(cone: ConeSpec, Z, PZ=None):
+    """The active pattern of each row z of Z, as a row whose bytes are the
+    key projection_pattern gives z. projection_jacobian is constant on a
+    pattern: equal keys of one cone mean equal Jacobian bytes.
 
-    Equal keys of one cone mean equal projection_jacobian(cone, z) bytes, so
-    a caller may reuse whatever it built from the Jacobian while the key
-    stays put. Orthant: the mask z > 0. 1-norm cone: the piece of z
-    (_l1_piece), on the boundary b"boundary" and the tail signs of
-    pz = P_K(z); pz is computed when not given. The key costs less than the
-    Jacobian it stands for. None for the other kinds: the second-order
-    cone's Jacobian varies within its boundary piece, and the remaining
-    kinds have no key yet.
+    Orthant: the mask z > 0. 1-norm cone: a float64 row whose head is -1 on
+    the polar piece (P_K(z) = 0, tested first, so the apex is polar), 1
+    inside (P_K(z) = z) and 0 on the boundary. On the boundary the tail is
+    the signs of the tail of pz = P_K(z), its row of PZ (computed when not
+    given): 0 exactly off the active set and the signs of z on it; off the
+    boundary the tail is 0 and PZ is not read. The tests have no margin
+    (compare inside_pattern). Other kinds raise ConfigurationError.
     """
+    Z = np.asarray(Z)
     if cone.kind == NONNEG_ORTHANT:
-        return (z > 0).tobytes()
-    if cone.kind == L1_NORM:
-        piece = _l1_piece(z, pz)
-        return piece if isinstance(piece, bytes) else b"boundary" + piece.tobytes()
+        return Z > 0
+    if cone.kind != L1_NORM:
+        raise ConfigurationError(f"{cone.kind} cone has no pattern")
+    head, mags = Z[:, 0], np.abs(Z[:, 1:])
+    polar = mags.max(axis=1) <= -head
+    inside = ~polar & (mags.sum(axis=1) <= head)
+    rows = np.zeros(Z.shape)
+    rows[:, 0] = np.where(polar, -1.0, inside)
+    edge = ~polar & ~inside
+    if edge.any():
+        PZ = np.array([project_l1cone(z) for z in Z[edge]]) if PZ is None else np.asarray(PZ)[edge]
+        rows[edge, 1:] = np.sign(PZ[:, 1:])
+    return rows
+
+
+def projection_pattern(cone: ConeSpec, z, pz=None):
+    """Key of the active pattern of z: the bytes of its pattern_rows row,
+    with pz = P_K(z) read on the 1-norm boundary only, and computed there
+    when not given. The key costs less than the Jacobian it stands for.
+    None for the other kinds: the second-order cone's Jacobian varies
+    within its boundary piece, and the remaining kinds have no key yet.
+    """
+    if cone.kind in (NONNEG_ORTHANT, L1_NORM):
+        return pattern_rows(cone, z[None], None if pz is None else pz[None]).tobytes()
     return None
 
 
 def on_pattern(cone: ConeSpec, key, Z, PZ):
     """For each row z of Z, with pz its row of PZ = P_K(Z), whether
-    projection_pattern(cone, z, pz) == key, with no margin (compare
-    inside_pattern). Orthant: the sign mask. 1-norm cone: the polar and
-    inside tests of _l1_piece, then on the boundary the bytes of the tail
-    signs of pz; PZ is read only there.
+    projection_pattern(cone, z, pz) == key: the bytes of its pattern_rows
+    row against the key, with no margin (compare inside_pattern).
     """
-    Z = np.asarray(Z)
-    if cone.kind == NONNEG_ORTHANT:
-        return ((Z > 0) == np.frombuffer(key, dtype=bool)).all(axis=1)
-    if cone.kind != L1_NORM:
-        raise ConfigurationError(f"{cone.kind} cone has no pattern")
-    head, mags = Z[:, 0], np.abs(Z[:, 1:])
-    polar = mags.max(axis=1) <= -head
-    if key == b"polar":
-        return polar
-    inside = ~polar & (mags.sum(axis=1) <= head)
-    if key == b"inside":
-        return inside
-    # the signs as int64 words, so that the test is the keys' byte equality
-    s = np.frombuffer(key, dtype=np.int64, offset=len(b"boundary"))
-    signs = np.sign(np.asarray(PZ)[:, 1:]).view(np.int64)
-    return ~polar & ~inside & (signs == s).all(axis=1)
+    rows = pattern_rows(cone, Z, PZ)
+    return (rows.view(np.uint8) == np.frombuffer(key, dtype=np.uint8)).all(axis=1)
 
 
 # inside_pattern's margin, relative to ||z||_1: far above the rounding of the
@@ -310,11 +301,11 @@ def inside_pattern(cone: ConeSpec, key, Z):
     projection cannot move z off it. A false entry decides nothing, and a
     row with a nonfinite entry is never inside.
 
-    Orthant: the signs of the mask. 1-norm cone: b"polar" and b"inside" by
-    their own tests; a boundary piece with tail signs s (0 off the active
-    set) is the polyhedron {z : C z >= 0} of the shift t0(z) =
-    (s . z_tail - z0) / (1 + k) over the k active entries: t0 > 0,
-    s_i z_i > t0 on the active set and |z_i| < t0 off it.
+    Orthant: the signs of the mask. 1-norm cone: the polar and inside
+    pieces (key head -1 and 1) by their own tests; a boundary piece with
+    tail signs s (0 off the active set) is the polyhedron {z : C z >= 0} of
+    the shift t0(z) = (s . z_tail - z0) / (1 + k) over the k active entries:
+    t0 > 0, s_i z_i > t0 on the active set and |z_i| < t0 off it.
     """
     m = PATTERN_MARGIN * np.abs(Z).sum(axis=1)
     if cone.kind == NONNEG_ORTHANT:
@@ -323,11 +314,12 @@ def inside_pattern(cone: ConeSpec, key, Z):
     if cone.kind != L1_NORM:
         raise ConfigurationError(f"{cone.kind} cone has no pattern")
     head, mags = Z[:, 0], np.abs(Z[:, 1:])
-    if key == b"polar":
+    row = np.frombuffer(key)
+    if row[0] < 0:
         return mags.max(axis=1) < -head - m
-    if key == b"inside":
+    if row[0] > 0:
         return mags.sum(axis=1) < head - m
-    s = np.frombuffer(key, offset=len(b"boundary"))
+    s = row[1:]
     on = s != 0
     t0 = np.concatenate(([-1.0], s)) / (1.0 + np.count_nonzero(on))
     tail = np.eye(cone.dim)[1:]

@@ -360,6 +360,8 @@ def iterate(state, step, certify, outer_cap, record_trace) -> LoopResult:
                 state, cert = out.at(k - 1)
                 t += k
                 done = bool(out.done[k - 1])
+                # the block's arrays go before the next step builds its own
+                out = None
             else:
                 last, state = state, out
                 t += 1

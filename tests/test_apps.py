@@ -297,6 +297,28 @@ def test_glpe_run_cut_where_the_pattern_changes(record_trace):
     assert np.array_equal(got.trace.columns[1:], want.trace.columns[1:])
 
 
+@pytest.mark.parametrize("cone_kind, x_star, calls", [
+    (NONNEG_ORTHANT, [1.0, 0.0, 2.0, -1.0, 0.5], 1092), (L1_NORM, [0.0, 1.0, 2.0, 0.5, -1.0], 106)])
+def test_glpe_runs_on_a_degenerate_solution_stay_long(monkeypatch, cone_kind, x_star, calls):
+    # x* lies on the edge of its piece (a zero entry; a zero head on the
+    # 1-norm boundary), so iterates near it are never inside their pattern's
+    # piece by prox.inside_pattern's margin. Runs of structured steps cut by
+    # that test gave the same bits in 5,336 and 1,059 step calls, about 40
+    # times the time; on_pattern's exact test takes 1,092 and 106 (71,400 and
+    # 6,642 steps)
+    import jointmm.apps
+
+    steps, loop = [], jointmm.apps.iterate
+    monkeypatch.setattr(jointmm.apps, "iterate", lambda x0, step, *rest: loop(
+        x0, lambda *a: steps.append(1) or step(*a), *rest))
+    G = builtin_glpe(cone_kind)
+    x_star = np.array(x_star)
+    b = G.A @ x_star + G.B @ project_cone(G.cone, x_star)
+    r = run_glpe(GlpeInstance(A=G.A, B=G.B, b=b, cone=G.cone),
+                 GlpeConfig(eps=1e-10, record_trace=False))
+    assert r.converged and len(steps) < 1.5 * calls
+
+
 @pytest.mark.parametrize("cone_kind", list(GLPE_PINS))
 def test_glpe_trace_csv_bytes_are_the_records_csv_bytes(stock_glpe, tmp_path, cone_kind):
     assert_trace_csv_is_the_records_csv(stock_glpe[cone_kind].trace, tmp_path)
@@ -494,7 +516,7 @@ def _assert_finite_state(state):
 
 def _diverging_gave_config(record_trace):
     cfg = builtin_gave_config("gave-a")
-    return GaveConfig(alpha_x=50.0, alpha_y=50.0, alpha_z=50.0, inner_steps=cfg.inner_steps,
+    return GaveConfig(alpha_x=50.0, alpha_y=50.0, inner_steps=cfg.inner_steps,
                       outer_cap=cfg.outer_cap, penalty=cfg.penalty, eps=cfg.eps,
                       record_trace=record_trace)
 

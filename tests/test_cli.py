@@ -619,9 +619,11 @@ def test_help_still_exits_ok(capsys):
          "budget runs do not read 'out'"),
         (["gave"], {"kind": "glpe"}, "gave runs do not read 'kind'"),
         (["glpe", "--eps", "1e-3"], {"name": "g"}, "glpe runs do not read 'name'"),
+        # z steps at alpha_y: there is no alpha_z setting
+        (["gave"], {"alpha_z": 0.05}, "gave runs do not read 'alpha_z'"),
     ],
     ids=["glpe-penalty", "gave-glpe-keys", "linreg-field-name", "glpe-redirect", "gave-redirect",
-         "budget-keys", "bench-keys", "budget-out", "gave-kind", "glpe-name"],
+         "budget-keys", "bench-keys", "budget-out", "gave-kind", "glpe-name", "gave-alpha-z"],
 )
 def test_settings_the_run_kind_does_not_read_exit_error(tmp_path, capsys, argv, manifest, named):
     if manifest is not None:

@@ -23,6 +23,7 @@ from jointmm.prox import (
     SmoothOracle,
     inside_pattern,
     on_pattern,
+    pattern_rows,
     project_cone,
     project_polar,
     projection_jacobian,
@@ -44,6 +45,8 @@ from oracles import (
     glpe_sweep_step,
     linreg_structured,
     pgmsad_structured,
+    reference_l1_jacobian,
+    reference_projection_pattern,
 )
 
 # cond([A B]) <= 100, so cond(A A^T + B B^T) <= 1e4; measured errors stay below 1e-12
@@ -405,12 +408,13 @@ PATTERN_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.
 
 
 @st.composite
-def pattern_rows(draw):
+def pattern_cases(draw):
     """A polyhedral cone of dim 2-12 (tails past numpy's 8-term pairwise
     sum), rows Z on it, their projections PZ and a key. A row's head is as
     drawn, or on or one ulp off its tail's polar edge (-||t||_inf) or inside
     edge (||t||_1); some rows carry an inf, -inf or NaN entry, and some are
-    doubled. The key is a row's pattern, b"polar" or b"inside"."""
+    doubled. The key is a row's pattern, or the 1-norm cone's polar key
+    (of the apex) or inside key (of the unit head)."""
     kind = draw(st.sampled_from(POLYHEDRAL))
     d = draw(st.integers(2, 12))
     Z = np.array(draw(st.lists(st.lists(PATTERN_ENTRIES, min_size=d, max_size=d),
@@ -429,12 +433,12 @@ def pattern_rows(draw):
     i = draw(st.integers(0, len(Z) - 1))
     keys = [projection_pattern(cone, Z[i], PZ[i])]
     if kind == L1_NORM:
-        keys += [b"polar", b"inside"]
+        keys += [projection_pattern(cone, np.zeros(d)), projection_pattern(cone, np.eye(d)[0])]
     return cone, draw(st.sampled_from(keys)), Z, PZ
 
 
 @settings(derandomize=True, max_examples=500, deadline=None)
-@given(pattern_rows())
+@given(pattern_cases())
 def test_on_pattern_is_the_key_test_row_by_row(case):
     cone, key, Z, PZ = case
     want = [projection_pattern(cone, z, pz) == key for z, pz in zip(Z, PZ)]
@@ -442,6 +446,25 @@ def test_on_pattern_is_the_key_test_row_by_row(case):
     assert got.dtype == bool and got.tolist() == want
     # the list of rows a run of structured steps hands over reads the same
     assert on_pattern(cone, key, list(Z), list(PZ)).tolist() == want
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(pattern_cases())
+def test_pattern_keys_and_jacobians_are_the_references(case):
+    # the keys pair rows as equal or unequal exactly as the reference keys
+    # do, with pz given or computed; the 1-norm Jacobian keeps its bytes
+    cone, _, Z, PZ = case
+    with np.errstate(invalid="ignore", over="ignore"):
+        for given in (PZ, None):
+            pzs = [None] * len(Z) if given is None else given
+            old = [reference_projection_pattern(cone, z, pz) for z, pz in zip(Z, pzs)]
+            new = [projection_pattern(cone, z, pz) for z, pz in zip(Z, pzs)]
+            assert [[a == b for b in old] for a in old] == [[a == b for b in new] for a in new]
+            # a key is the bytes of its row of pattern_rows
+            assert [row.tobytes() for row in pattern_rows(cone, Z, given)] == new
+        if cone.kind == L1_NORM:
+            for z in Z:
+                assert projection_jacobian(cone, z).tobytes() == reference_l1_jacobian(z).tobytes()
 
 
 @st.composite

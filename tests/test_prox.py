@@ -363,7 +363,8 @@ def test_l1_pattern_branches(z, branch):
     d = z.shape[0]
     cone = ConeSpec(kind=L1_NORM, dim=d)
     key = projection_pattern(cone, z)
-    assert key.startswith(branch.encode())
+    # the key's head: -1 polar, 1 inside, 0 on the boundary
+    assert np.frombuffer(key)[0] == {"polar": -1.0, "inside": 1.0, "boundary": 0.0}[branch]
     assert key == projection_pattern(cone, z, project_cone(cone, z))
     D = projection_jacobian(cone, z)
     if branch == "inside":
