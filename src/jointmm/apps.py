@@ -133,18 +133,6 @@ GLPE_BLOCK_SWITCH = 1e-8
 # and the iterates filled past that point are thrown away.
 GLPE_BLOCK_MIN = 8
 
-# The steps a run of run_glpe's structured steps takes between tests of its
-# pattern (prox.on_pattern over the chunk's rows): a longer chunk spreads
-# the test over more steps, and throws more away when the pattern changes.
-# Untraced stock glpe-paper runs at eps 1e-13 by chunk length, CPU time
-# over that at 256 (median of 15 interleaved rounds, 1 OpenBLAS thread,
-# 2-vCPU Xeon VM; the orthant run at 256 took 0.27 s, the 1-norm 0.076 s):
-#     chunk       8      32     64     128    256    512    1024
-#     orthant     1.108  1.003  1.035  1.015  1.000  1.007  1.045
-#     1-norm      1.076  0.995  0.983  1.000  1.000  1.012  0.983
-# Two earlier scans put 64 at 1.03 and 1.05 of 256 on the orthant.
-GLPE_PATTERN_CHUNK = 256
-
 
 @dataclass
 class _EquationData:
@@ -373,7 +361,8 @@ class GlpeResult:
     """Outcome of a projection-equation run; x = x_cone + polar part exactly.
 
     rate is the spectral radius of I - W J, the Jacobian of the outer step
-    at the returned x: the asymptotic error ratio per outer iteration.
+    at the returned x: the asymptotic error ratio per outer iteration (inf
+    where I - W J overflows).
     patterns counts the linearizations built: one per active pattern met
     for the polyhedral cones, one per step for the second-order cone.
     """
@@ -456,11 +445,13 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
     step. A run ends at the first iterate that is done or nonfinite, leaves
     the pattern, or from which a block would be taken, and holds at most
     solver.TRACE_STAGE_ROWS iterates and none past outer_cap. The error
-    tests are made at every step; the pattern is tested once per chunk of
-    GLPE_PATTERN_CHUNK steps (prox.on_pattern), and the run is cut after
-    the first iterate that left it: the steps after that one were taken on
-    the old pattern and are thrown away. Its cert of an iterate is the
-    projection, residual and error the run computed, with certify's bits.
+    tests are made at every step; the pattern is tested once, over all the
+    run's rows when its loop ends (prox.on_pattern, with no margin: near a
+    solution on the edge of its piece, inside_pattern would cut each run
+    after one step), and the run is cut after the first iterate that left
+    it: the steps after that one were taken on the old pattern and are
+    thrown away. Its cert of an iterate is the projection, residual and
+    error the run computed, with certify's bits.
 
     Trace row t: res_feas and app_error are the equation error at iterate
     t; res_x is the norm of the correction that produced iterate t and
@@ -520,34 +511,28 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
         X, XK, E, R, Js, Ws = [], [], [], [r], [], []
         cap = min(config.outer_cap - t, TRACE_STAGE_ROWS)
         Wx = None if key is None else matvec(W)
-        tested, going = 0, True
-        while going and len(X) < cap:
-            # a chunk of steps; on a pattern its rows are tested at the end,
-            # and the run is cut after the first that left the pattern
-            for _ in range(min(GLPE_PATTERN_CHUNK, cap - len(X))):
-                if key is None:
-                    J, W = linearize(x)
-                    Js.append(J)
-                    Ws.append(W)
-                    Wx = matvec(W)
-                w = Wx(r)
-                x = x - w
-                xk = project(x)
-                r = Ax(x) + Bx(xk) - b
-                err = math.sqrt(r.dot(r))
-                X.append(x)
-                XK.append(xk)
-                E.append(err)
-                R.append(r)
-                if not eps < err <= hi:
-                    going = False
-                    break
-            if key is not None:
-                on = on_pattern(cone, key, stack_rows(X[tested:], n), XK[tested:])
-                if not on.all():
-                    del X[tested + int(on.argmin()) + 1 :]
-                    break
-                tested = len(X)
+        for _ in range(cap):
+            if key is None:
+                J, W = linearize(x)
+                Js.append(J)
+                Ws.append(W)
+                Wx = matvec(W)
+            w = Wx(r)
+            x = x - w
+            xk = project(x)
+            r = Ax(x) + Bx(xk) - b
+            err = math.sqrt(r.dot(r))
+            X.append(x)
+            XK.append(xk)
+            E.append(err)
+            R.append(r)
+            if not eps < err <= hi:
+                break
+        if key is not None:
+            # the run is cut after the first row that left the pattern
+            on = on_pattern(cone, key, stack_rows(X, n), XK)
+            if not on.all():
+                del X[int(on.argmin()) + 1 :]
         patterns += len(Js)
         m = len(X)
         rows = np.zeros((m, 4))
@@ -601,8 +586,13 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
     x0 = start_vector(config.x0, n, "x0", lambda: np.zeros(n))
     run = iterate(x0, step, certify, config.outer_cap, config.record_trace)
     xk, _, err = run.cert
-    J, W = linearize(run.state)
-    step_jacobian = np.eye(n) - W @ J
+    # the rate at x; a run capped at a huge step can leave I - W J nonfinite
+    with np.errstate(over="ignore", invalid="ignore"):
+        J, W = linearize(run.state)
+        step_jacobian = np.eye(n) - W @ J
+        rate = math.inf
+        if np.isfinite(step_jacobian).all():
+            rate = float(np.abs(np.linalg.eigvals(step_jacobian)).max())
     return GlpeResult(
         x=run.state,
         x_cone=xk,
@@ -610,7 +600,7 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
         trace=run.trace,
         iterations=run.t,
         converged=run.converged,
-        rate=float(np.abs(np.linalg.eigvals(step_jacobian)).max()),
+        rate=rate,
         patterns=patterns,
     )
 

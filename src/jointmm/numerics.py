@@ -167,7 +167,8 @@ def ascent_coefficients(d, n_steps, alpha):
     dv = np.atleast_1d(np.asarray(d, dtype=np.float64))
     ad = alpha * dv
     stable = ad < 1.0
-    p = np.power(1.0 - ad, n_steps)
+    with np.errstate(over="ignore"):
+        p = np.power(1.0 - ad, n_steps)
     gain = np.where(stable, -np.expm1(n_steps * np.log1p(-np.where(stable, ad, 0.0))), 1.0 - p)
     w = np.divide(gain, dv, out=np.full_like(dv, n_steps * alpha), where=ad > 0)
     if np.ndim(d) == 0:

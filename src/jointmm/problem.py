@@ -351,25 +351,29 @@ def compute_budget_constants(
 
     mu = P.mu
     Lg = C.L_g
-    shrink = 1.0 - alpha_x * C.L_theta
-    chi0 = 1.0 / (alpha_x * shrink)
-    chi1 = (C.norm_K**2 + C.norm_B**2) / shrink**2
-
     S_inv = P.gram_inverse()
     norm_At_Sinv = operator_norm(P.A.T @ S_inv)
     norm_Bt_Sinv = operator_norm(P.B.T @ S_inv)
-    omega_y = (Lg + 2.0 / alpha_y) * norm_At_Sinv + C.norm_K * norm_Bt_Sinv
-    omega_x = (Lg + 2.0 / alpha_x) * norm_At_Sinv + C.norm_K * norm_Bt_Sinv
+    try:
+        shrink = 1.0 - alpha_x * C.L_theta
+        chi0 = 1.0 / (alpha_x * shrink)
+        chi1 = (C.norm_K**2 + C.norm_B**2) / shrink**2
+        omega_y = (Lg + 2.0 / alpha_y) * norm_At_Sinv + C.norm_K * norm_Bt_Sinv
+        omega_x = (Lg + 2.0 / alpha_x) * norm_At_Sinv + C.norm_K * norm_Bt_Sinv
 
-    ratio = mu**2 / C.norm_B**2
-    gamma1 = max(
-        6.0 * (9.0 / alpha_y**2 + 2.0 * ratio * chi1 + 4.0 * chi1 * omega_y**2),
-        8.0 * chi1 * ((1.0 + alpha_x * Lg) ** 2 + 3.0 * omega_x**2),
-    )
-    gamma2 = max(
-        12.0 * chi0 * (ratio + 2.0 * omega_y**2),
-        8.0 * chi0 * ((1.0 + alpha_x * Lg) ** 2 + 3.0 * omega_x**2),
-    )
+        ratio = mu**2 / C.norm_B**2
+        gamma1 = max(
+            6.0 * (9.0 / alpha_y**2 + 2.0 * ratio * chi1 + 4.0 * chi1 * omega_y**2),
+            8.0 * chi1 * ((1.0 + alpha_x * Lg) ** 2 + 3.0 * omega_x**2),
+        )
+        gamma2 = max(
+            12.0 * chi0 * (ratio + 2.0 * omega_y**2),
+            8.0 * chi0 * ((1.0 + alpha_x * Lg) ** 2 + 3.0 * omega_x**2),
+        )
+    except (OverflowError, ZeroDivisionError) as exc:
+        msg = (f"compute_budget_constants: the budget constants overflow a float "
+               f"(alpha_x {alpha_x!r}, alpha_y {alpha_y!r})")
+        raise ConfigurationError(msg) from exc
     return BudgetConstants(
         chi0=chi0,
         chi1=chi1,

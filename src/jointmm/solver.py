@@ -704,8 +704,8 @@ def plan_budget(
             numer = math.log(4.0 * B.gamma1 * B.omega1 / mu) + 2.0 * math.log(1.0 / eps)
         N = max(1, math.ceil(numer / rate))
         T = max(1, math.ceil(2.0 * B.gamma2 * B.theta_gap / eps**2))
-    except (OverflowError, ZeroDivisionError) as exc:
-        msg = f"plan_budget: the budget overflows a float (eps {eps!r})"
+    except (OverflowError, ZeroDivisionError, ValueError) as exc:
+        msg = f"plan_budget: the budget overflows a float (eps {eps!r}, {bound} {values[bound]!r})"
         raise ConfigurationError(msg) from exc
     return N, T
 

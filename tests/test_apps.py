@@ -8,7 +8,6 @@ import pytest
 from jointmm.apps import (
     GLPE_BLOCK_MIN,
     GLPE_BLOCK_SWITCH,
-    GLPE_PATTERN_CHUNK,
     GaveConfig,
     GaveInstance,
     GlpeConfig,
@@ -33,7 +32,13 @@ from jointmm.prox import (
     project_cone,
     project_polar,
 )
-from jointmm.solver import SolverConfig, _block_shape, run_framework, run_pgmsad
+from jointmm.solver import (
+    TRACE_STAGE_ROWS,
+    SolverConfig,
+    _block_shape,
+    run_framework,
+    run_pgmsad,
+)
 
 from oracles import (
     CountingMatrix,
@@ -239,8 +244,8 @@ def test_glpe_structured_rows_are_the_structured_steps_bits(stock_glpe, cone_kin
 @pytest.mark.parametrize("cone_kind, cap", [(NONNEG_ORTHANT, 70_000), (L1_NORM, 6_000)])
 def test_glpe_cap_inside_a_structured_run(stock_glpe, cone_kind, cap):
     # the structured tails start at steps 65,966 (orthant) and 5,098 (1-norm),
-    # and a run of structured steps holds up to TRACE_STAGE_ROWS = 1,024 rows:
-    # both caps stop the run inside one
+    # and a run of structured steps holds up to TRACE_STAGE_ROWS = 1,024 rows
+    # and none past the cap: both caps end a run's loop before its bound
     G, stock = builtin_glpe(cone_kind), stock_glpe[cone_kind]
     got = run_glpe(G, GlpeConfig(outer_cap=cap))
     s, want = structured_tail(G, stock.trace, cap)
@@ -269,8 +274,8 @@ def edge_glpe():
     entry is 1e-9, on the edge of its pattern, and a start 2e-9 across that
     edge, at equation error 4.6e-9. Every step is structured (the error
     starts under the switch point), and the first entry turns positive at
-    iterate 781, in the fourth chunk of the first run of structured steps:
-    a start found by scanning such edges near the stock solution."""
+    iterate 781, inside the first run of structured steps: a start found by
+    scanning such edges near the stock solution."""
     G = builtin_glpe(NONNEG_ORTHANT)
     x = run_glpe(G, GlpeConfig(record_trace=False)).x
     x[0] = 1e-9
@@ -281,13 +286,12 @@ def edge_glpe():
 
 @pytest.mark.parametrize("record_trace", [True, False])
 def test_glpe_run_cut_where_the_pattern_changes(record_trace):
-    # the run goes on past iterate 781 to the end of its chunk before it
-    # tests the pattern; the steps after 781 are thrown away, and the next
-    # run goes on from 781 on the new pattern: the structured steps' bits
+    # the first run goes on past iterate 781 to its bound before it tests
+    # the pattern; the steps after 781 are thrown away, and the next run
+    # goes on from 781 on the new pattern: the structured steps' bits
     G, x0 = edge_glpe()
     first = run_glpe(G, GlpeConfig(x0=x0, outer_cap=780, record_trace=False))
-    assert first.patterns == 1 and 780 > GLPE_PATTERN_CHUNK
-    assert 780 % GLPE_PATTERN_CHUNK != 0
+    assert first.patterns == 1 and 780 < TRACE_STAGE_ROWS
     cfg = GlpeConfig(x0=x0, outer_cap=2000, record_trace=record_trace)
     got, want = run_glpe(G, cfg), glpe_structured(G, cfg)
     assert got.patterns == want.patterns == 2
@@ -295,6 +299,42 @@ def test_glpe_run_cut_where_the_pattern_changes(record_trace):
                                                           want.error)
     assert (got.x.tobytes(), got.x_cone.tobytes()) == (want.x.tobytes(), want.x_cone.tobytes())
     assert np.array_equal(got.trace.columns[1:], want.trace.columns[1:])
+
+
+def assert_same_run(got, want):
+    assert (got.iterations, got.patterns, got.error) == (want.iterations, want.patterns,
+                                                         want.error)
+    assert (got.x.tobytes(), got.x_cone.tobytes()) == (want.x.tobytes(), want.x_cone.tobytes())
+    assert np.array_equal(got.trace.columns[1:], want.trace.columns[1:])
+
+
+@pytest.mark.parametrize("cone_kind", [SECOND_ORDER, L1_NORM])
+@pytest.mark.parametrize("bound", [1, 7, 300])
+def test_glpe_bits_do_not_depend_on_the_run_bound(monkeypatch, stock_glpe, cone_kind, bound):
+    import jointmm.apps
+
+    monkeypatch.setattr(jointmm.apps, "TRACE_STAGE_ROWS", bound)
+    assert_same_run(run_glpe(builtin_glpe(cone_kind), GlpeConfig(eps=1e-13)),
+                    stock_glpe[cone_kind])
+
+
+@pytest.mark.parametrize("bound", [5, 780, 781, 782, 1024])
+def test_glpe_run_bound_before_at_or_after_the_pattern_change(monkeypatch, bound):
+    # edge_glpe leaves its pattern at iterate 781, and every step is
+    # structured: each step call is one run, which tests its pattern once
+    import jointmm.apps
+
+    G, x0 = edge_glpe()
+    cfg = GlpeConfig(x0=x0, outer_cap=2000)
+    want = glpe_structured(G, cfg)
+    steps, tests = [], []
+    loop, test = jointmm.apps.iterate, jointmm.apps.on_pattern
+    monkeypatch.setattr(jointmm.apps, "iterate", lambda x0, step, *rest: loop(
+        x0, lambda *a: steps.append(1) or step(*a), *rest))
+    monkeypatch.setattr(jointmm.apps, "on_pattern", lambda *a: tests.append(1) or test(*a))
+    monkeypatch.setattr(jointmm.apps, "TRACE_STAGE_ROWS", bound)
+    assert_same_run(run_glpe(G, cfg), want)
+    assert len(tests) == len(steps)
 
 
 @pytest.mark.parametrize("cone_kind, x_star, calls", [

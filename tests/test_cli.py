@@ -185,6 +185,10 @@ def test_budget_relaxed_mode_exits_error(tmp_path, capsys):
         ({"--theta-gap": "-1"}, {}, "theta_gap"),
         ({}, {"alpha_x": "abc"}, "alpha_x"),
         ({}, {"alpha_y": -1.0}, "alpha_y"),
+        ({"--alpha-x": "1e-160"}, {}, "alpha_x 1e-160"),
+        ({"--alpha-y": "1e-160"}, {}, "alpha_y 1e-160"),
+        ({"--alpha-y": "1e-320"}, {}, "alpha_y 1e-320"),
+        ({"--beta1": "1e-320"}, {}, "beta1 1e-320"),
     ],
 )
 def test_budget_bad_settings_exit_error(tmp_path, capsys, flags, manifest, named):
@@ -679,3 +683,32 @@ def test_bench_rows_with_keys_their_kind_does_not_read_fail(tmp_path):
     lines = (tmp_path / "bench.csv").read_text().splitlines()
     assert lines[1].startswith("c,") and lines[1].endswith(",ok")
     assert lines[2].startswith("odd,") and lines[2].endswith("failed: gave runs do not read 'cone'")
+
+
+# each command with the float flags it reads; the runs stop after 20 steps
+GRID_COMMANDS = [
+    (["solve", "--builtin", "gave-b", "--outer-t", "20"],
+     ["--eps", "--alpha-x", "--alpha-y", "--penalty"]),
+    (["gave", "--outer-t", "20"], ["--eps", "--alpha-x", "--alpha-y", "--penalty"]),
+    (["glpe", "--outer-t", "20"], ["--eps", "--alpha-x"]),
+    (["linreg", "--n", "4", "--outer-t", "20"], ["--eps", "--alpha-x", "--alpha-y"]),
+    (["budget", "--n", "4", "--theta-gap", "1", "--beta1", "1"],
+     ["--eps", "--alpha-x", "--alpha-y", "--beta1", "--theta-gap"]),
+]
+GRID_VALUES = ["0", "-1", "1e-320", "1e-160", "1e160", "1e308", "nan", "inf"]
+
+
+@pytest.mark.parametrize("cap", [[], ["--outer-t", "0"]], ids=["own-cap", "outer-t-0"])
+@pytest.mark.parametrize("argv", [
+    [*command, flag, value] for command, flags in GRID_COMMANDS
+    for flag in flags for value in GRID_VALUES
+], ids=" ".join)
+def test_float_flags_exit_with_a_code_or_one_error_line(tmp_path, capsys, argv, cap):
+    # a later flag wins, so the cap overrides the command's own --outer-t;
+    # a warning fails the test (filterwarnings = error)
+    if argv[0] != "budget":
+        argv = [*argv, "--out", str(tmp_path)]
+    code = main([*argv, *cap])
+    err = capsys.readouterr().err.splitlines()
+    assert code in (EXIT_OK, EXIT_ERROR, EXIT_CAP)
+    assert err == [] or (len(err) == 1 and err[0].startswith("error:"))
