@@ -118,19 +118,40 @@ LINREG_AFFINE_MAX_DIM = 2048
 # (1e-9, 3e-9, 1e-8, 3e-8, 1e-7, 3e-7, 1e-6). Neither count is monotone in
 # the switch, so the rule is a choice backed by this scan, not a bound:
 # 1e-8 sits a decade inside the pinned range on both sides. At 1e-8 the
-# orthant run reaches the switch point at step 65,966 after 1,295 blocks
-# (and 3 that keep no iterate), and takes its last 49,362 steps
-# structured, in runs of structured steps (see run_glpe). On the
-# benchmark's rotated instances (seeds 0 to 11), 23 of 24 orthant and
-# 1-norm runs kept the structured count and bits; seed 10's 1-norm run
-# stopped at 8,468 steps against 8,465.
+# orthant run reaches the switch point at step 65,966 after 70 blocks
+# (and 3 that keep no iterate; 1,295 and 3 in blocks of a fixed 51), and
+# takes its last 49,362 steps structured, in runs of structured steps (see
+# run_glpe). On the benchmark's rotated instances (seeds 0 to 11), 23 of 24
+# orthant and 1-norm runs kept the structured count and bits; seed 10's
+# 1-norm run stopped at 8,468 steps against 8,465.
 GLPE_BLOCK_SWITCH = 1e-8
 
 # The least number of iterates in a block of run_glpe (solver._block_shape at
-# n: 51 at n = 5). The block edges decide which iterates carry a block's
-# rounding, so the switch scan above and GLPE_PINS hold for this length; a
-# block is also cut at the first iterate that leaves its pattern's piece,
-# and the iterates filled past that point are thrown away.
+# n: k = 51 at n = 5), which holds k in its first block on a pattern and
+# after a cut, and twice the last block's while each is kept whole (see
+# run_glpe). The edges of blocks of k decide which iterates carry a block's
+# rounding, so the switch scan above and GLPE_PINS hold for this k; a longer
+# block takes the same products and keeps every bit. A block is also cut at
+# the first iterate that leaves its pattern's piece, and the iterates filled
+# past that point are thrown away. Seeded orthant instances (A = N(0, 1) +
+# 3 I, B = N(0, 1) / sqrt(n), b from a Gaussian x*, each drawn from
+# np.random.default_rng(7); step 1 / ||A + B||^2, eps 1e-10, cap 20,000),
+# CPU time against blocks of a fixed k, median of 7 alternating in-process
+# rounds (15 for growing blocks at n = 200), 1 OpenBLAS thread, 2-vCPU Xeon
+# VM:
+#     n                            20      50     200
+#     k                            12      10       8
+#     outer steps               3,534  20,000  20,000
+#     blocks, fixed k             246   2,015   2,556
+#     blocks, growing              33      46     134
+#     rows filled, growing / k   1.06    1.00    1.09
+#     time, growing              0.61    0.39    0.87
+#     time, fixed 1,024          1.05    0.67    3.07
+# The growing blocks keep every bit of these runs. At n = 200 the run meets
+# 54 patterns, and the grown blocks cut at their changes fill about 9% more
+# rows, so the paired rounds there spread from 0.65 to 1.14. Blocks of a
+# fixed 1,024 throw away up to 1,023 rows at each cut, and at n = 50 they
+# move the bits (k = 1,025 there: a product of more rows rounds otherwise).
 GLPE_BLOCK_MIN = 8
 
 
@@ -423,18 +444,27 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
     On a pattern the step is affine, x <- M x + W b with M = I - W J, so
     while the equation error is above max(GLPE_BLOCK_SWITCH, eps) the
     polyhedral cones take their steps in blocks (solver.Block): products
-    with the pattern's stacked powers [M; M^2; ...; M^j] give the next k
-    iterates Z (solver._block_shape at n and GLPE_BLOCK_MIN; j = k = 51 at
-    n = 5), and one product J Z - b their equation errors. A block keeps the
-    iterates before the first that prox.inside_pattern cannot place inside
-    the pattern's piece with a margin, or whose error is at or under the
-    switch point or nonfinite. The next block starts from the last iterate
-    kept, so its first row is, to rounding, the one that ended this block:
-    it normally keeps none, and that step is structured. So every iterate
-    at or under the switch point, or nonfinite, comes from a structured
-    step, and the stop and a divergence are decided in the structured
-    arithmetic; the blocked iterates agree with it to rounding. A block
-    row's cert is the one certify gives. Overflowed stacked powers (a
+    with the pattern's stacked powers [M; M^2; ...; M^j] give the next
+    iterates Z, and products J Z - b of k rows each their equation errors.
+    A block keeps the iterates before the first that prox.inside_pattern
+    cannot place inside the pattern's piece with a margin, or whose error
+    is at or under the switch point or nonfinite. The first block on a
+    pattern, and the first after a block that kept fewer than it filled,
+    holds k iterates (solver._block_shape at n and GLPE_BLOCK_MIN; j = k =
+    51 at n = 5). Each block kept whole is followed by one twice as long,
+    up to the largest multiple of k within solver.TRACE_STAGE_ROWS (1,020
+    iterates at n = 5), and none fills more than k - 1 iterates past
+    outer_cap. A long block takes the same products as the blocks of k it
+    stands for, from the same iterates, and is cut at the same row, so its
+    length moves no bit (GLPE_BLOCK_MIN has the measurements). It follows
+    only blocks kept whole, so a cut throws away at most k iterates more
+    than the loop kept since the cut before. The next block starts from the
+    last iterate kept, so its first row is, to rounding, the one that ended
+    this block: it normally keeps none, and that step is structured. So
+    every iterate at or under the switch point, or nonfinite, comes from a
+    structured step, and the stop and a divergence are decided in the
+    structured arithmetic; the blocked iterates agree with it to rounding.
+    A block row's cert is the one certify gives. Overflowed stacked powers (a
     divergent run) are not kept: they would fill only nonfinite blocks.
 
     Structured steps are handed to iterate as a Block too: a run of them
@@ -470,6 +500,8 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
     cone = G.cone
     n = A.shape[1]
     j, k = _block_shape(n, GLPE_BLOCK_MIN)
+    # the longest block: whole blocks of k within the trace's staging bound
+    top = k * max(1, TRACE_STAGE_ROWS // k)
     floor = max(GLPE_BLOCK_SWITCH, config.eps)
     # project_cone(cone, .) bound once: its bits without its checks and
     # dispatch (on the orthant np.maximum(z, 0.0), against a zero vector,
@@ -482,6 +514,8 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
     # own), J, W and the stacked powers of the step map
     linearization = (None, None, None, None)
     patterns = 0
+    # the iterates the next block on this linearization fills
+    length = k
 
     def linearize(x):
         J = A + B @ projection_jacobian(cone, x)
@@ -550,13 +584,19 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
         return np.sqrt(np.einsum("ij,ij->i", V, V))
 
     def block(x, r, t):
+        nonlocal length
         key, J, _, (S, C) = linearization
-        Z = fill_iterates(x, k, S, C)
-        R = apply(J, Z[1:]) - b
+        h = min(length, k * -(-(config.outer_cap - t) // k))
+        Z = fill_iterates(x, h, S, C)
+        # J z - b by products of k rows, as blocks of k take it: the rows of
+        # one product can round otherwise in a product of more rows
+        R = np.vstack([apply(J, Z[i : i + k]) for i in range(1, h + 1, k)]) - b
         err = row_norms(R)
         # the rows before p are on the key's piece, above the switch point and finite
         ok = inside_pattern(cone, key, Z[1:]) & (floor < err) & (err < np.inf)
-        p = k if ok.all() else int(ok.argmin())
+        p = h if ok.all() else int(ok.argmin())
+        # a block kept whole is followed by one twice as long, a cut one by k
+        length = min(2 * length, top) if p == h else k
         if p == 0:
             return structured(x, r, t)
         rows = np.zeros((p, 4))
@@ -568,10 +608,11 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
             Z[i + 1].copy(), (project_cone(cone, Z[i + 1]), R[i], float(err[i]))))
 
     def step(x, cert, t):
-        nonlocal linearization, patterns
+        nonlocal linearization, patterns, length
         xk, r, err = cert
         key = projection_pattern(cone, x, xk)
         if key is not None and key != linearization[0]:
+            length = k
             J, W = linearize(x)
             powers = None
             if err > floor:
@@ -630,7 +671,8 @@ def make_linreg(n, m, p, seed, lambda_reg=None):
         K = gaussian_matrix(rng, m, n)
         A = gaussian_matrix(rng, p, n)
         B = gaussian_matrix(rng, p, m)
-    except MemoryError:
+    except (MemoryError, ValueError):
+        # ValueError: numpy's generator refuses a draw past its largest array
         raise ConfigurationError(
             f"a regression instance of n = {n}, m = {m}, p = {p} is too large to hold in memory"
         ) from None

@@ -128,7 +128,7 @@ def serial_matmul(A, B):
     out = np.empty((m, n))
     for i in range(0, m, rows):
         for j in range(0, n, cols):
-            out[i : i + rows, j : j + cols] = A[i : i + rows] @ B[:, j : j + cols]
+            np.matmul(A[i : i + rows], B[:, j : j + cols], out=out[i : i + rows, j : j + cols])
     return out
 
 

@@ -453,14 +453,21 @@ def stacked_powers(M, c, j):
     return (np.vstack(S) if j > 1 else M), np.array(C)
 
 
-def fill_iterates(z, k, S, C):
+def fill_iterates(z, k, S, C, step=None):
     """z and the k iterates after it as the rows of one (k + 1) x d array,
-    by k / len(C) products with stacked powers (S, C) (see stacked_powers)."""
+    by k / len(C) products with stacked powers (S, C) (see stacked_powers).
+
+    Given step = (M, c), the map z <- M z + c of one step, (S, C) are the
+    map of two steps, (M^2, [M c + c]): its chain of matvecs gives the even
+    iterates, and one serial_matmul with M all the odd ones at once."""
     d, h = len(z), len(C)
     Z = np.empty((k + 1, d))
     Z[0] = z
-    for lo in range(1, k + 1, h):
-        Z[lo : lo + h] = apply(S, Z[lo - 1]).reshape(h, d) + C
+    chain = Z if step is None else Z[::2]
+    for lo in range(1, len(chain), h):
+        chain[lo : lo + h] = apply(S, chain[lo - 1]).reshape(h, d) + C
+    if step is not None:
+        Z[1::2] = apply(step[0], Z[:-1:2]) + step[1]
     return Z
 
 
@@ -499,12 +506,19 @@ def _run_affine(
     The stacked powers of M are built once (stacked_powers), so a step is a
     Block: k / j products fill the k iterates Z after the current one, and
     one product R Z^T, with R held C-contiguous, gives their residual rows,
-    one column per iterate. The last block before outer_cap ends at the
-    first multiple of j at or past it. The loop's state is (z, prev, t). A
-    block with a nonfinite row is filled again one z <- M z + c step at a
-    time, so a DivergenceError names the iterate single steps name. A run
-    that stops inside a block by eps or divergence has computed up to
-    k - 1 iterates it does not use: 63 where j = 1.
+    one column per iterate. Where j = 1 the blocks after the first are
+    filled at two levels (fill_iterates): M^2 and M c + c, built when the
+    second block starts, so that a run within one block never pays for
+    them, give the even iterates by one matvec per two steps, and one
+    serial_matmul with M all the odd ones. The iterates then agree with a
+    one-matvec fill to rounding, with the same bits at any BLAS thread
+    count. The last block before outer_cap ends at the first multiple of j
+    at or past it. The loop's state is (z, prev, t). A block with a
+    nonfinite row is filled again one z <- M z + c step at a time, so a
+    DivergenceError names the iterate single steps name. A run that stops
+    inside a block by eps or divergence has computed up to k - 1 iterates
+    it does not use: 63 where j = 1, at 31 matvecs and one product past
+    the first block.
     """
     n, nm, L1, L2 = P.n, P.n + P.m, 1.0 / config.alpha_x, 1.0 / config.alpha_y
     j, k = _block_shape(len(z0), AFFINE_BLOCK_MIN)
@@ -515,8 +529,12 @@ def _run_affine(
         return np.sqrt(np.add.reduceat(G, [0, n + 1, nm + 2])).T
 
     def step(s, cert, t):
+        nonlocal fill
+        if j == 1 and t == k:
+            # from the second block on, one matvec per two steps
+            fill = (serial_matmul(M, M), (M @ c + c)[None], (M, c))
         h = min(k, j * -(-(config.outer_cap - t) // j))
-        Z = fill_iterates(s[0], h, S, C)
+        Z = fill_iterates(s[0], h, *fill)
         N = row_norms(Z[:-1])
         if not math.isfinite(N.sum()):
             Z = fill_iterates(s[0], h, M, c[None])
@@ -530,7 +548,7 @@ def _run_affine(
         # nonempty (q = 0 too) for the reduceat that sums its own squares
         ends = [n, nm, len(r)]
         R, r = np.insert(R, ends, 0.0, axis=0), np.insert(r, ends, 0.0)
-        S, C = stacked_powers(M, c, j)
+        fill = stacked_powers(M, c, j)
     state_of = lambda s: start if s[2] == 0 else unstack(*s)
     try:
         run = iterate((z0, z0, 0), step, lambda s: certify(start),
@@ -679,9 +697,11 @@ def plan_budget(
     or with a uniform gap bound omega1:
         N = ceil[(log(4 gamma1 omega1 / mu) + 2 log(1/eps)) / (-log(1 - mu alpha_y))],
     and in both cases T = ceil(2 gamma2 theta_gap / eps^2). Both are clamped
-    to at least 1. Exactly one of beta1/omega1 and a theta_gap are required;
-    they and eps must be positive and finite, and a budget too large for a
-    float is a ConfigurationError too.
+    to at least 1. Each log of a product is taken as the sum of the logs of
+    its factors, so a tiny beta1 or omega1 whose square or product would
+    underflow still gives its N. Exactly one of beta1/omega1 and a
+    theta_gap are required; they and eps must be positive and finite, and a
+    budget too large for a float is a ConfigurationError too.
     """
     if mu <= 0:
         raise ConfigurationError("plan_budget needs mu > 0")
@@ -699,9 +719,10 @@ def plan_budget(
     rate = -math.log(1.0 - mu * alpha_y)
     try:
         if B.beta1 is not None:
-            numer = math.log(8.0 * B.gamma1 * B.beta1**2) + 2.0 * math.log(1.0 / eps)
+            scale = math.log(8.0) + 2.0 * math.log(B.beta1)
         else:
-            numer = math.log(4.0 * B.gamma1 * B.omega1 / mu) + 2.0 * math.log(1.0 / eps)
+            scale = math.log(4.0) + math.log(B.omega1) - math.log(mu)
+        numer = scale + math.log(B.gamma1) + 2.0 * math.log(1.0 / eps)
         N = max(1, math.ceil(numer / rate))
         T = max(1, math.ceil(2.0 * B.gamma2 * B.theta_gap / eps**2))
     except (OverflowError, ZeroDivisionError, ValueError) as exc:

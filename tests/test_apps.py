@@ -318,6 +318,62 @@ def test_glpe_bits_do_not_depend_on_the_run_bound(monkeypatch, stock_glpe, cone_
                     stock_glpe[cone_kind])
 
 
+def seeded_orthant_glpe(n):
+    """A x + B max(x, 0) = b with A = N(0, 1) + 3 I and B = N(0, 1) / sqrt(n)
+    drawn from np.random.default_rng(7), b from a Gaussian x*, and the
+    config at step 1 / ||A + B||^2 and eps 1e-10."""
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((n, n)) + 3 * np.eye(n)
+    B = rng.standard_normal((n, n)) / np.sqrt(n)
+    x_star = rng.standard_normal(n)
+    G = GlpeInstance(A=A, B=B, b=A @ x_star + B @ np.maximum(x_star, 0.0),
+                     cone=ConeSpec(kind=NONNEG_ORTHANT, dim=n))
+    return G, GlpeConfig(alpha=1 / np.linalg.norm(A + B, 2) ** 2, eps=1e-10)
+
+
+@pytest.mark.parametrize("case", [*GLPE_PINS, "seeded-50"])
+@pytest.mark.parametrize("record_trace", [True, False])
+def test_glpe_blocks_that_grow_keep_the_bits_of_blocks_of_k(
+        monkeypatch, stock_glpe, case, record_trace):
+    # a block twice as long chains the same products with the stacked powers
+    # as the two it replaces, takes J z - b by the same products of k rows,
+    # and is cut at the same iterate: held at k by a staging bound of k rows
+    # (which also bounds the runs of structured steps, and moves no bit by
+    # test_glpe_bits_do_not_depend_on_the_run_bound), the runs give the same
+    # bits. At n = 50 (k = 10) the rows of one product of 40 or more rows
+    # round otherwise than in products of 10
+    import jointmm.apps
+
+    if case == "seeded-50":
+        G, cfg = seeded_orthant_glpe(50)
+        cfg = dataclasses.replace(cfg, outer_cap=3000, record_trace=record_trace)
+    else:
+        G, cfg = builtin_glpe(case), GlpeConfig(eps=1e-13, record_trace=record_trace)
+    grown = stock_glpe[case] if record_trace and case in GLPE_PINS else run_glpe(G, cfg)
+    k = _block_shape(G.A.shape[1], GLPE_BLOCK_MIN)[1]
+    lengths, fill = [], jointmm.apps.fill_iterates
+    monkeypatch.setattr(jointmm.apps, "fill_iterates",
+                        lambda *a: lengths.append(a[1]) or fill(*a))
+    monkeypatch.setattr(jointmm.apps, "TRACE_STAGE_ROWS", k)
+    assert_same_run(run_glpe(G, cfg), grown)
+    assert set(lengths) <= {k}
+
+
+def test_glpe_blocks_double_while_kept_and_start_over_after_a_cut(monkeypatch):
+    # k = 10 at n = 50: a block kept whole is followed by one twice as long,
+    # up to 1,020 (the largest multiple of k within TRACE_STAGE_ROWS), a cut
+    # one by a block of 10, and the last fills only up to the cap
+    import jointmm.apps
+
+    lengths, fill = [], jointmm.apps.fill_iterates
+    monkeypatch.setattr(jointmm.apps, "fill_iterates",
+                        lambda *a: lengths.append(a[1]) or fill(*a))
+    G, cfg = seeded_orthant_glpe(50)
+    run_glpe(G, dataclasses.replace(cfg, outer_cap=3000, record_trace=False))
+    assert lengths == [10] * 9 + [20, 10, 10, 20] + [10] * 8 + [
+        20, 40, 80, 160, 320, 640, 1020, 650]
+
+
 @pytest.mark.parametrize("bound", [5, 780, 781, 782, 1024])
 def test_glpe_run_bound_before_at_or_after_the_pattern_change(monkeypatch, bound):
     # edge_glpe leaves its pattern at iterate 781, and every step is
@@ -483,10 +539,12 @@ def _stock_linreg_config(**overrides):
 # affine path of x): outer iterations and the sha256 of the bytes of x, y
 # and lambda in that order
 LINREG_PIN = (1241, "33e714a4cd2ba4c0e4324a862d5464334e3bf1cfa0df5f167f2fbb31ccc07620")
-# the same on make_linreg(130, 130, 26, seed 3), where the blocks are filled
-# by one matvec a step (stacked powers of j = 1): the pin was taken with
-# blocks of 8 steps and holds at any block length
-LINREG_J1_PIN = (3298, "d5215b2ab4ad1168b70f7ddaf7c03a291ccb83fba7d9d77381147b2b7a14dfef")
+# the same on make_linreg(130, 130, 26, seed 3), where j = 1: the first
+# block of 64 steps is filled by one matvec a step, and each later one at two
+# levels, the even iterates by one matvec with M^2 per two steps and the odd
+# ones by one product with M. The count is the one-matvec fill's; x, y and
+# lambda moved by up to 6.1e-14 relative from its bits
+LINREG_J1_PIN = (3298, "ae4e0a0deac158e996e460f668d8f9bc5ebd11674c53e2b0d33c18a155345e4b")
 
 
 def assert_stock_linreg_run(n, pin):
@@ -601,20 +659,24 @@ def test_glpe_divergence_carries_state_and_trace():
 
 
 @pytest.mark.parametrize("cone_kind, alpha, fills", [
-    (NONNEG_ORTHANT, None, 1298), (L1_NORM, None, 106), (NONNEG_ORTHANT, 5.0, 0)])
+    (NONNEG_ORTHANT, None, 73), (L1_NORM, None, 15), (NONNEG_ORTHANT, 5.0, 0)])
 def test_glpe_fills_blocks_only_from_finite_stacked_powers(monkeypatch, cone_kind, alpha, fills):
     # at alpha 5 every pattern's powers overflow (spectral radius of the step
-    # map 1.6e8 to 2.3e10): a block filled from them would be thrown away
+    # map 1.6e8 to 2.3e10): a block filled from them would be thrown away.
+    # The blocks grow: each one kept whole is followed by one twice as long,
+    # from k = 51 iterates up to 1,020 (the largest multiple of k within
+    # TRACE_STAGE_ROWS), so the stock runs fill 73 and 15 blocks, where
+    # blocks of 51 took 1,298 and 106
     import jointmm.apps
     from jointmm.errors import DivergenceError
 
     calls, fill = [], jointmm.apps.fill_iterates
-    monkeypatch.setattr(jointmm.apps, "fill_iterates", lambda *a: calls.append(1) or fill(*a))
+    monkeypatch.setattr(jointmm.apps, "fill_iterates", lambda *a: calls.append(a[1]) or fill(*a))
     try:
         run_glpe(builtin_glpe(cone_kind), GlpeConfig(alpha=alpha))
     except DivergenceError:
         assert alpha == 5.0
-    assert len(calls) == fills
+    assert len(calls) == fills and set(calls) <= {51, 102, 204, 408, 816, 1020}
 
 
 @pytest.mark.filterwarnings("error")

@@ -157,6 +157,18 @@ def test_budget_eps_halving_quadruples_T(capsys):
     assert t2 == pytest.approx(4 * t1, rel=1e-9)
 
 
+@pytest.mark.parametrize("bound", ["--beta1", "--omega1"])
+def test_budget_with_a_tiny_bound_plans_one_inner_step(capsys, bound):
+    # 8 gamma1 beta1^2 underflows to 0 at beta1 = 1e-320, but its log is
+    # taken as a sum of logs: N clamps to 1, and T does not read the bound
+    base = ["budget", "--n", "4", "--theta-gap", "1"]
+    assert main(base + [bound, "1"]) == EXIT_OK
+    stock = json.loads(capsys.readouterr().out)
+    assert main(base + [bound, "1e-320"]) == EXIT_OK
+    tiny = json.loads(capsys.readouterr().out)
+    assert (tiny["N"], tiny["T"]) == (1, stock["T"]) and stock["N"] > 1
+
+
 def test_budget_relaxed_mode_exits_error(tmp_path, capsys):
     problem = {
         "K": [[1.0]], "A": [[1.0]], "B": [[1.0]], "c": [0.0], "mu": 0.0,
@@ -188,7 +200,6 @@ def test_budget_relaxed_mode_exits_error(tmp_path, capsys):
         ({"--alpha-x": "1e-160"}, {}, "alpha_x 1e-160"),
         ({"--alpha-y": "1e-160"}, {}, "alpha_y 1e-160"),
         ({"--alpha-y": "1e-320"}, {}, "alpha_y 1e-320"),
-        ({"--beta1": "1e-320"}, {}, "beta1 1e-320"),
     ],
 )
 def test_budget_bad_settings_exit_error(tmp_path, capsys, flags, manifest, named):
@@ -571,6 +582,9 @@ def test_out_that_is_an_existing_file_exits_error(tmp_path, capsys):
         (["glpe", "--inner-n", "0", "--outer-t", "200"], "inner_steps must be at least 1"),
         # K alone would take 8 TB: the allocation is refused at once
         (["linreg", "--n", "1000000"], "n = 1000000, m = 1000000, p = 200000 is too large"),
+        # past the largest array numpy's generator draws (its ValueError)
+        (["linreg", "--n", "100000000000000", "--m", "100000000000000", "--p", "2"],
+         "n = 100000000000000, m = 100000000000000, p = 2 is too large"),
     ],
 )
 def test_settings_that_cannot_run_exit_error(tmp_path, capsys, argv, named):

@@ -39,13 +39,15 @@ for cap, name in ((20, "run_linreg"), (150, "run_linreg_150")):
     out[name] = digest(s.x, s.y, s.lam)
     # its trace rows, elapsed aside
     out[f"{name}_trace"] = digest(r.trace.columns[1:])
-# the affine path of run_pgmsad at n + m + q = 256, projected every step
+# the affine path of run_pgmsad at n + m + q = 256, projected every step:
+# 100 steps, a block of 64 and one of 36 filled at two levels. The step map
+# grows the iterates about 10x a step, so they overflow by step 150
 rng = np.random.default_rng(7)
 n, q = 110, 36
 P = MinimaxProblem(g=SmoothOracle(1.0), phi=prox_zero(), h=SmoothOracle(1.0), psi=prox_zero(),
                    K=rng.standard_normal((n, n)) / n**0.5, A=rng.standard_normal((q, n)),
                    B=rng.standard_normal((q, n)), c=rng.standard_normal(q), mu=1.0)
-cfg = SolverConfig(alpha_x=0.05, alpha_y=0.5, inner_steps=5, outer_cap=20,
+cfg = SolverConfig(alpha_x=0.05, alpha_y=0.5, inner_steps=5, outer_cap=100,
                    project_each_outer=True, seed=1)
 s = run_pgmsad(P, cfg).state
 out["run_pgmsad"] = digest(s.x, s.y, s.lam)
