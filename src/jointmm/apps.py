@@ -92,12 +92,16 @@ LINREG_COUPLING_GAIN = 2.2
 # The 880 column was taken again with blocks of 64 and residual rows by
 # R X^T (median of 5 alternating pairs); blocks of 8 by X R^T read 14.1,
 # 2.16 and 0.55 in the same runs. The other columns are earlier figures.
+# All predate the two-level fill where j = 1 (n > 128), whose M^2 adds 9%
+# (n = 200) to 17% (n = 930) to the build: a run shorter than about 1,000
+# steps is slower for it (see solver._run_affine).
 # The build pays for itself after 200 to 370 steps at every size measured;
 # the stock instances take 332 (n = 10) to 8,987 (n = 400) steps. Building
 # the maps from the step itself (four products with K of n + 1 rows) takes
 # about 40 ms at n = 400 and 0.63 s at n = 1,000 (0.56 s by the earlier
-# hand-derived maps). The step and residual maps hold about 3.2 n^2
-# doubles (3.9 MiB at n = 400): under 30 MB here.
+# hand-derived maps). The step and residual maps and M^2 (see
+# solver._run_affine, which also has the cost of M^2) hold about 4.2 n^2
+# doubles: 5.1 MiB at n = 400 and 27.7 MiB at n = 930, the largest n here.
 LINREG_AFFINE_MAX_DIM = 2048
 
 
@@ -145,13 +149,17 @@ GLPE_BLOCK_SWITCH = 1e-8
 #     blocks, fixed k             246   2,015   2,556
 #     blocks, growing              33      46     134
 #     rows filled, growing / k   1.06    1.00    1.09
-#     time, growing              0.61    0.39    0.87
+#     time, growing              0.61    0.39    0.87 *
 #     time, fixed 1,024          1.05    0.67    3.07
-# The growing blocks keep every bit of these runs. At n = 200 the run meets
-# 54 patterns, and the grown blocks cut at their changes fill about 9% more
-# rows, so the paired rounds there spread from 0.65 to 1.14. Blocks of a
-# fixed 1,024 throw away up to 1,023 rows at each cut, and at n = 50 they
-# move the bits (k = 1,025 there: a product of more rows rounds otherwise).
+# The growing blocks keep every bit of these runs. * Unresolved: at n = 200
+# the run meets 54 patterns, the grown blocks cut at their changes fill
+# about 9% more rows, and the paired rounds spread from 0.65 to 1.14 (an
+# earlier 7-round series read 1.00). In 20 alternating pairs of separate
+# processes (min of 5 runs each) growing blocks were faster in 18, at a
+# median of 0.52 against 0.69 s, but the parent's quartiles lie 0.22 s
+# apart, wider than the difference. Blocks of a fixed 1,024 throw away up
+# to 1,023 rows at each cut, and at n = 50 they move the bits (k = 1,025
+# there: a product of more rows rounds otherwise).
 GLPE_BLOCK_MIN = 8
 
 

@@ -289,9 +289,10 @@ def _check_row(row, t, last, trace):
 
 # Structured trace rows iterate holds as tuples before it moves them into an
 # array: a bound on that list (about 0.2 MB), whose rows cost about 200 bytes
-# each against the 40 of an array row. apps.run_glpe bounds a run of its
-# structured steps, which holds each iterate, its projection and its
-# residual as arrays, by it too.
+# each against the 40 of an array row. apps.run_glpe bounds two things by it
+# too: a run of its structured steps, which holds each iterate, its
+# projection and its residual as arrays, and the longest block, the largest
+# multiple of its k within it (1,020 iterates at n = 5).
 TRACE_STAGE_ROWS = 1024
 
 
@@ -506,19 +507,26 @@ def _run_affine(
     The stacked powers of M are built once (stacked_powers), so a step is a
     Block: k / j products fill the k iterates Z after the current one, and
     one product R Z^T, with R held C-contiguous, gives their residual rows,
-    one column per iterate. Where j = 1 the blocks after the first are
-    filled at two levels (fill_iterates): M^2 and M c + c, built when the
-    second block starts, so that a run within one block never pays for
-    them, give the even iterates by one matvec per two steps, and one
-    serial_matmul with M all the odd ones. The iterates then agree with a
-    one-matvec fill to rounding, with the same bits at any BLAS thread
-    count. The last block before outer_cap ends at the first multiple of j
-    at or past it. The loop's state is (z, prev, t). A block with a
-    nonfinite row is filled again one z <- M z + c step at a time, so a
-    DivergenceError names the iterate single steps name. A run that stops
-    inside a block by eps or divergence has computed up to k - 1 iterates
-    it does not use: 63 where j = 1, at 31 matvecs and one product past
-    the first block.
+    one column per iterate. Where j = 1 the blocks are filled at two
+    levels (fill_iterates): M^2 and M c + c, built with the maps, give the
+    even iterates by one matvec per two steps, and one serial_matmul with M
+    all the odd ones. The iterates then agree with a one-matvec fill to
+    rounding, with the same bits at any BLAS thread count. M^2 is one more
+    d x d array. Its build adds 6% to affine_parts' build at run_linreg's
+    d = 130, 15% at 400 and 17% at 930, and 24% at run_pgmsad's d = 140
+    and 43% at 256 (where that build is 2 ms); a block of 64 fills 31% to
+    36% faster at d = 130 to 930, which repays the build after 1 block at
+    d = 130, 4 at 256, 7 at 400 and 14 at 930 (median of 5). A shorter run
+    pays for it: against the one-matvec fill, whole capped run_linreg runs
+    took 1.09x at 10 steps, 1.06x at 100 and 0.99x at 1,000 at d = 400,
+    and 1.15x, 1.08x and 0.96x at d = 800 (median of paired in-process
+    rounds; 1 OpenBLAS thread, 2-vCPU Xeon VM). The last block before
+    outer_cap ends at the first multiple of j at or past it. The loop's
+    state is (z, prev, t). A block with a nonfinite row is filled
+    again one z <- M z + c step at a time, so a DivergenceError names the
+    iterate single steps name. A run that stops inside a block by eps or
+    divergence has computed up to k - 1 iterates it does not use: 63 where
+    j = 1, at 31 matvecs and one product.
     """
     n, nm, L1, L2 = P.n, P.n + P.m, 1.0 / config.alpha_x, 1.0 / config.alpha_y
     j, k = _block_shape(len(z0), AFFINE_BLOCK_MIN)
@@ -529,10 +537,6 @@ def _run_affine(
         return np.sqrt(np.add.reduceat(G, [0, n + 1, nm + 2])).T
 
     def step(s, cert, t):
-        nonlocal fill
-        if j == 1 and t == k:
-            # from the second block on, one matvec per two steps
-            fill = (serial_matmul(M, M), (M @ c + c)[None], (M, c))
         h = min(k, j * -(-(config.outer_cap - t) // j))
         Z = fill_iterates(s[0], h, *fill)
         N = row_norms(Z[:-1])
@@ -548,7 +552,9 @@ def _run_affine(
         # nonempty (q = 0 too) for the reduceat that sums its own squares
         ends = [n, nm, len(r)]
         R, r = np.insert(R, ends, 0.0, axis=0), np.insert(r, ends, 0.0)
-        fill = stacked_powers(M, c, j)
+        # where j = 1, the two-step map and the one-step map (fill_iterates)
+        fill = stacked_powers(M, c, j) if j > 1 else (
+            serial_matmul(M, M), (M @ c + c)[None], (M, c))
     state_of = lambda s: start if s[2] == 0 else unstack(*s)
     try:
         run = iterate((z0, z0, 0), step, lambda s: certify(start),

@@ -279,8 +279,8 @@ def assert_same_run(got, ref):
 
 
 # n + m + q = 6: blocks of two products with M, ..., M^42; 40: blocks of
-# eleven products with M, ..., M^6; 140: blocks of 64 steps, filled past the
-# first block by the two-level fill (one matvec with M^2 per two steps)
+# eleven products with M, ..., M^6; 140: blocks of 64 steps, filled by the
+# two-level fill (one matvec with M^2 per two steps)
 @pytest.mark.parametrize("n, m, q, shape", [(2, 2, 2, (42, 84)), (16, 16, 8, (6, 66)),
                                             (60, 60, 20, (1, 64))])
 def test_affine_blocks_match_the_structured_steps_at_every_cap(rng, n, m, q, shape):
@@ -310,8 +310,8 @@ def test_unconstrained_problems_match_the_structured_steps(rng, psi):
 
 # make_linreg(n, n, n // 5) at the stock settings, where run_linreg takes
 # the affine path of x: n = 10, blocks of three products with F, ..., F^25;
-# 40, eleven products with F, ..., F^6; 130, 64 products with F in the first
-# block and the two-level fill in the others
+# 40, eleven products with F, ..., F^6; 130, blocks of 64 steps by the
+# two-level fill
 @pytest.mark.parametrize("n, shape", [(10, (25, 75)), (40, (6, 66)), (130, (1, 64))])
 def test_linreg_affine_blocks_match_the_structured_steps_at_every_cap(n, shape):
     _, P = make_linreg(n, n, n // 5, seed=3)
@@ -324,17 +324,17 @@ def test_linreg_affine_blocks_match_the_structured_steps_at_every_cap(n, shape):
 
 def test_affine_blocks_end_at_the_cap(monkeypatch, rng):
     # the last block fills only up to the cap, rounded up to whole products
-    # with M, ..., M^j. Where j = 1, the blocks after the first are filled at
-    # two levels (a fill given the one-step map): an odd last block ends on
-    # an odd iterate, made from the even one before it
+    # with M, ..., M^j. Where j = 1, the blocks are filled at two levels (a
+    # fill given the one-step map): an odd last block ends on an odd
+    # iterate, made from the even one before it
     import jointmm.solver
 
     calls, fill = [], jointmm.solver.fill_iterates
     monkeypatch.setattr(jointmm.solver, "fill_iterates",
                         lambda *a: calls.append((a[1], len(a) == 5)) or fill(*a))
     stock = dict(alpha_x=0.3, alpha_y=1.0, inner_steps=3, eps=0.0)
-    for n, cap, fills in ((130, 100, [(64, False), (36, True)]),
-                          (130, 165, [(64, False), (64, True), (37, True)]),
+    for n, cap, fills in ((130, 100, [(64, True), (36, True)]),
+                          (130, 165, [(64, True), (64, True), (37, True)]),
                           (40, 100, [(66, False), (36, False)]),
                           (10, 100, [(75, False), (25, False)])):
         _, P = make_linreg(n, n, n // 5, seed=3)
@@ -343,7 +343,7 @@ def test_affine_blocks_end_at_the_cap(monkeypatch, rng):
         assert (got.state.t, calls) == (cap, fills)
     # run_pgmsad at n + m + q = 140
     P, kw = affine_case(rng, 60, 60, 20)
-    for cap, fills in ((64, [(64, False)]), (101, [(64, False), (37, True)])):
+    for cap, fills in ((64, [(64, True)]), (101, [(64, True), (37, True)])):
         calls.clear()
         cfg = SolverConfig(outer_cap=cap, eps=0.0, **kw)
         got = run_pgmsad(P, cfg)
