@@ -44,7 +44,6 @@ from .prox import (
     PROX_ZERO,
     SECOND_ORDER,
     SmoothOracle,
-    inside_pattern,
     on_pattern,
     project_cone,
     project_l1cone,
@@ -136,7 +135,7 @@ GLPE_BLOCK_SWITCH = 1e-8
 # run_glpe). The edges of blocks of k decide which iterates carry a block's
 # rounding, so the switch scan above and GLPE_PINS hold for this k; a longer
 # block takes the same products and keeps every bit. A block is also cut at
-# the first iterate that leaves its pattern's piece, and the iterates filled
+# the first iterate that leaves its pattern, and the iterates filled
 # past that point are thrown away. Seeded orthant instances (A = N(0, 1) +
 # 3 I, B = N(0, 1) / sqrt(n), b from a Gaussian x*, each drawn from
 # np.random.default_rng(7); step 1 / ||A + B||^2, eps 1e-10, cap 20,000),
@@ -407,10 +406,18 @@ class GlpeResult:
 
 
 def glpe_paper_step_size(G: GlpeInstance) -> float:
-    """The preset step size 1 / |det(A + B)| (LU with partial pivoting)."""
+    """The preset step size 1 / |det(A + B)| (LU with partial pivoting).
+    Raises ConfigurationError where A + B is singular or |det(A + B)|
+    overflows a float."""
     if G.A.shape[0] != G.A.shape[1]:
         raise ConfigurationError("the determinant preset needs square A + B")
-    det = float(np.linalg.det(G.A + G.B))
+    with np.errstate(over="ignore"):
+        det = float(np.linalg.det(G.A + G.B))
+    if not math.isfinite(det):
+        raise ConfigurationError(
+            "|det(A + B)| overflows a float, so the determinant step-size preset "
+            "would be 0; supply an explicit step size (alpha)"
+        )
     if abs(det) < 1e-12:
         raise ConfigurationError(
             "A + B is singular; the determinant step-size preset is unavailable, "
@@ -454,14 +461,14 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
     polyhedral cones take their steps in blocks (solver.Block): products
     with the pattern's stacked powers [M; M^2; ...; M^j] give the next
     iterates Z, and products J Z - b of k rows each their equation errors.
-    A block keeps the iterates before the first that prox.inside_pattern
-    cannot place inside the pattern's piece with a margin, or whose error
-    is at or under the switch point or nonfinite. The first block on a
-    pattern, and the first after a block that kept fewer than it filled,
-    holds k iterates (solver._block_shape at n and GLPE_BLOCK_MIN; j = k =
-    51 at n = 5). Each block kept whole is followed by one twice as long,
-    up to the largest multiple of k within solver.TRACE_STAGE_ROWS (1,020
-    iterates at n = 5), and none fills more than k - 1 iterates past
+    A block keeps the iterates before the first that is off the pattern
+    (prox.on_pattern, the runs' exact test, on rows it projects itself),
+    or whose error is at or under the switch point or nonfinite. The first
+    block on a pattern, and the first after a block that kept fewer than it
+    filled, holds k iterates (solver._block_shape at n and GLPE_BLOCK_MIN;
+    j = k = 51 at n = 5). Each block kept whole is followed by one twice as
+    long, up to the largest multiple of k within solver.TRACE_STAGE_ROWS
+    (1,020 iterates at n = 5), and none fills more than k - 1 iterates past
     outer_cap. A long block takes the same products as the blocks of k it
     stands for, from the same iterates, and is cut at the same row, so its
     length moves no bit (GLPE_BLOCK_MIN has the measurements). It follows
@@ -484,12 +491,11 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
     the pattern, or from which a block would be taken, and holds at most
     solver.TRACE_STAGE_ROWS iterates and none past outer_cap. The error
     tests are made at every step; the pattern is tested once, over all the
-    run's rows when its loop ends (prox.on_pattern, with no margin: near a
-    solution on the edge of its piece, inside_pattern would cut each run
-    after one step), and the run is cut after the first iterate that left
-    it: the steps after that one were taken on the old pattern and are
-    thrown away. Its cert of an iterate is the projection, residual and
-    error the run computed, with certify's bits.
+    run's rows when its loop ends (prox.on_pattern, as in a block), and
+    the run is cut after the first iterate that left it: the steps after
+    that one were taken on the old pattern and are thrown away. Its cert of
+    an iterate is the projection, residual and error the run computed, with
+    certify's bits.
 
     Trace row t: res_feas and app_error are the equation error at iterate
     t; res_x is the norm of the correction that produced iterate t and
@@ -600,8 +606,8 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
         # one product can round otherwise in a product of more rows
         R = np.vstack([apply(J, Z[i : i + k]) for i in range(1, h + 1, k)]) - b
         err = row_norms(R)
-        # the rows before p are on the key's piece, above the switch point and finite
-        ok = inside_pattern(cone, key, Z[1:]) & (floor < err) & (err < np.inf)
+        # the rows before p have the key's pattern, are above the switch point and finite
+        ok = on_pattern(cone, key, Z[1:], None) & (floor < err) & (err < np.inf)
         p = h if ok.all() else int(ok.argmin())
         # a block kept whole is followed by one twice as long, a cut one by k
         length = min(2 * length, top) if p == h else k

@@ -17,7 +17,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ConfigurationError
-from .numerics import apply, as_vector, json_array, json_number, norm2
+from .numerics import as_vector, json_array, json_number, norm2
 
 # cone kinds
 FREE = "free"
@@ -238,6 +238,28 @@ def projection_jacobian(cone: ConeSpec, z):
     raise ConfigurationError(f"unknown cone kind {cone.kind!r}")
 
 
+def _boundary_signs(Z):
+    """Tail signs of project_l1cone(z) for each row z of Z off the 1-norm
+    cone and its polar: _project_linf_cone's search on -z, for all finite
+    rows at once with the same float64 operations, so the same bits.
+    Nonfinite rows are projected one at a time: numpy's vector add can flip
+    a NaN's sign bit, and keys compare bytes."""
+    tail = Z[:, 1:]
+    d = np.sort(np.abs(tail), axis=1)[:, ::-1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        cand = (-Z[:, :1] + d.cumsum(axis=1)) / (1.0 + np.arange(1, d.shape[1] + 1))
+        # the first k whose candidate reaches d[k], else the last
+        stop = np.concatenate((cand[:, :-1] >= d[:, 1:], np.ones((len(Z), 1), bool)), axis=1)
+        k = stop.argmax(axis=1)[:, None]
+        t0 = np.minimum(np.take_along_axis(cand, k, 1), np.take_along_axis(d, k, 1))
+        t0 = np.maximum(t0, 0.0)
+        signs = np.sign(tail + np.clip(-tail, -t0, t0))
+        bad = ~np.isfinite(Z).all(axis=1)
+        if bad.any():
+            signs[bad] = np.sign([project_l1cone(z)[1:] for z in Z[bad]])
+    return signs
+
+
 def pattern_rows(cone: ConeSpec, Z, PZ=None):
     """The active pattern of each row z of Z, as a row whose bytes are the
     key projection_pattern gives z. projection_jacobian is constant on a
@@ -246,10 +268,11 @@ def pattern_rows(cone: ConeSpec, Z, PZ=None):
     Orthant: the mask z > 0. 1-norm cone: a float64 row whose head is -1 on
     the polar piece (P_K(z) = 0, tested first, so the apex is polar), 1
     inside (P_K(z) = z) and 0 on the boundary. On the boundary the tail is
-    the signs of the tail of pz = P_K(z), its row of PZ (computed when not
-    given): 0 exactly off the active set and the signs of z on it; off the
-    boundary the tail is 0 and PZ is not read. The tests have no margin
-    (compare inside_pattern). Other kinds raise ConfigurationError.
+    the signs of the tail of pz = P_K(z), its row of PZ: 0 exactly off the
+    active set and the signs of z on it. Without PZ the boundary rows'
+    signs are found in one batch (_boundary_signs) with project_l1cone's
+    bits. Off the boundary the tail is 0 and PZ is not read. The tests have
+    no margin. Other kinds raise ConfigurationError.
     """
     Z = np.asarray(Z)
     if cone.kind == NONNEG_ORTHANT:
@@ -263,8 +286,8 @@ def pattern_rows(cone: ConeSpec, Z, PZ=None):
     rows[:, 0] = np.where(polar, -1.0, inside)
     edge = ~polar & ~inside
     if edge.any():
-        PZ = np.array([project_l1cone(z) for z in Z[edge]]) if PZ is None else np.asarray(PZ)[edge]
-        rows[edge, 1:] = np.sign(PZ[:, 1:])
+        rows[edge, 1:] = (_boundary_signs(Z[edge]) if PZ is None
+                          else np.sign(np.asarray(PZ)[edge][:, 1:]))
     return rows
 
 
@@ -281,50 +304,13 @@ def projection_pattern(cone: ConeSpec, z, pz=None):
 
 
 def on_pattern(cone: ConeSpec, key, Z, PZ):
-    """For each row z of Z, with pz its row of PZ = P_K(Z), whether
+    """For each row z of Z, with pz its row of PZ = P_K(Z) (or PZ None, so
+    pattern_rows finds the boundary signs itself), whether
     projection_pattern(cone, z, pz) == key: the bytes of its pattern_rows
-    row against the key, with no margin (compare inside_pattern).
+    row against the key, with no margin.
     """
     rows = pattern_rows(cone, Z, PZ)
     return (rows.view(np.uint8) == np.frombuffer(key, dtype=np.uint8)).all(axis=1)
-
-
-# inside_pattern's margin, relative to ||z||_1: far above the rounding of the
-# projection that decides a pattern (a few ulp of ||z||_1 times the dimension)
-PATTERN_MARGIN = 1e-9
-
-
-def inside_pattern(cone: ConeSpec, key, Z):
-    """For each row z of Z, whether z lies inside the piece of the pattern
-    key (see projection_pattern) with room to spare: each inequality that
-    defines the piece holds by PATTERN_MARGIN ||z||_1, so rounding in the
-    projection cannot move z off it. A false entry decides nothing, and a
-    row with a nonfinite entry is never inside.
-
-    Orthant: the signs of the mask. 1-norm cone: the polar and inside
-    pieces (key head -1 and 1) by their own tests; a boundary piece with
-    tail signs s (0 off the active set) is the polyhedron {z : C z >= 0} of
-    the shift t0(z) = (s . z_tail - z0) / (1 + k) over the k active entries:
-    t0 > 0, s_i z_i > t0 on the active set and |z_i| < t0 off it.
-    """
-    m = PATTERN_MARGIN * np.abs(Z).sum(axis=1)
-    if cone.kind == NONNEG_ORTHANT:
-        signs = np.where(np.frombuffer(key, dtype=bool), 1.0, -1.0)
-        return (Z * signs > m[:, None]).all(axis=1)
-    if cone.kind != L1_NORM:
-        raise ConfigurationError(f"{cone.kind} cone has no pattern")
-    head, mags = Z[:, 0], np.abs(Z[:, 1:])
-    row = np.frombuffer(key)
-    if row[0] < 0:
-        return mags.max(axis=1) < -head - m
-    if row[0] > 0:
-        return mags.sum(axis=1) < head - m
-    s = row[1:]
-    on = s != 0
-    t0 = np.concatenate(([-1.0], s)) / (1.0 + np.count_nonzero(on))
-    tail = np.eye(cone.dim)[1:]
-    C = np.vstack([t0, s[on, None] * tail[on] - t0, t0 - tail[~on], t0 + tail[~on]])
-    return (apply(C, Z) > m[:, None]).all(axis=1)
 
 
 # prox operator kinds

@@ -162,6 +162,22 @@ def test_glpe_singular_preset_rejected():
         glpe_paper_step_size(G)
 
 
+def test_glpe_overflowing_preset_rejected():
+    # |det(A + B)| is about e^1003 here: the preset 1 / |det| would be 0.0,
+    # a step that never moves x
+    rng = np.random.default_rng(7)
+    n = 400
+    A = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
+    B = rng.standard_normal((n, n)) / math.sqrt(n)
+    x_star = rng.standard_normal(n)
+    G = GlpeInstance(A=A, B=B, b=A @ x_star + B @ np.maximum(x_star, 0.0),
+                     cone=ConeSpec(kind=NONNEG_ORTHANT, dim=n))
+    with pytest.raises(ConfigurationError, match="overflows a float"):
+        glpe_paper_step_size(G)
+    with pytest.raises(ConfigurationError, match="explicit step size"):
+        run_glpe(G)
+
+
 # the stock glpe-paper runs at eps 1e-13: outer iterations and the sha256 of
 # r.x.tobytes(), where every structured step is one product with the
 # Richardson matrix W of its linearization (rebuilt per pattern on the
@@ -393,25 +409,27 @@ def test_glpe_run_bound_before_at_or_after_the_pattern_change(monkeypatch, bound
     assert len(tests) == len(steps)
 
 
+@pytest.mark.parametrize("scale, eps", [(1.0, 1e-10), (1e3, 1e-7)])
 @pytest.mark.parametrize("cone_kind, x_star, calls", [
-    (NONNEG_ORTHANT, [1.0, 0.0, 2.0, -1.0, 0.5], 1092), (L1_NORM, [0.0, 1.0, 2.0, 0.5, -1.0], 106)])
-def test_glpe_runs_on_a_degenerate_solution_stay_long(monkeypatch, cone_kind, x_star, calls):
+    (NONNEG_ORTHANT, [1.0, 0.0, 2.0, -1.0, 0.5], 77), (L1_NORM, [0.0, 1.0, 2.0, 0.5, -1.0], 12)])
+def test_glpe_runs_on_a_degenerate_solution_stay_long(
+        monkeypatch, cone_kind, x_star, calls, scale, eps):
     # x* lies on the edge of its piece (a zero entry; a zero head on the
-    # 1-norm boundary), so iterates near it are never inside their pattern's
-    # piece by prox.inside_pattern's margin. Runs of structured steps cut by
-    # that test gave the same bits in 5,336 and 1,059 step calls, about 40
-    # times the time; on_pattern's exact test takes 1,092 and 106 (71,400 and
-    # 6,642 steps)
+    # 1-norm boundary), so iterates near it sit on its pattern with no room
+    # to spare. Blocks and runs both cut by on_pattern's exact test, so the
+    # 71,400 and 6,642 steps take 77 and 12 step calls at either scale. A
+    # test with a margin relative to ||z||_1 cut them every few rows at
+    # scale 1e3: 4,321 and 966 step calls for the same steps
     import jointmm.apps
 
     steps, loop = [], jointmm.apps.iterate
     monkeypatch.setattr(jointmm.apps, "iterate", lambda x0, step, *rest: loop(
         x0, lambda *a: steps.append(1) or step(*a), *rest))
     G = builtin_glpe(cone_kind)
-    x_star = np.array(x_star)
+    x_star = scale * np.array(x_star)
     b = G.A @ x_star + G.B @ project_cone(G.cone, x_star)
     r = run_glpe(GlpeInstance(A=G.A, B=G.B, b=b, cone=G.cone),
-                 GlpeConfig(eps=1e-10, record_trace=False))
+                 GlpeConfig(eps=eps, record_trace=False))
     assert r.converged and len(steps) < 1.5 * calls
 
 

@@ -726,3 +726,21 @@ def test_float_flags_exit_with_a_code_or_one_error_line(tmp_path, capsys, argv, 
     err = capsys.readouterr().err.splitlines()
     assert code in (EXIT_OK, EXIT_ERROR, EXIT_CAP)
     assert err == [] or (len(err) == 1 and err[0].startswith("error:"))
+
+
+# the integer flags on 0, -1 and 2**63; --inner-n 2**63 would run that many
+# sweeps per step, and --outer-t 2**63 runs each command to its own stop
+INT_GRID = [(flag, value) for flag in ["--inner-n", "--outer-t", "--seed", "--n", "--m", "--p"]
+            for value in ["0", "-1", str(2**63)] if (flag, value) != ("--inner-n", str(2**63))]
+
+
+@pytest.mark.parametrize("argv", [
+    [*command, flag, value] for command, _ in GRID_COMMANDS for flag, value in INT_GRID
+], ids=" ".join)
+def test_int_flags_exit_with_a_code_or_one_error_line(tmp_path, capsys, argv):
+    if argv[0] != "budget":
+        argv = [*argv, "--out", str(tmp_path)]
+    code = main(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert code in (EXIT_OK, EXIT_ERROR, EXIT_CAP)
+    assert err == [] or (len(err) == 1 and err[0].startswith("error:"))

@@ -12,7 +12,6 @@ from jointmm.prox import (
     ZERO,
     cone_from_json,
     cone_to_json,
-    inside_pattern,
     _project_linf_cone,
     _soc_jacobian,
     project_cone,
@@ -402,25 +401,6 @@ def test_orthant_pattern_is_the_positive_mask():
         [True, False, False]).tobytes()
     assert projection_pattern(cone, np.array([5.0, -1.0, -0.0])) == projection_pattern(
         cone, np.array([1.0, -2.0, 0.0]))
-
-
-def test_inside_pattern_needs_room_to_spare():
-    l1 = ConeSpec(kind=L1_NORM, dim=4)
-    # polar, inside, and a boundary piece with one active entry; then each
-    # on a tie: |tail|_inf = -head, |tail|_1 = head, an inactive |z_i| = t0
-    clear = np.array([[-3.0, 1.0, -1.0, 0.5], [3.0, 1.0, -1.0, 0.5], [0.0, 3.0, -0.5, 0.2]])
-    ties = np.array([[-1.0, 1.0, -1.0, 0.5], [2.5, 1.0, -1.0, 0.5], [0.0, 3.0, -1.5, 0.2]])
-    for z, tie in zip(clear, ties):
-        key = projection_pattern(l1, z)
-        assert key == projection_pattern(l1, tie)
-        rows = np.array([z, tie, np.full(4, np.nan), 2.0 * z])
-        assert inside_pattern(l1, key, rows).tolist() == [True, False, False, True]
-    orthant = ConeSpec(kind=NONNEG_ORTHANT, dim=3)
-    key = projection_pattern(orthant, np.array([1.0, -2.0, -1.0]))
-    rows = np.array([[1.0, -2.0, -1.0], [1.0, -2.0, 0.0], [1.0, 2.0, -1.0], [np.inf, -2.0, -1.0]])
-    assert inside_pattern(orthant, key, rows).tolist() == [True, False, False, False]
-    with pytest.raises(ConfigurationError, match="no pattern"):
-        inside_pattern(ConeSpec(kind=SECOND_ORDER, dim=3), None, np.zeros((1, 3)))
 
 
 def test_second_order_pattern_is_none():
