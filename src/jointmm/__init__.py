@@ -35,8 +35,6 @@ from .solver import (
     IterateState,
     SolveResult,
     SolverConfig,
-    Trace,
-    TraceRecord,
     inner_ascent,
     outer_step,
     plan_budget,

@@ -1,0 +1,8 @@
+"""python -m jointmm: the jointmm command line (see cli)."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

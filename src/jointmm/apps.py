@@ -59,7 +59,6 @@ from .solver import (
     IterateState,
     SolveResult,
     SolverConfig,
-    Trace,
     _block_shape,
     _run_affine,
     check_settings,
@@ -258,7 +257,7 @@ class GaveResult:
 
     x: np.ndarray
     error: float
-    trace: Trace
+    trace: np.ndarray
     x_plus: np.ndarray
     y: np.ndarray
     z: np.ndarray
@@ -398,7 +397,7 @@ class GlpeResult:
     x: np.ndarray
     x_cone: np.ndarray
     error: float
-    trace: Trace
+    trace: np.ndarray
     iterations: int
     converged: bool
     rate: float
@@ -497,15 +496,16 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
     an iterate is the projection, residual and error the run computed, with
     certify's bits.
 
-    Trace row t: res_feas and app_error are the equation error at iterate
-    t; res_x is the norm of the correction that produced iterate t and
-    res_y the residual r - J w of its inner solve, which on a pattern is
-    J x_t - b: a block row's res_y equals its res_feas. A run of structured
-    steps forms both for all its rows at once, from the residuals it kept:
-    w = W r and r - J w as stacked products, with the bits of one step at a
-    time. Both are 0 in row 0. Without a trace res_x is 0 in every row, and
-    res_y in structured rows. The loop state is the iterate x; a
-    DivergenceError carries the last finite one.
+    Trace row t (see solver.iterate): res_feas and app_error are the
+    equation error at iterate t; res_x is the norm of the correction that
+    produced iterate t and res_y the residual r - J w of its inner solve,
+    which on a pattern is J x_t - b: a block row's res_y equals its
+    res_feas. A run of structured steps forms both for all its rows at
+    once, from the residuals it kept: w = W r and r - J w as stacked
+    products, with the bits of one step at a time. Both are 0 in row 0.
+    Without a trace res_x is 0 in every row, and res_y in structured rows.
+    The loop state is the iterate x; a DivergenceError carries the last
+    finite one and the trace up to it.
     """
     if config is None:
         config = GlpeConfig()

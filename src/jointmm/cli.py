@@ -3,8 +3,9 @@
 Commands: solve, gave, glpe, linreg, budget, bench. Settings come from an
 optional JSON run manifest (--config) with command-line flags taking
 precedence. Traces are CSV with a frozen header; final states and reports
-are JSON. Exit codes: 0 on success/stationarity, 2 when the iteration cap
-was exhausted before the target, 1 on configuration or data errors.
+are JSON, a nonfinite float written as null. Exit codes: 0 on
+success/stationarity, 2 when the iteration cap was exhausted before the
+target, 1 on configuration or data errors.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Callable, NamedTuple
 
 from . import apps
 from .errors import ConfigurationError, JointmmError
+from .numerics import json_finite
 from .problem import (
     compute_budget_constants,
     compute_constants,
@@ -108,9 +110,8 @@ def _app_report(name, G, r, **extra):
     columns are the last trace row."""
     rows, cols = G.A.shape
     summary = {"instance": name, "n": cols, "m": rows, "q": cols, "iterations": r.iterations}
-    if r.trace:
-        last = r.trace[-1]
-        summary.update(res_x=last.res_x, res_y=last.res_y, res_feas=last.res_feas)
+    if len(r.trace):
+        summary.update(zip(("res_x", "res_y", "res_feas"), r.trace[-1, 1:4].tolist()))
     summary["app_error"] = r.error
     state = {"instance": name, "x": [float(v) for v in r.x], **extra, "app_error": r.error}
     state.update(iterations=r.iterations, converged=r.converged)
@@ -203,9 +204,9 @@ def run(kind, spec):
         write_state_json(result.state, result.residuals, wall, path)
     else:
         with open(path, "w", encoding="ascii") as fh:
-            json.dump(dict(state, wall_time_s=wall), fh, indent=2)
+            json.dump(json_finite(dict(state, wall_time_s=wall)), fh, indent=2)
             fh.write("\n")
-    print(json.dumps(summary))
+    print(json.dumps(json_finite(summary)))
     return EXIT_OK if result.converged else EXIT_CAP
 
 
@@ -253,20 +254,9 @@ def cmd_budget(args):
     )
     eps = spec.get("eps", 1e-2)
     N, T = plan_budget(C, B, alpha_x, alpha_y, P.mu, eps)
-    print(
-        json.dumps(
-            {
-                "constants": dataclasses.asdict(C),
-                "budget_constants": dataclasses.asdict(B),
-                "alpha_x": alpha_x,
-                "alpha_y": alpha_y,
-                "eps": eps,
-                "N": N,
-                "T": T,
-            },
-            indent=2,
-        )
-    )
+    report = {"constants": dataclasses.asdict(C), "budget_constants": dataclasses.asdict(B),
+              "alpha_x": alpha_x, "alpha_y": alpha_y, "eps": eps, "N": N, "T": T}
+    print(json.dumps(json_finite(report), indent=2))
     return EXIT_OK
 
 

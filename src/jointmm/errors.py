@@ -22,15 +22,15 @@ class DivergenceError(JointmmError):
     """A solver iterate became nonfinite; raised only by solver.iterate.
 
     Carries the last certified state (None when the start already fails)
-    and the solver.Trace recorded up to that point (empty by default).
+    and the trace recorded up to that point, the float64 array of rows that
+    solver.iterate returns (no rows when the start fails or nothing is
+    recorded).
     """
 
-    def __init__(self, message, state=None, trace=None):
-        from .solver import Trace  # solver imports this module
-
+    def __init__(self, message, state, trace):
         super().__init__(message)
         self.state = state
-        self.trace = trace if trace is not None else Trace()
+        self.trace = trace
 
 
 class FrameworkError(JointmmError):

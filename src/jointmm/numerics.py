@@ -64,6 +64,18 @@ def json_array(value):
     return np.asarray(value, dtype=float)
 
 
+def json_finite(value):
+    """value to write as JSON, with each nonfinite float in it and in its
+    lists, tuples and dict values as None: JSON has no inf or NaN, so null."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: json_finite(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return list(map(json_finite, value))
+    return value
+
+
 def norm2(v):
     """Euclidean norm of a C-contiguous 1-d float64 vector, as a Python float.
 

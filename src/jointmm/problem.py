@@ -429,6 +429,8 @@ def load_json_object(path, what):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
+        except RecursionError as exc:
+            raise ConfigurationError(f"{what} {path} is nested too deeply") from exc
         except ValueError as exc:
             raise ConfigurationError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -450,14 +452,15 @@ def load_problem_manifest(path) -> MinimaxProblem:
     MatrixMarket files, resolved relative to the manifest. The vector c may
     be inline or a single-column matrix file. Smooth terms come from the
     {zero, scaled_sq_norm, linear, quadratic_diag} registry and nonsmooth
-    terms from the ProxOperator kinds. No entry may be a boolean.
+    terms from the ProxOperator kinds. No entry may be a boolean, and a
+    file nested too deeply to read is a ConfigurationError too.
     """
     data = load_json_object(path, "problem manifest")
-    for key, value in data.items():
-        if _holds_bool(value):
-            raise ConfigurationError(f"problem manifest {path}: {key!r} holds a boolean")
     base_dir = os.path.dirname(os.path.abspath(path))
     try:
+        for key, value in data.items():
+            if _holds_bool(value):
+                raise ConfigurationError(f"problem manifest {path}: {key!r} holds a boolean")
         K, A, B, c = (_load_matrix_field(data[key], base_dir) for key in ("K", "A", "B", "c"))
         c = c.reshape(-1) if isinstance(data["c"], str) else c
         return MinimaxProblem(
@@ -476,3 +479,5 @@ def load_problem_manifest(path) -> MinimaxProblem:
         raise ConfigurationError(f"problem manifest {path} is missing field {field!r}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"problem manifest {path} has a malformed entry: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigurationError(f"problem manifest {path} is nested too deeply") from exc

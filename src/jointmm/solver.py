@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, FrameworkError
-from .numerics import apply, as_vector, is_number, serial_matmul
+from .numerics import apply, as_vector, is_number, json_finite, serial_matmul
 from .problem import (
     BudgetConstants,
     MinimaxProblem,
@@ -39,60 +39,6 @@ from .rng import make_rng, standard_normal
 
 TRACE_HEADER = "t,elapsed_s,res_x,res_y,res_feas,app_error"
 TRACE_COLUMNS = TRACE_HEADER.split(",")[2:]  # the row a certify returns
-
-
-class TraceRecord(NamedTuple):
-    """One per-iteration trace row, as indexing or iterating a Trace gives it."""
-
-    t: int
-    elapsed: float
-    res_x: float
-    res_y: float
-    res_feas: float
-    objective_metric: Optional[float] = None
-
-
-def _record(t, elapsed, res_x, res_y, res_feas, app):
-    return TraceRecord(t, elapsed, res_x, res_y, res_feas, None if math.isnan(app) else app)
-
-
-class Trace:
-    """A run's trace rows 0, ..., T (row t is iterate t), held as float64
-    columns: columns is the 5 x (T + 1) array of elapsed and TRACE_COLUMNS,
-    with NaN where a row has no app_error (a recorded app_error is finite).
-
-    Indexing by an integer gives row t as a TraceRecord of Python floats, and
-    its objective_metric (the app_error) None where the column is NaN; a
-    slice and iteration give TraceRecords too. A Trace equals another with
-    the same columns, or a list of the TraceRecords it yields.
-    """
-
-    __slots__ = ("columns",)
-
-    def __init__(self, columns=None):
-        self.columns = np.empty((1 + len(TRACE_COLUMNS), 0)) if columns is None else columns
-
-    def __len__(self):
-        return self.columns.shape[1]
-
-    def __iter__(self):
-        return map(_record, range(len(self)), *self.columns.tolist())
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(map(_record, range(len(self))[i], *self.columns[:, i].tolist()))
-        t = range(len(self))[i]
-        return _record(t, *self.columns[:, t].tolist())
-
-    def __eq__(self, other):
-        if isinstance(other, Trace):
-            return np.array_equal(self.columns, other.columns, equal_nan=True)
-        if isinstance(other, list):
-            return list(self) == other
-        return NotImplemented
-
-    def __repr__(self):
-        return f"Trace({len(self)} rows)"
 
 
 @dataclass
@@ -160,14 +106,14 @@ class SolverConfig:
 
 class SolveResult(NamedTuple):
     state: IterateState
-    trace: Trace
+    trace: np.ndarray
     residuals: Residuals
     converged: bool
 
 
 class FrameworkResult(NamedTuple):
     state: IterateState
-    trace: Trace
+    trace: np.ndarray
     eps_used: list
 
 
@@ -263,7 +209,7 @@ class LoopResult(NamedTuple):
     cert: object
     t: int
     converged: bool
-    trace: Trace
+    trace: np.ndarray
 
 
 class Block(NamedTuple):
@@ -280,7 +226,7 @@ class Block(NamedTuple):
 
 def _check_row(row, t, last, trace):
     """Raise DivergenceError when an entry of iterate t's row is nonfinite;
-    trace() gives the Trace it carries."""
+    trace() gives the trace it carries."""
     bad = [c for c, v in zip(TRACE_COLUMNS, row) if v is not None and not math.isfinite(v)]
     if bad:
         msg = f"diverged at iterate {t}: nonfinite {', '.join(bad)}"
@@ -310,11 +256,13 @@ def iterate(state, step, certify, outer_cap, record_trace) -> LoopResult:
     has rows 0..T. A block's rows share one elapsed stamp, taken when the
     step returns it.
 
-    The trace is a Trace of float64 columns. A block's rows go in with one
-    slice copy and one broadcast stamp; a structured row is staged as a tuple
-    with its stamp, and the staged rows become one array at the next block,
-    at every TRACE_STAGE_ROWS rows and at return, where the pieces are
-    joined into the Trace's columns (40 bytes a row).
+    The trace is a (T + 1) x 5 float64 array: row t is iterate t, and its
+    columns are elapsed_s and TRACE_COLUMNS, NaN where a row has no
+    app_error (a recorded app_error is finite). A block's rows go in with
+    one slice copy and one broadcast stamp; a structured row is staged as a
+    tuple with its stamp, and the staged rows become one array at the next
+    block, at every TRACE_STAGE_ROWS rows and at return, where the pieces
+    are joined (40 bytes a row).
 
     The loop stops when done is true or after outer_cap steps, and returns
     the last state with its cert, the number of steps t, whether done held,
@@ -327,7 +275,7 @@ def iterate(state, step, certify, outer_cap, record_trace) -> LoopResult:
     message names the iterate and the columns.
     """
     # the trace so far: arrays of rows (stamp and TRACE_COLUMNS), then staged rows
-    chunks, staged = [], []
+    chunks, staged = [np.empty((0, 1 + len(TRACE_COLUMNS)))], []
 
     def flush():
         if staged:
@@ -336,7 +284,7 @@ def iterate(state, step, certify, outer_cap, record_trace) -> LoopResult:
 
     def trace():
         flush()
-        return Trace(np.concatenate([c.T for c in chunks], axis=1) if chunks else None)
+        return np.concatenate(chunks)
 
     start = time.perf_counter()
     # the start point comes in as the output of step -1, with no predecessor
@@ -737,13 +685,13 @@ def plan_budget(
     return N, T
 
 
-def write_trace_csv(trace: Trace, path):
+def write_trace_csv(trace: np.ndarray, path):
     """Write a trace with the frozen header t,elapsed_s,res_x,res_y,res_feas,app_error:
-    elapsed to six decimals, each residual as the repr of its float, and
-    app_error blank where the row has none."""
+    t the row index, elapsed to six decimals, each residual as the repr of
+    its float, and app_error blank where the row has none (NaN)."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(TRACE_HEADER + "\n")
-        for t, (e, a, b, c, d) in enumerate(zip(*trace.columns.tolist())):
+        for t, (e, a, b, c, d) in enumerate(trace.tolist()):
             fh.write(f"{t},{e:.6f},{a!r},{b!r},{c!r},{'' if math.isnan(d) else repr(d)}\n")
 
 
@@ -765,6 +713,7 @@ def state_to_json(state: IterateState, res: Residuals, wall_time_s: float) -> di
 
 
 def write_state_json(state: IterateState, res: Residuals, wall_time_s: float, path):
+    """Write state_to_json's dict, a nonfinite float as null (json_finite)."""
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(state_to_json(state, res, wall_time_s), fh, indent=2)
+        json.dump(json_finite(state_to_json(state, res, wall_time_s)), fh, indent=2)
         fh.write("\n")

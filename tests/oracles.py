@@ -20,7 +20,7 @@ CountingMatrix is a stand-in for a problem's coupling matrix that counts
 the products a loop takes. The matrix-file readers and writers at the end
 parse and format one line at a time with float(), int() and repr(), the
 reference for matio's bulk paths, and write_trace_records_csv writes a
-trace one TraceRecord at a time, the reference for solver.write_trace_csv.
+trace one row at a time, the reference for solver.write_trace_csv.
 """
 
 import math
@@ -723,24 +723,24 @@ def write_matrix_mm_lines(M, path, layout="coordinate"):
                     fh.write(repr(float(M[i, j])) + "\n")
 
 
-def write_trace_records_csv(records, path):
-    """A trace given as a sequence of TraceRecords, written one record at a
-    time under the frozen header (the writer of the list-of-records trace)."""
+def write_trace_records_csv(trace, path):
+    """A trace array written one row at a time under the frozen header, each
+    entry read as a Python float: t is the row index, and a NaN app_error is
+    left blank."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(TRACE_HEADER + "\n")
-        for rec in records:
-            app = "" if rec.objective_metric is None else repr(float(rec.objective_metric))
-            fh.write(
-                f"{rec.t},{rec.elapsed:.6f},{rec.res_x!r},{rec.res_y!r},{rec.res_feas!r},{app}\n"
-            )
+        for t, row in enumerate(trace):
+            elapsed, res_x, res_y, res_feas, app = map(float, row)
+            app = "" if math.isnan(app) else repr(app)
+            fh.write(f"{t},{elapsed:.6f},{res_x!r},{res_y!r},{res_feas!r},{app}\n")
 
 
 def assert_trace_csv_is_the_records_csv(trace, directory):
     """solver.write_trace_csv writes the bytes write_trace_records_csv writes
-    from the trace's TraceRecords, elapsed_s aside (files in directory)."""
+    from the trace's rows, elapsed_s aside (files in directory)."""
     got, want = directory / "got.csv", directory / "want.csv"
     write_trace_csv(trace, got)
-    write_trace_records_csv(list(trace), want)
+    write_trace_records_csv(trace, want)
     assert trace_csv_without_elapsed(got) == trace_csv_without_elapsed(want)
 
 

@@ -122,7 +122,7 @@ def test_criterion_04_linreg(n):
     wall = time.perf_counter() - start
     res = r.residuals
     resid_ok = max(res.res_x, res.res_y, res.res_feas) <= 1e-7
-    totals = np.array([rec.res_x + rec.res_y + rec.res_feas for rec in r.trace])
+    totals = r.trace[:, 1] + r.trace[:, 2] + r.trace[:, 3]
     violations = [
         k for k in range(10, len(totals) // 2) if totals[2 * k] > 0.5 * totals[k]
     ]

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import jointmm
 from jointmm.cli import (
     BENCH_HEADER,
     EXIT_CAP,
@@ -19,6 +23,29 @@ from jointmm.matio import write_matrix_csv
 def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def assert_strict_json(out, directory):
+    """The stdout of a command (a summary line or budget's report, if any)
+    and the state.json it wrote to directory, if any, are JSON with no
+    Infinity, -Infinity or NaN, which json.loads would otherwise accept."""
+    if out:
+        json.loads(out, parse_constant=_reject_constant)
+    if (directory / "state.json").exists():
+        json.loads((directory / "state.json").read_text(), parse_constant=_reject_constant)
+
+
+def test_python_m_jointmm_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(jointmm.__file__)))
+    argv = [sys.executable, "-m", "jointmm", "budget", "--n", "4", "--theta-gap", "1",
+            "--beta1", "1"]
+    proc = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == EXIT_OK and json.loads(proc.stdout)["N"] >= 1
 
 
 def test_gave_c_builtin_exits_ok(tmp_path):
@@ -413,20 +440,39 @@ def test_solve_malformed_matrix_file_exits_error(tmp_path, capsys, name, text):
     assert name in err and "Traceback" not in err
 
 
-def test_malformed_run_manifest_exits_error(tmp_path, capsys):
+def nested_json(key, depth):
+    """A JSON object whose entry key is an empty list nested depth deep."""
+    return f'{{"{key}": {"[" * depth}{"]" * depth}}}'
+
+
+# nesting of 5,000 is past the recursion limit of json.load; 800 loads, and
+# is then too deep for the manifest's recursive checks, or is rejected
+@pytest.mark.parametrize("text, named", [
+    ('{"eps": 1e-8,', "not valid JSON"),
+    (nested_json("x0", 800), "x0"),
+    (nested_json("x0", 5000), "nested too deeply"),
+], ids=["truncated", "depth-800", "depth-5000"])
+def test_malformed_run_manifest_exits_error(tmp_path, capsys, text, named):
     cfg = tmp_path / "run.json"
-    cfg.write_text('{"eps": 1e-8,')
+    cfg.write_text(text)
     code = main(["gave", "--config", str(cfg), "--out", str(tmp_path)])
+    err = capsys.readouterr().err.splitlines()
     assert code == EXIT_ERROR
-    assert "not valid JSON" in capsys.readouterr().err
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
 
 
-def test_malformed_problem_manifest_exits_error(tmp_path, capsys):
+@pytest.mark.parametrize("text, named", [
+    ("{'K': [[1.0]]}", "not valid JSON"),
+    (nested_json("K", 800), "nested too deeply"),
+    (nested_json("K", 5000), "nested too deeply"),
+], ids=["single-quotes", "depth-800", "depth-5000"])
+def test_malformed_problem_manifest_exits_error(tmp_path, capsys, text, named):
     path = tmp_path / "problem.json"
-    path.write_text("{'K': [[1.0]]}")
+    path.write_text(text)
     code = main(["solve", "--problem", str(path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err.splitlines()
     assert code == EXIT_ERROR
-    assert "not valid JSON" in capsys.readouterr().err
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
 
 
 def _manifest_2x2(**changes):
@@ -723,9 +769,11 @@ def test_float_flags_exit_with_a_code_or_one_error_line(tmp_path, capsys, argv, 
     if argv[0] != "budget":
         argv = [*argv, "--out", str(tmp_path)]
     code = main([*argv, *cap])
-    err = capsys.readouterr().err.splitlines()
+    out, err = capsys.readouterr()
     assert code in (EXIT_OK, EXIT_ERROR, EXIT_CAP)
+    err = err.splitlines()
     assert err == [] or (len(err) == 1 and err[0].startswith("error:"))
+    assert_strict_json(out, tmp_path)
 
 
 # the integer flags on 0, -1 and 2**63; --inner-n 2**63 would run that many
@@ -741,6 +789,8 @@ def test_int_flags_exit_with_a_code_or_one_error_line(tmp_path, capsys, argv):
     if argv[0] != "budget":
         argv = [*argv, "--out", str(tmp_path)]
     code = main(argv)
-    err = capsys.readouterr().err.splitlines()
+    out, err = capsys.readouterr()
     assert code in (EXIT_OK, EXIT_ERROR, EXIT_CAP)
+    err = err.splitlines()
     assert err == [] or (len(err) == 1 and err[0].startswith("error:"))
+    assert_strict_json(out, tmp_path)

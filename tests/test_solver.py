@@ -37,8 +37,6 @@ from jointmm.solver import (
     IterateState,
     SolverConfig,
     TRACE_HEADER,
-    Trace,
-    TraceRecord,
     _block_shape,
     affine_parts,
     inner_ascent,
@@ -203,12 +201,9 @@ def test_run_pgmsad_deterministic_trace(rng):
                        inner_steps=10, outer_cap=40, eps=0.0, seed=11)
     r1 = run_pgmsad(P, cfg)
     r2 = run_pgmsad(P, cfg)
-    assert len(r1.trace) == len(r2.trace)
-    for rec1, rec2 in zip(r1.trace, r2.trace):
-        # elapsed is wall-clock; everything numeric must match bit for bit
-        assert (rec1.t, rec1.res_x, rec1.res_y, rec1.res_feas) == (
-            rec2.t, rec2.res_x, rec2.res_y, rec2.res_feas,
-        )
+    assert r1.trace.shape == r2.trace.shape
+    # elapsed is wall-clock; everything numeric must match bit for bit
+    assert np.array_equal(r1.trace[:, 1:], r2.trace[:, 1:], equal_nan=True)
     assert np.array_equal(r1.state.x, r2.state.x)
     assert np.array_equal(r1.state.lam, r2.state.lam)
 
@@ -243,7 +238,7 @@ def _assert_divergence_carries_state(err):
     state = err.value.state
     assert isinstance(state, IterateState)
     assert all(np.all(np.isfinite(v)) for v in (state.x, state.y, state.lam))
-    assert [rec.t for rec in err.value.trace] == list(range(state.t + 1))
+    assert len(err.value.trace) == state.t + 1
 
 
 @pytest.mark.filterwarnings("error")
@@ -272,7 +267,7 @@ def assert_same_run(got, ref):
     """run_pgmsad's result against pgmsad_structured's LoopResult: the same
     step count and stop, trace rows and iterates equal to 1e-12 relative."""
     assert (got.state.t, got.converged) == (ref.t, ref.converged)
-    rows = [np.array([rec[2:5] for rec in run.trace]) for run in (got, ref)]
+    rows = [run.trace[:, 1:4] for run in (got, ref)]
     assert np.abs(rows[0] - rows[1]).max() <= 1e-12 * rows[1].max()
     z = [np.concatenate([s.x, s.y, s.lam]) for s in (got.state, ref.state)]
     assert np.abs(z[0] - z[1]).max() <= 1e-12 * np.abs(z[1]).max()
@@ -304,7 +299,7 @@ def test_unconstrained_problems_match_the_structured_steps(rng, psi):
         cfg = SolverConfig(outer_cap=cap, eps=eps, **kw)
         got = run_pgmsad(P, cfg)
         assert_same_run(got, pgmsad_structured(P, cfg))
-        assert all(rec.res_feas == 0.0 for rec in got.trace)
+        assert (got.trace[:, 3] == 0.0).all()
     assert got.converged and 0 < got.state.t < 10000
 
 
@@ -357,7 +352,7 @@ def assert_certified_at_start(P, got, config, converged):
     s, L1, L2 = got.state, 1.0 / config.alpha_x, 1.0 / config.alpha_y
     want = residuals(P, s.x, s.y, s.lam, L1, L2)
     assert (s.t, got.converged, got.residuals) == (0, converged, want)
-    assert got.trace[0][2:5] == (want.res_x, want.res_y, want.res_feas)
+    assert got.trace[0, 1:4].tolist() == [want.res_x, want.res_y, want.res_feas]
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -385,7 +380,7 @@ def test_affine_blocks_stop_on_the_first_and_last_row_of_a_block(rng, where):
     P, kw = affine_case(rng, 2, 2, 2)
     k = _block_shape(6, AFFINE_BLOCK_MIN)[1]
     trace = pgmsad_structured(P, SolverConfig(outer_cap=5 * k, eps=0.0, **kw)).trace
-    worst = [max(rec[2:5]) for rec in trace]
+    worst = trace[:, 1:4].max(axis=1).tolist()
     t = next(t for t in range(k, 5 * k + 1)
              if t % k == (1 if where == "first" else 0) and worst[t] < 0.999 * min(worst[:t]))
     cfg = SolverConfig(outer_cap=5 * k, eps=worst[t] * (1 + 1e-9), **kw)
@@ -451,8 +446,7 @@ def test_run_pgmsad_projected_iterates_feasible(rng):
                        inner_steps=20, outer_cap=30, eps=0.0,
                        project_each_outer=True, seed=4)
     res = run_pgmsad(P, cfg)
-    for rec in res.trace[1:]:
-        assert rec.res_feas <= 1e-12
+    assert (res.trace[1:, 3] <= 1e-12).all()
 
 
 def test_theorem_style_inner_bound(rng):
@@ -772,7 +766,7 @@ def test_run_framework_trace_rows_each_iterate_once(rng):
     T = 6
     fr = run_framework(P, inner, lambda t: 1.0 / (t + 1.0) ** 2, 0.02, T,
                        x0=np.ones(2), y0=np.ones(2))
-    assert [rec.t for rec in fr.trace] == list(range(T + 1))
+    assert len(fr.trace) == T + 1
     assert fr.state.t == T
 
 
@@ -782,7 +776,7 @@ def test_run_pgmsad_trace_rows_and_converged_describe_returned_point(rng):
     cfg = SolverConfig(alpha_x=0.5 / C.L_theta, alpha_y=0.5 / C.L_h,
                        inner_steps=5, outer_cap=2000, eps=1e-9, seed=5)
     res = run_pgmsad(P, cfg)
-    assert [rec.t for rec in res.trace] == list(range(res.state.t + 1))
+    assert len(res.trace) == res.state.t + 1
     assert res.converged == res.residuals.within(cfg.eps)
 
 
@@ -794,9 +788,9 @@ def test_iterate_stops_at_cap_and_on_done():
 
     run = iterate(0, lambda s, cert, t: s + 1, certify, 10, True)
     assert (run.state, run.cert, run.t, run.converged) == (3, -3, 3, True)
-    assert [rec.t for rec in run.trace] == [0, 1, 2, 3]
+    assert len(run.trace) == 4
     run = iterate(0, lambda s, cert, t: s + 1, certify, 2, False)
-    assert (run.state, run.t, run.converged, run.trace) == (2, 2, False, [])
+    assert (run.state, run.t, run.converged, run.trace.shape) == (2, 2, False, (0, 5))
 
 
 def test_iterate_raises_on_a_nonfinite_row_with_the_last_certified_state():
@@ -808,10 +802,10 @@ def test_iterate_raises_on_a_nonfinite_row_with_the_last_certified_state():
     with pytest.raises(DivergenceError, match="iterate 3: nonfinite res_y, app_error") as err:
         iterate(0, lambda s, cert, t: s + 1, certify, 10, True)
     assert err.value.state == 2
-    assert [rec.t for rec in err.value.trace] == [0, 1, 2]
+    assert len(err.value.trace) == 3
     with pytest.raises(DivergenceError, match="iterate 0") as err:
         iterate(3, lambda s, cert, t: s + 1, certify, 10, False)
-    assert err.value.state is None and err.value.trace == []
+    assert err.value.state is None and err.value.trace.shape == (0, 5)
 
 
 def test_iterate_accepts_a_finite_row_whose_sum_overflows():
@@ -852,18 +846,18 @@ def test_iterate_takes_blocks_up_to_the_first_done_row_or_the_cap():
     # 0 -> block 1..3 -> 3 steps singly -> 4 -> block 5..7 stops at 5
     run = iterate(0, _counting_blocks(3), _counting_certify, 10, True)
     assert (run.state, run.cert, run.t, run.converged) == (5, -5, 5, True)
-    assert [rec.t for rec in run.trace] == [0, 1, 2, 3, 4, 5]
-    assert [rec.res_x for rec in run.trace] == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
-    assert all(rec.objective_metric is None for rec in run.trace)
+    assert len(run.trace) == 6
+    assert run.trace[:, 1].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+    assert np.isnan(run.trace[:, 4]).all()
     # the rows of a block share one stamp, taken after the step
-    stamps = [rec.elapsed for rec in run.trace]
+    stamps = run.trace[:, 0].tolist()
     assert stamps[1] == stamps[2] == stamps[3] <= stamps[4] <= stamps[5]
     # a cap inside a block: its later rows are not used
     run = iterate(0, _counting_blocks(3), _counting_certify, 2, True)
     assert (run.state, run.cert, run.t, run.converged) == (2, -2, 2, False)
-    assert [rec.t for rec in run.trace] == [0, 1, 2]
+    assert len(run.trace) == 3
     run = iterate(0, _counting_blocks(3), _counting_certify, 2, False)
-    assert (run.state, run.t, run.trace) == (2, 2, [])
+    assert (run.state, run.t, run.trace.shape) == (2, 2, (0, 5))
 
 
 def test_iterate_raises_on_a_nonfinite_block_row_with_the_row_before_it():
@@ -872,14 +866,14 @@ def test_iterate_raises_on_a_nonfinite_block_row_with_the_row_before_it():
     with pytest.raises(DivergenceError, match="iterate 2: nonfinite res_y$") as err:
         iterate(0, _counting_blocks(3, bad=2), _counting_certify, 10, True)
     assert err.value.state == 1
-    assert [rec.t for rec in err.value.trace] == [0, 1]
+    assert len(err.value.trace) == 2
     # the block's first row: the state the block was taken from
     with pytest.raises(DivergenceError, match="iterate 5: nonfinite res_y$") as err:
         iterate(0, _counting_blocks(3, bad=5), _counting_certify, 10, False)
-    assert err.value.state == 4 and err.value.trace == []
+    assert err.value.state == 4 and err.value.trace.shape == (0, 5)
 
 
-def test_trace_holds_float64_columns_and_gives_records():
+def test_trace_is_a_float64_array_with_a_row_per_iterate():
     from jointmm.solver import iterate
 
     def certify(s):
@@ -887,20 +881,21 @@ def test_trace_holds_float64_columns_and_gives_records():
 
     # rows 1-3 and 5 come from blocks, which stop at 5 (_counting_blocks)
     trace = iterate(0, _counting_blocks(3), certify, 10, True).trace
-    assert isinstance(trace, Trace) and len(trace) == 6 and trace
-    assert trace.columns.dtype == np.float64 and trace.columns.shape == (5, 6)
-    # a block's rows have three columns: their app_error is NaN, given as None
-    assert np.array_equal(trace.columns[4], [0.0, np.nan, np.nan, np.nan, 8.0, np.nan],
+    assert type(trace) is np.ndarray and trace.dtype == np.float64 and trace.shape == (6, 5)
+    assert trace.flags.owndata
+    # a block's rows have three columns: their app_error is NaN
+    assert np.array_equal(trace[:, 4], [0.0, np.nan, np.nan, np.nan, 8.0, np.nan],
                           equal_nan=True)
-    rec = trace[4]
-    assert type(rec) is TraceRecord and rec[:1] + rec[2:] == (4, 4.0, 0.5, -0.0, 8.0)
-    assert all(type(v) is float for v in rec[1:]) and trace[-1] == trace[5]
-    assert trace[1].objective_metric is None and trace[1].res_y == 0.0
-    assert trace[4:] == [trace[4], trace[5]] and [r.t for r in trace[::-3]] == [5, 2]
-    assert trace == list(trace) and trace == Trace(trace.columns.copy()) and trace != []
-    with pytest.raises(IndexError):
-        trace[6]
-    assert Trace() == [] and not Trace() and len(DivergenceError("x").trace) == 0
+    assert trace[4, 1:].tolist() == [4.0, 0.5, 0.0, 8.0] and np.signbit(trace[4, 3])
+    assert trace[1, 1:4].tolist() == [1.0, 0.0, 0.0]
+
+    # a divergence at iterate 0 carries the empty trace
+    def diverged(s):
+        return False, (np.nan, 0.0, 0.0, None), s
+
+    with pytest.raises(DivergenceError, match="iterate 0") as err:
+        iterate(0, _counting_blocks(3), diverged, 10, True)
+    assert err.value.trace.dtype == np.float64 and err.value.trace.shape == (0, 5)
 
 
 def _framework_run(rng):
@@ -944,5 +939,5 @@ def test_divergence_carries_a_trace_up_to_the_bad_iterate(rng, psi):
         run_pgmsad(P, SolverConfig(outer_cap=100000, eps=0.0, **kw))
     bad = int(re.search(r"iterate (\d+):", str(err.value)).group(1))
     trace = err.value.trace
-    assert isinstance(trace, Trace) and len(trace) == bad == err.value.state.t + 1
-    assert np.isfinite(trace.columns[:4]).all() and np.isnan(trace.columns[4]).all()
+    assert type(trace) is np.ndarray and len(trace) == bad == err.value.state.t + 1
+    assert np.isfinite(trace[:, :4]).all() and np.isnan(trace[:, 4]).all()

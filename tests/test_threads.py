@@ -3,7 +3,7 @@ interpreter with OPENBLAS_NUM_THREADS set, and the digests of the results
 must agree. The runs are large enough that a plain product of a batch, or
 of the Gram matrix, would be split among the threads; the GLPE runs compare
 their step counts too, and the linreg and traced GLPE runs their trace
-columns."""
+rows, elapsed_s aside."""
 
 import json
 import os
@@ -38,7 +38,7 @@ for cap, name in ((20, "run_linreg"), (150, "run_linreg_150")):
     s = r.state
     out[name] = digest(s.x, s.y, s.lam)
     # its trace rows, elapsed aside
-    out[f"{name}_trace"] = digest(r.trace.columns[1:])
+    out[f"{name}_trace"] = digest(r.trace[:, 1:])
 # the affine path of run_pgmsad at n + m + q = 256, projected every step:
 # 100 steps, a block of 64 and one of 36 filled at two levels. The step map
 # grows the iterates about 10x a step, so they overflow by step 150
@@ -63,7 +63,7 @@ out["gram"] = digest(built[0])
 for kind in ("nonneg_orthant", "l1_norm"):
     r = run_glpe(builtin_glpe(kind), GlpeConfig(record_trace=False))
     out[f"glpe_{kind}"] = [r.iterations, digest(r.x)]
-    out[f"glpe_{kind}_trace"] = digest(run_glpe(builtin_glpe(kind)).trace.columns[1:])
+    out[f"glpe_{kind}_trace"] = digest(run_glpe(builtin_glpe(kind)).trace[:, 1:])
 print(json.dumps(out))
 """
 
