@@ -1,7 +1,9 @@
 """Matrix file I/O: CSV rows and MatrixMarket coordinate/array formats.
 
-Readers densify everything on load. Writers emit shortest round-tripping
-decimal literals so write -> read reproduces the array bit for bit.
+Readers densify everything on load, into numerics.aligned arrays (which
+products stream fastest, with the same bits). Writers emit shortest
+round-tripping decimal literals so write -> read reproduces the array bit
+for bit.
 
 Both directions work in chunks of _CHUNK lines: a reader hands each chunk to
 np.loadtxt, a writer formats each chunk as one string, so neither holds a
@@ -16,7 +18,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import ConfigurationError
-from .numerics import as_matrix
+from .numerics import aligned, as_matrix
 
 # Lines per bulk parse or write. On a 160,000-line coordinate file, 8,192-line
 # chunks were no faster than 2,048-line ones and added about 1.5 MB to peak RSS.
@@ -56,7 +58,7 @@ def read_matrix_csv(path):
         raise ConfigurationError(f"empty CSV matrix file: {path}")
     if any(b.shape[1] != blocks[0].shape[1] for b in blocks):
         raise ConfigurationError(f"ragged CSV matrix file: {path}")
-    return np.concatenate(blocks)
+    return np.concatenate(blocks, out=aligned((sum(map(len, blocks)), blocks[0].shape[1])))
 
 
 def write_matrix_csv(M, path):
@@ -97,7 +99,7 @@ def read_matrix_mm(path):
         if layout == "coordinate":
             rows, cols, nnz = int(size[0]), int(size[1]), int(size[2])
             try:
-                M = np.zeros((rows, cols))
+                M = aligned((rows, cols), np.zeros)
             except MemoryError:
                 raise ConfigurationError(
                     f"MatrixMarket file {path} declares a {rows}x{cols} matrix, "
@@ -126,7 +128,7 @@ def read_matrix_mm(path):
             if b.shape[1] != 1:
                 raise ValueError(f"an array entry line holds {b.shape[1]} values")
             blocks.append(b[:, 0])
-        values = np.concatenate(blocks) if blocks else np.zeros(0)
+        values = np.concatenate(blocks or [np.zeros(0)], out=aligned((sum(map(len, blocks)),)))
         if values.size != rows * cols:
             raise ConfigurationError(
                 f"MatrixMarket array file {path} has {values.size} values, "
@@ -170,7 +172,8 @@ def read_matrix(path):
     """Read a matrix, dispatching on extension (.mtx -> MatrixMarket, else CSV).
 
     A malformed file, such as one with a non-numeric token, raises
-    ConfigurationError naming the path.
+    ConfigurationError naming the path. The result is numerics.aligned, in
+    C layout, or F layout from a MatrixMarket array file.
     """
     if not os.path.exists(path):
         raise ConfigurationError(f"matrix file not found: {path}")

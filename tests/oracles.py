@@ -15,12 +15,14 @@ approx_y_star, glpe_sweep_step, pgmsad_structured, linreg_structured and
 glpe_structured are reference quantities and loops built on the package's
 own kernels, which the tests check elsewhere. gave_to_minimax and
 glpe_to_minimax are the minimax
-encodings of the two equation applications, which no solve path uses, and
+encodings of the two equation applications, which no solve path uses,
 CountingMatrix is a stand-in for a problem's coupling matrix that counts
-the products a loop takes. The matrix-file readers and writers at the end
-parse and format one line at a time with float(), int() and repr(), the
-reference for matio's bulk paths, and write_trace_records_csv writes a
-trace one row at a time, the reference for solver.write_trace_csv.
+the products a loop takes, and misaligned places a copy of an array at a
+chosen offset from a 64-byte boundary (address reads where it starts). The
+matrix-file readers and writers at the end parse and format one line at a
+time with float(), int() and repr(), the reference for matio's bulk paths,
+and write_trace_records_csv writes a trace one row at a time, the reference
+for solver.write_trace_csv.
 """
 
 import math
@@ -585,6 +587,25 @@ def linreg_structured(P, config):
     x, y = project_feasible(P, x, y)
     start = IterateState(x=x, y=y, lam=None, t=0)
     return iterate(start, step, certify, config.outer_cap, True)
+
+
+def misaligned(a, offset):
+    """A float64 copy of a whose data starts offset bytes past a 64-byte
+    boundary (offset a multiple of 8; 0 gives an aligned copy), in a's
+    layout: F-contiguous if a is, else C-contiguous. Products round by
+    layout, so a copy in another one could move bits that alignment does
+    not."""
+    order = "F" if a.flags.f_contiguous and not a.flags.c_contiguous else "C"
+    buf = np.empty(a.size * 8 + 128, dtype=np.uint8)
+    start = -address(buf) % 64 + offset
+    out = buf[start : start + a.size * 8].view(np.float64).reshape(a.shape, order=order)
+    out[...] = a
+    return out
+
+
+def address(a):
+    """The address of the first byte of a's data."""
+    return a.__array_interface__["data"][0]
 
 
 class CountingMatrix:

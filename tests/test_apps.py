@@ -46,8 +46,10 @@ from oracles import (
     gave_to_minimax,
     glpe_structured,
     glpe_to_minimax,
+    address,
     in_cone,
     linreg_structured,
+    misaligned,
 )
 
 
@@ -563,8 +565,14 @@ LINREG_PIN = (1241, "33e714a4cd2ba4c0e4324a862d5464334e3bf1cfa0df5f167f2fbb31ccc
 LINREG_J1_PIN = (3298, "e20d6ed89bedb6461a989a9debb593a6692cb83ba610b46b3cfa541a213a000c")
 
 
-def assert_stock_linreg_run(n, pin):
+def assert_stock_linreg_run(n, pin, offset=None):
+    """The stock run on make_linreg(n, n, n // 5, seed 3) gives pin; given an
+    offset, with its K, A and B copied to offset bytes past a 64-byte
+    boundary (views the problem keeps: as_matrix does not copy them)."""
     _, P = make_linreg(n, n, n // 5, seed=3)
+    if offset is not None:
+        P = dataclasses.replace(P, **{name: misaligned(getattr(P, name), offset) for name in "KAB"})
+        assert {address(getattr(P, name)) % 64 for name in "KAB"} == {offset}
     r = run_linreg(P, _stock_linreg_config())
     assert r.converged
     digest = hashlib.sha256(b"".join(v.tobytes() for v in (r.state.x, r.state.y, r.state.lam)))
@@ -577,6 +585,16 @@ def test_run_linreg_stock_run_is_pinned():
 
 def test_run_linreg_two_level_fill_is_pinned():
     assert_stock_linreg_run(130, LINREG_J1_PIN)
+
+
+@pytest.mark.parametrize("offset", [8, 16, 32, 48])
+@pytest.mark.parametrize("n, pin", [(40, LINREG_PIN), (130, LINREG_J1_PIN)],
+                         ids=["stacked", "two-level"])
+def test_run_linreg_pins_hold_at_any_alignment(shift_aligned, n, pin, offset):
+    # the problem's matrices, and every array numerics.aligned gives the
+    # package, offset bytes past a 64-byte boundary
+    shift_aligned(offset)
+    assert_stock_linreg_run(n, pin, offset)
 
 
 def count_linreg_products(T, alpha_y):

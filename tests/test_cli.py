@@ -446,12 +446,15 @@ def nested_json(key, depth):
 
 
 # nesting of 5,000 is past the recursion limit of json.load; 800 loads, and
-# is then too deep for the manifest's recursive checks, or is rejected
+# is then too deep for the manifest's recursive checks, or is rejected. A
+# bad setting's value is shown by reprlib.repr, cut to a short line
 @pytest.mark.parametrize("text, named", [
     ('{"eps": 1e-8,', "not valid JSON"),
     (nested_json("x0", 800), "x0"),
     (nested_json("x0", 5000), "nested too deeply"),
-], ids=["truncated", "depth-800", "depth-5000"])
+    (nested_json("eps", 800), "eps must be >= 0, got [[[[[["),
+    (json.dumps({"eps": list(range(100000))}), "eps must be >= 0, got [0, 1, 2,"),
+], ids=["truncated", "depth-800", "depth-5000", "eps-depth-800", "eps-long-list"])
 def test_malformed_run_manifest_exits_error(tmp_path, capsys, text, named):
     cfg = tmp_path / "run.json"
     cfg.write_text(text)
@@ -459,6 +462,7 @@ def test_malformed_run_manifest_exits_error(tmp_path, capsys, text, named):
     err = capsys.readouterr().err.splitlines()
     assert code == EXIT_ERROR
     assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+    assert len(err[0]) < 200
 
 
 @pytest.mark.parametrize("text, named", [

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from jointmm.errors import ConfigurationError
+from jointmm.numerics import ALIGN_MIN_BYTES
 from jointmm.matio import (
     _CHUNK,
     read_matrix,
@@ -16,6 +17,7 @@ from jointmm.matio import (
 )
 
 from oracles import (
+    address,
     read_matrix_csv_lines,
     read_matrix_mm_lines,
     write_matrix_csv_lines,
@@ -52,6 +54,25 @@ def test_read_matrix_dispatch(rng, tmp_path):
     write_matrix_mm(M, tmp_path / "a.mtx")
     assert np.array_equal(read_matrix(tmp_path / "a.csv"), M)
     assert np.array_equal(read_matrix(tmp_path / "a.mtx"), M)
+
+
+@pytest.mark.parametrize("layout", ["csv", "coordinate", "array"])
+def test_read_matrix_results_start_on_64_byte_boundaries(rng, tmp_path, layout):
+    # 120 x 80 (76.8 KB) is past numerics.ALIGN_MIN_BYTES; the result keeps
+    # its layout (a MatrixMarket array file reads back F-contiguous) and
+    # its bits
+    M = rng.standard_normal((120, 80))
+    M[rng.random(M.shape) < 0.3] = 0.0
+    path = tmp_path / ("m.csv" if layout == "csv" else "m.mtx")
+    if layout == "csv":
+        write_matrix_csv(M, path)
+    else:
+        write_matrix_mm(M, path, layout=layout)
+    got = read_matrix(path)
+    assert M.nbytes >= ALIGN_MIN_BYTES and address(got) % 64 == 0
+    assert got.tobytes() == M.tobytes()
+    assert (got.flags.f_contiguous, got.flags.c_contiguous) == (
+        layout == "array", layout != "array")
 
 
 def test_read_matrix_missing_file_names_path(tmp_path):

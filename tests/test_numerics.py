@@ -3,16 +3,20 @@ import pytest
 
 from jointmm.errors import ConfigurationError, SingularConstraintError
 from jointmm.numerics import (
+    ALIGN_MIN_BYTES,
+    SERIAL_MATMUL_WORK,
+    aligned,
     apply,
     as_matrix,
     as_vector,
+    matvec,
     operator_norm,
     serial_matmul,
     spd_factor,
     spd_solve_factored,
 )
 
-from oracles import jacobi_sigma_max
+from oracles import address, jacobi_sigma_max, misaligned
 
 
 def test_spd_solve_identity():
@@ -122,3 +126,49 @@ def test_apply_takes_a_point_or_a_batch_of_rows(rng):
     assert np.array_equal(got, serial_matmul(V, A.T))
     ref = np.array([A @ v for v in V])
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_aligned_places_large_arrays_on_64_byte_boundaries():
+    # from ALIGN_MIN_BYTES up, a C-contiguous float64 view of a buffer,
+    # starting on a boundary; below it, a plain np.empty / np.zeros array
+    # that owns its data (the alignment would cost small arrays more than it
+    # saves: saddle-batch's per-block arrays)
+    rows = ALIGN_MIN_BYTES // 8 // 16
+    for shape in [(rows, 16), (65, 400), (883, 400), (ALIGN_MIN_BYTES // 8,)]:
+        for make in (np.empty, np.zeros):
+            a = aligned(shape, make)
+            assert a.shape == shape and a.dtype == np.float64 and a.flags.c_contiguous
+            assert address(a) % 64 == 0 and not a.flags.owndata
+            assert make is np.empty or not a.any()
+    for shape in [(rows - 1, 16), (65, 5), (0, 400), (3,)]:
+        a = aligned(shape, np.zeros)
+        assert a.shape == shape and a.flags.owndata and not a.any()
+        assert aligned(shape).flags.owndata
+
+
+@pytest.mark.parametrize("offset", [8, 16, 32, 48])
+def test_serial_matmul_output_is_aligned_whatever_its_inputs(offset):
+    A = misaligned(np.ones((883, 400)), offset)
+    B = misaligned(np.ones((400, 64)), offset)
+    assert A.shape[0] * 400 * 64 > SERIAL_MATMUL_WORK and 883 * 64 * 8 >= ALIGN_MIN_BYTES
+    assert address(serial_matmul(A, B)) % 64 == 0
+    assert address(serial_matmul(B.T, A.T)) % 64 == 0
+
+
+@pytest.mark.parametrize("offset", [8, 16, 32, 48])
+@pytest.mark.parametrize("d", [5, 130, 400])
+def test_products_keep_their_bits_at_any_alignment(shift_aligned, d, offset):
+    # inputs, and the outputs serial_matmul allocates, at offset bytes past
+    # a 64-byte boundary give the bits of aligned ones; at d = 400 R is the
+    # 883 x 400 residual map of linreg-400 and Z a block of 64 iterates
+    rng = np.random.default_rng(d)
+    M, R, Z = (rng.standard_normal(s) for s in [(d, d), (883, d), (65, d)])
+
+    def products(offset):
+        shift_aligned(offset)
+        M_, R_, Z_ = (misaligned(a, offset) for a in (M, R, Z))
+        return [serial_matmul(R_, Z_[:-1].T), serial_matmul(M_, M_), serial_matmul(Z_, M_.T),
+                apply(M_, Z_), apply(M_, Z_[0]), matvec(M_)(Z_[0]), matvec(M_.T)(Z_[0])]
+
+    want = [p.tobytes() for p in products(0)]
+    assert [p.tobytes() for p in products(offset)] == want

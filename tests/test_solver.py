@@ -26,12 +26,14 @@ from jointmm.problem import (
 from jointmm.prox import (
     ConeSpec,
     NONNEG_ORTHANT,
+    SmoothOracle,
     prox_eval,
     prox_indicator,
     prox_zero,
     smooth_scaled_sq_norm,
     smooth_zero,
 )
+from jointmm.numerics import ALIGN_MIN_BYTES, serial_matmul
 from jointmm.solver import (
     AFFINE_BLOCK_MIN,
     IterateState,
@@ -39,6 +41,7 @@ from jointmm.solver import (
     TRACE_HEADER,
     _block_shape,
     affine_parts,
+    fill_iterates,
     inner_ascent,
     outer_step,
     pgmsad_step,
@@ -46,14 +49,17 @@ from jointmm.solver import (
     project_feasible,
     run_framework,
     run_pgmsad,
+    stacked_powers,
     write_state_json,
     write_trace_csv,
 )
 
 from oracles import (
     CountingMatrix,
+    address,
     approx_y_star,
     linreg_structured,
+    misaligned,
     pgmsad_structured,
     assert_trace_csv_is_the_records_csv,
     quadratic_saddle_kkt,
@@ -941,3 +947,83 @@ def test_divergence_carries_a_trace_up_to_the_bad_iterate(rng, psi):
     trace = err.value.trace
     assert type(trace) is np.ndarray and len(trace) == bad == err.value.state.t + 1
     assert np.isfinite(trace[:, :4]).all() and np.isnan(trace[:, 4]).all()
+
+
+@pytest.mark.parametrize("offset", [8, 16, 32, 48])
+@pytest.mark.parametrize("d", [5, 130, 400])
+def test_fills_keep_their_bits_at_any_alignment(shift_aligned, d, offset):
+    # the stacked powers and a block of iterates filled by them, and the
+    # two-level fill of M^2 and M, from inputs and package arrays at offset
+    # bytes past a 64-byte boundary, are the bits of aligned ones
+    rng = np.random.default_rng(d)
+    M = rng.standard_normal((d, d)) / np.sqrt(d)
+    z, c = rng.standard_normal(d), rng.standard_normal(d)
+    j, k = _block_shape(d, AFFINE_BLOCK_MIN)
+
+    def fills(offset):
+        shift_aligned(offset)
+        M_, z_, c_ = (misaligned(a, offset) for a in (M, z, c))
+        S, C = stacked_powers(M_, c_, j)
+        two = serial_matmul(M_, M_), (M_ @ c_ + c_)[None], (M_, c_)
+        return [S, C, fill_iterates(z_, k, S, C), fill_iterates(z_, 64, *two)]
+
+    want = [a.tobytes() for a in fills(0)]
+    assert [a.tobytes() for a in fills(offset)] == want
+
+
+@pytest.mark.parametrize("offset", [8, 16, 32, 48])
+@pytest.mark.parametrize("n, q", [(110, 36), (36, 16)], ids=["two-level", "stacked"])
+def test_affine_pgmsad_bits_do_not_depend_on_alignment(shift_aligned, n, q, offset):
+    # K, A and B, and every array numerics.aligned gives the affine path, at
+    # offset bytes past a 64-byte boundary: the run of aligned ones, bit for
+    # bit, over 100 steps projected every step. At n + m + q = 256 (the
+    # instance of tests/test_threads.py) the blocks are filled at two
+    # levels, at 88 by products with M and M^2
+    rng = np.random.default_rng(7)
+    P = MinimaxProblem(g=SmoothOracle(1.0), phi=prox_zero(), h=SmoothOracle(1.0),
+                       psi=prox_zero(), K=rng.standard_normal((n, n)) / n**0.5,
+                       A=rng.standard_normal((q, n)), B=rng.standard_normal((q, n)),
+                       c=rng.standard_normal(q), mu=1.0)
+    cfg = SolverConfig(alpha_x=0.05, alpha_y=0.5, inner_steps=5, outer_cap=100,
+                       project_each_outer=True, seed=1)
+
+    def run(offset):
+        shift_aligned(offset)
+        got = run_pgmsad(dataclasses.replace(
+            P, **{name: misaligned(getattr(P, name), offset) for name in "KAB"}), cfg)
+        return got.state.x, got.state.y, got.state.lam, got.trace[:, 1:]
+
+    want = [a.tobytes() for a in run(0)]
+    assert [a.tobytes() for a in run(offset)] == want
+
+
+def test_affine_maps_and_blocks_start_on_64_byte_boundaries(monkeypatch):
+    # linreg-400's instance over two blocks: M, M^2, the 883 x 400 residual
+    # map R with its zero rows, and each block's Z start on a boundary. At
+    # n = 10 each block's Z (and every map) is under ALIGN_MIN_BYTES, a plain
+    # np.empty array that owns its data
+    import jointmm.solver
+
+    fills, products = [], []
+    fill, product = jointmm.solver.fill_iterates, jointmm.solver.serial_matmul
+
+    def spy(z, k, S, C, step=None):
+        Z = fill(z, k, S, C, step)
+        fills.append((S, step and step[0], Z))
+        return Z
+
+    monkeypatch.setattr(jointmm.solver, "fill_iterates", spy)
+    monkeypatch.setattr(jointmm.solver, "serial_matmul",
+                        lambda A, B: products.append(A) or product(A, B))
+    stock = dict(alpha_x=0.3, alpha_y=1.0, inner_steps=3, outer_cap=100)
+    _, P = make_linreg(400, 400, 80, seed=3)
+    run_linreg(P, SolverConfig(**stock))
+    (R,) = {id(A): A for A in products if A.shape == (883, 400)}.values()
+    assert np.array_equal(R[[400, 801, 882]], np.zeros((3, 400)))
+    assert [Z.shape for _, _, Z in fills] == [(65, 400), (37, 400)]
+    for M2, M, Z in fills:
+        assert {address(a) % 64 for a in (M2, M, Z, R)} == {0}
+    fills.clear()
+    _, P = make_linreg(10, 10, 2, seed=3)
+    run_linreg(P, SolverConfig(**stock))
+    assert fills and all(Z.flags.owndata and Z.nbytes < ALIGN_MIN_BYTES for *_, Z in fills)

@@ -2,8 +2,8 @@
 interpreter with OPENBLAS_NUM_THREADS set, and the digests of the results
 must agree. The runs are large enough that a plain product of a batch, or
 of the Gram matrix, would be split among the threads; the GLPE runs compare
-their step counts too, and the linreg and traced GLPE runs their trace
-rows, elapsed_s aside."""
+their step counts too (the seeded one its pattern count as well), and the
+linreg and traced GLPE runs their trace rows, elapsed_s aside."""
 
 import json
 import os
@@ -18,9 +18,10 @@ RUNS = r"""
 import hashlib, json
 import numpy as np
 from jointmm import problem
-from jointmm.apps import GlpeConfig, builtin_glpe, make_linreg, run_glpe, run_linreg
+from jointmm.apps import (GlpeConfig, GlpeInstance, builtin_glpe, make_linreg, run_glpe,
+                         run_linreg)
 from jointmm.problem import MinimaxProblem
-from jointmm.prox import SmoothOracle, prox_zero
+from jointmm.prox import NONNEG_ORTHANT, ConeSpec, SmoothOracle, prox_zero
 from jointmm.solver import SolverConfig, run_pgmsad
 
 
@@ -64,6 +65,18 @@ for kind in ("nonneg_orthant", "l1_norm"):
     r = run_glpe(builtin_glpe(kind), GlpeConfig(record_trace=False))
     out[f"glpe_{kind}"] = [r.iterations, digest(r.x)]
     out[f"glpe_{kind}_trace"] = digest(run_glpe(builtin_glpe(kind)).trace[:, 1:])
+# the seeded orthant GLPE at n = 50 of tests/test_apps.py (seeded_orthant_glpe),
+# run to eps 1e-10: its stacked powers, 250 x 50, are aligned arrays
+n = 50
+rng = np.random.default_rng(7)
+A = rng.standard_normal((n, n)) + 3 * np.eye(n)
+B = rng.standard_normal((n, n)) / np.sqrt(n)
+x_star = rng.standard_normal(n)
+G = GlpeInstance(A=A, B=B, b=A @ x_star + B @ np.maximum(x_star, 0.0),
+                 cone=ConeSpec(kind=NONNEG_ORTHANT, dim=n))
+r = run_glpe(G, GlpeConfig(alpha=1 / np.linalg.norm(A + B, 2) ** 2, eps=1e-10,
+                           record_trace=False))
+out["glpe_seeded_50"] = [r.iterations, r.patterns, digest(r.x)]
 print(json.dumps(out))
 """
 
@@ -85,7 +98,7 @@ def digests():
 @pytest.mark.parametrize(
     "run", ["run_linreg", "run_linreg_trace", "run_linreg_150", "run_linreg_150_trace",
             "run_pgmsad", "gram", "glpe_nonneg_orthant", "glpe_l1_norm",
-            "glpe_nonneg_orthant_trace", "glpe_l1_norm_trace"]
+            "glpe_nonneg_orthant_trace", "glpe_l1_norm_trace", "glpe_seeded_50"]
 )
 def test_same_bits_at_one_and_two_blas_threads(digests, run):
     assert digests["1"][run] == digests["2"][run]
