@@ -17,7 +17,8 @@ own kernels, which the tests check elsewhere. gave_to_minimax and
 glpe_to_minimax are the minimax
 encodings of the two equation applications, which no solve path uses,
 CountingMatrix is a stand-in for a problem's coupling matrix that counts
-the products a loop takes, and misaligned places a copy of an array at a
+the products a loop takes, cli_like_saddle, mixed_prox_saddle and
+seeded_gave build the seeded runs whose bits the pins hold, and misaligned places a copy of an array at a
 chosen offset from a 64-byte boundary (address reads where it starts). The
 matrix-file readers and writers at the end parse and format one line at a
 time with float(), int() and repr(), the reference for matio's bulk paths,
@@ -40,10 +41,14 @@ from jointmm.apps import (
 )
 from jointmm.errors import ConfigurationError
 from jointmm.numerics import norm2
-from jointmm.problem import MinimaxProblem, feas, recover_multiplier, residuals
+from jointmm.problem import MinimaxProblem, compute_constants, feas, recover_multiplier, residuals
 from jointmm.prox import (
+    BOX,
+    FREE,
     L1_NORM,
     NONNEG_ORTHANT,
+    SECOND_ORDER,
+    ZERO,
     ConeSpec,
     SmoothOracle,
     project_cone,
@@ -53,14 +58,18 @@ from jointmm.prox import (
     prox_blocks,
     prox_eval,
     prox_indicator,
+    prox_linear_shift,
     prox_polar_indicator,
+    prox_scaled_sq_norm,
     prox_zero,
+    smooth_scaled_sq_norm,
     smooth_zero,
 )
 from jointmm.rng import make_rng, standard_normal
 from jointmm.solver import (
     TRACE_HEADER,
     IterateState,
+    SolverConfig,
     certify_residuals,
     inner_ascent,
     iterate,
@@ -559,6 +568,68 @@ def pgmsad_structured(P, config):
     start = IterateState(x=config.x0, y=config.y0, lam=config.lambda0, t=0)
     certify = certify_residuals(P, 1.0 / config.alpha_x, 1.0 / config.alpha_y, config.eps)
     return iterate(start, step, certify, config.outer_cap, True)
+
+
+def cli_like_saddle(project_each_outer, seed=1, n=40, q=8):
+    """A saddle drawn as perfbench's cli-manifest one (the 400 x 400 saddle
+    with y in the nonnegative orthant), at n = m = 40 and q = 8 from the
+    given seed, and its run settings there: steps 0.9 / L_theta and
+    0.9 / L_h, 5 inner steps, eps 1e-8, the start at ones. With seed 1 the
+    run stops at eps after 1,227 outer steps projected each step and 867
+    otherwise, where the final projection leaves res_y above eps."""
+    rng = np.random.default_rng(seed)
+    a, b = 1.0 + rng.random(), 1.0 + rng.random()
+    K = 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    A = 0.3 * rng.standard_normal((q, n)) / np.sqrt(n)
+    B = rng.standard_normal((q, n)) / np.sqrt(n)
+    c = 0.4 * rng.standard_normal(q)
+    P = MinimaxProblem(g=smooth_scaled_sq_norm(a), phi=prox_zero(), h=smooth_scaled_sq_norm(b),
+                       psi=prox_indicator(ConeSpec(kind=NONNEG_ORTHANT, dim=n)),
+                       K=K, A=A, B=B, c=c, mu=b)
+    C = compute_constants(P)
+    return P, SolverConfig(alpha_x=0.9 / C.L_theta, alpha_y=0.9 / C.L_h, inner_steps=5,
+                           outer_cap=20000, eps=1e-8, project_each_outer=project_each_outer,
+                           x0=np.ones(n), y0=np.ones(n))
+
+
+def mixed_prox_saddle(seed=4, n=12, q=3):
+    """A seeded saddle at n = m = 12 and q = 3 whose prox terms are blocks
+    of every other kind: phi a scaled squared norm, a linear shift, the
+    polar indicators of a second-order and a 1-norm cone and a zero block;
+    psi the indicators of the orthant, a box, the 1-norm, second-order,
+    free and zero cones. Its settings run 400 projected outer steps (eps 0)
+    at steps 0.2 / L_theta and 0.9 / L_h; the run stays finite."""
+    rng = np.random.default_rng(seed)
+    cone = lambda kind, dim, **bounds: ConeSpec(kind=kind, dim=dim, **bounds)
+    phi = prox_blocks([(prox_scaled_sq_norm(0.5), 2),
+                       (prox_linear_shift(rng.standard_normal(2)), 2),
+                       (prox_polar_indicator(cone(SECOND_ORDER, 3)), 3),
+                       (prox_polar_indicator(cone(L1_NORM, 3)), 3), (prox_zero(), 2)])
+    psi = prox_blocks([(prox_indicator(cone(NONNEG_ORTHANT, 2)), 2),
+                       (prox_indicator(cone(BOX, 2, lower=-np.ones(2), upper=np.ones(2))), 2),
+                       (prox_indicator(cone(L1_NORM, 3)), 3),
+                       (prox_indicator(cone(SECOND_ORDER, 3)), 3),
+                       (prox_indicator(cone(FREE, 1)), 1), (prox_indicator(cone(ZERO, 1)), 1)])
+    K = 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    A = 0.3 * rng.standard_normal((q, n)) / np.sqrt(n)
+    B = rng.standard_normal((q, n)) / np.sqrt(n)
+    c = 0.4 * rng.standard_normal(q)
+    P = MinimaxProblem(g=smooth_scaled_sq_norm(1.3), phi=phi, h=smooth_scaled_sq_norm(1.7),
+                       psi=psi, K=K, A=A, B=B, c=c, mu=1.7)
+    C = compute_constants(P)
+    return P, SolverConfig(alpha_x=0.2 / C.L_theta, alpha_y=0.9 / C.L_h, inner_steps=5,
+                           outer_cap=400, eps=0.0, project_each_outer=True,
+                           x0=np.ones(n), y0=np.ones(n))
+
+
+def seeded_gave(seed=5, mrows=30, n=20):
+    """A seeded 30 x 20 absolute value equation A x + B |x| = b with a
+    known solution: A a dominant diagonal plus Gaussian noise, B small."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((mrows, n)) / np.sqrt(n) + 2.0 * np.eye(mrows, n)
+    B = 0.3 * rng.standard_normal((mrows, n)) / np.sqrt(n)
+    x = rng.standard_normal(n)
+    return GaveInstance(A=A, B=B, b=A @ x + B @ np.abs(x))
 
 
 def linreg_structured(P, config):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from jointmm.apps import (
+    GAVE_BUILTINS,
     GLPE_BLOCK_MIN,
     GLPE_BLOCK_SWITCH,
     GaveConfig,
@@ -50,6 +51,7 @@ from oracles import (
     in_cone,
     linreg_structured,
     misaligned,
+    seeded_gave,
 )
 
 
@@ -123,6 +125,46 @@ def test_gave_plain_loop_is_penalty_zero():
     r = run_gave(G, cfg)
     assert r.converged and r.iterations == 1
     assert np.linalg.norm(r.x + np.ones(100)) <= 1e-10
+
+
+# run_gave on the named instances at their stock settings and on seeded_gave
+# at steps 0.1, 300 outer steps (eps 0) and the given penalty and inner
+# steps: outer iterations, recovery_sign and the sha256 of the bytes of x,
+# x_plus, y, z, lambda and the trace's value columns, in that order
+GAVE_PINS = {
+    "gave-a": (183, 1,
+        "7c6229f1c5b2a333b4741f07449ba3468b610baa5b44c9bb426690cb3025c5b8"),
+    "gave-b": (53, 1,
+        "cac7ee2f89abd0d147d03bbabb467d3a8f90cfbfc8b3985cb1b9a5617ae1b0c8"),
+    "gave-c": (1, 1,
+        "548d5a6ceafc8b98d8509a3f03b9692a4fb541aebe3b01149e7dd35e5e3ea597"),
+    "seeded-penalty-0": (300, -1,
+        "23451e1109d244aa9e2fc915a08e7a0b906a417b0a46411f7e1d27ae039f877a"),
+    "seeded-penalty-1": (300, 1,
+        "9ea4e0d2da37263f488c0bd25d65381cdcc4b998430d3385f970d83508582878"),
+    "seeded-one-inner-step": (300, 1,
+        "3a2953bd8f57753de14cc2189a768f1a0b7c731588fd517e25b6808474d61242"),
+    "seeded-no-inner-step": (300, -1,
+        "9f2a226c558e11dc9962e4e169adf0b1dc0384248b5557bcb7b1b4dee2402db0"),
+}
+
+
+def gave_case(case):
+    if case in GAVE_BUILTINS:
+        return builtin_gave(case), builtin_gave_config(case)
+    penalty, inner_steps = {"seeded-penalty-0": (0.0, 5), "seeded-penalty-1": (1.0, 5),
+                            "seeded-one-inner-step": (1.0, 1),
+                            "seeded-no-inner-step": (1.0, 0)}[case]
+    return seeded_gave(), GaveConfig(alpha_x=0.1, alpha_y=0.1, inner_steps=inner_steps,
+                                     outer_cap=300, penalty=penalty, eps=0.0)
+
+
+@pytest.mark.parametrize("case", list(GAVE_PINS))
+def test_gave_runs_are_pinned(case):
+    r = run_gave(*gave_case(case))
+    arrays = (r.x, r.x_plus, r.y, r.z, r.lam, r.trace[:, 1:])
+    digest = hashlib.sha256(b"".join(v.tobytes() for v in arrays)).hexdigest()
+    assert (r.iterations, r.recovery_sign, digest) == GAVE_PINS[case]
 
 
 def test_gave_config_validation():

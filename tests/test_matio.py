@@ -9,6 +9,8 @@ from jointmm.errors import ConfigurationError
 from jointmm.numerics import ALIGN_MIN_BYTES
 from jointmm.matio import (
     _CHUNK,
+    _ENTRY,
+    _parse_lines,
     read_matrix,
     read_matrix_csv,
     read_matrix_mm,
@@ -177,6 +179,9 @@ VALID = {
     "nnz-zero-comments.mtx": _coordinate(2, 3, ["% nothing", "", "% here"]),
     "multi-chunk.mtx": _coordinate(40, 30, BIG),
     "comment-chunk.mtx": _coordinate(40, 30, BIG[:10] + ["% filler"] * LONG + BIG[10:20]),
+    "blank-chunk.mtx": _coordinate(40, 30, BIG[:10] + ["", "  ", "\t"] * (LONG // 3) + BIG[10:20]),
+    "late-comments.mtx": _coordinate(40, 30, BIG[:_CHUNK + 5] + ["% late", "", "  % x", "\t"]
+                                     + BIG[_CHUNK + 5:]),
     "array.mtx": MM_ARRAY + "2 2\n1\n-2.5\n% c\n\n+.5\n1e-320\n",
     "array-crlf.mtx": MM_ARRAY.replace("\n", "\r\n") + "1 2\r\n inf \r\n-nan\r\n",
     "array-empty.mtx": MM_ARRAY + "0 3\n",
@@ -188,6 +193,8 @@ VALID = {
     "tokens.csv": "+1,.5,5.,1E5,inf,-inf,nan,-nan,4.9e-324,-0.0,1e309\n",
     "one-column.csv": "1\n2\n3\n",
     "multi-chunk.csv": "".join(ln.split()[2] + "," + ln.split()[0] + "\n" for ln in BIG),
+    "blank-chunk.csv": "1,2\n" + "\n  \n" * LONG + "3,4\n",
+    "late-blanks.csv": "1,2\n" * (_CHUNK + 3) + "\n \t\n" + "3,4\n" * 5,
 }
 
 MALFORMED = {
@@ -290,12 +297,29 @@ def test_underscore_literal_is_the_one_difference(tmp_path, name):
     assert got == ("malformed",)
 
 
-def test_all_comment_chunk_raises_no_warning(tmp_path):
-    path = tmp_path / "m.mtx"
-    path.write_text(VALID["comment-chunk.mtx"])
+@pytest.mark.parametrize("name", ["comment-chunk.mtx", "blank-chunk.mtx", "blank-chunk.csv"])
+def test_chunk_without_data_raises_no_warning(tmp_path, name):
+    # np.loadtxt warns on input with no data; no chunk of these reaches it so
+    path = tmp_path / name
+    path.write_text(VALID[name])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        read_matrix_mm(path)
+        read_matrix(str(path))
+
+
+def test_bad_line_in_a_later_chunk_keeps_the_rows_before_it(tmp_path):
+    # a comment and a blank line in the bad line's chunk too: the rows before
+    # it come back in file order, and the error is that line's alone (row 0)
+    lines = BIG[:_CHUNK + 3] + ["% c", ""] + BIG[_CHUNK + 3 : _CHUNK + 9] + ["1 1 ?"] + BIG[-5:]
+    path = tmp_path / "m.txt"
+    path.write_text("".join(ln + "\n" for ln in lines))
+    blocks = []
+    with open(path, encoding="ascii") as fh, pytest.raises(ValueError, match="'\\?' .* row 0"):
+        for block in _parse_lines(fh, _ENTRY, comment="%"):
+            blocks.append(block)
+    got = np.concatenate(blocks)
+    want = [tuple(float(t) for t in ln.split()) for ln in BIG[:_CHUNK + 9]]
+    assert [(int(i), int(j), v) for i, j, v in got.tolist()] == want
 
 
 def test_huge_declared_size_is_a_configuration_error(tmp_path):

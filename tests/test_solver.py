@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import re
 
@@ -58,8 +59,10 @@ from oracles import (
     CountingMatrix,
     address,
     approx_y_star,
+    cli_like_saddle,
     linreg_structured,
     misaligned,
+    mixed_prox_saddle,
     pgmsad_structured,
     assert_trace_csv_is_the_records_csv,
     quadratic_saddle_kkt,
@@ -238,6 +241,35 @@ def test_run_pgmsad_affine_path_forms_K_only_to_build_its_maps(rng):
     # zero prox: the step and certify are products with the dense maps
     P, a, b = quadratic_problem(rng)
     assert count_products(P, 4) == count_products(P, 5)
+
+
+def run_digest(r):
+    """sha256 of the bytes of a run's x, y, lambda and trace[:, 1:4], in that order."""
+    arrays = (r.state.x, r.state.y, r.state.lam, r.trace[:, 1:4])
+    return hashlib.sha256(b"".join(v.tobytes() for v in arrays)).hexdigest()
+
+
+# run_pgmsad's structured steps, which no other pin runs: outer iterations,
+# converged and run_digest of cli_like_saddle (orthant psi, n = m = 40,
+# q = 8) projected every step and once at the end, and of mixed_prox_saddle,
+# whose phi and psi are blocks of every other prox and cone kind
+STRUCTURED_PINS = {
+    "cli-like-projected": (1227, True,
+        "476fa883902aa2546c965d8be791d4017e6845464243d397f7110ae33a4f297a"),
+    "cli-like-final": (867, False,
+        "a0eeeb5215d02c17bf3265f65af1f7c62d5dd0737256abc1e43a0213f0d6adfd"),
+    "mixed-prox": (400, False,
+        "d3e3ff54662b12fe9f7d6b4c0d9bae5f8ae39450d03ae1f9fe8a87ec9d0cfccb"),
+}
+
+
+@pytest.mark.parametrize("case", list(STRUCTURED_PINS))
+def test_structured_pgmsad_runs_are_pinned(case):
+    P, cfg = {"cli-like-projected": lambda: cli_like_saddle(True),
+              "cli-like-final": lambda: cli_like_saddle(False),
+              "mixed-prox": mixed_prox_saddle}[case]()
+    r = run_pgmsad(P, cfg)
+    assert (r.state.t, r.converged, run_digest(r)) == STRUCTURED_PINS[case]
 
 
 def _assert_divergence_carries_state(err):

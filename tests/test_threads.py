@@ -3,7 +3,8 @@ interpreter with OPENBLAS_NUM_THREADS set, and the digests of the results
 must agree. The runs are large enough that a plain product of a batch, or
 of the Gram matrix, would be split among the threads; the GLPE runs compare
 their step counts too (the seeded one its pattern count as well), and the
-linreg and traced GLPE runs their trace rows, elapsed_s aside."""
+linreg, traced GLPE and structured PGmsAD runs their trace rows, elapsed_s
+aside."""
 
 import json
 import os
@@ -77,6 +78,12 @@ G = GlpeInstance(A=A, B=B, b=A @ x_star + B @ np.maximum(x_star, 0.0),
 r = run_glpe(G, GlpeConfig(alpha=1 / np.linalg.norm(A + B, 2) ** 2, eps=1e-10,
                            record_trace=False))
 out["glpe_seeded_50"] = [r.iterations, r.patterns, digest(r.x)]
+# the structured steps of tests/test_solver.py's cli-like pin, projected
+# every step (q = 8, where the Gram inverse is thread-stable), with its trace
+from oracles import cli_like_saddle
+r = run_pgmsad(*cli_like_saddle(True))
+out["pgmsad_structured"] = [r.state.t, digest(r.state.x, r.state.y, r.state.lam,
+                                               np.ascontiguousarray(r.trace[:, 1:4]))]
 print(json.dumps(out))
 """
 
@@ -86,9 +93,10 @@ def digests():
     if (os.cpu_count() or 1) < 2:
         pytest.skip("fewer than 2 CPUs: OpenBLAS would run one thread either way")
     src = os.path.dirname(os.path.dirname(os.path.abspath(jointmm.__file__)))
+    path = os.pathsep.join([src, os.path.dirname(os.path.abspath(__file__))])
     out = {}
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
         proc = subprocess.run([sys.executable, "-c", RUNS], env=env, capture_output=True,
                               text=True, timeout=300, check=True)
         out[threads] = json.loads(proc.stdout)
@@ -98,7 +106,8 @@ def digests():
 @pytest.mark.parametrize(
     "run", ["run_linreg", "run_linreg_trace", "run_linreg_150", "run_linreg_150_trace",
             "run_pgmsad", "gram", "glpe_nonneg_orthant", "glpe_l1_norm",
-            "glpe_nonneg_orthant_trace", "glpe_l1_norm_trace", "glpe_seeded_50"]
+            "glpe_nonneg_orthant_trace", "glpe_l1_norm_trace", "glpe_seeded_50",
+            "pgmsad_structured"]
 )
 def test_same_bits_at_one_and_two_blas_threads(digests, run):
     assert digests["1"][run] == digests["2"][run]
