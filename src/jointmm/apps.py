@@ -46,10 +46,9 @@ from .prox import (
     SmoothOracle,
     on_pattern,
     project_cone,
-    project_l1cone,
-    project_soc,
     projection_jacobian,
     projection_pattern,
+    projector,
     prox_zero,
 )
 from .rng import gaussian_matrix, make_rng, standard_normal
@@ -186,7 +185,7 @@ class GaveInstance(_EquationData):
     def error(self, x):
         """Scoring metric ||A x + B |x| - b||."""
         x = np.asarray(x, dtype=np.float64)
-        return float(np.linalg.norm(self.A @ x + self.B @ np.abs(x) - self.b))
+        return norm2(self.A @ x + self.B @ np.abs(x) - self.b)
 
 
 @dataclass
@@ -282,6 +281,13 @@ def run_gave(G: GaveInstance, config: GaveConfig) -> GaveResult:
     (the nonnegative part), y = (y, z) stacked (the free block and the
     slack), and the multiplier lambda. A DivergenceError carries the last
     finite one.
+
+    The y step is y + alpha_y [(b - (A+B) x + (B-A) lambda) + rho (B-A) gap],
+    gap = x - (B-A)^T y - z. Its first term is fixed while x and lambda
+    are, so certify forms it once per iterate. certify also forms the gap,
+    the y direction and the z update of the iterate for its trace row:
+    they are the first inner step's, and the step takes them from the
+    cert. Each inner step after that forms them once, with the same bits.
     """
     A, B, b = G.A, G.B, G.b
     mrows, n = A.shape
@@ -289,6 +295,10 @@ def run_gave(G: GaveInstance, config: GaveConfig) -> GaveResult:
     BmA = B - A
     rho = config.penalty
     ax, ay = config.alpha_x, config.alpha_y
+
+    def moves(z, lam, fixed, gap):
+        # an inner step's y direction and z update at a point with this gap
+        return fixed + rho * (BmA @ gap), np.maximum(z + ay * (lam + rho * gap), 0.0)
 
     def certify(s):
         x, y, z, lam = s.x, s.y[:mrows], s.y[mrows:], s.lam
@@ -299,28 +309,22 @@ def run_gave(G: GaveInstance, config: GaveConfig) -> GaveResult:
         pick = (plus, e_plus, +1) if e_plus < e_minus else (minus, e_minus, -1)
         err = pick[1]
         # built even without a trace: the row covers y, z and lambda for iterate
+        fixed = b - AB @ x + BmA @ lam
         gap = x - BmA.T @ y - z
+        dy, step_z = moves(z, lam, fixed, gap)
         step_x = np.maximum(x + ax * (AB.T @ y + lam - rho * gap), 0.0)
-        step_z = np.maximum(z + ay * (lam + rho * gap), 0.0)
-        res_y = np.hypot(
-            np.linalg.norm(b - AB @ x + BmA @ lam + rho * (BmA @ gap)),
-            np.linalg.norm(z - step_z) / ay,
-        )
-        row = (
-            float(np.linalg.norm(x - step_x) / ax),
-            float(res_y),
-            float(np.linalg.norm(gap)),
-            err,
-        )
-        return err <= config.eps, row, pick
+        res_y = np.hypot(norm2(dy), norm2(z - step_z) / ay)
+        row = (norm2(x - step_x) / ax, float(res_y), norm2(gap), err)
+        return err <= config.eps, row, (pick, fixed, gap, dy, step_z)
 
-    def step(s, pick, t):
+    def step(s, cert, t):
         x, y, z, lam = s.x, s.y[:mrows], s.y[mrows:], s.lam
-        for _ in range(config.inner_steps):
+        _, fixed, gap, dy, step_z = cert
+        for i in range(config.inner_steps):
+            if i:
+                dy, step_z = moves(z, lam, fixed, gap)
+            y, z = y + ay * dy, step_z
             gap = x - BmA.T @ y - z
-            y = y + ay * (b - AB @ x + BmA @ lam + rho * (BmA @ gap))
-            z = np.maximum(z + ay * (lam + rho * gap), 0.0)
-        gap = x - BmA.T @ y - z
         x_new = np.maximum(x + ax * (AB.T @ y + lam - rho * gap), 0.0)
         lam = lam + ax * (x_new - BmA.T @ y - z)
         return IterateState(x=x_new, y=np.concatenate([y, z]), lam=lam, t=t + 1)
@@ -337,7 +341,7 @@ def run_gave(G: GaveInstance, config: GaveConfig) -> GaveResult:
         t=0,
     )
     run = iterate(start, step, certify, config.outer_cap, config.record_trace)
-    s, (recovered, err, sign) = run.state, run.cert
+    s, (recovered, err, sign) = run.state, run.cert[0]
     if sign > 0:
         logger.info("recovery x = x_plus + lambda scored %.3e", err)
     return GaveResult(
@@ -517,12 +521,7 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
     # the longest block: whole blocks of k within the trace's staging bound
     top = k * max(1, TRACE_STAGE_ROWS // k)
     floor = max(GLPE_BLOCK_SWITCH, config.eps)
-    # project_cone(cone, .) bound once: its bits without its checks and
-    # dispatch (on the orthant np.maximum(z, 0.0), against a zero vector,
-    # which spares the scalar's conversion)
-    zero = np.zeros(n)
-    project = {NONNEG_ORTHANT: lambda z: np.maximum(z, zero), SECOND_ORDER: project_soc,
-               L1_NORM: project_l1cone}[cone.kind]
+    project = projector(cone)
     Ax, Bx = matvec(A), matvec(B)
     # pattern key (None on the second-order cone, where each step builds its
     # own), J, W and the stacked powers of the step map

@@ -13,6 +13,7 @@ whole file's text at once.
 from __future__ import annotations
 
 import os
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -33,21 +34,28 @@ def _parse_lines(fh, dtype, delimiter=None, comment=None):
     """Parse the rest of `fh` with np.loadtxt, one array per chunk of lines.
 
     Blank lines, and lines whose first non-blank character is `comment`, are
-    skipped; every other line is one row. A chunk that fails to parse is
-    parsed again one line per array, so the caller sees every row before the
-    first bad line, in file order, and the ValueError comes from that line.
+    skipped; every other line is one row. A chunk goes to np.loadtxt as read
+    (comments=None: a comment after data is an error), which skips blank
+    lines. Only a chunk that fails is filtered and parsed again, and then
+    one line per array, so the caller sees every row before the first bad
+    line, in file order, and the ValueError comes from that line.
     """
     ndmin = 1 if dtype.names else 2
+    load = partial(np.loadtxt, dtype=dtype, delimiter=delimiter, comments=None, ndmin=ndmin)
     while lines := list(islice(fh, _CHUNK)):
-        rows = [ln for ln in lines if (s := ln.lstrip()) and s[0] != comment]
-        if not rows:  # loadtxt would warn that the input has no data
+        try:
+            if any(map(str.strip, lines)):  # loadtxt warns on blank lines only
+                yield load(lines)
+            continue
+        except ValueError:
+            rows = [ln for ln in lines if (s := ln.lstrip()) and s[0] != comment]
+        if not rows:
             continue
         try:
-            yield np.loadtxt(rows, dtype=dtype, delimiter=delimiter, comments=None, ndmin=ndmin)
+            yield load(rows)
         except ValueError:
             for row in rows:
-                yield np.loadtxt([row], dtype=dtype, delimiter=delimiter, comments=None,
-                                 ndmin=ndmin)
+                yield load([row])
 
 
 def read_matrix_csv(path):

@@ -41,13 +41,10 @@ from .numerics import (
     spd_solve_factored,
 )
 from .prox import (
-    PROX_BLOCKS,
-    PROX_INDICATOR,
-    PROX_LINEAR_SHIFT,
-    PROX_POLAR_INDICATOR,
     PROX_ZERO,
     ProxOperator,
     SmoothOracle,
+    check_prox_dim,
     cone_from_json,
     prox_blocks,
     prox_eval,
@@ -99,8 +96,8 @@ class MinimaxProblem:
                     raise ConfigurationError(
                         f"smooth term {name}: {part} must have length {dim}, got {v.shape[0]}"
                     )
-        _check_prox_dim("phi", self.phi, n)
-        _check_prox_dim("psi", self.psi, m)
+        check_prox_dim("prox term phi", self.phi, n)
+        check_prox_dim("prox term psi", self.psi, m)
         if not 0 <= self.mu < math.inf:  # NaN fails this too
             raise ConfigurationError(f"mu must be >= 0 and finite, got {self.mu!r}")
         self._gram_inv = None
@@ -147,28 +144,14 @@ class MinimaxProblem:
         return coeffs
 
 
-def _check_prox_dim(name, op: ProxOperator, dim):
-    """Raise ConfigurationError unless the prox term op acts on vectors of length dim."""
-    if op.kind == PROX_LINEAR_SHIFT:
-        what, size = "shift length", op.shift.shape[0]
-    elif op.kind in (PROX_INDICATOR, PROX_POLAR_INDICATOR):
-        what, size = "cone dim", op.cone.dim
-    elif op.kind == PROX_BLOCKS:
-        what, size = "block dims sum", sum(op.block_dims())
-    else:
-        return
-    if size != dim:
-        raise ConfigurationError(f"prox term {name}: {what} must be {dim}, got {size}")
-    for sub, sub_dim in op.blocks:
-        _check_prox_dim(name, sub, sub_dim)
-
-
-def grad_x(P: MinimaxProblem, x, y, lam, Ky=None):
+def grad_x(P: MinimaxProblem, x, y, lam, Ky=None, fixed=None):
     """Gradient of the smooth coupling in x: grad g(x) + K y + A^T lambda (IEEE, no raise).
 
-    Ky, when given, is K y of this y, and the product is not formed again.
+    Ky, when given, is K y of this y, and fixed (grad g(x), A^T lambda, A x)
+    of this (x, lambda), fixed while y moves: none is formed again.
     """
-    return P.g.gradient(x) + (apply(P.K, y) if Ky is None else Ky) + apply(P.A.T, lam)
+    gx, Atl = (P.g.gradient(x), apply(P.A.T, lam)) if fixed is None else fixed[:2]
+    return gx + (apply(P.K, y) if Ky is None else Ky) + Atl
 
 
 def grad_y(P: MinimaxProblem, x, y, lam, drive=None):
@@ -182,9 +165,10 @@ def grad_y(P: MinimaxProblem, x, y, lam, drive=None):
     return drive - P.h.gradient(y)
 
 
-def feas(P: MinimaxProblem, x, y):
-    """Constraint residual A x + B y + c."""
-    return apply(P.A, x) + apply(P.B, y) + P.c
+def feas(P: MinimaxProblem, x, y, Ax=None, By=None):
+    """Constraint residual A x + B y + c; Ax and By, when given, are A x and
+    B y and are not formed again."""
+    return (apply(P.A, x) if Ax is None else Ax) + (apply(P.B, y) if By is None else By) + P.c
 
 
 @dataclass(frozen=True)
@@ -201,39 +185,43 @@ class Residuals:
         return self.res_x <= eps and self.res_y <= eps and self.res_feas <= eps
 
 
-def gradient_mapping(op: ProxOperator, L, z, g):
+def gradient_mapping(op: ProxOperator, L, z, g, prox=None):
     """L (z - prox_{op/L}(z - g/L)), the gradient mapping of the prox term op
     at z for the gradient g at scaling L: g itself when op is the zero prox,
-    where the formula would cancel to 0 once |g| < L ulp(|z|)/2."""
+    where the formula would cancel to 0 once |g| < L ulp(|z|)/2. prox is
+    prox_map(op, 1 / L) bound once by the caller, or None for prox_eval."""
     if op.kind == PROX_ZERO:
         return g
-    return L * (z - prox_eval(op, 1.0 / L, z - g / L))
+    u = z - g / L
+    return L * (z - (prox_eval(op, 1.0 / L, u) if prox is None else prox(u)))
 
 
-def residual_vectors(P: MinimaxProblem, x, y, lam, L1, L2, Ky=None, drive=None):
+def residual_vectors(P: MinimaxProblem, x, y, lam, L1, L2, Ky=None, drive=None, fixed=None,
+                     maps=(None, None)):
     """The three vectors whose norms are the residuals: the gradient mappings
     L1 (x - prox_{phi/L1}(x - grad_x/L1)) and the same on the ascent side with
-    the gradient -grad_y, and A x + B y + c. Like the gradients, feas and
-    recover_multiplier, with phi = psi = 0 it takes a batch of points as rows
-    (see numerics.apply)."""
-    rx = gradient_mapping(P.phi, L1, x, grad_x(P, x, y, lam, Ky))
-    ry = gradient_mapping(P.psi, L2, y, -grad_y(P, x, y, lam, drive))
-    return rx, ry, feas(P, x, y)
+    the gradient -grad_y, and A x + B y + c. Ky, drive and fixed are as in
+    grad_x and grad_y, and maps the prox maps at 1 / L1 and 1 / L2 (see
+    gradient_mapping). Like the gradients, feas and recover_multiplier, with
+    phi = psi = 0 it takes a batch of points as rows (see numerics.apply)."""
+    rx = gradient_mapping(P.phi, L1, x, grad_x(P, x, y, lam, Ky, fixed), maps[0])
+    ry = gradient_mapping(P.psi, L2, y, -grad_y(P, x, y, lam, drive), maps[1])
+    return rx, ry, feas(P, x, y, None if fixed is None else fixed[2])
 
 
-def residuals(P: MinimaxProblem, x, y, lam, L1, L2, Ky=None, drive=None) -> Residuals:
+def residuals(P: MinimaxProblem, x, y, lam, L1, L2, Ky=None, drive=None, fixed=None,
+              maps=(None, None)) -> Residuals:
     """Gradient-mapping residuals certifying (eps-)stationarity: res_x, res_y
     and res_feas are the norms of the three residual_vectors.
 
     All three vanish exactly at a stationary triple. Nonfinite input gives
     nonfinite residuals, not an error: solver.iterate decides divergence.
-    A loop that already holds K y or the drive K^T x + B^T lambda of the
-    iterate passes them as Ky and drive (see grad_x, grad_y); the residuals
-    are the same bits either way.
+    A loop that holds products of the iterate or bound prox maps passes
+    them (see residual_vectors); the residuals are the same bits either way.
     """
     if L1 <= 0 or L2 <= 0:
         raise ConfigurationError("residual scalings L1, L2 must be positive")
-    rx, ry, rf = residual_vectors(P, x, y, lam, L1, L2, Ky, drive)
+    rx, ry, rf = residual_vectors(P, x, y, lam, L1, L2, Ky, drive, fixed, maps)
     return Residuals(norm2(rx), norm2(ry), norm2(rf), float(L1), float(L2))
 
 

@@ -5,8 +5,8 @@ Euclidean projection), ProxOperator (a nonsmooth convex term accessed only
 through its proximal mapping), and SmoothOracle (the smooth term
 (1/2) z^T diag(d) z + b^T z, held as its data d >= 0 and b). All three are
 plain data, so problems built from them pickle. The solver loops and the
-stationarity residuals reach the nonsmooth terms through prox_eval and the
-cones through project_cone and its Jacobian and pattern helpers.
+residuals reach the nonsmooth terms through prox_eval, bound once per run
+(prox_map), and the cones through project_cone and its helpers.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ConfigurationError
-from .numerics import as_vector, json_array, json_number, norm2
+from .numerics import as_vector, check_positive, json_array, json_number, norm2
 
 # cone kinds
 FREE = "free"
@@ -152,6 +152,20 @@ def project_l1cone(z):
     return z + _project_linf_cone(-z)
 
 
+def projector(cone: ConeSpec):
+    """project_cone(cone, .) bound once, for float64 points of the cone's
+    dimension (as rows): its bits without its checks and dispatch (on the
+    orthant np.maximum against zeros, which spares the scalar's conversion)."""
+    if cone.kind == NONNEG_ORTHANT:
+        zero = np.zeros(cone.dim)
+        return lambda z: np.maximum(z, zero)
+    if cone.kind == BOX:
+        return lambda z: np.clip(z, cone.lower, cone.upper)
+    # a ConeSpec has one of _CONE_KINDS
+    return {FREE: np.ndarray.copy, ZERO: np.zeros_like, SECOND_ORDER: project_soc,
+            L1_NORM: project_l1cone}[cone.kind]
+
+
 def project_cone(cone: ConeSpec, z):
     """Euclidean projection onto the cone or box described by cone."""
     z = np.asarray(z, dtype=np.float64)
@@ -159,19 +173,7 @@ def project_cone(cone: ConeSpec, z):
         raise ConfigurationError(
             f"projection dimension mismatch: cone has dim {cone.dim}, point has {z.shape[0]}"
         )
-    if cone.kind == FREE:
-        return z.copy()
-    if cone.kind == ZERO:
-        return np.zeros_like(z)
-    if cone.kind == NONNEG_ORTHANT:
-        return np.maximum(z, 0.0)
-    if cone.kind == SECOND_ORDER:
-        return project_soc(z)
-    if cone.kind == L1_NORM:
-        return project_l1cone(z)
-    if cone.kind == BOX:
-        return np.clip(z, cone.lower, cone.upper)
-    raise ConfigurationError(f"unknown cone kind {cone.kind!r}")
+    return projector(cone)(z)
 
 
 def project_polar(cone: ConeSpec, z):
@@ -377,36 +379,54 @@ def prox_blocks(blocks) -> ProxOperator:
     return ProxOperator(kind=PROX_BLOCKS, blocks=blocks)
 
 
-def prox_eval(op: ProxOperator, t: float, z):
-    """Evaluate prox_{t*sigma}(z) = argmin_u t*sigma(u) + 0.5||u - z||^2."""
-    if t <= 0:
-        raise ConfigurationError("prox step t must be positive")
-    z = np.asarray(z, dtype=np.float64)
-    if op.kind == PROX_ZERO:
-        return z.copy()
-    if op.kind == PROX_INDICATOR:
-        return project_cone(op.cone, z)
-    if op.kind == PROX_POLAR_INDICATOR:
-        return project_polar(op.cone, z)
-    if op.kind == PROX_SCALED_SQ_NORM:
-        return z / (1.0 + t * op.coeff)
+def check_prox_dim(name, op: ProxOperator, dim):
+    """Raise ConfigurationError unless the prox term op acts on vectors of
+    length dim; name names the term in the message."""
     if op.kind == PROX_LINEAR_SHIFT:
-        if op.shift.shape != z.shape:
-            raise ConfigurationError("linear_shift prox dimension mismatch")
-        return z - t * op.shift
+        what, size = "shift length", op.shift.shape[0]
+    elif op.kind in (PROX_INDICATOR, PROX_POLAR_INDICATOR):
+        what, size = "cone dim", op.cone.dim
+    elif op.kind == PROX_BLOCKS:
+        what, size = "block dims sum", sum(op.block_dims())
+    else:
+        return
+    if size != dim:
+        raise ConfigurationError(f"{name}: {what} must be {dim}, got {size}")
+    for sub, sub_dim in op.blocks:
+        check_prox_dim(name, sub, sub_dim)
+
+
+def prox_map(op: ProxOperator, t: float):
+    """z -> prox_eval(op, t, z) bound once, for float64 points of op's
+    dimension (as rows for the zero, norm and shift kinds): its bits without
+    its per-call checks and dispatch. t must lie in (0, inf)."""
+    check_positive("t", t, "prox step ")
+    if op.kind == PROX_ZERO:
+        return np.ndarray.copy
+    if op.kind == PROX_INDICATOR:
+        return projector(op.cone)
+    if op.kind == PROX_POLAR_INDICATOR:
+        project = projector(op.cone)
+        return lambda z: z - project(z)
+    if op.kind == PROX_SCALED_SQ_NORM:
+        scale = 1.0 + t * op.coeff
+        return lambda z: z / scale
+    if op.kind == PROX_LINEAR_SHIFT:
+        step = t * op.shift
+        return lambda z: z - step
     if op.kind == PROX_BLOCKS:
-        if sum(op.block_dims()) != z.shape[0]:
-            raise ConfigurationError(
-                f"block prox dimension mismatch: blocks sum to {sum(op.block_dims())}, "
-                f"point has {z.shape[0]}"
-            )
-        out = np.empty_like(z)
-        offset = 0
-        for sub, dim in op.blocks:
-            out[offset : offset + dim] = prox_eval(sub, t, z[offset : offset + dim])
-            offset += dim
-        return out
+        ends = np.cumsum(op.block_dims()).tolist()
+        parts = [(slice(e - d, e), prox_map(sub, t)) for (sub, d), e in zip(op.blocks, ends)]
+        return lambda z: np.concatenate([prox(z[part]) for part, prox in parts])
     raise ConfigurationError(f"unsupported prox operator kind {op.kind!r}")
+
+
+def prox_eval(op: ProxOperator, t: float, z):
+    """prox_{t*sigma}(z) = argmin_u t*sigma(u) + 0.5||u - z||^2, by prox_map(op, t)."""
+    prox = prox_map(op, t)
+    z = np.asarray(z, dtype=np.float64)
+    check_prox_dim("prox point", op, z.shape[0] if z.ndim else 0)
+    return prox(z)
 
 
 @dataclass(frozen=True)

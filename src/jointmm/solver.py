@@ -22,7 +22,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, FrameworkError
-from .numerics import aligned, apply, as_vector, is_number, json_finite, matvec, serial_matmul
+from .numerics import (aligned, apply, as_vector, check_positive, is_number, json_finite, matvec,
+                       serial_matmul)
 from .problem import (
     BudgetConstants,
     MinimaxProblem,
@@ -35,7 +36,7 @@ from .problem import (
     residual_vectors,
     residuals,
 )
-from .prox import PROX_ZERO, prox_eval
+from .prox import PROX_ZERO, prox_eval, prox_map
 from .rng import make_rng, standard_normal
 
 TRACE_HEADER = "t,elapsed_s,res_x,res_y,res_feas,app_error"
@@ -61,11 +62,7 @@ def check_settings(values, steps=(), counts=(), nonnegative=(), positive=()):
     A bad value shows as its reprlib.repr: one short line, however large.
     """
     for name in (*steps, *positive):
-        value = values[name]
-        if not (is_number(value) and 0 < value < math.inf):
-            what = "step size " if name in steps else ""
-            raise ConfigurationError(
-                f"{what}{name} must be positive and finite, got {reprlib.repr(value)}")
+        check_positive(name, values[name], "step size " if name in steps else "")
     for name in counts:
         value = values[name]
         if not (is_number(value, Integral) and value >= 0):
@@ -121,7 +118,7 @@ class FrameworkResult(NamedTuple):
     eps_used: list
 
 
-def inner_ascent(P: MinimaxProblem, x, lam, y0, n_steps, alpha_y, drive=None):
+def inner_ascent(P: MinimaxProblem, x, lam, y0, n_steps, alpha_y, drive=None, prox=None):
     """Run n_steps proximal gradient-ascent steps on y for fixed (x, lambda).
 
     y <- prox_{alpha_y psi}[y + alpha_y (-grad h(y) + K^T x + B^T lambda)].
@@ -134,53 +131,65 @@ def inner_ascent(P: MinimaxProblem, x, lam, y0, n_steps, alpha_y, drive=None):
     loop. Overflow gives inf or NaN, not an error: iterate decides
     divergence. drive, when given, is K^T x + B^T lambda of (x, lambda),
     as certify_residuals hands it on (or K^T x, where the multiplier is
-    not iterated), and is not formed again.
+    not iterated), and is not formed again; prox, prox_map(P.psi, alpha_y)
+    bound and checked once by the caller, is not bound again. Unbound, a
+    step outside (0, inf) is a ConfigurationError.
     """
     if n_steps < 0:
         raise ConfigurationError("inner_ascent needs n_steps >= 0")
+    if prox is None:
+        check_positive("alpha_y", alpha_y)
     if drive is None:
         drive = apply(P.K.T, x) + apply(P.B.T, lam)
     y = np.asarray(y0, dtype=np.float64)
     if P.psi.kind == PROX_ZERO:
         p, w = P.ascent_map(n_steps, alpha_y)
         return p * y + w * (drive if P.h.b is None else drive - P.h.b)
-    y = y.copy()
+    prox, grad_h = prox_map(P.psi, alpha_y) if prox is None else prox, P.h.gradient
     for _ in range(n_steps):
-        y = prox_eval(P.psi, alpha_y, y + alpha_y * (drive - P.h.gradient(y)))
-    return y
+        y = prox(y + alpha_y * (drive - grad_h(y)))
+    return y if n_steps else y.copy()
 
 
-def outer_step(P: MinimaxProblem, x, lam, y_next, alpha_x):
+def outer_step(P: MinimaxProblem, x, lam, y_next, alpha_x, fixed=None, By=None, prox=None):
     """One proximal-descent step in (x, lambda) given the updated y.
 
     x+ = prox_{alpha_x phi}[x - alpha_x (grad g(x) + K y+ + A^T lambda)],
     lambda+ = lambda - alpha_x [A x + B y+ + c]  (old x, by definition).
-    Overflow gives inf or NaN, as in inner_ascent.
+    Overflow gives inf or NaN, as in inner_ascent. fixed (see grad_x), By =
+    B y+ and prox = prox_map(P.phi, alpha_x), when given, are not formed or
+    bound again (as in inner_ascent; without prox, prox_eval runs).
     """
-    if alpha_x <= 0:
-        raise ConfigurationError("outer_step needs alpha_x > 0")
-    x_next = prox_eval(P.phi, alpha_x, x - alpha_x * grad_x(P, x, y_next, lam))
-    return x_next, lam - alpha_x * feas(P, x, y_next)
+    if prox is None:
+        check_positive("alpha_x", alpha_x)
+    v = x - alpha_x * grad_x(P, x, y_next, lam, None, fixed)
+    x_next = prox_eval(P.phi, alpha_x, v) if prox is None else prox(v)
+    return x_next, lam - alpha_x * feas(P, x, y_next, None if fixed is None else fixed[2], By)
 
 
-def project_feasible(P: MinimaxProblem, x, y):
+def project_feasible(P: MinimaxProblem, x, y, By=None):
     """Euclidean projection of (x, y) onto {(x, y): A x + B y + c = 0}.
 
     zeta = (A A^T + B B^T)^{-1} (A x + B y + c), then subtract
-    (A^T zeta, B^T zeta). The Gram inverse is cached on the problem.
+    (A^T zeta, B^T zeta). The Gram inverse is cached on the problem; By,
+    when given, is B y and is not formed again.
     """
-    zeta = P.gram_solve(feas(P, x, y))
+    zeta = P.gram_solve(feas(P, x, y, By=By))
     return x - apply(P.A.T, zeta), y - apply(P.B.T, zeta)
 
 
-def pgmsad_step(P: MinimaxProblem, config: SolverConfig, x, y, lam, drive=None):
-    """run_pgmsad's outer step: inner_ascent (drive as there), outer_step and,
-    under project_each_outer, project_feasible; returns (x, y, lambda). With
-    phi = psi = 0 it takes a batch of points as rows (see numerics.apply)."""
-    y = inner_ascent(P, x, lam, y, config.inner_steps, config.alpha_y, drive)
-    x, lam = outer_step(P, x, lam, y, config.alpha_x)
+def pgmsad_step(P: MinimaxProblem, config: SolverConfig, x, y, lam, drive=None, fixed=None,
+                maps=(None, None)):
+    """run_pgmsad's outer step: inner_ascent, outer_step and, under
+    project_each_outer, project_feasible, with drive and fixed from
+    certify_residuals, the run's prox maps (prox_{alpha_y psi}, prox_{alpha_x
+    phi}) and B y+ formed once for both; returns (x, y, lambda). With phi =
+    psi = 0 it takes a batch of points as rows (see numerics.apply)."""
+    y = inner_ascent(P, x, lam, y, config.inner_steps, config.alpha_y, drive, maps[0])
+    By = apply(P.B, y)
+    x, lam = outer_step(P, x, lam, y, config.alpha_x, fixed, By, maps[1])
     if config.project_each_outer:
-        x, y = project_feasible(P, x, y)
+        x, y = project_feasible(P, x, y, By)
     return x, y, lam
 
 
@@ -336,14 +345,17 @@ def certify_residuals(P: MinimaxProblem, L1, L2, eps):
     """certify for iterate: the three residuals of an IterateState at
     scalings (L1, L2); done when all are <= eps.
 
-    The cert is (residuals, drive): the iterate's K^T x + B^T lambda, formed
-    once here for the y-residual and handed to the step's inner ascent.
+    The cert is (residuals, drive, fixed): the iterate's K^T x + B^T lambda
+    and (grad g(x), A^T lambda, A x), formed once here for the residuals,
+    whose prox maps are bound once, and handed to the step (pgmsad_step).
     """
+    maps = (prox_map(P.phi, 1.0 / L1), prox_map(P.psi, 1.0 / L2))
 
     def certify(s):
         drive = P.K.T @ s.x + P.B.T @ s.lam
-        res = residuals(P, s.x, s.y, s.lam, L1, L2, drive=drive)
-        return res.within(eps), (res.res_x, res.res_y, res.res_feas, None), (res, drive)
+        fixed = (P.g.gradient(s.x), P.A.T @ s.lam, P.A @ s.x)
+        res = residuals(P, s.x, s.y, s.lam, L1, L2, None, drive, fixed, maps)
+        return res.within(eps), (res.res_x, res.res_y, res.res_feas, None), (res, drive, fixed)
 
     return certify
 
@@ -549,9 +561,10 @@ def run_pgmsad(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
     config and initial point (trace timestamps aside).
     """
     L1, L2 = 1.0 / config.alpha_x, 1.0 / config.alpha_y
+    maps = (prox_map(P.psi, config.alpha_y), prox_map(P.phi, config.alpha_x))
 
     def step(s, cert, t):
-        x, y, lam = pgmsad_step(P, config, s.x, s.y, s.lam, cert[1])
+        x, y, lam = pgmsad_step(P, config, s.x, s.y, s.lam, *cert[1:], maps)
         return IterateState(x=x, y=y, lam=lam, t=t + 1)
 
     start = _gaussian_start(P, config.seed, config.x0, config.y0, config.lambda0)
@@ -561,7 +574,7 @@ def run_pgmsad(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
         n, nm = P.n, P.n + P.m
 
         def outputs(Z):
-            x, y, lam = pgmsad_step(P, config, Z[:, :n], Z[:, n:nm], Z[:, nm:])
+            x, y, lam = pgmsad_step(P, config, Z[:, :n], Z[:, n:nm], Z[:, nm:], maps=maps)
             return np.hstack((x, y, lam)), np.hstack(residual_vectors(P, x, y, lam, L1, L2))
 
         def unstack(z, prev, t):

@@ -4,7 +4,9 @@ Everything here deliberately avoids the code paths under test: the largest
 singular value comes from a Jacobi eigenvalue sweep, prox values from dense
 grids, and cone projections from a constrained least-squares solver with
 slack reformulations. The reference_* cone kernels are the projection
-kernels as first written, whose bits the package's faster ones keep, and
+kernels as first written, whose bits the package's faster ones keep,
+reference_prox_eval the prox dispatch as written before its maps were bound,
+and
 the 1-norm cone's pattern keys and Jacobian as they were written before
 prox.pattern_rows, whose partition and bits the package keeps. in_cone,
 forward_backward and gradient_mapping are
@@ -53,6 +55,7 @@ from jointmm.prox import (
     SmoothOracle,
     project_cone,
     project_l1cone,
+    project_soc,
     projection_jacobian,
     projection_pattern,
     prox_blocks,
@@ -317,6 +320,34 @@ def reference_soc_jacobian(z):
     D[1:, 0] = 0.5 * u
     D[1:, 1:] = ((s0 + r) / (2.0 * r)) * (np.eye(d - 1) - np.outer(u, u)) + 0.5 * np.outer(u, u)
     return D
+
+
+def reference_prox_eval(op, t, z):
+    """prox.prox_eval's dispatch as it was written before prox.prox_map bound
+    it: one kind test after another on every call, the cones through
+    project_soc and project_l1cone, whose bits the package keeps."""
+    z = np.asarray(z, dtype=np.float64)
+    if op.kind == "blocks":
+        out, offset = np.empty_like(z), 0
+        for sub, dim in op.blocks:
+            out[offset : offset + dim] = reference_prox_eval(sub, t, z[offset : offset + dim])
+            offset += dim
+        return out
+    if op.kind == "polar_indicator":
+        return z - reference_prox_eval(prox_indicator(op.cone), t, z)
+    if op.kind == "scaled_sq_norm":
+        return z / (1.0 + t * op.coeff)
+    if op.kind == "linear_shift":
+        return z - t * op.shift
+    if op.kind == "zero_function" or op.cone.kind == FREE:
+        return z.copy()
+    if op.cone.kind == ZERO:
+        return np.zeros_like(z)
+    if op.cone.kind == NONNEG_ORTHANT:
+        return np.maximum(z, 0.0)
+    if op.cone.kind == BOX:
+        return np.clip(z, op.cone.lower, op.cone.upper)
+    return (project_soc if op.cone.kind == SECOND_ORDER else project_l1cone)(z)
 
 
 def reference_l1_piece(z, pz=None):

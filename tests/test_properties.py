@@ -31,6 +31,7 @@ from jointmm.prox import (
     prox_eval,
     prox_indicator,
     prox_linear_shift,
+    prox_map,
     prox_polar_indicator,
     prox_scaled_sq_norm,
     prox_zero,
@@ -46,6 +47,7 @@ from oracles import (
     pgmsad_structured,
     reference_l1_jacobian,
     reference_projection_pattern,
+    reference_prox_eval,
 )
 
 # cond([A B]) <= 100, so cond(A A^T + B B^T) <= 1e4; measured errors stay below 1e-12
@@ -308,6 +310,28 @@ def test_prox_eval_is_firmly_nonexpansive(case):
     op, t, u, v = case
     dp = prox_eval(op, t, u) - prox_eval(op, t, v)
     assert dp @ dp <= dp @ (u - v) + 1e-12 * max(u @ u, v @ v)
+
+
+@st.composite
+def prox_points(draw):
+    """A prox term of any kind (blocks of two others too, every cone and a
+    box among them), a step t and a point some of whose entries are +0,
+    -0, +inf, -inf or NaN."""
+    op, t, z, _ = draw(prox_pairs())
+    special = st.sampled_from([None, None, None, 0.0, -0.0, np.inf, -np.inf, np.nan])
+    picks = draw(st.lists(special, min_size=len(z), max_size=len(z)))
+    return op, t, np.array([v if pick is None else pick for v, pick in zip(z, picks)])
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(prox_points())
+def test_bound_prox_map_keeps_prox_evals_bits(case):
+    # byte for byte: the sign of a zero and the bits of a NaN too
+    op, t, z = case
+    with np.errstate(all="ignore"):
+        want = reference_prox_eval(op, t, z).tobytes()
+        assert prox_map(op, t)(z).tobytes() == want
+        assert prox_eval(op, t, z).tobytes() == want
 
 
 @st.composite

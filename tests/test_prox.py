@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from jointmm.prox import (
     prox_eval,
     prox_indicator,
     prox_linear_shift,
+    prox_map,
     prox_polar_indicator,
     prox_scaled_sq_norm,
     prox_zero,
@@ -103,6 +106,27 @@ def test_prox_blocks_dimension_check():
 def test_prox_rejects_nonpositive_t():
     with pytest.raises(ConfigurationError):
         prox_eval(prox_zero(), 0.0, np.ones(2))
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 0.0, -1.0, True])
+@pytest.mark.parametrize("op", [prox_zero(), prox_scaled_sq_norm(1.0),
+                                prox_indicator(ConeSpec(kind=NONNEG_ORTHANT, dim=2))],
+                         ids=["zero", "scaled_sq_norm", "orthant"])
+def test_prox_step_must_be_positive_and_finite(op, t):
+    # NaN once gave NaN on a scaled squared norm and inf gave 0
+    with pytest.raises(ConfigurationError, match="prox step t must be positive and finite"):
+        prox_eval(op, t, np.ones(2))
+    with pytest.raises(ConfigurationError, match="prox step t must be positive and finite"):
+        prox_map(op, t)
+
+
+def test_prox_eval_checks_the_points_length():
+    ops = [prox_indicator(ConeSpec(kind=NONNEG_ORTHANT, dim=3)), prox_linear_shift(np.ones(3)),
+           prox_blocks([(prox_zero(), 1), (prox_indicator(ConeSpec(kind=FREE, dim=2)), 2)])]
+    for op in ops:
+        assert prox_eval(op, 1.0, np.ones(3)).shape == (3,)
+        with pytest.raises(ConfigurationError, match="prox point: .* must be 2, got 3"):
+            prox_eval(op, 1.0, np.ones(2))
 
 
 def test_firm_nonexpansiveness(rng):

@@ -138,6 +138,19 @@ def test_inner_ascent_with_orthant_prox(rng):
     assert np.linalg.norm(y - ystar) <= 1e-8
 
 
+@pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("psi", ["zero", "orthant"])
+def test_step_functions_reject_a_step_outside_zero_to_inf(rng, psi, step):
+    # NaN and inf once ran: outer_step gave NaN, inner_ascent NaN and a warning
+    P = quadratic_problem(rng)[0]
+    P = orthant_copy(P) if psi == "orthant" else P
+    x, y, lam = rng.standard_normal(2), rng.standard_normal(2), rng.standard_normal(2)
+    with pytest.raises(ConfigurationError, match="step size alpha_y must be positive and finite"):
+        inner_ascent(P, x, lam, y, 3, step)
+    with pytest.raises(ConfigurationError, match="step size alpha_x must be positive and finite"):
+        outer_step(P, x, lam, y, step)
+
+
 def test_outer_step_fixed_point_at_stationary_triple(rng):
     P, a, b = quadratic_problem(rng)
     xs, ys, ls = quadratic_saddle_kkt(a, b, P.K, P.A, P.B, P.c)
