@@ -53,7 +53,6 @@ from .prox import (
 )
 from .rng import gaussian_matrix, make_rng, standard_normal
 from .solver import (
-    TRACE_STAGE_ROWS,
     Block,
     IterateState,
     SolveResult,
@@ -158,6 +157,12 @@ GLPE_BLOCK_SWITCH = 1e-8
 # to 1,023 rows at each cut, and at n = 50 they move the bits (k = 1,025
 # there: a product of more rows rounds otherwise).
 GLPE_BLOCK_MIN = 8
+
+# A bound on the memory of run_glpe's lists: a run of its structured steps
+# holds at most this many iterates, each with its projection and residual as
+# arrays, and the longest block is the largest multiple of its k within it
+# (1,020 iterates at n = 5).
+GLPE_RUN_ROWS = 1024
 
 
 @dataclass
@@ -470,8 +475,8 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
     block on a pattern, and the first after a block that kept fewer than it
     filled, holds k iterates (solver._block_shape at n and GLPE_BLOCK_MIN;
     j = k = 51 at n = 5). Each block kept whole is followed by one twice as
-    long, up to the largest multiple of k within solver.TRACE_STAGE_ROWS
-    (1,020 iterates at n = 5), and none fills more than k - 1 iterates past
+    long, up to the largest multiple of k within GLPE_RUN_ROWS (1,020
+    iterates at n = 5), and none fills more than k - 1 iterates past
     outer_cap. A long block takes the same products as the blocks of k it
     stands for, from the same iterates, and is cut at the same row, so its
     length moves no bit (GLPE_BLOCK_MIN has the measurements). It follows
@@ -492,7 +497,7 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
     with certify's bits. The second-order cone builds J and W before each
     step. A run ends at the first iterate that is done or nonfinite, leaves
     the pattern, or from which a block would be taken, and holds at most
-    solver.TRACE_STAGE_ROWS iterates and none past outer_cap. The error
+    GLPE_RUN_ROWS iterates and none past outer_cap. The error
     tests are made at every step; the pattern is tested once, over all the
     run's rows when its loop ends (prox.on_pattern, as in a block), and
     the run is cut after the first iterate that left it: the steps after
@@ -518,8 +523,8 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
     cone = G.cone
     n = A.shape[1]
     j, k = _block_shape(n, GLPE_BLOCK_MIN)
-    # the longest block: whole blocks of k within the trace's staging bound
-    top = k * max(1, TRACE_STAGE_ROWS // k)
+    # the longest block: whole blocks of k within GLPE_RUN_ROWS
+    top = k * max(1, GLPE_RUN_ROWS // k)
     floor = max(GLPE_BLOCK_SWITCH, config.eps)
     project = projector(cone)
     Ax, Bx = matvec(A), matvec(B)
@@ -556,7 +561,7 @@ def run_glpe(G: GlpeInstance, config: Optional[GlpeConfig] = None) -> GlpeResult
         # the iterates, projections, errors and residuals, and on the
         # second-order cone the J and W of each step
         X, XK, E, R, Js, Ws = [], [], [], [r], [], []
-        cap = min(config.outer_cap - t, TRACE_STAGE_ROWS)
+        cap = min(config.outer_cap - t, GLPE_RUN_ROWS)
         Wx = None if key is None else matvec(W)
         for _ in range(cap):
             if key is None:
@@ -773,7 +778,7 @@ def run_linreg(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
         Ky, Ktx = P.K @ s.y, P.K.T @ s.x
         s.lam = recover_multiplier(P, s.x, s.y, Ky, Ktx)
         res = residuals(P, s.x, s.y, s.lam, L1, L2, Ky, Ktx + P.B.T @ s.lam)
-        return res.within(config.eps), (res.res_x, res.res_y, res.res_feas, None), (res, Ktx)
+        return res.within(config.eps), (res.res_x, res.res_y, res.res_feas), (res, Ktx)
 
     def step(s, cert, t):
         x, y = linreg_step(P, config, s.x, s.y, cert[1])

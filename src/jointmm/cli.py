@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -315,6 +316,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(f"{self.prog}: {message}")
 
 
+@functools.cache  # built once for every main call: a build takes about 2 ms
 def build_parser():
     parser = _Parser(
         prog="jointmm",

@@ -152,6 +152,8 @@ def write_matrix_mm(M, path, layout="coordinate"):
     The coordinate layout lists every entry that is nonzero or has its sign
     bit set, so a -0.0 reads back as -0.0.
     """
+    if layout not in ("coordinate", "array"):
+        raise ConfigurationError(f"unknown MatrixMarket layout {layout!r}")
     M = as_matrix(M)
     rows, cols = M.shape
     with open(path, "w", encoding="ascii") as fh:
@@ -166,14 +168,12 @@ def write_matrix_mm(M, path, layout="coordinate"):
                     f"{a} {b} {v!r}\n"
                     for a, b, v in zip((i + 1).tolist(), (j + 1).tolist(), M[i, j].tolist())
                 ))
-        elif layout == "array":
+        else:
             fh.write("%%MatrixMarket matrix array real general\n")
             fh.write(f"{rows} {cols}\n")
             values = M.T.flat  # column-major; each slice copies only its chunk
             for start in range(0, len(values), _CHUNK):
                 fh.write("".join(f"{v!r}\n" for v in values[start:start + _CHUNK].tolist()))
-        else:
-            raise ConfigurationError(f"unknown MatrixMarket layout {layout!r}")
 
 
 def read_matrix(path):

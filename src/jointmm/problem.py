@@ -450,6 +450,9 @@ def load_problem_manifest(path) -> MinimaxProblem:
             if _holds_bool(value):
                 raise ConfigurationError(f"problem manifest {path}: {key!r} holds a boolean")
         K, A, B, c = (_load_matrix_field(data[key], base_dir) for key in ("K", "A", "B", "c"))
+        if isinstance(data["c"], str) and c.shape[1] != 1:
+            raise ConfigurationError(f"problem manifest {path}: c must be a single-column "
+                                     f"matrix file, got shape {c.shape}")
         c = c.reshape(-1) if isinstance(data["c"], str) else c
         return MinimaxProblem(
             g=smooth_term_from_json(data["g"]),

@@ -227,8 +227,8 @@ class LoopResult(NamedTuple):
 
 class Block(NamedTuple):
     """The k >= 1 iterates after the current one, handed to iterate at once
-    by a step: rows is their k x c float64 array of trace rows (the first c
-    of TRACE_COLUMNS; iterate records NaN in the others), done their k
+    by a step: rows is their k x c float64 array of trace rows, each the
+    first c values of TRACE_COLUMNS as a certify row is, done their k
     stopping tests, and at(i) returns the state and cert of the i-th, for the
     iterates the loop stops on or goes on from."""
 
@@ -238,30 +238,21 @@ class Block(NamedTuple):
 
 
 def _check_row(row, t, last, trace):
-    """Raise DivergenceError when an entry of iterate t's row is nonfinite;
-    trace() gives the trace it carries."""
-    bad = [c for c, v in zip(TRACE_COLUMNS, row) if v is not None and not math.isfinite(v)]
+    """Raise DivergenceError when an entry of iterate t's row is nonfinite,
+    with the last certified state and an owned copy of trace rows 0..t - 1."""
+    bad = [c for c, v in zip(TRACE_COLUMNS, row) if not math.isfinite(v)]
     if bad:
         msg = f"diverged at iterate {t}: nonfinite {', '.join(bad)}"
-        raise DivergenceError(msg, state=last, trace=trace())
-
-
-# Structured trace rows iterate holds as tuples before it moves them into an
-# array: a bound on that list (about 0.2 MB), whose rows cost about 200 bytes
-# each against the 40 of an array row. apps.run_glpe bounds two things by it
-# too: a run of its structured steps, which holds each iterate, its
-# projection and its residual as arrays, and the longest block, the largest
-# multiple of its k within it (1,020 iterates at n = 5).
-TRACE_STAGE_ROWS = 1024
+        raise DivergenceError(msg, state=last, trace=trace[:t].copy())
 
 
 def iterate(state, step, certify, outer_cap, record_trace) -> LoopResult:
     """The outer loop every driver shares: certify iterate t, stop or step.
 
     certify(state) returns (done, row, cert): done is the stopping test of
-    the iterate, row its trace values (res_x, res_y, res_feas and app_error,
-    None where the driver has none) and cert whatever the driver needs back
-    or the step reuses (residuals, the recovered point, the iterate's
+    the iterate, row its trace values, the first c of TRACE_COLUMNS (c = 3
+    without an app_error, 4 with one), and cert whatever the driver needs
+    back or the step reuses (residuals, the recovered point, the iterate's
     products with K, ...).
     step(state, cert, t) returns iterate t + 1, which certify then checks,
     or a Block of the iterates t + 1, ..., t + k with their rows and tests
@@ -270,12 +261,11 @@ def iterate(state, step, certify, outer_cap, record_trace) -> LoopResult:
     step returns it.
 
     The trace is a (T + 1) x 5 float64 array: row t is iterate t, and its
-    columns are elapsed_s and TRACE_COLUMNS, NaN where a row has no
-    app_error (a recorded app_error is finite). A block's rows go in with
-    one slice copy and one broadcast stamp; a structured row is staged as a
-    tuple with its stamp, and the staged rows become one array at the next
-    block, at every TRACE_STAGE_ROWS rows and at return, where the pieces
-    are joined (40 bytes a row).
+    columns are elapsed_s and TRACE_COLUMNS, NaN in the columns a row does
+    not have (a recorded app_error is finite). The run writes it in place:
+    a certified row with one row assignment, a block's rows with one slice
+    copy and one broadcast stamp. It doubles in place as rows come, and is
+    returned trimmed in place: it owns its data, 40 bytes a row.
 
     The loop stops when done is true or after outer_cap steps, and returns
     the last state with its cert, the number of steps t, whether done held,
@@ -284,20 +274,19 @@ def iterate(state, step, certify, outer_cap, record_trace) -> LoopResult:
     divergence: steps and certify run under one np.errstate that lets
     overflow give inf and NaN, and a row with a nonfinite value (the row
     must cover every variable of the state) raises DivergenceError with the
-    last certified state (None at iterate 0) and the trace so far; the
-    message names the iterate and the columns.
+    last certified state (None at iterate 0) and an owned copy of the trace
+    so far; the message names the iterate and the columns.
     """
-    # the trace so far: arrays of rows (stamp and TRACE_COLUMNS), then staged rows
-    chunks, staged = [np.empty((0, 1 + len(TRACE_COLUMNS)))], []
+    # the trace, 1,024 rows at first; grow(rows) at least doubles it in place
+    # within outer_cap + 1 rows, and no view of it may live across the resize
+    # (growing by half took 2.1 MB more peak RSS on repeated glpe-cones passes)
+    width = 1 + len(TRACE_COLUMNS)
+    trace = np.full((min(outer_cap + 1, 1024) if record_trace else 0, width), np.nan)
 
-    def flush():
-        if staged:
-            chunks.append(np.array(staged, dtype=np.float64))
-            staged.clear()
-
-    def trace():
-        flush()
-        return np.concatenate(chunks)
+    def grow(rows):
+        size = len(trace)
+        trace.resize((min(max(rows, 2 * size), outer_cap + 1), width), refcheck=False)
+        trace[size:] = np.nan
 
     start = time.perf_counter()
     # the start point comes in as the output of step -1, with no predecessor
@@ -310,15 +299,13 @@ def iterate(state, step, certify, outer_cap, record_trace) -> LoopResult:
                 stops = np.flatnonzero(out.done[:k] | ~finite)
                 k = int(stops[0]) + 1 if len(stops) else k
                 if record_trace:
-                    kept = k if finite[k - 1] else k - 1
-                    rows = np.full((kept, 1 + len(TRACE_COLUMNS)), np.nan)
-                    rows[:, 0] = time.perf_counter() - start
-                    rows[:, 1 : 1 + out.rows.shape[1]] = out.rows[:kept]
-                    flush()
-                    chunks.append(rows)
+                    end = t + k + 1 if finite[k - 1] else t + k
+                    if end > len(trace):
+                        grow(end)
+                    trace[t + 1 : end, 0] = time.perf_counter() - start
+                    trace[t + 1 : end, 1 : 1 + out.rows.shape[1]] = out.rows[: end - t - 1]
                 if not finite[k - 1]:
-                    row = out.rows[k - 1].tolist()
-                    _check_row(row, t + k, out.at(k - 2)[0] if k > 1 else state, trace)
+                    _check_row(out.rows[k - 1], t + k, out.at(k - 2)[0] if k > 1 else state, trace)
                 state, cert = out.at(k - 1)
                 t += k
                 done = bool(out.done[k - 1])
@@ -328,16 +315,18 @@ def iterate(state, step, certify, outer_cap, record_trace) -> LoopResult:
                 last, state = state, out
                 t += 1
                 done, row, cert = certify(state)
-                # the row's sum (None and 0.0 left out) is nonfinite whenever an
-                # entry is; it can also overflow, so the columns are then checked
-                if not math.isfinite(sum(filter(None, row))):
+                # the row's sum is nonfinite whenever an entry is; it can also
+                # overflow, so the columns are then checked
+                if not math.isfinite(sum(row)):
                     _check_row(row, t, last, trace)
                 if record_trace:
-                    staged.append((time.perf_counter() - start, *row))
-                    if len(staged) == TRACE_STAGE_ROWS:
-                        flush()
+                    if t == len(trace):
+                        grow(t + 1)
+                    trace[t, : 1 + len(row)] = [time.perf_counter() - start, *row]
             if done or t == outer_cap:
-                return LoopResult(state, cert, t, done, trace())
+                if record_trace:
+                    trace.resize((t + 1, width), refcheck=False)
+                return LoopResult(state, cert, t, done, trace)
             out = step(state, cert, t)
 
 
@@ -355,7 +344,7 @@ def certify_residuals(P: MinimaxProblem, L1, L2, eps):
         drive = P.K.T @ s.x + P.B.T @ s.lam
         fixed = (P.g.gradient(s.x), P.A.T @ s.lam, P.A @ s.x)
         res = residuals(P, s.x, s.y, s.lam, L1, L2, None, drive, fixed, maps)
-        return res.within(eps), (res.res_x, res.res_y, res.res_feas, None), (res, drive, fixed)
+        return res.within(eps), (res.res_x, res.res_y, res.res_feas), (res, drive, fixed)
 
     return certify
 

@@ -675,7 +675,7 @@ def linreg_structured(P, config):
     def certify(s):
         s.lam = recover_multiplier(P, s.x, s.y)
         res = residuals(P, s.x, s.y, s.lam, L1, L2)
-        return res.within(config.eps), (res.res_x, res.res_y, res.res_feas, None), res
+        return res.within(config.eps), (res.res_x, res.res_y, res.res_feas), res
 
     def step(s, cert, t):
         y = inner_ascent(P, s.x, None, s.y, config.inner_steps, config.alpha_y, P.K.T @ s.x)

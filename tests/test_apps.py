@@ -9,6 +9,7 @@ from jointmm.apps import (
     GAVE_BUILTINS,
     GLPE_BLOCK_MIN,
     GLPE_BLOCK_SWITCH,
+    GLPE_RUN_ROWS,
     GaveConfig,
     GaveInstance,
     GlpeConfig,
@@ -34,7 +35,6 @@ from jointmm.prox import (
     project_polar,
 )
 from jointmm.solver import (
-    TRACE_STAGE_ROWS,
     SolverConfig,
     _block_shape,
     run_framework,
@@ -303,7 +303,7 @@ def test_glpe_structured_rows_are_the_structured_steps_bits(stock_glpe, cone_kin
 @pytest.mark.parametrize("cone_kind, cap", [(NONNEG_ORTHANT, 70_000), (L1_NORM, 6_000)])
 def test_glpe_cap_inside_a_structured_run(stock_glpe, cone_kind, cap):
     # the structured tails start at steps 65,966 (orthant) and 5,098 (1-norm),
-    # and a run of structured steps holds up to TRACE_STAGE_ROWS = 1,024 rows
+    # and a run of structured steps holds up to GLPE_RUN_ROWS = 1,024 rows
     # and none past the cap: both caps end a run's loop before its bound
     G, stock = builtin_glpe(cone_kind), stock_glpe[cone_kind]
     got = run_glpe(G, GlpeConfig(outer_cap=cap))
@@ -350,7 +350,7 @@ def test_glpe_run_cut_where_the_pattern_changes(record_trace):
     # goes on from 781 on the new pattern: the structured steps' bits
     G, x0 = edge_glpe()
     first = run_glpe(G, GlpeConfig(x0=x0, outer_cap=780, record_trace=False))
-    assert first.patterns == 1 and 780 < TRACE_STAGE_ROWS
+    assert first.patterns == 1 and 780 < GLPE_RUN_ROWS
     cfg = GlpeConfig(x0=x0, outer_cap=2000, record_trace=record_trace)
     got, want = run_glpe(G, cfg), glpe_structured(G, cfg)
     assert got.patterns == want.patterns == 2
@@ -372,7 +372,7 @@ def assert_same_run(got, want):
 def test_glpe_bits_do_not_depend_on_the_run_bound(monkeypatch, stock_glpe, cone_kind, bound):
     import jointmm.apps
 
-    monkeypatch.setattr(jointmm.apps, "TRACE_STAGE_ROWS", bound)
+    monkeypatch.setattr(jointmm.apps, "GLPE_RUN_ROWS", bound)
     assert_same_run(run_glpe(builtin_glpe(cone_kind), GlpeConfig(eps=1e-13)),
                     stock_glpe[cone_kind])
 
@@ -396,7 +396,7 @@ def test_glpe_blocks_that_grow_keep_the_bits_of_blocks_of_k(
         monkeypatch, stock_glpe, case, record_trace):
     # a block twice as long chains the same products with the stacked powers
     # as the two it replaces, takes J z - b by the same products of k rows,
-    # and is cut at the same iterate: held at k by a staging bound of k rows
+    # and is cut at the same iterate: held at k by a run bound of k rows
     # (which also bounds the runs of structured steps, and moves no bit by
     # test_glpe_bits_do_not_depend_on_the_run_bound), the runs give the same
     # bits. At n = 50 (k = 10) the rows of one product of 40 or more rows
@@ -413,14 +413,14 @@ def test_glpe_blocks_that_grow_keep_the_bits_of_blocks_of_k(
     lengths, fill = [], jointmm.apps.fill_iterates
     monkeypatch.setattr(jointmm.apps, "fill_iterates",
                         lambda *a: lengths.append(a[1]) or fill(*a))
-    monkeypatch.setattr(jointmm.apps, "TRACE_STAGE_ROWS", k)
+    monkeypatch.setattr(jointmm.apps, "GLPE_RUN_ROWS", k)
     assert_same_run(run_glpe(G, cfg), grown)
     assert set(lengths) <= {k}
 
 
 def test_glpe_blocks_double_while_kept_and_start_over_after_a_cut(monkeypatch):
     # k = 10 at n = 50: a block kept whole is followed by one twice as long,
-    # up to 1,020 (the largest multiple of k within TRACE_STAGE_ROWS), a cut
+    # up to 1,020 (the largest multiple of k within GLPE_RUN_ROWS), a cut
     # one by a block of 10, and the last fills only up to the cap
     import jointmm.apps
 
@@ -447,7 +447,7 @@ def test_glpe_run_bound_before_at_or_after_the_pattern_change(monkeypatch, bound
     monkeypatch.setattr(jointmm.apps, "iterate", lambda x0, step, *rest: loop(
         x0, lambda *a: steps.append(1) or step(*a), *rest))
     monkeypatch.setattr(jointmm.apps, "on_pattern", lambda *a: tests.append(1) or test(*a))
-    monkeypatch.setattr(jointmm.apps, "TRACE_STAGE_ROWS", bound)
+    monkeypatch.setattr(jointmm.apps, "GLPE_RUN_ROWS", bound)
     assert_same_run(run_glpe(G, cfg), want)
     assert len(tests) == len(steps)
 
@@ -740,7 +740,7 @@ def test_glpe_fills_blocks_only_from_finite_stacked_powers(monkeypatch, cone_kin
     # map 1.6e8 to 2.3e10): a block filled from them would be thrown away.
     # The blocks grow: each one kept whole is followed by one twice as long,
     # from k = 51 iterates up to 1,020 (the largest multiple of k within
-    # TRACE_STAGE_ROWS), so the stock runs fill 73 and 15 blocks, where
+    # GLPE_RUN_ROWS), so the stock runs fill 73 and 15 blocks, where
     # blocks of 51 took 1,298 and 106
     import jointmm.apps
     from jointmm.errors import DivergenceError

@@ -580,6 +580,22 @@ def test_glpe_command_and_bench_spec_share_stock_settings():
     assert from_command.eps == 1e-13
 
 
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    import jointmm.cli
+
+    main(["nope"])
+    built, init = [], jointmm.cli._Parser.__init__
+    monkeypatch.setattr(jointmm.cli._Parser, "__init__",
+                        lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+    capsys.readouterr()
+    # usage errors leave the reused parser as they found it
+    for _ in range(2):
+        assert main(["glpe", "--n", "x"]) == main(["nope"]) == EXIT_ERROR
+    assert built == []
+    err = capsys.readouterr().err.splitlines()
+    assert err[:2] == err[2:] and all(line.startswith("error: jointmm") for line in err)
+
+
 def test_bench_glpe_step_key_is_the_flag_name():
     assert resolve("glpe", {"kind": "glpe", "alpha_x": 0.02}).config.alpha == 0.02
     assert resolve("glpe", {"kind": "glpe", "alpha": 0.02}).config.alpha is None

@@ -50,6 +50,14 @@ def test_mm_array_roundtrip_bit_identical(rng, tmp_path):
     assert np.array_equal(M, read_matrix_mm(path))
 
 
+def test_mm_writer_rejects_a_layout_before_it_touches_the_file(tmp_path):
+    path = tmp_path / "m.mtx"
+    path.write_bytes(b"keep me\n")
+    with pytest.raises(ConfigurationError, match="unknown MatrixMarket layout 'bogus'"):
+        write_matrix_mm(np.eye(2), path, layout="bogus")
+    assert path.read_bytes() == b"keep me\n"
+
+
 def test_read_matrix_dispatch(rng, tmp_path):
     M = rng.standard_normal((2, 2))
     write_matrix_csv(M, tmp_path / "a.csv")

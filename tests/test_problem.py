@@ -346,6 +346,23 @@ def test_manifest_reads_c_from_a_column_file(tmp_path, rng):
     assert P.c.shape == (2,) and np.array_equal(P.c, [0.5, -0.25])
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (1, 4)])
+def test_manifest_rejects_a_c_file_of_more_than_one_column(tmp_path, rng, shape):
+    # flattened, either file would give the 4 entries that A and B's 4 rows ask for
+    write_matrix_csv(rng.standard_normal(shape), tmp_path / "c.csv")
+    manifest = {
+        "K": rng.standard_normal((2, 3)).tolist(), "A": rng.standard_normal((4, 2)).tolist(),
+        "B": rng.standard_normal((4, 3)).tolist(), "c": "c.csv",
+        "g": {"kind": "zero"}, "h": {"kind": "zero"},
+        "phi": {"kind": "zero_function"}, "psi": {"kind": "zero_function"},
+    }
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ConfigurationError) as err:
+        load_problem_manifest(path)
+    assert str(path) in str(err.value) and f"shape {shape}" in str(err.value)
+
+
 def test_manifest_loading(tmp_path, rng):
     path, (K, A, B) = write_manifest(tmp_path, rng)
     P = load_problem_manifest(path)

@@ -835,7 +835,7 @@ def test_iterate_stops_at_cap_and_on_done():
     from jointmm.solver import iterate
 
     def certify(s):
-        return s >= 3, (float(s), 0.0, 0.0, None), -s
+        return s >= 3, (float(s), 0.0, 0.0), -s
 
     run = iterate(0, lambda s, cert, t: s + 1, certify, 10, True)
     assert (run.state, run.cert, run.t, run.converged) == (3, -3, 3, True)
@@ -848,7 +848,8 @@ def test_iterate_raises_on_a_nonfinite_row_with_the_last_certified_state():
     from jointmm.solver import iterate
 
     def certify(s):
-        return False, (float(s), np.nan if s == 3 else 0.0, 0.0, np.inf if s == 3 else None), s
+        row = (float(s), np.nan if s == 3 else 0.0, 0.0)
+        return False, row + (np.inf,) if s == 3 else row, s
 
     with pytest.raises(DivergenceError, match="iterate 3: nonfinite res_y, app_error") as err:
         iterate(0, lambda s, cert, t: s + 1, certify, 10, True)
@@ -863,7 +864,7 @@ def test_iterate_accepts_a_finite_row_whose_sum_overflows():
     from jointmm.solver import iterate
 
     def certify(s):
-        return s >= 2, (1e308, 1e308, 0.0, None), s
+        return s >= 2, (1e308, 1e308, 0.0), s
 
     run = iterate(0, lambda s, cert, t: s + 1, certify, 10, True)
     assert (run.state, run.converged, len(run.trace)) == (2, True, 3)
@@ -888,7 +889,7 @@ def _counting_blocks(size, bad=None):
 
 
 def _counting_certify(s):
-    return s >= 5, (float(s), 0.0, 0.0, None), -s
+    return s >= 5, (float(s), 0.0, 0.0), -s
 
 
 def test_iterate_takes_blocks_up_to_the_first_done_row_or_the_cap():
@@ -928,7 +929,8 @@ def test_trace_is_a_float64_array_with_a_row_per_iterate():
     from jointmm.solver import iterate
 
     def certify(s):
-        return False, (float(s), 0.5, -0.0, None if s % 2 else 2.0 * s), s
+        row = (float(s), 0.5, -0.0)
+        return False, row if s % 2 else row + (2.0 * s,), s
 
     # rows 1-3 and 5 come from blocks, which stop at 5 (_counting_blocks)
     trace = iterate(0, _counting_blocks(3), certify, 10, True).trace
@@ -942,11 +944,100 @@ def test_trace_is_a_float64_array_with_a_row_per_iterate():
 
     # a divergence at iterate 0 carries the empty trace
     def diverged(s):
-        return False, (np.nan, 0.0, 0.0, None), s
+        return False, (np.nan, 0.0, 0.0), s
 
     with pytest.raises(DivergenceError, match="iterate 0") as err:
         iterate(0, _counting_blocks(3), diverged, 10, True)
     assert err.value.trace.dtype == np.float64 and err.value.trace.shape == (0, 5)
+
+
+def _scheduled_blocks(sizes, bad=None):
+    """A step for iterate on integer states: from a state s in sizes, a Block
+    of the next sizes[s] states with the rows (state, state / 2, -state), a
+    NaN res_y at state bad and no done row; from any other state, s + 1."""
+    from jointmm.solver import Block
+
+    def step(s, cert, t):
+        if s not in sizes:
+            return s + 1
+        states = np.arange(s + 1, s + 1 + sizes[s])
+        rows = np.stack([states, states / 2, -states], axis=1).astype(np.float64)
+        rows[states == bad, 1] = np.nan
+        return Block(rows, np.zeros(len(states), dtype=bool), lambda i: (int(states[i]), None))
+
+    return step
+
+
+def _rows_certify(bad=None):
+    """certify on integer states: the row (s, s / 2, -s), with app_error 2 s
+    on even states only, a NaN res_feas at state bad, and never done."""
+
+    def certify(s):
+        row = (float(s), s / 2, np.nan if s == bad else -float(s))
+        return False, row if s % 2 else row + (2.0 * s,), s
+
+    return certify
+
+
+def _expected_rows(T, sizes):
+    """The trace columns after elapsed_s of _scheduled_blocks and
+    _rows_certify over iterates 0..T."""
+    s = np.arange(T + 1, dtype=np.float64)
+    want = np.stack([s, s / 2, -s, np.where(s % 2, np.nan, 2 * s)], axis=1)
+    for start, size in sizes.items():
+        want[start + 1 : start + 1 + size, 3] = np.nan
+    return want
+
+
+def assert_owned_trace(trace, rows):
+    assert type(trace) is np.ndarray and trace.dtype == np.float64
+    assert trace.shape == (rows, 5) and trace.flags.owndata and trace.flags.c_contiguous
+    assert trace.nbytes == 40 * rows
+
+
+def test_a_trace_of_certified_rows_outgrows_its_first_allocation():
+    from jointmm.solver import iterate
+
+    run = iterate(0, _scheduled_blocks({}), _rows_certify(), 3000, True)
+    assert run.t == 3000
+    assert_owned_trace(run.trace, 3001)
+    assert np.array_equal(run.trace[:, 1:], _expected_rows(3000, {}), equal_nan=True)
+    assert (np.diff(run.trace[:, 0]) >= 0).all()
+    run = iterate(0, _scheduled_blocks({}), _rows_certify(), 3000, False)
+    assert run.t == 3000 and run.trace.shape == (0, 5)
+
+
+def test_a_trace_of_rows_and_blocks_keeps_every_row_across_its_growth():
+    from jointmm.solver import iterate
+
+    # the trace starts at 1,024 rows; the block at 1,020 needs 2,000 more,
+    # past the double it would grow to, and the run of single rows after it
+    # doubles it once and then grows it up to the cap's 8,001 rows
+    sizes = {10: 5, 500: 100, 1020: 2000, 3100: 1000, 5000: 3}
+    run = iterate(0, _scheduled_blocks(sizes), _rows_certify(), 8000, True)
+    assert (run.state, run.t, run.converged) == (8000, 8000, False)
+    assert_owned_trace(run.trace, 8001)
+    assert np.array_equal(run.trace[:, 1:], _expected_rows(8000, sizes), equal_nan=True)
+    stamps = run.trace[:, 0]
+    assert (np.diff(stamps) >= 0).all()
+    for start, size in sizes.items():
+        assert (stamps[start + 1 : start + 1 + size] == stamps[start + 1]).all()
+
+
+@pytest.mark.parametrize("bad", [4000, 2000])
+def test_a_divergence_after_the_trace_grew_carries_an_owned_copy(bad):
+    from jointmm.solver import iterate
+
+    # the trace grows to 3,021 rows at the block of 2,000 rows from 1,020,
+    # and to 6,042 at iterate 3,021. A NaN res_feas at iterate 4,000, which
+    # is certified, or a NaN res_y at 2,000, in the block
+    sizes = {1020: 2000}
+    with pytest.raises(DivergenceError, match=f"iterate {bad}: nonfinite") as err:
+        iterate(0, _scheduled_blocks(sizes, bad), _rows_certify(bad), 8000, True)
+    assert err.value.state == bad - 1
+    assert_owned_trace(err.value.trace, bad)
+    assert np.array_equal(err.value.trace[:, 1:], _expected_rows(bad - 1, sizes),
+                          equal_nan=True)
 
 
 def _framework_run(rng):
