@@ -22,8 +22,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, FrameworkError
-from .numerics import (aligned, apply, as_vector, check_positive, is_number, json_finite, matvec,
-                       serial_matmul)
+from .numerics import (SERIAL_MATMUL_WORK, aligned, apply, as_vector, check_positive, is_number,
+                       json_finite, matvec, serial_matmul)
 from .problem import (
     BudgetConstants,
     MinimaxProblem,
@@ -151,18 +151,19 @@ def inner_ascent(P: MinimaxProblem, x, lam, y0, n_steps, alpha_y, drive=None, pr
     return y if n_steps else y.copy()
 
 
-def outer_step(P: MinimaxProblem, x, lam, y_next, alpha_x, fixed=None, By=None, prox=None):
+def outer_step(P: MinimaxProblem, x, lam, y_next, alpha_x, fixed=None, By=None, prox=None,
+               Ky=None):
     """One proximal-descent step in (x, lambda) given the updated y.
 
     x+ = prox_{alpha_x phi}[x - alpha_x (grad g(x) + K y+ + A^T lambda)],
     lambda+ = lambda - alpha_x [A x + B y+ + c]  (old x, by definition).
     Overflow gives inf or NaN, as in inner_ascent. fixed (see grad_x), By =
-    B y+ and prox = prox_map(P.phi, alpha_x), when given, are not formed or
-    bound again (as in inner_ascent; without prox, prox_eval runs).
+    B y+, Ky = K y+ and prox = prox_map(P.phi, alpha_x), when given, are not
+    formed or bound again (as in inner_ascent; without prox, prox_eval runs).
     """
     if prox is None:
         check_positive("alpha_x", alpha_x)
-    v = x - alpha_x * grad_x(P, x, y_next, lam, None, fixed)
+    v = x - alpha_x * grad_x(P, x, y_next, lam, Ky, fixed)
     x_next = prox_eval(P.phi, alpha_x, v) if prox is None else prox(v)
     return x_next, lam - alpha_x * feas(P, x, y_next, None if fixed is None else fixed[2], By)
 
@@ -183,14 +184,16 @@ def pgmsad_step(P: MinimaxProblem, config: SolverConfig, x, y, lam, drive=None, 
     """run_pgmsad's outer step: inner_ascent, outer_step and, under
     project_each_outer, project_feasible, with drive and fixed from
     certify_residuals, the run's prox maps (prox_{alpha_y psi}, prox_{alpha_x
-    phi}) and B y+ formed once for both; returns (x, y, lambda). With phi =
-    psi = 0 it takes a batch of points as rows (see numerics.apply)."""
+    phi}) and B y+ formed once for both; returns (x, y, lambda, K y), where
+    K y is the descent step's K y+ of the returned y, or None where the
+    projection replaced y. With phi = psi = 0 it takes a batch of points as
+    rows (see numerics.apply)."""
     y = inner_ascent(P, x, lam, y, config.inner_steps, config.alpha_y, drive, maps[0])
-    By = apply(P.B, y)
-    x, lam = outer_step(P, x, lam, y, config.alpha_x, fixed, By, maps[1])
+    By, Ky = apply(P.B, y), apply(P.K, y)
+    x, lam = outer_step(P, x, lam, y, config.alpha_x, fixed, By, maps[1], Ky)
     if config.project_each_outer:
-        x, y = project_feasible(P, x, y, By)
-    return x, y, lam
+        (x, y), Ky = project_feasible(P, x, y, By), None
+    return x, y, lam, Ky
 
 
 def start_vector(given, dim, name, draw):
@@ -337,13 +340,15 @@ def certify_residuals(P: MinimaxProblem, L1, L2, eps):
     The cert is (residuals, drive, fixed): the iterate's K^T x + B^T lambda
     and (grad g(x), A^T lambda, A x), formed once here for the residuals,
     whose prox maps are bound once, and handed to the step (pgmsad_step).
+    certify(s, Ky) takes K y of the iterate's y, when the step formed it, and
+    does not form it again.
     """
     maps = (prox_map(P.phi, 1.0 / L1), prox_map(P.psi, 1.0 / L2))
 
-    def certify(s):
+    def certify(s, Ky=None):
         drive = P.K.T @ s.x + P.B.T @ s.lam
         fixed = (P.g.gradient(s.x), P.A.T @ s.lam, P.A @ s.x)
-        res = residuals(P, s.x, s.y, s.lam, L1, L2, None, drive, fixed, maps)
+        res = residuals(P, s.x, s.y, s.lam, L1, L2, Ky, drive, fixed, maps)
         return res.within(eps), (res.res_x, res.res_y, res.res_feas), (res, drive, fixed)
 
     return certify
@@ -381,16 +386,52 @@ AFFINE_MAX_DIM = 256
 # of 8 by Z R^T, median of 15 in-process rounds (batches differ by about
 # 0.05): 0.74x here, 0.84x with Z R^T in blocks of 64, 0.76x with R Z^T in
 # blocks of 16, and 0.74x in blocks of 128, which fill twice the spare
-# iterates. The last block stops at the cap, so a short run fills few.
+# iterates. The last block stops at the cap, so a short run fills few. A
+# block after the first is twice as long as the one before, up to a bound
+# (AFFINE_BLOCK_MAX) that keeps the blocks of k where j = 1.
 AFFINE_BLOCK_MIN = 64
+
+# The bound on the longest block of _run_affine, in outer steps. Its top is
+# the largest multiple of k within this bound whose fill (d^2 multiply-adds
+# a step, d = n + m + q) and residual rows (len(R) d, where R has n + m + q
+# + 3 rows) stay within numerics.SERIAL_MATMUL_WORK, or k where that is
+# under 2 k: 504 at run_pgmsad's d = 6 (criterion 11, saddle-batch), 128 at
+# 31 and k from 32 on; 450 at run_linreg's make_linreg(10, 10, 2), 132 at
+# n = 23 and k from 24 on; k wherever j = 1. Blocks, rows filled and time
+# against blocks of k (any bound under 2 k), by this bound (top in
+# brackets): perfbench's 20 saddles (saddle-batch, 22,730 steps kept;
+# median ratio of 100 alternating in-process rounds) and
+# make_linreg(10, 10, 2) at the stock settings to eps 1e-8 (8,472 steps
+# kept; 60 rounds), 1 OpenBLAS thread, 2-vCPU Xeon VM:
+#     bound                 k   256    512  1,024  2,048  4,096
+#     saddles [top]       [84] [252]  [504] [1008] [2016] [2856]
+#       blocks             282   121     90     79     79     79
+#       rows filled     23,688 25,452 27,216 28,896 35,280 37,968
+#       time              1.00  0.86   0.84   0.85   0.92   0.96
+#     linreg 10 [top]     [75] [225]  [450]  [675]  [675]  [675]
+#       blocks             113    39     21     15     15     15
+#       time              1.00  0.74   0.68   0.68   0.66   0.66
+# Past the stop a longer block fills more rows. perfbench's saddle-batch at
+# its 20 s window (alternating runs, reference seconds) decided between 256,
+# 512 and 1,024: 512 read solve_s 0.0310 s against 0.0317 at 1,024 (median
+# of 6 pairs, lower in 6) and 0.0308 against 0.0315 at 256 (4 pairs, lower
+# in 4), and peak_rss_mb 0.8-2.5 MB under 1,024's in each pair. At j = 1
+# growth is slower: linreg-400 (perfbench's instance, d = 400, 8,987 steps)
+# in blocks grown to 128, 256 and 1,024 steps took 1.03x, 1.07x and 1.19x
+# of blocks of 64 (median of 12 rounds, quartiles 1.00-1.06, 1.03-1.09 and
+# 1.17-1.21), with the same count and bits. The serial bound keeps j = 1
+# blocks at k.
+AFFINE_BLOCK_MAX = 512
 
 
 def _block_shape(dim, rows):
-    """(j, k) at n + m + q = dim: a block of _run_affine holds k outer steps
-    (one of apps.run_glpe, at dim = n, keeps up to k), filled by k / j
-    products with the stacked powers M, ..., M^j. j is AFFINE_MAX_DIM // dim
-    (at least 1) and k the least multiple of j that is at least rows
-    (AFFINE_BLOCK_MIN for _run_affine, apps.GLPE_BLOCK_MIN for run_glpe)."""
+    """(j, k) at n + m + q = dim: the first block of _run_affine holds k
+    outer steps (one of apps.run_glpe, at dim = n, keeps up to k), filled
+    by k / j products with the stacked powers M, ..., M^j; the blocks after
+    it hold multiples of k (see _run_affine and apps.run_glpe). j is
+    AFFINE_MAX_DIM // dim (at least 1) and k the least multiple of j that
+    is at least rows (AFFINE_BLOCK_MIN for _run_affine, apps.GLPE_BLOCK_MIN
+    for run_glpe)."""
     j = max(1, AFFINE_MAX_DIM // dim)
     return j, j * -(-rows // j)
 
@@ -450,7 +491,8 @@ def _run_affine(
 ) -> LoopResult:
     """A zero-prox driver's loop on dense affine maps under iterate: the same
     trace rows, stop rule and divergence as its structured steps, with the
-    outer steps taken in blocks of k (see _block_shape).
+    outer steps taken in blocks of k, 2 k, 4 k, ... up to top (see
+    _block_shape and AFFINE_BLOCK_MAX).
 
     outputs(Z) is the driver's step on a batch of iterates as rows and
     returns (the next iterates, their stacked residual vectors); run on the
@@ -462,12 +504,20 @@ def _run_affine(
     driver's state of iterate t >= 1 = z with predecessor prev.
 
     The stacked powers of M are built once (stacked_powers), so a step is a
-    Block: k / j products fill the k iterates Z after the current one, and
-    one product R Z^T, with R held C-contiguous, gives their residual rows,
-    one column per iterate. Where j = 1 the blocks are filled at two
-    levels (fill_iterates): M^2 and M c + c, built with the maps, give the
-    even iterates by one matvec per two steps, and one serial_matmul with M
-    all the odd ones. The iterates then agree with a one-matvec fill to
+    Block: h / j products fill the h iterates Z after the current one, and
+    products R Z^T of k columns each, with R held C-contiguous, give their
+    residual rows, one column per iterate. The first block holds h = k
+    steps and each after it twice the one before, up to top: the largest
+    multiple of k within AFFINE_BLOCK_MAX whose fill (d^2 multiply-adds a
+    step at d = len(z0)) and residual rows (len(R) d a step) stay within
+    numerics.SERIAL_MATMUL_WORK, or k itself where that is under 2 k, as
+    it is wherever j = 1. Every block edge is then a multiple of j, and a
+    grown block takes the fill products and the residual products of the
+    blocks of k it stands for, from the same iterates: its length moves no
+    bit. Where j = 1 the blocks are filled at two levels (fill_iterates):
+    M^2 and M c + c, built with the maps, give the even iterates by one
+    matvec per two steps, and one serial_matmul with M all the odd ones.
+    The iterates then agree with a one-matvec fill to
     rounding, with the same bits at any BLAS thread count. M^2 is one more
     d x d array. Its build adds 6% to affine_parts' build at run_linreg's
     d = 130, 15% at 400 and 17% at 930, and 24% at run_pgmsad's d = 140
@@ -482,24 +532,40 @@ def _run_affine(
     state is (z, prev, t). A block with a nonfinite row is filled
     again one z <- M z + c step at a time, so a DivergenceError names the
     iterate single steps name. A run that stops inside a block by eps or
-    divergence has computed up to k - 1 iterates it does not use: 63 where
-    j = 1, at 31 matvecs and one product.
+    divergence has computed up to top - 1 iterates it does not use: 63
+    where j = 1, at 31 matvecs and one product, and 503 at run_pgmsad's
+    d = 6, where saddle-batch's 20 runs fill 27,216 rows for 22,730 kept
+    steps (23,688 in blocks of k, at 282 blocks against 90).
 
     M, M^2 or the stacked powers, R (its zero rows built in) and each Z are
     numerics.aligned, as the block products stream them: linreg-400's solve
     moved by about 10% with where the heap put them. No bit depends on it.
     """
     n, nm, L1, L2 = P.n, P.n + P.m, 1.0 / config.alpha_x, 1.0 / config.alpha_y
-    j, k = _block_shape(len(z0), AFFINE_BLOCK_MIN)
+    d = len(z0)
+    j, k = _block_shape(d, AFFINE_BLOCK_MIN)
 
     def row_norms(Z):
-        G = serial_matmul(R, Z.T)
+        if len(Z) <= k:
+            G = serial_matmul(R, Z.T)
+        else:
+            # a grown block, within SERIAL_MATMUL_WORK: R Z^T by one product
+            # per k columns, as blocks of k take it (a column of one product
+            # can round otherwise in a product of more columns), the whole
+            # ones as one stacked matmul
+            w = len(Z) // k * k
+            G = np.matmul(R, Z[:w].reshape(-1, k, d).transpose(0, 2, 1))
+            G = G.transpose(1, 0, 2).reshape(len(R), w)
+            if w < len(Z):
+                G = np.hstack((G, R @ Z[w:].T))
         G += r[:, None]
         G *= G
         return np.sqrt(np.add.reduceat(G, [0, n + 1, nm + 2])).T
 
     def step(s, cert, t):
-        h = min(k, j * -(-(config.outer_cap - t) // j))
+        # block b >= 0 starts at t = (2^b - 1) k, so t + k is twice the last
+        # block (k at first), up to top
+        h = min(top, t + k, j * -(-(config.outer_cap - t) // j))
         Z = fill_iterates(s[0], h, *fill)
         N = row_norms(Z[:-1])
         if not math.isfinite(N.sum()):
@@ -515,10 +581,13 @@ def _run_affine(
         return z, np.insert(v, [n, nm, v.shape[1]], 0.0, axis=1)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        (M, c), (R, r) = affine_parts(closed, len(z0))
+        (M, c), (R, r) = affine_parts(closed, d)
         # where j = 1, the two-step map and the one-step map (fill_iterates)
         fill = stacked_powers(M, c, j) if j > 1 else (
             serial_matmul(M, M), (M @ c + c)[None], (M, c))
+    # the longest block: whole blocks of k within AFFINE_BLOCK_MAX and
+    # within SERIAL_MATMUL_WORK multiply-adds of fill and residual products
+    top = k * max(1, min(AFFINE_BLOCK_MAX, SERIAL_MATMUL_WORK // (d * (d + len(R)))) // k)
     state_of = lambda s: start if s[2] == 0 else unstack(*s)
     try:
         run = iterate((z0, z0, 0), step, lambda s: certify(start),
@@ -552,8 +621,12 @@ def run_pgmsad(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
     L1, L2 = 1.0 / config.alpha_x, 1.0 / config.alpha_y
     maps = (prox_map(P.psi, config.alpha_y), prox_map(P.phi, config.alpha_x))
 
+    # K y of the last step's y, for certify
+    Ky = None
+
     def step(s, cert, t):
-        x, y, lam = pgmsad_step(P, config, s.x, s.y, s.lam, *cert[1:], maps)
+        nonlocal Ky
+        x, y, lam, Ky = pgmsad_step(P, config, s.x, s.y, s.lam, *cert[1:], maps)
         return IterateState(x=x, y=y, lam=lam, t=t + 1)
 
     start = _gaussian_start(P, config.seed, config.x0, config.y0, config.lambda0)
@@ -563,7 +636,7 @@ def run_pgmsad(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
         n, nm = P.n, P.n + P.m
 
         def outputs(Z):
-            x, y, lam = pgmsad_step(P, config, Z[:, :n], Z[:, n:nm], Z[:, nm:], maps=maps)
+            x, y, lam, _ = pgmsad_step(P, config, Z[:, :n], Z[:, n:nm], Z[:, nm:], maps=maps)
             return np.hstack((x, y, lam)), np.hstack(residual_vectors(P, x, y, lam, L1, L2))
 
         def unstack(z, prev, t):
@@ -572,7 +645,8 @@ def run_pgmsad(P: MinimaxProblem, config: SolverConfig) -> SolveResult:
         z0 = np.concatenate([start.x, start.y, start.lam])
         run = _run_affine(P, config, outputs, z0, start, certify, unstack)
     else:
-        run = iterate(start, step, certify, config.outer_cap, config.record_trace)
+        run = iterate(start, step, lambda s: certify(s, Ky), config.outer_cap,
+                      config.record_trace)
     state, res, converged = run.state, run.cert[0], run.converged
     if state.t > 0 and config.project_final and not config.project_each_outer:
         x, y = project_feasible(P, state.x, state.y)

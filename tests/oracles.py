@@ -442,6 +442,45 @@ def quadratic_saddle_kkt(a, b, K, A, B, c):
     return sol[:n], sol[n : n + m], sol[n + m :]
 
 
+def criterion_11_saddles():
+    """The 20 seeded 2x2 quadratic saddles of acceptance criterion 11
+    (well-posed reduced objective, full-rank constraint), each as (P, config,
+    (a, b, K, A, B, c)): the problem, run_pgmsad's settings for it (eps
+    1e-10, no final projection) and the data of its exact saddle."""
+    rng = np.random.default_rng(11)
+    out = []
+    for _ in range(20):
+        while True:
+            a = 1.0 + rng.random()
+            bq = 1.0 + rng.random()
+            K = 0.3 * rng.standard_normal((2, 2))
+            A = 0.15 * rng.standard_normal((2, 2))
+            B = 0.5 * rng.standard_normal((2, 2))
+            c = 0.4 * rng.standard_normal(2)
+            H = np.block(
+                [
+                    [a * np.eye(2) + K @ K.T / bq, A.T + K @ B.T / bq],
+                    [A + B @ K.T / bq, B @ B.T / bq],
+                ]
+            )
+            ev = np.linalg.eigvalsh(0.5 * (H + H.T))
+            if ev.min() > 0.02 and np.linalg.matrix_rank(np.hstack([A, B])) == 2:
+                break
+        P = MinimaxProblem(
+            g=smooth_scaled_sq_norm(a), phi=prox_zero(),
+            h=smooth_scaled_sq_norm(bq), psi=prox_zero(),
+            K=K, A=A, B=B, c=c, mu=bq,
+        )
+        C = compute_constants(P)
+        cfg = SolverConfig(
+            alpha_x=0.9 / C.L_theta, alpha_y=0.9 / C.L_h, inner_steps=60,
+            outer_cap=300000, eps=1e-10, x0=np.ones(2), y0=np.ones(2),
+            project_final=False,
+        )
+        out.append((P, cfg, (a, bq, K, A, B, c)))
+    return out
+
+
 def ascent_loop(P, x, lam, y0, n_steps, alpha_y):
     """The psi = 0 inner ascent as a plain loop over its n_steps steps
     y <- y + alpha_y (K^T x + B^T lambda - d y - b), from the problem's data."""

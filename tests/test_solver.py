@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import jointmm.problem
+import jointmm.solver
 from jointmm.apps import builtin_gave, builtin_gave_config, make_linreg, run_gave, run_linreg
 from jointmm.errors import (
     ConfigurationError,
@@ -60,6 +61,7 @@ from oracles import (
     address,
     approx_y_star,
     cli_like_saddle,
+    criterion_11_saddles,
     linreg_structured,
     misaligned,
     mixed_prox_saddle,
@@ -230,24 +232,34 @@ def test_run_pgmsad_deterministic_trace(rng):
     assert np.array_equal(r1.state.lam, r2.state.lam)
 
 
-def count_products(P, T):
+def count_products(P, T, project_each_outer=False):
     """The products with K and K^T of a T-step run_pgmsad on P."""
     K = P.K
     P.K = CountingMatrix(K)
     cfg = SolverConfig(alpha_x=0.1, alpha_y=0.1, inner_steps=5, outer_cap=T,
-                       eps=0.0, x0=np.ones(2), y0=np.ones(2), project_final=False)
+                       eps=0.0, x0=np.ones(2), y0=np.ones(2), project_final=False,
+                       project_each_outer=project_each_outer)
     assert run_pgmsad(P, cfg).state.t == T
     counts, P.K = P.K.counts, K
     return counts
 
 
 def test_run_pgmsad_takes_one_product_with_K_transpose_per_outer_iteration(rng):
-    # structured steps (orthant psi): per iterate, K y for the x-residual and
-    # the drive K^T x + B^T lambda, which the y-residual and the next inner
-    # ascent share; per step, K y+ of the ascended y in the descent step
+    # structured steps (orthant psi): per iterate, the drive K^T x + B^T
+    # lambda, which the y-residual and the next inner ascent share; per
+    # step, K y+ of the ascended y in the descent step, which the next
+    # iterate's x-residual takes as its K y; iterate 0 forms its own K y
     P = orthant_copy(quadratic_problem(rng)[0])
     for T in (4, 5):
-        assert count_products(P, T) == {"K": 2 * T + 1, "K.T": T + 1}
+        assert count_products(P, T) == {"K": T + 1, "K.T": T + 1}
+
+
+def test_run_pgmsad_forms_K_y_again_where_the_projection_moved_y(rng):
+    # project_each_outer: the step's K y+ is not of the projected y, so each
+    # iterate's certify forms its own
+    P = orthant_copy(quadratic_problem(rng)[0])
+    for T in (4, 5):
+        assert count_products(P, T, True) == {"K": 2 * T + 1, "K.T": T + 1}
 
 
 def test_run_pgmsad_affine_path_forms_K_only_to_build_its_maps(rng):
@@ -368,26 +380,37 @@ def test_linreg_affine_blocks_match_the_structured_steps_at_every_cap(n, shape):
         assert_same_run(run_linreg(P, cfg), linreg_structured(P, cfg))
 
 
+def record_fills(monkeypatch):
+    """The list that collects, for each fill_iterates call of _run_affine
+    from now on, the iterates it fills and whether it was given the
+    one-step map (a two-level fill, where j = 1)."""
+    calls, fill = [], jointmm.solver.fill_iterates
+    monkeypatch.setattr(jointmm.solver, "fill_iterates",
+                        lambda *a: calls.append((a[1], len(a) == 5)) or fill(*a))
+    return calls
+
+
 def test_affine_blocks_end_at_the_cap(monkeypatch, rng):
     # the last block fills only up to the cap, rounded up to whole products
     # with M, ..., M^j. Where j = 1, the blocks are filled at two levels (a
     # fill given the one-step map): an odd last block ends on an odd
-    # iterate, made from the even one before it
-    import jointmm.solver
-
-    calls, fill = [], jointmm.solver.fill_iterates
-    monkeypatch.setattr(jointmm.solver, "fill_iterates",
-                        lambda *a: calls.append((a[1], len(a) == 5)) or fill(*a))
+    # iterate, made from the even one before it. Where j > 1 the blocks
+    # before it double from k up to top: 450 steps at linreg's n = 10 and
+    # 504 at n + m + q = 6, and none at n = 40, where top is k
+    calls = record_fills(monkeypatch)
     stock = dict(alpha_x=0.3, alpha_y=1.0, inner_steps=3, eps=0.0)
     for n, cap, fills in ((130, 100, [(64, True), (36, True)]),
                           (130, 165, [(64, True), (64, True), (37, True)]),
                           (40, 100, [(66, False), (36, False)]),
-                          (10, 100, [(75, False), (25, False)])):
+                          (40, 300, [(66, False)] * 4 + [(36, False)]),
+                          (10, 100, [(75, False), (25, False)]),
+                          (10, 2001, [(75, False), (150, False), (300, False), (450, False),
+                                      (450, False), (450, False), (150, False)])):
         _, P = make_linreg(n, n, n // 5, seed=3)
         calls.clear()
         got = run_linreg(P, SolverConfig(outer_cap=cap, **stock))
         assert (got.state.t, calls) == (cap, fills)
-    # run_pgmsad at n + m + q = 140
+    # run_pgmsad at n + m + q = 140, and at 6 on criterion-11 saddle 6
     P, kw = affine_case(rng, 60, 60, 20)
     for cap, fills in ((64, [(64, True)]), (101, [(64, True), (37, True)])):
         calls.clear()
@@ -395,6 +418,64 @@ def test_affine_blocks_end_at_the_cap(monkeypatch, rng):
         got = run_pgmsad(P, cfg)
         assert (got.state.t, calls) == (cap, fills)
         assert_same_run(got, pgmsad_structured(P, cfg))
+    P, cfg, _ = criterion_11_saddles()[6]
+    calls.clear()
+    cfg = dataclasses.replace(cfg, outer_cap=2501, eps=0.0, lambda0=np.zeros(2))
+    got = run_pgmsad(P, cfg)
+    fills = [(84, False), (168, False), (336, False)] + [(504, False)] * 3 + [(420, False)]
+    assert (got.state.t, calls) == (2501, fills)
+    assert_same_run(got, pgmsad_structured(P, cfg))
+
+
+@pytest.mark.parametrize("stop", ["eps", "cap"])
+@pytest.mark.parametrize("case", ["criterion-11-saddle-6", "linreg-10"])
+def test_grown_affine_blocks_keep_the_bits_of_blocks_of_k(monkeypatch, case, stop):
+    # a grown block takes the same fill products from the same iterates as
+    # the blocks of k it stands for, and its residual rows by one product
+    # per k columns: the iterates and every trace column are the bytes of
+    # blocks of k. Saddle 6 stops by eps at 3,045 steps, in blocks of up to
+    # 504, and linreg's n = 10 at 8,472, in blocks of up to 450. Capped, the
+    # last block ends past whole products of k columns: 126 = 84 + 42 steps
+    # at cap 714, and 100 = 75 + 25 at 625
+    if case == "linreg-10":
+        _, P = make_linreg(10, 10, 2, seed=3)
+        cfg = SolverConfig(alpha_x=0.3, alpha_y=1.0, inner_steps=3, outer_cap=20000)
+        k, cap, grow, last = 75, 625, [75, 150, 300, 450], [75, 150, 300, 100]
+        run = lambda: run_linreg(P, cfg)
+    else:
+        P, cfg, _ = criterion_11_saddles()[6]
+        k, cap, grow, last = 84, 714, [84, 168, 336, 504], [84, 168, 336, 126]
+        run = lambda: run_pgmsad(P, cfg)
+    if stop == "cap":
+        cfg = dataclasses.replace(cfg, outer_cap=cap, eps=0.0)
+    calls, out = record_fills(monkeypatch), []
+    # as grown, then with every block of k: AFFINE_BLOCK_MAX 1 puts top at k
+    for bound in (jointmm.solver.AFFINE_BLOCK_MAX, 1):
+        monkeypatch.setattr(jointmm.solver, "AFFINE_BLOCK_MAX", bound)
+        calls.clear()
+        got = run()
+        s = got.state
+        out.append(([a.tobytes() for a in (s.x, s.y, s.lam, got.trace[:, 1:])],
+                    [h for h, _ in calls]))
+    (grown, fills), (ref, ref_fills) = out
+    assert grown == ref
+    assert set(ref_fills[:-1]) == {k}
+    if stop == "cap":
+        assert fills == last and sum(ref_fills) == sum(fills)
+    else:
+        assert fills[:4] == grow and set(fills[4:]) == {grow[-1]}
+
+
+@pytest.mark.parametrize("n, m, q", [(60, 60, 9), (120, 120, 16)])
+def test_affine_blocks_do_not_grow_where_j_is_1(monkeypatch, rng, n, m, q):
+    # from n + m + q = 129 up (j = 1), a block's products exceed the serial
+    # bound at k steps already, so top is k: every block holds 64 steps,
+    # filled at two levels (test_affine_blocks_end_at_the_cap has linreg's
+    # n = 130)
+    calls = record_fills(monkeypatch)
+    P, kw = affine_case(rng, n, m, q)
+    got = run_pgmsad(P, SolverConfig(outer_cap=300, eps=0.0, **kw))
+    assert (got.state.t, calls) == (300, [(64, True)] * 4 + [(44, True)])
 
 
 def assert_certified_at_start(P, got, config, converged):
@@ -425,16 +506,19 @@ def test_affine_paths_certify_iterate_0_by_the_drivers_certify(seed):
 
 @pytest.mark.parametrize("where", ["first", "last"])
 def test_affine_blocks_stop_on_the_first_and_last_row_of_a_block(rng, where):
-    # iterate 0 is certified alone; block b >= 1 holds iterates
-    # (b - 1) k + 1 .. b k. eps is set just above the largest residual of a
-    # record-low iterate t in the wanted place, so the run stops at t
+    # iterate 0 is certified alone; the blocks after it hold k, 2 k, 4 k,
+    # ... iterates (within top, 504 at n + m + q = 6), so block b >= 1
+    # ends at iterate (2^b - 1) k. eps is set just above the largest
+    # residual of a record-low iterate t in the wanted place, so the run
+    # stops at t
     P, kw = affine_case(rng, 2, 2, 2)
     k = _block_shape(6, AFFINE_BLOCK_MIN)[1]
-    trace = pgmsad_structured(P, SolverConfig(outer_cap=5 * k, eps=0.0, **kw)).trace
+    ends = [k, 3 * k, 7 * k]
+    places = ends if where == "last" else [e + 1 for e in ends]
+    trace = pgmsad_structured(P, SolverConfig(outer_cap=7 * k + 1, eps=0.0, **kw)).trace
     worst = trace[:, 1:4].max(axis=1).tolist()
-    t = next(t for t in range(k, 5 * k + 1)
-             if t % k == (1 if where == "first" else 0) and worst[t] < 0.999 * min(worst[:t]))
-    cfg = SolverConfig(outer_cap=5 * k, eps=worst[t] * (1 + 1e-9), **kw)
+    t = next(t for t in places if worst[t] < 0.999 * min(worst[:t]))
+    cfg = SolverConfig(outer_cap=7 * k + 1, eps=worst[t] * (1 + 1e-9), **kw)
     got, ref = run_pgmsad(P, cfg), pgmsad_structured(P, cfg)
     assert (ref.t, ref.converged) == (t, True)
     assert_same_run(got, ref)
@@ -450,7 +534,7 @@ def test_affine_divergence_names_the_iterate_single_steps_name(rng):
     P, kw = affine_case(rng, 2, 2, 2)
     kw["alpha_x"] *= 10
     cfg = SolverConfig(outer_cap=100000, eps=0.0, **kw)
-    step = lambda z: (np.hstack(pgmsad_step(P, cfg, z[:, :2], z[:, 2:4], z[:, 4:])),)
+    step = lambda z: (np.hstack(pgmsad_step(P, cfg, z[:, :2], z[:, 2:4], z[:, 4:])[:3]),)
     [(M, _)] = affine_parts(step, 6)
     assert np.all(np.isfinite(M)) and np.abs(np.linalg.eigvals(M)).max() > 1
     with pytest.raises(DivergenceError) as err:

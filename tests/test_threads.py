@@ -3,8 +3,8 @@ interpreter with OPENBLAS_NUM_THREADS set, and the digests of the results
 must agree. The runs are large enough that a plain product of a batch, or
 of the Gram matrix, would be split among the threads; the GLPE runs compare
 their step counts too (the seeded one its pattern count as well), and the
-linreg, traced GLPE and structured PGmsAD runs their trace rows, elapsed_s
-aside."""
+linreg, traced GLPE, structured PGmsAD and criterion-11 runs their trace
+rows, elapsed_s aside."""
 
 import json
 import os
@@ -80,10 +80,16 @@ r = run_glpe(G, GlpeConfig(alpha=1 / np.linalg.norm(A + B, 2) ** 2, eps=1e-10,
 out["glpe_seeded_50"] = [r.iterations, r.patterns, digest(r.x)]
 # the structured steps of tests/test_solver.py's cli-like pin, projected
 # every step (q = 8, where the Gram inverse is thread-stable), with its trace
-from oracles import cli_like_saddle
+from oracles import cli_like_saddle, criterion_11_saddles
 r = run_pgmsad(*cli_like_saddle(True))
 out["pgmsad_structured"] = [r.state.t, digest(r.state.x, r.state.y, r.state.lam,
                                                np.ascontiguousarray(r.trace[:, 1:4]))]
+# criterion-11 saddle 6 on the affine path at n + m + q = 6: 3,045 steps in
+# blocks that double from 84 to 504 steps, with its trace
+P, cfg, _ = criterion_11_saddles()[6]
+r = run_pgmsad(P, cfg)
+out["criterion_11_saddle_6"] = [r.state.t, digest(r.state.x, r.state.y, r.state.lam,
+                                                   np.ascontiguousarray(r.trace[:, 1:4]))]
 print(json.dumps(out))
 """
 
@@ -107,7 +113,7 @@ def digests():
     "run", ["run_linreg", "run_linreg_trace", "run_linreg_150", "run_linreg_150_trace",
             "run_pgmsad", "gram", "glpe_nonneg_orthant", "glpe_l1_norm",
             "glpe_nonneg_orthant_trace", "glpe_l1_norm_trace", "glpe_seeded_50",
-            "pgmsad_structured"]
+            "pgmsad_structured", "criterion_11_saddle_6"]
 )
 def test_same_bits_at_one_and_two_blas_threads(digests, run):
     assert digests["1"][run] == digests["2"][run]
